@@ -5,13 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"net/http"
 	"sync"
 	"time"
 
 	"penelope/internal/lifetime"
+	"penelope/internal/mix"
 )
 
 // Alert is one fired rule instance. The ID is deterministic —
@@ -210,6 +209,7 @@ type Deliverer struct {
 	queue chan Alert
 	wg    sync.WaitGroup
 	brk   breaker
+	retry mix.Backoff
 
 	mu          sync.Mutex
 	closed      bool
@@ -252,6 +252,10 @@ func NewDeliverer(cfg DelivererConfig) *Deliverer {
 		cfg:   cfg,
 		queue: make(chan Alert, cfg.QueueDepth),
 		brk:   breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown},
+		// Jitter keyed on (seed, alert ID, attempt): the same alert
+		// retries on the same schedule in every run, regardless of
+		// which worker carries it.
+		retry: mix.Backoff{Base: cfg.Backoff, Cap: 30 * time.Second, Seed: cfg.Seed},
 	}
 	d.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -338,21 +342,8 @@ func (d *Deliverer) deliver(a Alert) {
 		d.mu.Lock()
 		d.retries++
 		d.mu.Unlock()
-		time.Sleep(d.backoff(a.ID, attempt))
+		time.Sleep(d.retry.Delay(a.ID, attempt))
 	}
-}
-
-// backoff doubles the base delay per attempt and adds up to 50%
-// deterministic jitter keyed on (seed, alert ID, attempt) — the same
-// alert retries on the same schedule in every run, regardless of which
-// worker carries it.
-func (d *Deliverer) backoff(id string, attempt int) time.Duration {
-	base := float64(d.cfg.Backoff) * math.Pow(2, float64(attempt))
-	if max := float64(30 * time.Second); base > max {
-		base = max
-	}
-	jitter := unitHash(d.cfg.Seed, id, uint64(attempt)) * 0.5 * base
-	return time.Duration(base + jitter)
 }
 
 func (d *Deliverer) deadLetter(a Alert, reason string) {
@@ -446,7 +437,7 @@ func (f *FaultSink) Deliver(ctx context.Context, a Alert) error {
 	if attempt < f.FailFirst {
 		return fmt.Errorf("fault-sink: injected failure (attempt %d of first %d)", attempt, f.FailFirst)
 	}
-	if f.FailRate > 0 && unitHash(f.Seed, a.ID, uint64(attempt)) < f.FailRate {
+	if f.FailRate > 0 && mix.Keyed(f.Seed, a.ID, uint64(attempt)) < f.FailRate {
 		return fmt.Errorf("fault-sink: injected failure (attempt %d)", attempt)
 	}
 	f.mu.Lock()
@@ -462,39 +453,72 @@ func (f *FaultSink) Delivered() []Alert {
 	return append([]Alert(nil), f.delivered...)
 }
 
-// unitHash maps (seed, id, n) to a uniform [0,1) draw via splitmix64
-// over an FNV-1a digest of the id.
-func unitHash(seed uint64, id string, n uint64) float64 {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	x := seed ^ h.Sum64() ^ (n * 0x9e3779b97f4a7c15)
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
-}
-
-// Alerter evaluates a registration's rules against each new epoch row
-// and fans fired alerts out: onto the bus (as "alert" events on the
-// fleet's topic) and into the delivery pipeline. Rules latch — a rule
-// instance fires when its condition first becomes true and re-arms when
-// the condition clears — so a sustained threshold crossing produces one
-// alert, not one per epoch.
-type Alerter struct {
+// latch is the one latch-and-fire path shared by the epoch Alerter and
+// the SLO engine: a rule instance (keyed by its latch key) fires when
+// its condition first becomes true and re-arms when the condition
+// clears, so a sustained crossing produces one alert, not one per
+// evaluation. Fired alerts fan out onto the bus and into the delivery
+// pipeline, each optional. mu also guards the owner's own evaluation
+// state.
+type latch struct {
 	bus       *Bus
 	deliverer *Deliverer
 
 	mu        sync.Mutex
-	latched   map[string]bool
+	on        map[string]bool
 	evaluated uint64
 	fired     uint64
+}
+
+func newLatch(bus *Bus, deliverer *Deliverer) latch {
+	return latch{bus: bus, deliverer: deliverer, on: make(map[string]bool)}
+}
+
+// edgeLocked records one evaluation of key and reports whether it is a
+// rising edge — the only case that fires. Callers hold l.mu.
+func (l *latch) edgeLocked(key string, active bool) bool {
+	l.evaluated++
+	was := l.on[key]
+	l.on[key] = active
+	if !active || was {
+		return false
+	}
+	l.fired++
+	return true
+}
+
+// fanOut publishes fired alerts on topic and enqueues them for
+// delivery. Callers release l.mu first, so publishing never runs under
+// the latch lock.
+func (l *latch) fanOut(topic string, fired []Alert) {
+	for _, a := range fired {
+		if l.bus != nil {
+			l.bus.Publish(topic, "alert", a)
+		}
+		if l.deliverer != nil {
+			l.deliverer.Enqueue(a)
+		}
+	}
+}
+
+// counts returns the evaluated and fired totals.
+func (l *latch) counts() (evaluated, fired uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.evaluated, l.fired
+}
+
+// Alerter evaluates a registration's rules against each new epoch row
+// and fans fired alerts out through the shared latch: onto the bus (as
+// "alert" events on the fleet's topic) and into the delivery pipeline.
+type Alerter struct {
+	latch latch
 }
 
 // NewAlerter wires the evaluator to an optional bus and optional
 // delivery pipeline.
 func NewAlerter(bus *Bus, deliverer *Deliverer) *Alerter {
-	return &Alerter{bus: bus, deliverer: deliverer, latched: make(map[string]bool)}
+	return &Alerter{latch: newLatch(bus, deliverer)}
 }
 
 // Observe evaluates one fleet epoch row. prev is the previous row's
@@ -551,15 +575,11 @@ func (al *Alerter) Observe(fleet string, rules AlertRules, det *DeviationDetecto
 		})
 	}
 	var fired []Alert
-	al.mu.Lock()
+	al.latch.mu.Lock()
 	for _, c := range cands {
-		al.evaluated++
-		was := al.latched[c.latchKey]
-		al.latched[c.latchKey] = c.active
-		if !c.active || was {
+		if !al.latch.edgeLocked(c.latchKey, c.active) {
 			continue
 		}
-		al.fired++
 		a := Alert{
 			Fleet:     fleet,
 			Rule:      c.rule,
@@ -576,15 +596,8 @@ func (al *Alerter) Observe(fleet string, rules AlertRules, det *DeviationDetecto
 		}
 		fired = append(fired, a)
 	}
-	al.mu.Unlock()
-	for _, a := range fired {
-		if al.bus != nil {
-			al.bus.Publish(fleetTopic(fleet), "alert", a)
-		}
-		if al.deliverer != nil {
-			al.deliverer.Enqueue(a)
-		}
-	}
+	al.latch.mu.Unlock()
+	al.latch.fanOut(fleetTopic(fleet), fired)
 	return fired
 }
 
@@ -596,7 +609,6 @@ type AlertStats struct {
 
 // Stats returns evaluation counters.
 func (al *Alerter) Stats() AlertStats {
-	al.mu.Lock()
-	defer al.mu.Unlock()
-	return AlertStats{Evaluated: al.evaluated, Fired: al.fired}
+	evaluated, fired := al.latch.counts()
+	return AlertStats{Evaluated: evaluated, Fired: fired}
 }

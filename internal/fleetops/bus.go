@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"penelope/internal/obs"
 )
 
 // Event is one bus message: a per-epoch fleet aggregate, a population
@@ -37,8 +39,7 @@ type Bus struct {
 
 type topic struct {
 	seq  uint64
-	ring []Event // fixed-capacity ring once full
-	head int     // next write position when len(ring) == cap
+	ring obs.Ring[Event]
 	subs map[*Subscription]struct{}
 }
 
@@ -57,7 +58,7 @@ func NewBus(history int) *Bus {
 func (b *Bus) topicLocked(name string) *topic {
 	t := b.topics[name]
 	if t == nil {
-		t = &topic{subs: make(map[*Subscription]struct{})}
+		t = &topic{ring: obs.NewRing[Event](b.history), subs: make(map[*Subscription]struct{})}
 		b.topics[name] = t
 	}
 	return t
@@ -119,12 +120,7 @@ func (b *Bus) Publish(topicName, eventType string, data any) (Event, error) {
 	t := b.topicLocked(topicName)
 	t.seq++
 	ev := Event{Seq: t.seq, Topic: topicName, Type: eventType, Time: time.Now().UTC(), Data: raw}
-	if len(t.ring) < b.history {
-		t.ring = append(t.ring, ev)
-	} else {
-		t.ring[t.head] = ev
-		t.head = (t.head + 1) % len(t.ring)
-	}
+	t.ring.Push(ev)
 	b.published.Add(1)
 	for sub := range t.subs {
 		select {
@@ -188,9 +184,8 @@ func (b *Bus) subscribe(topicName string, after uint64, buf int, create bool) (*
 		t = b.topicLocked(topicName)
 	}
 	var replay []Event
-	for i := 0; i < len(t.ring); i++ {
-		ev := t.ring[(t.head+i)%len(t.ring)]
-		if ev.Seq > after {
+	for i := 0; i < t.ring.Len(); i++ {
+		if ev := t.ring.At(i); ev.Seq > after {
 			replay = append(replay, ev)
 		}
 	}

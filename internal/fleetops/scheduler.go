@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"penelope/internal/lifetime"
+	"penelope/internal/mix"
 	"penelope/internal/obs"
 )
 
@@ -67,7 +68,8 @@ type Config struct {
 	// in favor of the last good snapshot (default 60s).
 	TickTimeout time.Duration
 	// RetryBackoff is the base delay before retrying a failed tick,
-	// doubled per consecutive failure (default 1s).
+	// doubled per consecutive failure up to QuarantineCooldown, plus up
+	// to 50% jitter keyed on the population name (default 1s).
 	RetryBackoff time.Duration
 	// Workers bounds each engine step's internal fan-out (<=0 uses
 	// GOMAXPROCS).
@@ -150,6 +152,8 @@ type Scheduler struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
+	retry mix.Backoff // failed-tick retry delays
+
 	mu       sync.Mutex
 	pops     map[string]*population
 	closed   bool
@@ -180,7 +184,8 @@ func NewScheduler(cfg Config) *Scheduler {
 		cfg.Logger = obs.Logger("fleetops")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Scheduler{cfg: cfg, ctx: ctx, cancel: cancel, pops: make(map[string]*population)}
+	return &Scheduler{cfg: cfg, ctx: ctx, cancel: cancel, pops: make(map[string]*population),
+		retry: mix.Backoff{Base: cfg.RetryBackoff, Cap: cfg.QuarantineCooldown}}
 }
 
 // Register validates and admits a population, persists its sidecar, and
@@ -446,15 +451,7 @@ func (s *Scheduler) nextDelay(p *population, first bool) (time.Duration, bool) {
 		return s.cfg.QuarantineCooldown, false
 	}
 	if p.failures > 0 {
-		shift := p.failures - 1
-		if shift > 10 {
-			shift = 10
-		}
-		d := s.cfg.RetryBackoff << shift
-		if d > s.cfg.QuarantineCooldown {
-			d = s.cfg.QuarantineCooldown
-		}
-		return d, false
+		return s.retry.Delay(p.reg.Name, p.failures-1), false
 	}
 	d := time.Duration(p.reg.Interval)
 	if d <= 0 {

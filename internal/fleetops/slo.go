@@ -2,7 +2,6 @@ package fleetops
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -134,21 +133,15 @@ type SLOStats struct {
 }
 
 // SLOEngine evaluates declarative objectives against the metric
-// history and fires breaches through the same bus and hardened
-// delivery pipeline epoch alerts use. Rules latch exactly like the
-// Alerter: one alert when both windows first breach, re-armed when
-// either window clears.
+// history and fires breaches through the latch the Alerter uses: one
+// alert when both windows first breach, re-armed when either window
+// clears, fanned out onto the bus and the hardened delivery pipeline.
 type SLOEngine struct {
-	src       HistorySource
-	bus       *Bus
-	deliverer *Deliverer
+	src   HistorySource
+	latch latch // latch.mu also guards status
 
-	mu        sync.Mutex
-	rules     []SLORule
-	status    []SLOStatus
-	latched   map[string]bool
-	evaluated uint64
-	fired     uint64
+	rules  []SLORule
+	status []SLOStatus
 }
 
 // NewSLOEngine validates the rules and wires the engine. bus and
@@ -170,10 +163,10 @@ func NewSLOEngine(src HistorySource, rules []SLORule, bus *Bus, deliverer *Deliv
 		seen[norm[i].Name] = true
 	}
 	return &SLOEngine{
-		src: src, bus: bus, deliverer: deliverer,
-		rules:   norm,
-		status:  make([]SLOStatus, len(norm)),
-		latched: make(map[string]bool, len(norm)),
+		src:    src,
+		latch:  newLatch(bus, deliverer),
+		rules:  norm,
+		status: make([]SLOStatus, len(norm)),
 	}, nil
 }
 
@@ -226,20 +219,16 @@ func (e *SLOEngine) EvaluateOnce(now time.Time) []Alert {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
+	e.latch.mu.Lock()
 	var fired []Alert
 	for i := range e.rules {
 		r := &e.rules[i]
-		e.evaluated++
 		short := e.evalWindow(r, r.ShortWindow, now)
 		long := e.evalWindow(r, r.LongWindow, now)
 		active := short.OK && long.OK && short.Breach && long.Breach
-		was := e.latched[r.Name]
-		e.latched[r.Name] = active
 		st := SLOStatus{Rule: *r, Short: short, Long: long, Firing: active,
 			LastFired: e.status[i].LastFired}
-		if active && !was {
-			e.fired++
+		if e.latch.edgeLocked(r.Name, active) {
 			a := Alert{
 				Fleet:     "slo",
 				Rule:      r.Name,
@@ -257,15 +246,8 @@ func (e *SLOEngine) EvaluateOnce(now time.Time) []Alert {
 		}
 		e.status[i] = st
 	}
-	e.mu.Unlock()
-	for _, a := range fired {
-		if e.bus != nil {
-			e.bus.Publish("slo", "alert", a)
-		}
-		if e.deliverer != nil {
-			e.deliverer.Enqueue(a)
-		}
-	}
+	e.latch.mu.Unlock()
+	e.latch.fanOut("slo", fired)
 	return fired
 }
 
@@ -283,8 +265,8 @@ func (e *SLOEngine) Status() []SLOStatus {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.latch.mu.Lock()
+	defer e.latch.mu.Unlock()
 	out := make([]SLOStatus, len(e.status))
 	copy(out, e.status)
 	return out
@@ -295,13 +277,13 @@ func (e *SLOEngine) Stats() SLOStats {
 	if e == nil {
 		return SLOStats{}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.latch.mu.Lock()
+	defer e.latch.mu.Unlock()
 	firing := 0
 	for _, st := range e.status {
 		if st.Firing {
 			firing++
 		}
 	}
-	return SLOStats{Rules: len(e.rules), Evaluated: e.evaluated, Fired: e.fired, Firing: firing}
+	return SLOStats{Rules: len(e.rules), Evaluated: e.latch.evaluated, Fired: e.latch.fired, Firing: firing}
 }

@@ -173,9 +173,9 @@ func TestSLORuleValidation(t *testing.T) {
 	}
 	st := eng.Status()
 	_ = st
-	eng.mu.Lock()
+	eng.latch.mu.Lock()
 	r := eng.rules[0]
-	eng.mu.Unlock()
+	eng.latch.mu.Unlock()
 	if r.Kind != SLOBurnRate || r.Burn != 1 ||
 		time.Duration(r.ShortWindow) != 5*time.Minute || time.Duration(r.LongWindow) != time.Hour {
 		t.Fatalf("defaults not applied: %+v", r)

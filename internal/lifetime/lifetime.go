@@ -35,6 +35,7 @@ import (
 	"math"
 
 	"penelope/internal/circuit"
+	"penelope/internal/mix"
 	"penelope/internal/nbti"
 )
 
@@ -140,28 +141,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// splitmix64 is the splittable seeding mix of Steele et al. — one
-// invertible permutation of the state per draw, so chip streams derived
-// from (seed, chip index) are independent and reproducible with no
-// shared generator state.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// chipStream is the per-chip RNG: a splitmix64 counter stream rooted at
-// a mix of the fleet seed and the chip index.
+// chipStream is the per-chip RNG: a SplitMix64 counter stream rooted at
+// a mix of the fleet seed and the chip index, so chip streams are
+// independent and reproducible with no shared generator state.
 type chipStream struct{ state uint64 }
 
 func newChipStream(seed uint64, chip int) chipStream {
-	return chipStream{state: splitmix64(seed ^ splitmix64(uint64(chip)+0x632BE59BD9B4E019))}
+	return chipStream{state: mix.SplitMix64(seed ^ mix.SplitMix64(uint64(chip)+0x632BE59BD9B4E019))}
 }
 
 // next returns the next raw 64-bit draw.
 func (s *chipStream) next() uint64 {
-	s.state = splitmix64(s.state)
+	s.state = mix.SplitMix64(s.state)
 	return s.state
 }
 

@@ -147,13 +147,12 @@ func (t *Trace) snapshot() TraceSnapshot {
 // (for GET /v1/jobs/{id}/trace) and one ring per component (for
 // GET /v1/debug/traces). Memory is bounded regardless of traffic.
 type Tracer struct {
-	idCap   int
 	ringCap int
 
 	mu      sync.Mutex
 	byID    map[string]*Trace
-	idOrder []string
-	rings   map[string][]*Trace
+	idOrder Ring[string] // byID keys, oldest first
+	rings   map[string]*Ring[*Trace]
 	seq     uint64
 }
 
@@ -167,10 +166,10 @@ const (
 // NewTracer returns a tracer with the default capacities.
 func NewTracer() *Tracer {
 	return &Tracer{
-		idCap:   defaultIDCap,
 		ringCap: defaultRingCap,
 		byID:    make(map[string]*Trace),
-		rings:   make(map[string][]*Trace),
+		idOrder: NewRing[string](defaultIDCap),
+		rings:   make(map[string]*Ring[*Trace]),
 	}
 }
 
@@ -191,10 +190,7 @@ func (tr *Tracer) Begin(id, component, firstPhase string) *Trace {
 	// A re-submitted ID (e.g. a resumed job) replaces its index entry in
 	// place; the stale pointer ages out of the component ring naturally.
 	if _, ok := tr.byID[id]; !ok {
-		tr.idOrder = append(tr.idOrder, id)
-		if len(tr.idOrder) > tr.idCap {
-			evict := tr.idOrder[0]
-			tr.idOrder = tr.idOrder[1:]
+		if evict, full := tr.idOrder.Push(id); full {
 			delete(tr.byID, evict)
 		}
 	}
@@ -233,11 +229,13 @@ func (tr *Tracer) Record(component, name string, start time.Time, d time.Duratio
 // pushRingLocked appends to a component ring, evicting the oldest entry
 // past capacity. Caller holds tr.mu.
 func (tr *Tracer) pushRingLocked(component string, t *Trace) {
-	ring := append(tr.rings[component], t)
-	if len(ring) > tr.ringCap {
-		ring = ring[1:]
+	ring := tr.rings[component]
+	if ring == nil {
+		r := NewRing[*Trace](tr.ringCap)
+		ring = &r
+		tr.rings[component] = ring
 	}
-	tr.rings[component] = ring
+	ring.Push(t)
 }
 
 // Get returns the trace recorded under id.
@@ -262,12 +260,16 @@ func (tr *Tracer) Recent(component string, n int) []TraceSnapshot {
 	}
 	tr.mu.Lock()
 	ring := tr.rings[component]
-	if n <= 0 || n > len(ring) {
-		n = len(ring)
+	size := 0
+	if ring != nil {
+		size = ring.Len()
+	}
+	if n <= 0 || n > size {
+		n = size
 	}
 	picked := make([]*Trace, n)
 	for i := 0; i < n; i++ {
-		picked[i] = ring[len(ring)-1-i]
+		picked[i] = ring.At(size - 1 - i)
 	}
 	tr.mu.Unlock()
 	out := make([]TraceSnapshot, n)

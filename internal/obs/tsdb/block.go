@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
@@ -13,14 +12,9 @@ import (
 
 // Block file format. A block is an immutable flush of every series'
 // unpersisted raw samples, written once through vfs.WriteAtomic and
-// never modified:
-//
-//	magic    "penelope-tsdb-v1\n"
-//	length   8-byte little-endian payload length
-//	payload  uvarint series count, then per series:
-//	           uvarint name length, name bytes,
-//	           uvarint chunk length, chunk (see encode.go)
-//	checksum sha256(payload)
+// never modified. It is a vfs.Frame under blockMagic whose payload is
+// a uvarint series count, then per series: uvarint name length, name
+// bytes, uvarint chunk length, chunk (see encode.go).
 //
 // File names are block-<mints>-<seq>.tsb where <mints> is the block's
 // minimum sample timestamp (unix milliseconds, zero-padded) and <seq> a
@@ -37,38 +31,6 @@ const (
 
 func blockName(minT int64, seq int) string {
 	return fmt.Sprintf("%s%013d-%06d%s", blockPrefix, minT, seq, blockSuffix)
-}
-
-// frameBlock wraps payload in the magic/length/checksum frame.
-func frameBlock(payload []byte) []byte {
-	out := make([]byte, 0, len(blockMagic)+8+len(payload)+sha256.Size)
-	out = append(out, blockMagic...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	sum := sha256.Sum256(payload)
-	return append(out, sum[:]...)
-}
-
-// unframeBlock validates the frame and returns the payload.
-func unframeBlock(data []byte) ([]byte, error) {
-	if len(data) < len(blockMagic)+8+sha256.Size {
-		return nil, fmt.Errorf("tsdb: block too short (%d bytes)", len(data))
-	}
-	if string(data[:len(blockMagic)]) != blockMagic {
-		return nil, fmt.Errorf("tsdb: bad block magic")
-	}
-	data = data[len(blockMagic):]
-	n := binary.LittleEndian.Uint64(data[:8])
-	data = data[8:]
-	if uint64(len(data)) != n+sha256.Size {
-		return nil, fmt.Errorf("tsdb: block length mismatch (header %d, have %d)", n, len(data)-sha256.Size)
-	}
-	payload, sum := data[:n], data[n:]
-	want := sha256.Sum256(payload)
-	if string(sum) != string(want[:]) {
-		return nil, fmt.Errorf("tsdb: block checksum mismatch")
-	}
-	return payload, nil
 }
 
 // flushLocked writes every series' samples newer than its flush
@@ -89,8 +51,8 @@ func (db *DB) flushLocked(now int64) {
 	// Series count is a varint prefix, so build the bodies first.
 	for _, s := range db.sortedSeries() {
 		pts = pts[:0]
-		for i := 0; i < s.raw.n; i++ {
-			p := s.raw.at(i)
+		for i := 0; i < s.raw.Len(); i++ {
+			p := s.raw.At(i)
 			if p.t > s.flushedT {
 				pts = append(pts, p)
 			}
@@ -123,7 +85,7 @@ func (db *DB) flushLocked(now int64) {
 	db.blockSeq++
 	name := blockName(minT, db.blockSeq)
 	path := filepath.Join(db.cfg.Dir, name)
-	framed := frameBlock(payload)
+	framed := vfs.Frame(blockMagic, payload)
 	if _, err := vfs.WriteAtomic(db.cfg.FS, path, framed); err != nil {
 		db.nFlushFail.Add(1)
 		db.cfg.Logger.Warn("tsdb: block flush failed", "block", name, "err", err)
@@ -236,9 +198,9 @@ func (db *DB) loadOneBlock(path string) (blockInfo, error) {
 	if err != nil {
 		return blockInfo{}, err
 	}
-	payload, err := unframeBlock(data)
+	payload, err := vfs.Unframe(blockMagic, data)
 	if err != nil {
-		return blockInfo{}, err
+		return blockInfo{}, fmt.Errorf("tsdb: %w", err)
 	}
 	info := blockInfo{size: int64(len(data)), minT: 1<<63 - 1}
 	nSeries, k := binary.Uvarint(payload)
@@ -303,11 +265,7 @@ func (db *DB) scrubLocked() {
 	kept := db.blocks[:0]
 	for _, b := range db.blocks {
 		path := filepath.Join(db.cfg.Dir, b.name)
-		data, err := db.cfg.FS.ReadFile(path)
-		if err == nil {
-			_, err = unframeBlock(data)
-		}
-		if err != nil {
+		if _, err := vfs.ReadFrame(db.cfg.FS, path, blockMagic); err != nil {
 			db.quarantine(path, err)
 			continue
 		}

@@ -109,11 +109,11 @@ func TestCrashMatrixBlockFlush(t *testing.T) {
 			// All-or-nothing on content: the counter series either never
 			// made it to disk or carries all three samples, bit-exact.
 			if s, ok := re.series["crash_total"]; ok {
-				if s.raw.n != 3 {
-					t.Errorf("%s: rebooted series has %d samples, want 0 (absent) or 3", label, s.raw.n)
+				if s.raw.Len() != 3 {
+					t.Errorf("%s: rebooted series has %d samples, want 0 (absent) or 3", label, s.raw.Len())
 				}
-				for i := 0; i < s.raw.n; i++ {
-					p := s.raw.at(i)
+				for i := 0; i < s.raw.Len(); i++ {
+					p := s.raw.At(i)
 					if p.v != float64(i+1) {
 						t.Errorf("%s: sample %d = %v, want %d", label, i, p.v, i+1)
 					}
@@ -161,7 +161,7 @@ func TestFlushFailureRetries(t *testing.T) {
 	}
 	defer re.Close()
 	s, ok := re.series["retry_total"]
-	if !ok || s.raw.n != 4 {
+	if !ok || s.raw.Len() != 4 {
 		t.Fatalf("recovered %v samples, want all 4 despite the failed flush", s)
 	}
 }

@@ -3,15 +3,16 @@ package tsdb
 import (
 	"math"
 	"testing"
+
+	"penelope/internal/mix"
 )
 
-// xorshift-style deterministic generator for the property tests.
+// splitmix is the property tests' deterministic generator: the
+// SplitMix64 counter stream over mix.SplitMix64.
 func splitmix(x *uint64) uint64 {
+	z := mix.SplitMix64(*x)
 	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
 }
 
 // TestChunkRoundTripProperty drives the codec with pseudo-random sample

@@ -174,22 +174,22 @@ func (db *DB) collect(name string, fromMs, toMs int64) []statPoint {
 	}
 	// Raw covers the range if it has not wrapped, or its oldest retained
 	// point predates the range start.
-	if s.raw.n > 0 && (!s.raw.full() || s.raw.at(0).t <= fromMs) {
+	if s.raw.Len() > 0 && (!s.raw.Full() || s.raw.At(0).t <= fromMs) {
 		return rawStats(&s.raw, fromMs, toMs)
 	}
-	if s.t1.n > 0 && (!s.t1.full() || s.t1.at(0).t <= fromMs) {
+	if s.t1.Len() > 0 && (!s.t1.Full() || s.t1.At(0).t <= fromMs) {
 		return aggStats(&s.t1, &s.f1, fromMs, toMs)
 	}
-	if s.t2.n > 0 || s.f2.cnt > 0 {
+	if s.t2.Len() > 0 || s.f2.cnt > 0 {
 		return aggStats(&s.t2, &s.f2, fromMs, toMs)
 	}
 	return rawStats(&s.raw, fromMs, toMs)
 }
 
-func rawStats(r *ring, fromMs, toMs int64) []statPoint {
+func rawStats(r *obs.Ring[point], fromMs, toMs int64) []statPoint {
 	var out []statPoint
-	for i := 0; i < r.n; i++ {
-		p := r.at(i)
+	for i := 0; i < r.Len(); i++ {
+		p := r.At(i)
 		if p.t > toMs {
 			break
 		}
@@ -206,7 +206,7 @@ func rawStats(r *ring, fromMs, toMs int64) []statPoint {
 	return out
 }
 
-func aggStats(r *aggRing, f *fold, fromMs, toMs int64) []statPoint {
+func aggStats(r *obs.Ring[aggPoint], f *fold, fromMs, toMs int64) []statPoint {
 	var out []statPoint
 	push := func(sp statPoint) {
 		if sp.t > toMs {
@@ -218,8 +218,8 @@ func aggStats(r *aggRing, f *fold, fromMs, toMs int64) []statPoint {
 		}
 		out = append(out, sp)
 	}
-	for i := 0; i < r.n; i++ {
-		p := r.at(i)
+	for i := 0; i < r.Len(); i++ {
+		p := r.At(i)
 		push(statPoint{t: p.t, min: p.min, max: p.max, sum: p.sum, last: p.last, cnt: p.cnt})
 	}
 	// The in-progress fold is the newest window; without it the query

@@ -85,49 +85,6 @@ type aggPoint struct {
 	cnt  uint32
 }
 
-// ring is a fixed-capacity raw-point ring (oldest overwritten first).
-type ring struct {
-	buf  []point
-	head int // next write index
-	n    int
-}
-
-func (r *ring) push(p point) {
-	r.buf[r.head] = p
-	r.head = (r.head + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-}
-
-func (r *ring) at(i int) point {
-	return r.buf[(r.head-r.n+i+2*len(r.buf))%len(r.buf)]
-}
-
-// full reports whether the ring has wrapped (i.e. dropped history).
-func (r *ring) full() bool { return r.n == len(r.buf) }
-
-// aggRing is ring's shape over aggPoints.
-type aggRing struct {
-	buf  []aggPoint
-	head int
-	n    int
-}
-
-func (r *aggRing) push(p aggPoint) {
-	r.buf[r.head] = p
-	r.head = (r.head + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-}
-
-func (r *aggRing) at(i int) aggPoint {
-	return r.buf[(r.head-r.n+i+2*len(r.buf))%len(r.buf)]
-}
-
-func (r *aggRing) full() bool { return r.n == len(r.buf) }
-
 // fold is an in-progress downsampling window.
 type fold struct {
 	start int64
@@ -141,8 +98,8 @@ type fold struct {
 // series is one flat sample stream with its three tiers.
 type series struct {
 	name     string
-	raw      ring
-	t1, t2   aggRing
+	raw      obs.Ring[point]
+	t1, t2   obs.Ring[aggPoint]
 	f1, f2   fold
 	flushedT int64 // newest timestamp persisted to a block
 }
@@ -295,9 +252,9 @@ func (db *DB) getSeries(name string) *series {
 	}
 	s := &series{
 		name: name,
-		raw:  ring{buf: make([]point, db.rawN)},
-		t1:   aggRing{buf: make([]aggPoint, db.rawN)},
-		t2:   aggRing{buf: make([]aggPoint, 2*db.rawN)},
+		raw:  obs.NewRing[point](db.rawN),
+		t1:   obs.NewRing[aggPoint](db.rawN),
+		t2:   obs.NewRing[aggPoint](2 * db.rawN),
 	}
 	db.series[name] = s
 	db.order = append(db.order, s)
@@ -310,16 +267,16 @@ func (db *DB) getSeries(name string) *series {
 // time-aligned window, so replaying the same samples — live or from
 // blocks — always reproduces the same tier contents.
 func (db *DB) push(s *series, t int64, v float64) {
-	s.raw.push(point{t: t, v: v})
+	s.raw.Push(point{t: t, v: v})
 	db.foldInto(&s.f1, &s.t1, db.win1Ms, t, v)
 	db.foldInto(&s.f2, &s.t2, db.win2Ms, t, v)
 	db.nPoints.Add(1)
 }
 
-func (db *DB) foldInto(f *fold, r *aggRing, winMs, t int64, v float64) {
+func (db *DB) foldInto(f *fold, r *obs.Ring[aggPoint], winMs, t int64, v float64) {
 	w := t - t%winMs
 	if f.cnt > 0 && w != f.start {
-		r.push(aggPoint{t: f.start, min: f.min, max: f.max, sum: f.sum, last: f.last, cnt: f.cnt})
+		r.Push(aggPoint{t: f.start, min: f.min, max: f.max, sum: f.sum, last: f.last, cnt: f.cnt})
 		f.cnt = 0
 	}
 	if f.cnt == 0 {

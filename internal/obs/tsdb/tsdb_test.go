@@ -117,12 +117,12 @@ func TestDownsampleTiersBracket(t *testing.T) {
 		all = append(all, sample{t: now.UnixMilli(), v: v})
 	}
 	s := db.series["sig"]
-	checkTier := func(name string, r *aggRing, winMs int64) {
-		if r.n == 0 {
+	checkTier := func(name string, r *obs.Ring[aggPoint], winMs int64) {
+		if r.Len() == 0 {
 			t.Fatalf("%s: no aggregates", name)
 		}
-		for i := 0; i < r.n; i++ {
-			a := r.at(i)
+		for i := 0; i < r.Len(); i++ {
+			a := r.At(i)
 			var (
 				mn, mx, sum float64
 				cnt         uint32

@@ -2,9 +2,10 @@ package service
 
 import (
 	"math"
-	"math/rand/v2"
 	"sync"
 	"time"
+
+	"penelope/internal/mix"
 )
 
 // This file is the admission-control and fairness layer of the server:
@@ -227,7 +228,7 @@ type backoffController struct {
 	svcTime   float64 // EWMA of job service seconds; 0 = no samples yet
 	waitTime  float64 // EWMA of observed queue-wait seconds; 0 = no samples yet
 	highWater float64 // queue fraction where shedding starts
-	rng       *rand.Rand
+	draws     uint64  // shedding decisions drawn so far; keys the next one
 	shed      uint64
 }
 
@@ -238,10 +239,7 @@ func newBackoffController(highWater float64) *backoffController {
 	if highWater <= 0 || highWater >= 1 {
 		highWater = 0.75
 	}
-	return &backoffController{
-		highWater: highWater,
-		rng:       rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64())),
-	}
+	return &backoffController{highWater: highWater}
 }
 
 // observe folds one completed job's service time into the EWMA.
@@ -273,7 +271,9 @@ func (b *backoffController) observeWait(d time.Duration) {
 
 // admit decides whether a submission may enqueue given the current
 // queue depth. Below the high-water mark everything is admitted; above
-// it, admission probability decays linearly to zero at the bound.
+// it, admission probability decays linearly to zero at the bound. The
+// draw is keyed on the controller's own decision counter, so the same
+// depth sequence sheds the same submissions in every run.
 func (b *backoffController) admit(depth, max int) bool {
 	if max <= 0 {
 		return true
@@ -291,7 +291,8 @@ func (b *backoffController) admit(depth, max int) bool {
 	pReject := (q - b.highWater) / (1 - b.highWater)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.rng.Float64() < pReject {
+	b.draws++
+	if mix.Float64(mix.SplitMix64(b.draws)) < pReject {
 		b.shed++
 		return false
 	}

@@ -166,6 +166,32 @@ func TestBackoffController(t *testing.T) {
 	}
 }
 
+// TestBackoffControllerSheddingReplays checks progressive shedding is
+// deterministic: two controllers fed the same depth sequence shed
+// exactly the same submissions, at a rate near the configured slope.
+func TestBackoffControllerSheddingReplays(t *testing.T) {
+	a, b := newBackoffController(0.75), newBackoffController(0.75)
+	shed := 0
+	for i := 0; i < 2000; i++ {
+		depth := 70 + i%31 // sweeps 0.70..1.00 of the queue
+		got, want := a.admit(depth, 100), b.admit(depth, 100)
+		if got != want {
+			t.Fatalf("submission %d at depth %d: controllers disagree (%v vs %v)", i, depth, got, want)
+		}
+		if !got {
+			shed++
+		}
+	}
+	if a.shedCount() != b.shedCount() || a.shedCount() != uint64(shed) {
+		t.Fatalf("shed counts %d and %d, want %d", a.shedCount(), b.shedCount(), shed)
+	}
+	// Expected refusals: 13 of every 31 depths (~840 of 2000); a stuck
+	// or degenerate draw misses by far more than the tolerance.
+	if shed < 740 || shed > 940 {
+		t.Errorf("shed %d of 2000, want about 840", shed)
+	}
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

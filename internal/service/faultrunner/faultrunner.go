@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"penelope/internal/experiments"
+	"penelope/internal/mix"
 	"penelope/internal/service"
 )
 
@@ -77,30 +78,16 @@ func (f *Injector) Runner() service.Runner {
 		}
 		// Two independent uniforms per invocation, derived from the
 		// seeded counter: deterministic, yet uncorrelated decisions.
-		h := splitmix64(f.cfg.Seed + 2*n)
-		if f.cfg.ErrorRate > 0 && unit(h) < f.cfg.ErrorRate {
+		h := mix.SplitMix64(f.cfg.Seed + 2*n)
+		if f.cfg.ErrorRate > 0 && mix.Float64(h) < f.cfg.ErrorRate {
 			f.faults.Add(1)
 			return nil, fmt.Errorf("faultrunner: injected fault on run %d: %w", n, service.ErrTransient)
 		}
-		h = splitmix64(f.cfg.Seed + 2*n + 1)
-		if f.cfg.PanicRate > 0 && unit(h) < f.cfg.PanicRate {
+		h = mix.SplitMix64(f.cfg.Seed + 2*n + 1)
+		if f.cfg.PanicRate > 0 && mix.Float64(h) < f.cfg.PanicRate {
 			f.panics.Add(1)
 			panic(fmt.Sprintf("faultrunner: injected panic on run %d", n))
 		}
 		return f.next(ctx, experiment, o)
 	}
-}
-
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed hash of
-// the invocation counter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// unit maps a hash to [0, 1).
-func unit(h uint64) float64 {
-	return float64(h>>11) / float64(1<<53)
 }

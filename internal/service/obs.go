@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"penelope/internal/fleetops"
@@ -26,10 +25,12 @@ import (
 // themselves; see Metrics.Histograms).
 const httpLatencyFamily = "penelope_http_request_seconds"
 
-// serverObs bundles the service tier's own instruments. The registry
-// also carries the store and fleetops families (registered by their
-// NewInstruments constructors) and mirrors of the JSON counters via
-// CounterFunc/GaugeFunc, so one scrape sees the whole process.
+// serverObs bundles the service tier's own instruments. The job
+// counters are the single source both /metrics.json and the Prometheus
+// exposition read. The registry also carries the store and fleetops
+// families (registered by their NewInstruments constructors) and
+// CounterFunc/GaugeFunc views of component stats, so one scrape sees
+// the whole process.
 type serverObs struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -38,30 +39,17 @@ type serverObs struct {
 	jobSeconds  *obs.Histogram    // submit → terminal state
 	queueWait   *obs.Histogram    // submit → worker pickup (leaders)
 	runSeconds  *obs.HistogramVec // runner latency by experiment
-}
 
-// cached wraps a stats snapshot function with a small TTL so one
-// Prometheus scrape reading several families from the same source
-// (store.Stats walks directories, Deliverer.Stats copies dead letters)
-// pays for one snapshot, not one per family.
-func cached[T any](ttl time.Duration, fn func() T) func() T {
-	var mu sync.Mutex
-	var at time.Time
-	var v T
-	return func() T {
-		mu.Lock()
-		defer mu.Unlock()
-		if at.IsZero() || time.Since(at) > ttl {
-			v = fn()
-			at = time.Now()
-		}
-		return v
-	}
+	done      *obs.Counter // jobs finished successfully
+	failed    *obs.Counter // jobs finished with an error
+	rejected  *obs.Counter // submissions dropped because the queue was full
+	throttled *obs.Counter // submissions rejected by per-client rate limiting
+	retries   *obs.Counter // transient-failure retry attempts
+	panics    *obs.Counter // driver panics recovered into failed jobs
+	timeouts  *obs.Counter // jobs failed by the per-job timeout
+	resumed   *obs.Counter // interrupted jobs resubmitted at boot
+	untracked *obs.Counter // requests folded into the ~other client cell
 }
-
-// statsCacheTTL bounds staleness of snapshot-backed families within a
-// scrape; small enough that tests polling after an action still see it.
-const statsCacheTTL = 100 * time.Millisecond
 
 // initObs builds the registry and tracer and registers the service
 // tier's families. It runs before the store opens and before
@@ -84,46 +72,34 @@ func (s *Server) initObs() {
 	}
 	s.obs = o
 
-	lockedU64 := func(f func() uint64) func() uint64 {
-		return func() uint64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return f()
-		}
-	}
-	reg.CounterFunc("penelope_jobs_submitted_total", "Jobs ever submitted (including cache hits and rejected leaders).",
-		lockedU64(func() uint64 { return s.nextID }))
-	reg.CounterFunc("penelope_jobs_done_total", "Jobs finished successfully.",
-		lockedU64(func() uint64 { return s.done }))
-	reg.CounterFunc("penelope_jobs_failed_total", "Jobs finished with an error.",
-		lockedU64(func() uint64 { return s.failed }))
-	reg.CounterFunc("penelope_jobs_rejected_total", "Submissions dropped because the queue was full.",
-		lockedU64(func() uint64 { return s.rejected }))
-	reg.CounterFunc("penelope_jobs_throttled_total", "Submissions rejected by per-client rate limiting.",
-		lockedU64(func() uint64 { return s.throttled }))
-	reg.CounterFunc("penelope_jobs_retries_total", "Transient-failure retry attempts.",
-		lockedU64(func() uint64 { return s.retries }))
-	reg.CounterFunc("penelope_jobs_panics_recovered_total", "Driver panics recovered into failed jobs.",
-		lockedU64(func() uint64 { return s.panics }))
-	reg.CounterFunc("penelope_jobs_timeouts_total", "Jobs failed by the per-job timeout.",
-		lockedU64(func() uint64 { return s.timeouts }))
-	reg.CounterFunc("penelope_jobs_resumed_total", "Interrupted jobs resubmitted at boot.",
-		lockedU64(func() uint64 { return s.resumed }))
-	reg.CounterFunc("penelope_jobs_shed_total", "Submissions dropped by progressive load shedding.",
-		s.backoff.shedCount)
-	reg.CounterFunc("penelope_untracked_clients_total", "Requests attributed to the ~other cell because the per-client counter map was full.",
-		lockedU64(func() uint64 { return s.untracked }))
-	lockedGauge := func(f func() float64) func() float64 {
+	jobCount := func(f func() int) func() float64 {
 		return func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return f()
+			return float64(f())
 		}
 	}
+	reg.CounterFunc("penelope_jobs_submitted_total", "Jobs ever submitted (including cache hits and rejected leaders).",
+		func() uint64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return s.nextID
+		})
+	o.done = reg.Counter("penelope_jobs_done_total", "Jobs finished successfully.")
+	o.failed = reg.Counter("penelope_jobs_failed_total", "Jobs finished with an error.")
+	o.rejected = reg.Counter("penelope_jobs_rejected_total", "Submissions dropped because the queue was full.")
+	o.throttled = reg.Counter("penelope_jobs_throttled_total", "Submissions rejected by per-client rate limiting.")
+	o.retries = reg.Counter("penelope_jobs_retries_total", "Transient-failure retry attempts.")
+	o.panics = reg.Counter("penelope_jobs_panics_recovered_total", "Driver panics recovered into failed jobs.")
+	o.timeouts = reg.Counter("penelope_jobs_timeouts_total", "Jobs failed by the per-job timeout.")
+	o.resumed = reg.Counter("penelope_jobs_resumed_total", "Interrupted jobs resubmitted at boot.")
+	reg.CounterFunc("penelope_jobs_shed_total", "Submissions dropped by progressive load shedding.",
+		s.backoff.shedCount)
+	o.untracked = reg.Counter("penelope_untracked_clients_total", "Requests attributed to the ~other cell because the per-client counter map was full.")
 	reg.GaugeFunc("penelope_jobs_queued", "Jobs currently queued.",
-		lockedGauge(func() float64 { return float64(s.queued) }))
+		jobCount(func() int { return s.queued }))
 	reg.GaugeFunc("penelope_jobs_running", "Jobs currently running.",
-		lockedGauge(func() float64 { return float64(s.running) }))
+		jobCount(func() int { return s.running }))
 
 	obs.RegisterBuildInfo(reg, *s.cfg.BuildInfo)
 	reg.CounterFunc("penelope_uptime_seconds", "Whole seconds since the server started.",
@@ -139,15 +115,14 @@ func (s *Server) initObs() {
 	reg.GaugeFunc("penelope_workers", "Worker pool size.",
 		func() float64 { return float64(s.cfg.Workers) })
 
-	cacheStats := cached(statsCacheTTL, s.cache.Stats)
 	reg.GaugeFunc("penelope_cache_entries", "Completed results held in the in-memory cache.",
-		func() float64 { return float64(cacheStats().Entries) })
+		func() float64 { return float64(s.cache.Stats().Entries) })
 	reg.CounterFunc("penelope_cache_hits_total", "Requests served from a completed cache entry.",
-		func() uint64 { return cacheStats().Hits })
+		func() uint64 { return s.cache.Stats().Hits })
 	reg.CounterFunc("penelope_cache_misses_total", "Requests that had to run the simulation.",
-		func() uint64 { return cacheStats().Misses })
+		func() uint64 { return s.cache.Stats().Misses })
 	reg.CounterFunc("penelope_cache_inflight_dedups_total", "Requests that attached to an already-running simulation.",
-		func() uint64 { return cacheStats().InflightDedups })
+		func() uint64 { return s.cache.Stats().InflightDedups })
 
 	obs.RegisterRuntimeMetrics(reg)
 }
@@ -156,31 +131,30 @@ func (s *Server) initObs() {
 // Prometheus families. Called only when persistence is on, so an
 // in-memory server's exposition carries no store families at all.
 func (s *Server) registerStoreMetrics() {
-	st := cached(statsCacheTTL, s.store.Stats)
 	reg := s.obs.reg
 	reg.GaugeFunc("penelope_store_entries", "Verified result payloads on disk.",
-		func() float64 { return float64(st().Entries) })
+		func() float64 { return float64(s.store.Stats().Entries) })
 	reg.GaugeFunc("penelope_store_bytes", "Total result payload bytes held on disk.",
-		func() float64 { return float64(st().Bytes) })
+		func() float64 { return float64(s.store.Stats().Bytes) })
 	reg.GaugeFunc("penelope_store_degraded", "1 while the store is shedding result writes, else 0.",
 		func() float64 {
-			if st().Degraded {
+			if s.store.Stats().Degraded {
 				return 1
 			}
 			return 0
 		})
 	reg.CounterFunc("penelope_store_hits_total", "Store reads served from disk.",
-		func() uint64 { return st().Hits })
+		func() uint64 { return s.store.Stats().Hits })
 	reg.CounterFunc("penelope_store_misses_total", "Store reads for keys not held.",
-		func() uint64 { return st().Misses })
+		func() uint64 { return s.store.Stats().Misses })
 	reg.CounterFunc("penelope_store_quarantined_total", "Corrupt or truncated files set aside instead of served.",
-		func() uint64 { return uint64(st().Quarantined) })
+		func() uint64 { return uint64(s.store.Stats().Quarantined) })
 	reg.CounterFunc("penelope_store_evictions_total", "Results removed by the disk budget or retention policy.",
-		func() uint64 { return st().Evictions })
+		func() uint64 { return s.store.Stats().Evictions })
 	reg.CounterFunc("penelope_store_budget_refusals_total", "Result writes refused because eviction could not free enough budget.",
-		func() uint64 { return st().BudgetRefusals })
+		func() uint64 { return s.store.Stats().BudgetRefusals })
 	reg.CounterFunc("penelope_store_write_failures_total", "Result writes that failed in the filesystem.",
-		func() uint64 { return st().WriteFailures })
+		func() uint64 { return s.store.Stats().WriteFailures })
 }
 
 // registerFleetMetrics mirrors the continuous-operations counters.
@@ -188,56 +162,51 @@ func (s *Server) registerStoreMetrics() {
 // deliverer exist.
 func (s *Server) registerFleetMetrics() {
 	reg := s.obs.reg
-	sched := cached(statsCacheTTL, s.sched.Stats)
 	reg.GaugeFunc("penelope_fleet_populations", "Registered fleet populations.",
-		func() float64 { return float64(sched().Populations) })
+		func() float64 { return float64(s.sched.Stats().Populations) })
 	reg.GaugeFunc("penelope_fleet_active", "Fleet populations currently active.",
-		func() float64 { return float64(sched().Active) })
+		func() float64 { return float64(s.sched.Stats().Active) })
 	reg.GaugeFunc("penelope_fleet_quarantined", "Fleet populations currently quarantined.",
-		func() float64 { return float64(sched().Quarantined) })
+		func() float64 { return float64(s.sched.Stats().Quarantined) })
 	reg.CounterFunc("penelope_fleet_ticks_total", "Fleet scheduler ticks completed.",
-		func() uint64 { return sched().Ticks })
+		func() uint64 { return s.sched.Stats().Ticks })
 	reg.CounterFunc("penelope_fleet_tick_failures_total", "Fleet ticks that failed.",
-		func() uint64 { return sched().TickFailures })
+		func() uint64 { return s.sched.Stats().TickFailures })
 	reg.CounterFunc("penelope_fleet_watchdog_timeouts_total", "Fleet ticks cancelled by the watchdog.",
-		func() uint64 { return sched().WatchdogTimeouts })
+		func() uint64 { return s.sched.Stats().WatchdogTimeouts })
 	reg.CounterFunc("penelope_fleet_checkpoint_failures_total", "Fleet checkpoint writes refused or failed.",
-		func() uint64 { return sched().CheckpointFailures })
+		func() uint64 { return s.sched.Stats().CheckpointFailures })
 
-	gb := cached(statsCacheTTL, s.sched.Guardband)
 	reg.GaugeFunc("penelope_fleet_p99_guardband", "Worst p99 guardband across scheduled populations.",
-		func() float64 { return gb().P99Guardband })
+		func() float64 { return s.sched.Guardband().P99Guardband })
 	reg.GaugeFunc("penelope_fleet_mean_guardband", "Worst mean guardband across scheduled populations.",
-		func() float64 { return gb().MeanGuardband })
+		func() float64 { return s.sched.Guardband().MeanGuardband })
 	reg.GaugeFunc("penelope_fleet_violated_fraction", "Worst guardband-violation fraction across scheduled populations.",
-		func() float64 { return gb().ViolatedFraction })
+		func() float64 { return s.sched.Guardband().ViolatedFraction })
 
-	bus := cached(statsCacheTTL, s.bus.Stats)
 	reg.GaugeFunc("penelope_bus_topics", "Event bus topics.",
-		func() float64 { return float64(bus().Topics) })
+		func() float64 { return float64(s.bus.Stats().Topics) })
 	reg.GaugeFunc("penelope_bus_subscribers", "Event bus subscriptions.",
-		func() float64 { return float64(bus().Subscribers) })
+		func() float64 { return float64(s.bus.Stats().Subscribers) })
 	reg.CounterFunc("penelope_bus_published_total", "Events published on the bus.",
-		func() uint64 { return bus().Published })
+		func() uint64 { return s.bus.Stats().Published })
 	reg.CounterFunc("penelope_bus_dropped_total", "Events dropped by full subscriber buffers.",
-		func() uint64 { return bus().Dropped })
+		func() uint64 { return s.bus.Stats().Dropped })
 
-	alerts := cached(statsCacheTTL, s.alerter.Stats)
 	reg.CounterFunc("penelope_alerts_evaluated_total", "Alert rule evaluations.",
-		func() uint64 { return alerts().Evaluated })
+		func() uint64 { return s.alerter.Stats().Evaluated })
 	reg.CounterFunc("penelope_alerts_fired_total", "Alerts fired.",
-		func() uint64 { return alerts().Fired })
+		func() uint64 { return s.alerter.Stats().Fired })
 
 	if s.deliverer != nil {
-		del := cached(statsCacheTTL, s.deliverer.Stats)
 		reg.GaugeFunc("penelope_alert_queue_depth", "Alert delivery queue depth.",
-			func() float64 { return float64(del().QueueDepth) })
+			func() float64 { return float64(s.deliverer.Stats().QueueDepth) })
 		reg.CounterFunc("penelope_alert_delivered_total", "Alerts delivered to the sink.",
-			func() uint64 { return del().Delivered })
+			func() uint64 { return s.deliverer.Stats().Delivered })
 		reg.CounterFunc("penelope_alert_retries_total", "Alert delivery retries.",
-			func() uint64 { return del().Retries })
+			func() uint64 { return s.deliverer.Stats().Retries })
 		reg.CounterFunc("penelope_alert_dead_lettered_total", "Alerts dead-lettered after exhausting retries.",
-			func() uint64 { return del().DeadLettered })
+			func() uint64 { return s.deliverer.Stats().DeadLettered })
 	}
 }
 

@@ -124,6 +124,32 @@ func TestTransientRetry(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffShiftBounded runs a job through 65 transient
+// failures. Past attempt 62 an unclamped RetryBackoff<<attempt wraps
+// negative and used to panic the worker goroutine drawing jitter from
+// it; the shared policy clamps the exponent, so the job simply
+// exhausts its retries and fails.
+func TestRetryBackoffShiftBounded(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		Workers:      1,
+		MaxRetries:   64,
+		RetryBackoff: time.Nanosecond,
+		Runner: func(context.Context, string, experiments.Options) (experiments.Result, error) {
+			return nil, fmt.Errorf("always flaky: %w", ErrTransient)
+		},
+	})
+
+	var job Job
+	postJSON(t, ts.URL+"/v1/jobs", `{"experiment":"fig4"}`, &job)
+	done := pollJob(t, ts.URL, job.ID)
+	if done.State != StateFailed || done.Attempts != 65 {
+		t.Fatalf("job = %+v, want failed after 65 attempts", done)
+	}
+	if m := s.metrics(); m.Jobs.Retries != 64 {
+		t.Errorf("retries = %d, want 64", m.Jobs.Retries)
+	}
+}
+
 // TestNonTransientNotRetried checks deterministic failures fail on the
 // first attempt — re-running a simulation that deterministically errors
 // would only burn workers.

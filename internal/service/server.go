@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand/v2"
 	"net/http"
 	"runtime"
 	"sort"
@@ -19,6 +18,7 @@ import (
 
 	"penelope/internal/experiments"
 	"penelope/internal/fleetops"
+	"penelope/internal/mix"
 	"penelope/internal/obs"
 	"penelope/internal/obs/tsdb"
 	"penelope/internal/store"
@@ -94,7 +94,8 @@ type Config struct {
 	// (default 2; negative disables retries).
 	MaxRetries int
 	// RetryBackoff is the base backoff between retries (default 100ms),
-	// doubled per attempt with jitter.
+	// doubled per attempt up to 30x, plus up to 50% jitter keyed on the
+	// job ID.
 	RetryBackoff time.Duration
 	// CheckpointEvery is the epoch interval between lifetime checkpoint
 	// writes when persistence is on (default 16).
@@ -176,6 +177,7 @@ type Server struct {
 	store   *store.Store
 	limiter *rateLimiter
 	backoff *backoffController
+	retry   mix.Backoff // transient-failure retry delays
 	obs     *serverObs
 	logger  *slog.Logger
 
@@ -196,24 +198,14 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	terminal []string // finished job ids, oldest first, for eviction
+	terminal obs.Ring[string] // finished job ids, oldest first, for eviction
 	nextID   uint64
 
 	queued  int // jobs currently in StateQueued (O(1) metrics scan)
 	running int // jobs currently in StateRunning
 
-	done      uint64 // jobs finished successfully (cumulative)
-	failed    uint64 // jobs finished with an error (cumulative)
-	rejected  uint64 // submissions dropped because the queue was full
-	retries   uint64 // transient-failure retry attempts
-	panics    uint64 // driver panics recovered into failed jobs
-	timeouts  uint64 // jobs failed by the per-job timeout
-	resumed   uint64 // interrupted jobs resubmitted at boot
-	throttled uint64 // submissions rejected by per-client rate limiting
-
 	clients        map[string]*ClientCounters
 	clientOverflow ClientCounters // aggregate beyond the tracked bound
-	untracked      uint64         // requests folded into the overflow cell
 
 	sweeps    map[string]*sweepTrack // in-flight sweeps, for point streaming
 	sweepSeq  uint64
@@ -289,9 +281,11 @@ func New(cfg Config) (*Server, error) {
 		pool:      newFairPool(cfg.Workers, cfg.QueueDepth),
 		limiter:   newRateLimiter(cfg.Rate, cfg.Burst),
 		backoff:   newBackoffController(cfg.HighWater),
+		retry:     mix.Backoff{Base: cfg.RetryBackoff, Cap: 30 * cfg.RetryBackoff},
 		baseCtx:   ctx,
 		cancelCtx: cancel,
 		jobs:      make(map[string]*Job),
+		terminal:  obs.NewRing[string](cfg.RetainJobs),
 		clients:   make(map[string]*ClientCounters),
 		sweeps:    make(map[string]*sweepTrack),
 	}
@@ -439,9 +433,7 @@ func (s *Server) recoverInterrupted() {
 			// would otherwise be resubmitted on every boot.
 			s.store.RemoveJob(rec.Key)
 		}
-		s.mu.Lock()
-		s.resumed++
-		s.mu.Unlock()
+		s.obs.resumed.Inc()
 		s.logger.Info("resumed interrupted job", "experiment", rec.Experiment, "job", job.ID, "key", job.ResultKey)
 	}
 }
@@ -558,9 +550,7 @@ func (s *Server) submit(client, experiment string, o experiments.Options, sweepI
 		job.enqueuedAt = time.Now()
 		if err := s.pool.submit(client, func() { s.runJob(job, entry) }); err != nil {
 			s.cache.Abandon(entry, err.Error())
-			s.mu.Lock()
-			s.rejected++
-			s.mu.Unlock()
+			s.obs.rejected.Inc()
 			s.finish(job, err, false)
 			return job, err
 		}
@@ -610,8 +600,10 @@ func (s *Server) runJob(job *Job, entry *Entry) {
 	s.finish(job, err, false)
 }
 
-// runWithRetry runs the job, retrying transient failures with
-// exponential backoff and jitter up to MaxRetries.
+// runWithRetry runs the job, retrying transient failures up to
+// MaxRetries with capped exponential backoff. The jitter is keyed on
+// the job ID, so concurrent failures decorrelate instead of stampeding
+// together while each job's schedule replays exactly.
 func (s *Server) runWithRetry(job *Job) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
 		s.mu.Lock()
@@ -621,18 +613,9 @@ func (s *Server) runWithRetry(job *Job) ([]byte, error) {
 		if err == nil || !errors.Is(err, ErrTransient) || attempt >= s.cfg.MaxRetries || s.closed.Load() {
 			return payload, err
 		}
-		s.mu.Lock()
-		s.retries++
-		s.mu.Unlock()
-		backoff := s.cfg.RetryBackoff << attempt
-		if max := 30 * s.cfg.RetryBackoff; backoff > max {
-			backoff = max
-		}
-		// Half fixed, half jitter: retries from concurrent failures
-		// decorrelate instead of stampeding together.
-		delay := backoff/2 + time.Duration(rand.Int64N(int64(backoff/2)+1))
+		s.obs.retries.Inc()
 		select {
-		case <-time.After(delay):
+		case <-time.After(s.retry.Delay(job.ID, attempt)):
 		case <-s.baseCtx.Done():
 			return nil, errShuttingDown
 		}
@@ -660,9 +643,7 @@ func (s *Server) runOnce(job *Job) ([]byte, error) {
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				s.mu.Lock()
-				s.panics++
-				s.mu.Unlock()
+				s.obs.panics.Inc()
 				ch <- outcome{nil, fmt.Errorf("experiment driver panicked: %v", r)}
 			}
 		}()
@@ -690,9 +671,7 @@ func (s *Server) runOnce(job *Job) ([]byte, error) {
 			}
 			return nil, errShuttingDown
 		}
-		s.mu.Lock()
-		s.timeouts++
-		s.mu.Unlock()
+		s.obs.timeouts.Inc()
 		// The runner goroutine may outlive the attempt (it is leaked
 		// until it returns); ctx cancellation asks cooperative drivers
 		// to stop early.
@@ -718,15 +697,13 @@ func (s *Server) finish(job *Job, err error, cacheHit bool) {
 	if err != nil {
 		job.State = StateFailed
 		job.Error = err.Error()
-		s.failed++
+		s.obs.failed.Inc()
 	} else {
 		job.State = StateDone
-		s.done++
+		s.obs.done.Inc()
 	}
-	s.terminal = append(s.terminal, job.ID)
-	for len(s.terminal) > s.cfg.RetainJobs {
-		delete(s.jobs, s.terminal[0])
-		s.terminal = s.terminal[1:]
+	if evicted, full := s.terminal.Push(job.ID); full {
+		delete(s.jobs, evicted)
 	}
 	s.obs.jobSeconds.ObserveDuration(time.Since(job.submittedAt))
 	job.trace.Phase("done")
@@ -798,7 +775,7 @@ func (s *Server) clientCounters(client string) *ClientCounters {
 		// The request is not lost — it aggregates under "~other" — but
 		// its client id is, so count the fold-ins where operators can
 		// see them (untracked_clients in both metrics formats).
-		s.untracked++
+		s.obs.untracked.Inc()
 		return &s.clientOverflow
 	}
 	c := &ClientCounters{}
@@ -817,7 +794,7 @@ func (s *Server) admitClient(client string, units float64) (bool, time.Duration)
 		c.Admitted++
 	} else {
 		c.Throttled++
-		s.throttled++
+		s.obs.throttled.Inc()
 	}
 	s.mu.Unlock()
 	if ok {
@@ -913,14 +890,6 @@ func (s *Server) metrics() Metrics {
 	m.Jobs.Submitted = s.nextID
 	m.Jobs.Queued = uint64(s.queued)
 	m.Jobs.Running = uint64(s.running)
-	m.Jobs.Rejected = s.rejected
-	m.Jobs.Throttled = s.throttled
-	m.Jobs.Done = s.done
-	m.Jobs.Failed = s.failed
-	m.Jobs.Retries = s.retries
-	m.Jobs.PanicsRecovered = s.panics
-	m.Jobs.Timeouts = s.timeouts
-	m.Jobs.Resumed = s.resumed
 	if len(s.clients) > 0 {
 		m.Clients = make(map[string]ClientCounters, len(s.clients)+1)
 		for name, c := range s.clients {
@@ -930,7 +899,17 @@ func (s *Server) metrics() Metrics {
 			m.Clients["~other"] = s.clientOverflow
 		}
 	}
-	m.UntrackedClients = s.untracked
+	// Read under s.mu: finish bumps done/failed while holding it, so
+	// the terminal counts stay consistent with queued and running.
+	m.Jobs.Rejected = s.obs.rejected.Value()
+	m.Jobs.Throttled = s.obs.throttled.Value()
+	m.Jobs.Done = s.obs.done.Value()
+	m.Jobs.Failed = s.obs.failed.Value()
+	m.Jobs.Retries = s.obs.retries.Value()
+	m.Jobs.PanicsRecovered = s.obs.panics.Value()
+	m.Jobs.Timeouts = s.obs.timeouts.Value()
+	m.Jobs.Resumed = s.obs.resumed.Value()
+	m.UntrackedClients = s.obs.untracked.Value()
 	s.mu.Unlock()
 	m.Jobs.Shed = s.backoff.shedCount()
 	m.Cache = s.cache.Stats()
@@ -1052,9 +1031,8 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	q := s.queueStatus()
 	s.mu.Lock()
 	accepted := s.nextID
-	refused := s.rejected + s.throttled
 	s.mu.Unlock()
-	refused += s.backoff.shedCount()
+	refused := s.obs.rejected.Value() + s.obs.throttled.Value() + s.backoff.shedCount()
 	rate := 0.0
 	if total := accepted + refused; total > 0 {
 		rate = float64(refused) / float64(total)

@@ -18,10 +18,7 @@
 package store
 
 import (
-	"bytes"
 	"container/list"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,8 +33,8 @@ import (
 	"penelope/internal/store/vfs"
 )
 
-// resultMagic versions the on-disk result frame. Bump it whenever the
-// layout below changes shape.
+// resultMagic versions the on-disk result frame (vfs.Frame). Bump it
+// whenever the payload layout changes shape.
 const resultMagic = "penelope-store-v1\n"
 
 // resultExt, jobExt, ckptExt and fleetExt are the file extensions of
@@ -260,7 +257,7 @@ func OpenConfig(cfg Config) (*Store, error) {
 			s.fs.Remove(path) // interrupted write, never renamed in
 		case strings.HasSuffix(name, resultExt):
 			key := strings.TrimSuffix(name, resultExt)
-			payload, err := s.readResultFile(path)
+			payload, err := vfs.ReadFrame(s.fs, path, resultMagic)
 			if err != nil || !ValidKey(key) {
 				s.quarantineLocked(path, err)
 				continue
@@ -383,7 +380,7 @@ func (s *Store) Put(key string, payload []byte) (err error) {
 	}
 	s.mu.Unlock()
 
-	frame := frameResult(payload)
+	frame := vfs.Frame(resultMagic, payload)
 	final := filepath.Join(s.results, key+resultExt)
 	synced, err := vfs.WriteAtomic(s.fs, final, frame)
 	s.mu.Lock()
@@ -422,7 +419,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Unlock()
 	start := time.Now()
 	path := filepath.Join(s.results, key+resultExt)
-	payload, err := s.readResultFile(path)
+	payload, err := vfs.ReadFrame(s.fs, path, resultMagic)
 	s.ins.observeGet(key, start, len(payload), err == nil)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -551,7 +548,7 @@ func (s *Store) Scrub() ScrubReport {
 	sort.Strings(keys)
 	for _, key := range keys {
 		path := filepath.Join(s.results, key+resultExt)
-		_, err := s.readResultFile(path)
+		_, err := vfs.ReadFrame(s.fs, path, resultMagic)
 		s.mu.Lock()
 		el, ok := s.index[key]
 		if !ok {
@@ -883,47 +880,4 @@ func (s *Store) quarantineLocked(path string, cause error) {
 			s.logger.Error("quarantine rename failed (counted; logged once)", "error", err)
 		}
 	}
-}
-
-// frameResult wraps a payload in the store's verification frame:
-// magic, length, payload, SHA-256 of the payload.
-func frameResult(payload []byte) []byte {
-	var buf bytes.Buffer
-	buf.Grow(len(resultMagic) + 8 + len(payload) + sha256.Size)
-	buf.WriteString(resultMagic)
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(payload)))
-	buf.Write(n[:])
-	buf.Write(payload)
-	sum := sha256.Sum256(payload)
-	buf.Write(sum[:])
-	return buf.Bytes()
-}
-
-// readResultFile reads and fully verifies one framed result file:
-// magic, exact length, checksum, no trailing bytes.
-func (s *Store) readResultFile(path string) ([]byte, error) {
-	data, err := s.fs.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < len(resultMagic)+8+sha256.Size {
-		return nil, fmt.Errorf("truncated result file (%d bytes)", len(data))
-	}
-	if string(data[:len(resultMagic)]) != resultMagic {
-		return nil, fmt.Errorf("bad magic %q", data[:len(resultMagic)])
-	}
-	rest := data[len(resultMagic):]
-	n := binary.LittleEndian.Uint64(rest[:8])
-	rest = rest[8:]
-	if uint64(len(rest)) != n+sha256.Size {
-		return nil, fmt.Errorf("result frame claims %d payload bytes, file holds %d", n, len(rest)-sha256.Size)
-	}
-	payload := rest[:n]
-	want := rest[n:]
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], want) {
-		return nil, fmt.Errorf("payload checksum mismatch")
-	}
-	return payload, nil
 }

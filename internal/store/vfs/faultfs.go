@@ -6,6 +6,8 @@ import (
 	"io/fs"
 	"os"
 	"sync"
+
+	"penelope/internal/mix"
 )
 
 // Op identifies one fallible filesystem call in a FaultFS log.
@@ -117,7 +119,7 @@ func (f *FaultFS) CrashAtWrite(step, keep int) {
 }
 
 // SeedFaults arms a deterministic probabilistic schedule: the op at
-// step s fails with ErrNoSpace or ErrIO when the splitmix64 draw keyed
+// step s fails with ErrNoSpace or ErrIO when the mix.SplitMix64 draw keyed
 // (seed, s) lands under rate. Scripted faults take precedence.
 func (f *FaultFS) SeedFaults(seed uint64, rate float64) {
 	f.mu.Lock()
@@ -156,14 +158,6 @@ func (f *FaultFS) Log() []Record {
 	return out
 }
 
-// splitmix64 is the same mixer the fault runner and chip sampler use.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // begin numbers, logs and adjudicates one step. Callers hold f.mu.
 func (f *FaultFS) begin(op Op, path, dest string, n int) (fault, error) {
 	if f.crashed {
@@ -174,8 +168,8 @@ func (f *FaultFS) begin(op Op, path, dest string, n int) (fault, error) {
 	f.log = append(f.log, Record{Step: s, Op: op, Path: path, Dest: dest, N: n})
 	ft, ok := f.faults[s]
 	if !ok && f.seeded {
-		draw := splitmix64(f.seed + uint64(s))
-		if float64(draw>>11)/float64(1<<53) < f.rate {
+		draw := mix.SplitMix64(f.seed + uint64(s))
+		if mix.Float64(draw) < f.rate {
 			err := ErrNoSpace
 			if draw&1 == 1 {
 				err = ErrIO
