@@ -1,0 +1,47 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"penelope/internal/experiments"
+)
+
+// TestFileCheckpointResumes runs a small CLI lifetime job through its
+// -checkpoint file, then reruns it from the file the first run left:
+// both answers are byte-identical to an uncheckpointed run, and no temp
+// file is left beside the checkpoint.
+func TestFileCheckpointResumes(t *testing.T) {
+	path := fileCheckpoint(filepath.Join(t.TempDir(), "fleet.ckpt"))
+	if data, err := path.Load(); data != nil || err != nil {
+		t.Fatalf("missing checkpoint loaded as %d bytes, %v", len(data), err)
+	}
+	o := experiments.Options{TraceLength: 900, TraceStride: 531, Population: 200, Years: 0.5, EpochDays: 30}
+	want, err := experiments.NewPayload(experiments.Lifetime(o), o).MarshalCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		res, err := experiments.LifetimeCheckpointed(context.Background(), o, path, 2)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		got, err := experiments.NewPayload(res, o).MarshalCompact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("run %d: payload differs from an uncheckpointed run", run)
+		}
+	}
+	entries, err := os.ReadDir(filepath.Dir(string(path)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "fleet.ckpt" {
+		t.Errorf("checkpoint dir holds %v, want just fleet.ckpt", entries)
+	}
+}

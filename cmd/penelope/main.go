@@ -46,6 +46,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"net"
 	"net/http"
@@ -59,6 +60,7 @@ import (
 	"penelope/internal/experiments"
 	"penelope/internal/fleetops"
 	"penelope/internal/service"
+	"penelope/internal/store/vfs"
 )
 
 func main() {
@@ -159,7 +161,7 @@ func runCmd(args []string) {
 		var res experiments.Result
 		var err error
 		if *checkpoint != "" {
-			res, err = experiments.LifetimeCheckpointed(opts, *checkpoint, *ckptEvery)
+			res, err = experiments.LifetimeCheckpointed(context.Background(), opts, fileCheckpoint(*checkpoint), *ckptEvery)
 		} else {
 			res, err = experiments.Run(id, opts)
 		}
@@ -178,6 +180,23 @@ func runCmd(args []string) {
 			res.Render(w)
 		}
 	}
+}
+
+// fileCheckpoint is the -checkpoint file of a CLI lifetime run,
+// replaced atomically and durably (vfs.WriteAtomic) on every save.
+type fileCheckpoint string
+
+func (path fileCheckpoint) Load() ([]byte, error) {
+	data, err := os.ReadFile(string(path))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	return data, err
+}
+
+func (path fileCheckpoint) Save(data []byte) error {
+	_, err := vfs.WriteAtomic(vfs.OS{}, string(path), data)
+	return err
 }
 
 // serveCmd starts the experiment service: a worker pool over the

@@ -6,7 +6,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 
@@ -52,11 +51,11 @@ func main() {
 		for eng.Epoch() < eng.TotalEpochs()/2 {
 			eng.Step(0)
 		}
-		var ckpt bytes.Buffer
-		if err := eng.WriteCheckpoint(&ckpt); err != nil {
+		ckpt, err := eng.Snapshot()
+		if err != nil {
 			log.Fatal(err)
 		}
-		resumed, err := lifetime.ReadCheckpoint(&ckpt)
+		resumed, err := lifetime.FromSnapshot(ckpt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -2,22 +2,31 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"penelope/internal/lifetime"
+	"penelope/internal/store"
 	"penelope/internal/store/vfs"
 )
 
-// swapCheckpointFS installs fsys as the checkpoint writer's filesystem
-// for the duration of the test.
-func swapCheckpointFS(t *testing.T, fsys vfs.FS) {
+// crashKey names the job checkpoint record the crash tests run
+// through, as the service names it by result key.
+const crashKey = "00000000c0ffee00"
+
+// openCheckpoint opens a store on fsys rooted at dir and returns it
+// with the load/save view of the job checkpoint under crashKey, the
+// record a lifetime job checkpoints through in the service.
+func openCheckpoint(t *testing.T, dir string, fsys vfs.FS) (*store.Store, store.Slot) {
 	t.Helper()
-	prev := checkpointFS
-	checkpointFS = fsys
-	t.Cleanup(func() { checkpointFS = prev })
+	st, err := store.OpenConfig(store.Config{Dir: dir, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, st.Slot(store.KindJobCheckpoint, crashKey)
 }
 
 // crashOptions is the smallest fleet that still crosses several
@@ -32,13 +41,13 @@ func crashOptions() Options {
 }
 
 // TestCheckpointWriteDiscipline is the regression net for the
-// un-fsynced checkpoint writer: writeFleetPair must follow the full
+// un-fsynced checkpoint writer: a saved fleet pair must follow the full
 // temp-write/fsync/close/rename/dir-fsync discipline. The CLI once
 // wrote checkpoints with os.WriteFile + os.Rename and no sync at all —
 // a crash shortly after "checkpoint written" could take the file back.
 func TestCheckpointWriteDiscipline(t *testing.T) {
 	f := vfs.NewFaultFS(vfs.OS{})
-	swapCheckpointFS(t, f)
+	_, ckpt := openCheckpoint(t, t.TempDir(), f)
 	o := crashOptions().Normalized()
 	duties := o.fleetDuties()
 	engB, err := lifetime.New(o.fleetConfig(duties, false))
@@ -49,8 +58,11 @@ func TestCheckpointWriteDiscipline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "fleet.ckpt")
-	if err := writeFleetPair(path, engB, engP); err != nil {
+	data, err := encodeFleetPair(engB, engP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.Save(data); err != nil {
 		t.Fatal(err)
 	}
 	if err := vfs.VerifyDiscipline(f.Log()); err != nil {
@@ -59,11 +71,12 @@ func TestCheckpointWriteDiscipline(t *testing.T) {
 }
 
 // TestLifetimeCheckpointCrashMatrix crashes a checkpointed lifetime run
-// at every I/O step of every checkpoint write (with torn-write
-// variants), then resumes from whatever the crash left on disk. The
-// invariant is the paper-grade one: the resumed run's payload is
-// byte-identical to an uninterrupted run — a crash can cost recomputed
-// epochs, never correctness.
+// — checkpointing through the store, as the service runs it — at every
+// I/O step of every checkpoint load and save (with torn-write
+// variants), then reboots the store and resumes from whatever the
+// crash left on disk. The invariant is the paper-grade one: the resumed
+// run's payload is byte-identical to an uninterrupted run — a crash can
+// cost recomputed epochs, never correctness.
 func TestLifetimeCheckpointCrashMatrix(t *testing.T) {
 	o := crashOptions()
 	want := marshalLifetime(t, Lifetime(o), o)
@@ -71,14 +84,14 @@ func TestLifetimeCheckpointCrashMatrix(t *testing.T) {
 	// Rehearsal: run fault-free through the injector to enumerate the
 	// checkpoint writer's I/O steps.
 	r := vfs.NewFaultFS(vfs.OS{})
-	swapCheckpointFS(t, r)
-	rdir := t.TempDir()
-	if _, err := LifetimeCheckpointed(o, filepath.Join(rdir, "fleet.ckpt"), 2); err != nil {
+	_, ckpt := openCheckpoint(t, t.TempDir(), r)
+	base := r.Steps() // the store's boot scan
+	if _, err := LifetimeCheckpointed(context.Background(), o, ckpt, 2); err != nil {
 		t.Fatalf("rehearsal run failed: %v", err)
 	}
 	steps := r.Steps()
-	if steps < 12 {
-		t.Fatalf("rehearsal saw only %d I/O steps; expected several checkpoint writes", steps)
+	if steps-base < 12 {
+		t.Fatalf("rehearsal saw only %d I/O steps; expected several checkpoint writes", steps-base)
 	}
 	if err := vfs.VerifyDiscipline(r.Log()); err != nil {
 		t.Fatalf("write discipline: %v", err)
@@ -90,18 +103,18 @@ func TestLifetimeCheckpointCrashMatrix(t *testing.T) {
 		}
 	}
 
-	for step := 0; step < steps; step++ {
+	for step := base; step < steps; step++ {
 		arms := []func(f *vfs.FaultFS){func(f *vfs.FaultFS) { f.CrashAt(step) }}
 		if n := writes[step]; n > 1 {
 			arms = append(arms, func(f *vfs.FaultFS) { f.CrashAtWrite(step, n/2) })
 		}
 		for vi, arm := range arms {
 			label := fmt.Sprintf("step %d variant %d", step, vi)
-			path := filepath.Join(t.TempDir(), "fleet.ckpt")
+			dir := t.TempDir()
 			f := vfs.NewFaultFS(vfs.OS{})
+			_, ckpt := openCheckpoint(t, dir, f)
 			arm(f)
-			checkpointFS = f
-			res, err := LifetimeCheckpointed(o, path, 2)
+			res, err := LifetimeCheckpointed(context.Background(), o, ckpt, 2)
 			if err == nil {
 				// Only a crash at the very last directory sync lets the
 				// run finish; the answer must already be right.
@@ -114,15 +127,21 @@ func TestLifetimeCheckpointCrashMatrix(t *testing.T) {
 			}
 
 			// Reboot: plain filesystem, resume from whatever survived.
-			checkpointFS = vfs.OS{}
-			if data, err := os.ReadFile(path); err == nil {
+			rebooted, ckpt := openCheckpoint(t, dir, vfs.OS{})
+			if st := rebooted.Stats(); st.Quarantined != 0 {
+				t.Fatalf("%s: reboot quarantined %d files", label, st.Quarantined)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "checkpoints", ".tmp-"+crashKey+".ckpt")); !os.IsNotExist(err) {
+				t.Fatalf("%s: temp checkpoint survived the reboot scan", label)
+			}
+			if data, err := os.ReadFile(filepath.Join(dir, "checkpoints", crashKey+".ckpt")); err == nil {
 				// Whatever is under the final name must be a complete,
 				// readable checkpoint — never a torn prefix.
 				if !bytes.HasPrefix(data, []byte(fleetPairMagic)) {
 					t.Fatalf("%s: torn checkpoint under the final name", label)
 				}
 			}
-			res, err = LifetimeCheckpointed(o, path, 2)
+			res, err = LifetimeCheckpointed(context.Background(), o, ckpt, 2)
 			if err != nil {
 				t.Fatalf("%s: resume failed: %v", label, err)
 			}

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 	"reflect"
 	"sync"
 
@@ -15,7 +14,6 @@ import (
 	"penelope/internal/nbti"
 	"penelope/internal/pipeline"
 	"penelope/internal/sched"
-	"penelope/internal/store/vfs"
 	"penelope/internal/trace"
 )
 
@@ -239,58 +237,64 @@ func Lifetime(o Options) LifetimeResult {
 
 // computeLifetime is the uncached driver body.
 func computeLifetime(o Options) LifetimeResult {
-	res, err := runLifetime(context.Background(), o, "", 0)
+	res, err := runLifetime(context.Background(), o, nil, 0)
 	if err != nil {
-		// No checkpoint I/O is involved, so an error here is an
-		// internal invariant violation, like other driver panics.
+		// No checkpoint is involved, so an error here is an internal
+		// invariant violation, like other driver panics.
 		panic(err)
 	}
 	return res
 }
 
-// LifetimeCheckpointed is Lifetime with rolling checkpoints: the paired
-// fleet state is written to path every `every` epochs (atomically, via
-// rename), and an existing checkpoint at path — from an interrupted or
-// completed run with the same options — is resumed instead of starting
-// over. The result is byte-identical to an uninterrupted Lifetime run.
-func LifetimeCheckpointed(o Options, path string, every int) (LifetimeResult, error) {
-	return LifetimeCheckpointedCtx(context.Background(), o, path, every)
+// Checkpoint is where a checkpointed lifetime run keeps its paired
+// fleet state between runs. Load returns nil when nothing has been
+// saved; Save must replace the state atomically and durably, so a
+// crash leaves either the previous checkpoint or the new one. The
+// service backs it with a store record, the CLI's -checkpoint with a
+// plain file.
+type Checkpoint interface {
+	Load() ([]byte, error)
+	Save(data []byte) error
 }
 
 // ErrLifetimeInterrupted reports that a checkpointed lifetime run was
-// cancelled mid-flight; the checkpoint on disk holds the epoch it
-// reached, and rerunning with the same options resumes from it and
-// produces the same bytes an uninterrupted run would have.
+// cancelled mid-flight; the checkpoint holds the epoch it reached, and
+// rerunning with the same options resumes from it and produces the
+// same bytes an uninterrupted run would have.
 var ErrLifetimeInterrupted = fmt.Errorf("lifetime: run interrupted")
 
-// LifetimeCheckpointedCtx is LifetimeCheckpointed with cooperative
-// cancellation: the engine polls ctx once per epoch step, and on
-// cancellation writes a final checkpoint before returning
-// ErrLifetimeInterrupted — so a shutdown or timeout loses at most the
-// epoch in flight, never the run.
-func LifetimeCheckpointedCtx(ctx context.Context, o Options, path string, every int) (LifetimeResult, error) {
-	if path == "" {
-		return LifetimeResult{}, fmt.Errorf("lifetime: empty checkpoint path")
-	}
+// LifetimeCheckpointed is Lifetime with rolling checkpoints: the paired
+// fleet state is saved to ckpt every `every` epochs (default 16) and at
+// the end, and a checkpoint already there — from an interrupted or
+// completed run with the same options — is resumed instead of starting
+// over. The engine polls ctx once per epoch step; on cancellation it
+// saves a final checkpoint and returns ErrLifetimeInterrupted, so a
+// shutdown or timeout loses at most the epoch in flight. The result is
+// byte-identical to an uninterrupted Lifetime run.
+func LifetimeCheckpointed(ctx context.Context, o Options, ckpt Checkpoint, every int) (LifetimeResult, error) {
 	if every < 1 {
 		every = 16
 	}
-	return runLifetime(ctx, o.Normalized(), path, every)
+	return runLifetime(ctx, o.Normalized(), ckpt, every)
 }
 
 // runLifetime advances the baseline and Penelope fleets in lockstep,
 // optionally checkpointing the pair.
-func runLifetime(ctx context.Context, o Options, ckpt string, every int) (LifetimeResult, error) {
+func runLifetime(ctx context.Context, o Options, ckpt Checkpoint, every int) (LifetimeResult, error) {
 	duties := o.fleetDuties()
 	cfgB := o.fleetConfig(duties, false)
 	cfgP := o.fleetConfig(duties, true)
 
 	var engB, engP *lifetime.Engine
-	if ckpt != "" {
-		var err error
-		engB, engP, err = readFleetPair(ckpt, cfgB, cfgP)
+	if ckpt != nil {
+		data, err := ckpt.Load()
 		if err != nil {
-			return LifetimeResult{}, err
+			return LifetimeResult{}, fmt.Errorf("lifetime: loading checkpoint: %w", err)
+		}
+		if data != nil {
+			if engB, engP, err = decodeFleetPair(data, cfgB, cfgP); err != nil {
+				return LifetimeResult{}, err
+			}
 		}
 	}
 	if engB == nil {
@@ -302,14 +306,21 @@ func runLifetime(ctx context.Context, o Options, ckpt string, every int) (Lifeti
 			return LifetimeResult{}, err
 		}
 	}
+	save := func() error {
+		data, err := encodeFleetPair(engB, engP)
+		if err == nil {
+			err = ckpt.Save(data)
+		}
+		return err
+	}
 
 	steps := 0
 	for !engB.Done() || !engP.Done() {
 		if err := ctx.Err(); err != nil {
 			// Cancelled (shutdown or timeout): persist the epoch we
 			// reached so the next run continues instead of restarting.
-			if ckpt != "" {
-				if werr := writeFleetPair(ckpt, engB, engP); werr != nil {
+			if ckpt != nil {
+				if werr := save(); werr != nil {
 					return LifetimeResult{}, fmt.Errorf("%w; checkpoint write failed: %v", ErrLifetimeInterrupted, werr)
 				}
 			}
@@ -322,14 +333,14 @@ func runLifetime(ctx context.Context, o Options, ckpt string, every int) (Lifeti
 			engP.Step(o.Workers)
 		}
 		steps++
-		if ckpt != "" && steps%every == 0 {
-			if err := writeFleetPair(ckpt, engB, engP); err != nil {
+		if ckpt != nil && steps%every == 0 {
+			if err := save(); err != nil {
 				return LifetimeResult{}, err
 			}
 		}
 	}
-	if ckpt != "" {
-		if err := writeFleetPair(ckpt, engB, engP); err != nil {
+	if ckpt != nil {
+		if err := save(); err != nil {
 			return LifetimeResult{}, err
 		}
 	}
@@ -345,68 +356,47 @@ func runLifetime(ctx context.Context, o Options, ckpt string, every int) (Lifeti
 	}, nil
 }
 
-// fleetPairMagic heads the experiment-level checkpoint file: two
-// length-prefixed engine checkpoints, baseline then Penelope.
+// fleetPairMagic heads the experiment-level checkpoint: two
+// length-prefixed engine snapshots, baseline then Penelope.
 const fleetPairMagic = "penelope-fleet-pair-v1\n"
 
-// checkpointFS is the filesystem the checkpoint writer runs on; tests
-// swap in a vfs.FaultFS to crash it at any I/O step.
-var checkpointFS vfs.FS = vfs.OS{}
-
-// writeFleetPair atomically replaces path with the pair's state under
-// the full durability discipline (temp file, fsync, rename, directory
-// fsync) — a checkpoint that survives the write returning is one a
-// power loss cannot take back.
-func writeFleetPair(path string, engB, engP *lifetime.Engine) error {
-	var buf bytes.Buffer
-	buf.WriteString(fleetPairMagic)
+// encodeFleetPair serializes the pair's state.
+func encodeFleetPair(engB, engP *lifetime.Engine) ([]byte, error) {
+	buf := []byte(fleetPairMagic)
 	for _, eng := range []*lifetime.Engine{engB, engP} {
-		var one bytes.Buffer
-		if err := eng.WriteCheckpoint(&one); err != nil {
-			return fmt.Errorf("lifetime: serializing checkpoint: %w", err)
+		snap, err := eng.Snapshot()
+		if err != nil {
+			return nil, fmt.Errorf("lifetime: serializing checkpoint: %w", err)
 		}
-		binary.Write(&buf, binary.LittleEndian, uint64(one.Len()))
-		buf.Write(one.Bytes())
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(snap)))
+		buf = append(buf, snap...)
 	}
-	_, err := vfs.WriteAtomic(checkpointFS, path, buf.Bytes())
-	return err
+	return buf, nil
 }
 
-// readFleetPair loads a pair checkpoint if path exists, verifying the
-// embedded configs match the requested options. A missing file returns
-// nil engines (fresh start); a mismatched file is an error, so a stale
-// checkpoint never silently answers for different options.
-func readFleetPair(path string, cfgB, cfgP lifetime.Config) (*lifetime.Engine, *lifetime.Engine, error) {
-	data, err := checkpointFS.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil, nil
+// decodeFleetPair restores a pair checkpoint, verifying the embedded
+// configs match the requested options: a mismatched checkpoint is an
+// error, so a stale one never silently answers for different options.
+func decodeFleetPair(data []byte, cfgB, cfgP lifetime.Config) (*lifetime.Engine, *lifetime.Engine, error) {
+	rest, ok := bytes.CutPrefix(data, []byte(fleetPairMagic))
+	if !ok {
+		return nil, nil, fmt.Errorf("lifetime: not a fleet pair checkpoint")
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(data) < len(fleetPairMagic) || string(data[:len(fleetPairMagic)]) != fleetPairMagic {
-		return nil, nil, fmt.Errorf("lifetime: %s is not a fleet checkpoint", path)
-	}
-	rest := data[len(fleetPairMagic):]
 	engs := make([]*lifetime.Engine, 0, 2)
 	for i := 0; i < 2; i++ {
-		if len(rest) < 8 {
-			return nil, nil, fmt.Errorf("lifetime: truncated checkpoint %s", path)
+		if len(rest) < 8 || binary.LittleEndian.Uint64(rest) > uint64(len(rest)-8) {
+			return nil, nil, fmt.Errorf("lifetime: truncated fleet pair checkpoint")
 		}
-		n := binary.LittleEndian.Uint64(rest[:8])
-		rest = rest[8:]
-		if uint64(len(rest)) < n {
-			return nil, nil, fmt.Errorf("lifetime: truncated checkpoint %s", path)
-		}
-		eng, err := lifetime.ReadCheckpoint(bytes.NewReader(rest[:n]))
+		n := binary.LittleEndian.Uint64(rest)
+		eng, err := lifetime.FromSnapshot(rest[8 : 8+n])
 		if err != nil {
-			return nil, nil, fmt.Errorf("lifetime: reading %s: %w", path, err)
+			return nil, nil, fmt.Errorf("lifetime: reading fleet pair checkpoint: %w", err)
 		}
 		engs = append(engs, eng)
-		rest = rest[n:]
+		rest = rest[8+n:]
 	}
 	if !reflect.DeepEqual(engs[0].Config(), cfgB) || !reflect.DeepEqual(engs[1].Config(), cfgP) {
-		return nil, nil, fmt.Errorf("lifetime: checkpoint %s was created with different options; delete it to start over", path)
+		return nil, nil, fmt.Errorf("lifetime: checkpoint was created with different options; delete it to start over")
 	}
 	return engs[0], engs[1], nil
 }

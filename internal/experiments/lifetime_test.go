@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -124,9 +122,9 @@ func TestLifetimeCheckpointResume(t *testing.T) {
 	want := marshalLifetime(t, Lifetime(o), o)
 
 	for _, k := range []int{1, 5} {
-		path := filepath.Join(t.TempDir(), "fleet.ckpt")
+		ckpt := &memCheckpoint{}
 		// Interrupt: step both fleets to epoch k and checkpoint, exactly
-		// as a killed LifetimeCheckpointed run would have left the file.
+		// as a killed LifetimeCheckpointed run would have left it.
 		duties := o.Normalized().fleetDuties()
 		engB, err := lifetime.New(o.Normalized().fleetConfig(duties, false))
 		if err != nil {
@@ -140,12 +138,14 @@ func TestLifetimeCheckpointResume(t *testing.T) {
 			engB.Step(1)
 			engP.Step(1)
 		}
-		if err := writeFleetPair(path, engB, engP); err != nil {
+		data, err := encodeFleetPair(engB, engP)
+		if err != nil {
 			t.Fatal(err)
 		}
+		ckpt.data = data
 
 		o.Workers = 5
-		res, err := LifetimeCheckpointed(o, path, 2)
+		res, err := LifetimeCheckpointed(context.Background(), o, ckpt, 2)
 		if err != nil {
 			t.Fatalf("resume from epoch %d: %v", k, err)
 		}
@@ -154,7 +154,7 @@ func TestLifetimeCheckpointResume(t *testing.T) {
 		}
 		// The completed run leaves a final checkpoint; re-running resumes
 		// from the finished state and still answers identically.
-		res, err = LifetimeCheckpointed(o, path, 2)
+		res, err = LifetimeCheckpointed(context.Background(), o, ckpt, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,6 +180,16 @@ func (c *pollLimitCtx) Err() error {
 	return nil
 }
 
+// memCheckpoint is an in-memory Checkpoint.
+type memCheckpoint struct{ data []byte }
+
+func (m *memCheckpoint) Load() ([]byte, error) { return m.data, nil }
+
+func (m *memCheckpoint) Save(data []byte) error {
+	m.data = append([]byte(nil), data...)
+	return nil
+}
+
 // TestLifetimeCheckpointedCtxInterrupted cancels a checkpointed run
 // mid-flight and checks the cancellation path wrote a resumable
 // checkpoint: the resumed run's payload is byte-identical to an
@@ -188,17 +198,17 @@ func TestLifetimeCheckpointedCtxInterrupted(t *testing.T) {
 	o := fleetOptions()
 	want := marshalLifetime(t, Lifetime(o), o)
 
-	path := filepath.Join(t.TempDir(), "fleet.ckpt")
+	ckpt := &memCheckpoint{}
 	ctx := &pollLimitCtx{Context: context.Background(), limit: 5}
-	_, err := LifetimeCheckpointedCtx(ctx, o, path, 4)
+	_, err := LifetimeCheckpointed(ctx, o, ckpt, 4)
 	if !errors.Is(err, ErrLifetimeInterrupted) {
 		t.Fatalf("interrupted run returned %v, want ErrLifetimeInterrupted", err)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("cancellation did not leave a checkpoint: %v", err)
+	if ckpt.data == nil {
+		t.Fatal("cancellation did not leave a checkpoint")
 	}
 
-	res, err := LifetimeCheckpointedCtx(context.Background(), o, path, 4)
+	res, err := LifetimeCheckpointed(context.Background(), o, ckpt, 4)
 	if err != nil {
 		t.Fatalf("resume after interruption: %v", err)
 	}
@@ -211,21 +221,19 @@ func TestLifetimeCheckpointedCtxInterrupted(t *testing.T) {
 // from different options to fail loudly instead of answering.
 func TestLifetimeCheckpointRejectsMismatch(t *testing.T) {
 	o := fleetOptions()
-	path := filepath.Join(t.TempDir(), "fleet.ckpt")
-	if _, err := LifetimeCheckpointed(o, path, 4); err != nil {
+	ckpt := &memCheckpoint{}
+	if _, err := LifetimeCheckpointed(context.Background(), o, ckpt, 4); err != nil {
 		t.Fatal(err)
 	}
 	other := o
 	other.Population = o.Population + 1
-	if _, err := LifetimeCheckpointed(other, path, 4); err == nil ||
+	if _, err := LifetimeCheckpointed(context.Background(), other, ckpt, 4); err == nil ||
 		!strings.Contains(err.Error(), "different options") {
 		t.Fatalf("mismatched checkpoint accepted (err = %v)", err)
 	}
 	// Corrupt magic fails loudly too.
-	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LifetimeCheckpointed(o, path, 4); err == nil {
+	ckpt.data = []byte("garbage")
+	if _, err := LifetimeCheckpointed(context.Background(), o, ckpt, 4); err == nil {
 		t.Fatal("corrupt checkpoint accepted")
 	}
 }

@@ -597,7 +597,7 @@ func (al *Alerter) Observe(fleet string, rules AlertRules, det *DeviationDetecto
 		fired = append(fired, a)
 	}
 	al.latch.mu.Unlock()
-	al.latch.fanOut(fleetTopic(fleet), fired)
+	al.latch.fanOut(FleetTopic(fleet), fired)
 	return fired
 }
 

@@ -295,7 +295,7 @@ func TestAlerterFansOut(t *testing.T) {
 	sink := &FaultSink{}
 	d := NewDeliverer(DelivererConfig{Sink: sink, Workers: 1, Timeout: time.Second})
 	al := NewAlerter(bus, d)
-	sub := bus.Subscribe(fleetTopic("pop"), 0, 8)
+	sub := bus.Subscribe(FleetTopic("pop"), 0, 8)
 	defer sub.Close()
 
 	cur := lifetime.EpochStats{Epoch: 3, ViolatedFraction: 0.2, MeanVTHShift: []float64{0, 0}}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"penelope/internal/store"
 )
 
 // failCkptStorage is a memStorage whose checkpoint writes always fail —
@@ -12,8 +14,11 @@ type failCkptStorage struct {
 	*memStorage
 }
 
-func (f *failCkptStorage) WriteFleetCheckpoint(name string, data []byte) error {
-	return errors.New("disk full")
+func (f *failCkptStorage) PutRecord(k store.Kind, name string, data []byte) error {
+	if k == store.KindFleetCheckpoint {
+		return errors.New("disk full")
+	}
+	return f.memStorage.PutRecord(k, name, data)
 }
 
 // TestCheckpointFailuresCounted requires failed fleet checkpoint writes

@@ -29,6 +29,7 @@ import (
 
 	"penelope/internal/experiments"
 	"penelope/internal/lifetime"
+	"penelope/internal/store"
 )
 
 // Duration is a time.Duration that marshals as a human-readable string
@@ -95,9 +96,9 @@ func (r AlertRules) Enabled() bool {
 // Registration declares one continuously-aged fleet population. It is
 // the unit the scheduler persists (as a store sidecar) and resumes.
 type Registration struct {
-	// Name identifies the population; it doubles as the sidecar
-	// filename, so it must be short lowercase alphanumerics with
-	// interior dashes.
+	// Name identifies the population; it doubles as the name of its
+	// store records, so it must satisfy store.ValidName: short
+	// lowercase alphanumerics with interior dashes.
 	Name string `json:"name"`
 	// Fleet selects the schedule to age under: "penelope" (default,
 	// mitigations on) or "baseline".
@@ -120,29 +121,12 @@ type Registration struct {
 	Alerts AlertRules `json:"alerts,omitempty"`
 }
 
-// ValidName reports whether a registration name is safe to use as a
-// sidecar filename (mirrors store.ValidFleetName).
-func ValidName(name string) bool {
-	if len(name) < 1 || len(name) > 64 {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		ok := (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
-			(c == '-' && i > 0 && i < len(name)-1)
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate reports the first shape problem with a registration. Engine
 // construction is deliberately not attempted here — it is expensive and
 // fallible, and belongs inside the self-healing tick path.
 func (r Registration) Validate() error {
 	switch {
-	case !ValidName(r.Name):
+	case !store.ValidName(r.Name):
 		return fmt.Errorf("fleetops: invalid fleet name %q (want lowercase alphanumerics and interior dashes, 1-64 chars)", r.Name)
 	case r.Fleet != "" && r.Fleet != "penelope" && r.Fleet != "baseline":
 		return fmt.Errorf("fleetops: unknown fleet %q (want penelope or baseline)", r.Fleet)
@@ -177,17 +161,15 @@ func ExperimentBuilder(reg Registration) (lifetime.Config, error) {
 	return experiments.FleetConfig(reg.Options, reg.Penelope()), nil
 }
 
-// Storage is the persistence surface the scheduler needs; *store.Store
-// implements it. Nil storage keeps every checkpoint in memory only — a
-// restart then starts every fleet from epoch zero.
+// Storage is the persistence surface the scheduler needs: the store's
+// record API, through which fleetops alone writes and reads fleet
+// registrations (store.KindFleet, JSON Registrations) and engine
+// checkpoints (store.KindFleetCheckpoint, lifetime snapshots).
+// *store.Store implements it. Nil storage keeps every checkpoint in
+// memory only — a restart then starts every fleet from epoch zero.
 type Storage interface {
-	// PutFleet persists a registration sidecar.
-	PutFleet(name string, data []byte) error
-	// RemoveFleet deletes a registration's sidecars.
-	RemoveFleet(name string)
-	// WriteFleetCheckpoint atomically replaces a fleet's engine
-	// checkpoint.
-	WriteFleetCheckpoint(name string, data []byte) error
-	// ReadFleetCheckpoint returns a fleet's engine checkpoint, if any.
-	ReadFleetCheckpoint(name string) ([]byte, bool)
+	PutRecord(k store.Kind, name string, data []byte) error
+	ReadRecord(k store.Kind, name string) ([]byte, error)
+	Records(k store.Kind, check func(store.Record) error) []store.Record
+	RemoveRecord(k store.Kind, name string)
 }

@@ -1,11 +1,13 @@
 package fleetops
 
 import (
+	"sort"
 	"sync"
 	"time"
 
 	"penelope/internal/circuit"
 	"penelope/internal/lifetime"
+	"penelope/internal/store"
 )
 
 // testConfig is a small, fast fleet: two structures under a service
@@ -47,44 +49,51 @@ func testBuilder(cfg lifetime.Config) ConfigBuilder {
 
 // memStorage is an in-memory fleetops.Storage.
 type memStorage struct {
-	mu     sync.Mutex
-	fleets map[string][]byte
-	ckpts  map[string][]byte
+	mu   sync.Mutex
+	recs map[store.Kind]map[string][]byte
 }
 
 func newMemStorage() *memStorage {
-	return &memStorage{fleets: make(map[string][]byte), ckpts: make(map[string][]byte)}
+	return &memStorage{recs: make(map[store.Kind]map[string][]byte)}
 }
 
-func (m *memStorage) PutFleet(name string, data []byte) error {
+func (m *memStorage) PutRecord(k store.Kind, name string, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.fleets[name] = append([]byte(nil), data...)
-	return nil
-}
-
-func (m *memStorage) RemoveFleet(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.fleets, name)
-	delete(m.ckpts, name)
-}
-
-func (m *memStorage) WriteFleetCheckpoint(name string, data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ckpts[name] = append([]byte(nil), data...)
-	return nil
-}
-
-func (m *memStorage) ReadFleetCheckpoint(name string) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.ckpts[name]
-	if !ok {
-		return nil, false
+	if m.recs[k] == nil {
+		m.recs[k] = make(map[string][]byte)
 	}
-	return append([]byte(nil), b...), true
+	m.recs[k][name] = append([]byte(nil), data...)
+	return nil
+}
+
+func (m *memStorage) ReadRecord(k store.Kind, name string) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if b, ok := m.recs[k][name]; ok {
+		return append([]byte(nil), b...), nil
+	}
+	return nil, nil
+}
+
+func (m *memStorage) Records(k store.Kind, check func(store.Record) error) []store.Record {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []store.Record
+	for name, b := range m.recs[k] {
+		rec := store.Record{Name: name, Data: append([]byte(nil), b...)}
+		if check == nil || check(rec) == nil {
+			out = append(out, rec)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+func (m *memStorage) RemoveRecord(k store.Kind, name string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.recs[k], name)
 }
 
 // waitFor polls cond until it holds or the deadline passes.

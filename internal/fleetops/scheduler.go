@@ -13,6 +13,7 @@ import (
 	"penelope/internal/lifetime"
 	"penelope/internal/mix"
 	"penelope/internal/obs"
+	"penelope/internal/store"
 )
 
 // State is a population's scheduler state.
@@ -30,12 +31,18 @@ const (
 	StateDone State = "done"
 )
 
-// fleetTopic names the bus topic carrying a fleet's events.
-func fleetTopic(name string) string { return "fleet/" + name }
+// FleetTopic names the bus topic carrying a fleet's events.
+func FleetTopic(name string) string { return "fleet/" + name }
 
 // ErrExists rejects a Register for a name already scheduled; the HTTP
 // layer maps it to 409.
 var ErrExists = errors.New("fleetops: fleet already registered")
+
+// ErrPersist rejects a Register whose registration record could not be
+// written: nothing was scheduled, because a fleet that cannot survive
+// a restart must not be reported as registered. The HTTP layer maps it
+// to 503.
+var ErrPersist = errors.New("fleetops: persisting fleet registration failed")
 
 // TickFunc overrides what one tick does — tests inject failures, hangs,
 // and panics here. The default (nil) steps the engine EpochsPerTick
@@ -91,6 +98,12 @@ type population struct {
 	reg     Registration
 	state   State
 	removed bool
+
+	// ctx scopes the population's loop and ticks; Deregister and Close
+	// cancel it. done closes when the loop has exited.
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   chan struct{}
 
 	eng      *lifetime.Engine
 	snapshot []byte // last good checkpoint bytes; source of truth for persistence
@@ -188,12 +201,52 @@ func NewScheduler(cfg Config) *Scheduler {
 		retry: mix.Backoff{Base: cfg.RetryBackoff, Cap: cfg.QuarantineCooldown}}
 }
 
-// Register validates and admits a population, persists its sidecar, and
-// starts its tick loop (first tick runs immediately). Expensive,
-// fallible work — engine construction, checkpoint restore — happens
-// inside the first tick, under the same retry/quarantine protection as
-// any other tick.
+// Register validates and admits a population, persists its
+// registration record, and starts its tick loop (first tick runs
+// immediately). A registration that cannot be persisted is refused
+// with ErrPersist and nothing is scheduled. Expensive, fallible work —
+// engine construction, checkpoint restore — happens inside the first
+// tick, under the same retry/quarantine protection as any other tick.
 func (s *Scheduler) Register(reg Registration) (Status, error) {
+	return s.register(reg, true)
+}
+
+// Recover re-registers every fleet registration record in storage, so
+// a restarted process resumes each scheduled population from its last
+// checkpointed epoch (the restore happens inside its first tick). A
+// record that does not decode is quarantined by the store. It returns
+// how many populations it resumed.
+func (s *Scheduler) Recover() int {
+	if s.cfg.Storage == nil {
+		return 0
+	}
+	var regs []Registration
+	s.cfg.Storage.Records(store.KindFleet, func(rec store.Record) error {
+		var reg Registration
+		err := json.Unmarshal(rec.Data, &reg)
+		if err == nil && reg.Name != rec.Name {
+			err = fmt.Errorf("fleetops: registration %q stored under %q", reg.Name, rec.Name)
+		}
+		if err == nil {
+			regs = append(regs, reg)
+		}
+		return err
+	})
+	n := 0
+	for _, reg := range regs {
+		if _, err := s.register(reg, false); err != nil {
+			s.cfg.Logger.Warn("re-registering fleet failed", "fleet", reg.Name, "error", err)
+			continue
+		}
+		n++
+		s.cfg.Logger.Info("resumed fleet from its registration record", "fleet", reg.Name)
+	}
+	return n
+}
+
+// register admits a population; persist writes its registration
+// record first (Recover re-admits records already on disk).
+func (s *Scheduler) register(reg Registration, persist bool) (Status, error) {
 	if err := reg.Validate(); err != nil {
 		return Status{}, err
 	}
@@ -209,23 +262,36 @@ func (s *Scheduler) Register(reg Registration) (Status, error) {
 		s.mu.Unlock()
 		return Status{}, fmt.Errorf("fleet %q: %w", reg.Name, ErrExists)
 	}
-	p := &population{reg: reg, state: StateActive}
-	s.pops[reg.Name] = p
+	p := &population{reg: reg, state: StateActive, done: make(chan struct{})}
+	p.ctx, p.cancel = context.WithCancel(s.ctx)
+	s.pops[reg.Name] = p // reserves the name while the record is written
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	if s.cfg.Storage != nil {
-		if data, err := json.Marshal(reg); err == nil {
-			s.cfg.Storage.PutFleet(reg.Name, data)
+	if persist && s.cfg.Storage != nil {
+		data, err := json.Marshal(reg)
+		if err == nil {
+			err = s.cfg.Storage.PutRecord(store.KindFleet, reg.Name, data)
+		}
+		if err != nil {
+			s.mu.Lock()
+			delete(s.pops, reg.Name)
+			s.mu.Unlock()
+			p.cancel()
+			close(p.done)
+			s.wg.Done()
+			return Status{}, fmt.Errorf("fleet %q: %w: %v", reg.Name, ErrPersist, err)
 		}
 	}
 	if s.cfg.Bus != nil {
-		s.cfg.Bus.Touch(fleetTopic(reg.Name))
-		s.cfg.Bus.Publish(fleetTopic(reg.Name), "state",
+		s.cfg.Bus.Touch(FleetTopic(reg.Name))
+		s.cfg.Bus.Publish(FleetTopic(reg.Name), "state",
 			StateEvent{Fleet: reg.Name, State: StateActive, Reason: "registered"})
 	}
 	go s.loop(p)
-	return s.statusOf(p), nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.statusLocked(p), nil
 }
 
 // StateEvent is the payload of "state" bus events.
@@ -243,24 +309,33 @@ type EpochEvent struct {
 	lifetime.EpochStats
 }
 
-// Deregister stops a population, removes its sidecars, and ends its
-// event stream.
+// Deregister stops a population, removes its records, and ends its
+// event stream. It cancels the in-flight tick and waits for the loop
+// to exit first, so no late tick can rewrite the removed checkpoint
+// (a re-registration would resume it) or re-create the dropped topic.
 func (s *Scheduler) Deregister(name string) error {
 	s.mu.Lock()
 	p, ok := s.pops[name]
-	if !ok {
+	if !ok || p.removed {
 		s.mu.Unlock()
 		return fmt.Errorf("fleetops: fleet %q not registered", name)
 	}
 	p.removed = true
-	delete(s.pops, name)
 	s.mu.Unlock()
+	p.cancel()
+	<-p.done
 	if s.cfg.Storage != nil {
-		s.cfg.Storage.RemoveFleet(name)
+		s.cfg.Storage.RemoveRecord(store.KindFleet, name)
+		s.cfg.Storage.RemoveRecord(store.KindFleetCheckpoint, name)
 	}
 	if s.cfg.Bus != nil {
-		s.cfg.Bus.Drop(fleetTopic(name))
+		s.cfg.Bus.Drop(FleetTopic(name))
 	}
+	s.mu.Lock()
+	if s.pops[name] == p {
+		delete(s.pops, name)
+	}
+	s.mu.Unlock()
 	return nil
 }
 
@@ -364,12 +439,6 @@ func (s *Scheduler) Guardband() GuardbandSummary {
 	return out
 }
 
-func (s *Scheduler) statusOf(p *population) Status {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.statusLocked(p)
-}
-
 func (s *Scheduler) statusLocked(p *population) Status {
 	fleet := p.reg.Fleet
 	if fleet == "" {
@@ -406,6 +475,7 @@ func (s *Scheduler) statusLocked(p *population) Status {
 // failure, a long park when quarantined, and exit when done or removed.
 func (s *Scheduler) loop(p *population) {
 	defer s.wg.Done()
+	defer close(p.done)
 	first := true
 	for {
 		d, exit := s.nextDelay(p, first)
@@ -416,18 +486,13 @@ func (s *Scheduler) loop(p *population) {
 		if d > 0 {
 			t := time.NewTimer(d)
 			select {
-			case <-s.ctx.Done():
+			case <-p.ctx.Done():
 				t.Stop()
 				return
 			case <-t.C:
 			}
-		} else if s.ctx.Err() != nil {
-			return
 		}
-		s.mu.Lock()
-		gone := p.removed || p.state == StateDone
-		s.mu.Unlock()
-		if gone {
+		if p.ctx.Err() != nil { // deregistered or shut down while asleep
 			return
 		}
 		s.tick(p)
@@ -491,7 +556,7 @@ func (s *Scheduler) tick(p *population) {
 	p.lastTickStart = start
 	name := p.reg.Name
 	s.mu.Unlock()
-	ctx, cancel := context.WithTimeout(s.ctx, s.cfg.TickTimeout)
+	ctx, cancel := context.WithTimeout(p.ctx, s.cfg.TickTimeout)
 	defer cancel()
 	ch := make(chan tickResult, 1)
 	go func() {
@@ -512,9 +577,9 @@ func (s *Scheduler) tick(p *population) {
 			s.tickOK(p, res)
 		}
 	case <-ctx.Done():
-		if s.ctx.Err() != nil {
-			// Shutdown: leave the in-flight tick to die with the
-			// process; the last good snapshot is what persists.
+		if p.ctx.Err() != nil {
+			// Shutdown or deregistration: abandon the in-flight tick;
+			// the last good snapshot is what persists.
 			return
 		}
 		s.cfg.Instruments.observeTick(name, start, 0, 0, fmt.Errorf("watchdog: tick exceeded %s deadline", s.cfg.TickTimeout))
@@ -537,8 +602,9 @@ func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 	var restoredStats *lifetime.EpochStats
 	if eng == nil {
 		if snap == nil && s.cfg.Storage != nil {
-			if b, ok := s.cfg.Storage.ReadFleetCheckpoint(reg.Name); ok {
-				snap = b
+			var err error
+			if snap, err = s.cfg.Storage.ReadRecord(store.KindFleetCheckpoint, reg.Name); err != nil {
+				return tickResult{err: fmt.Errorf("reading checkpoint: %w", err)}
 			}
 		}
 		if snap != nil {
@@ -624,17 +690,17 @@ func (s *Scheduler) tickOK(p *population, res tickResult) {
 	s.mu.Unlock()
 
 	if s.cfg.Storage != nil {
-		if err := s.cfg.Storage.WriteFleetCheckpoint(reg.Name, res.snapshot); err != nil {
+		if err := s.cfg.Storage.PutRecord(store.KindFleetCheckpoint, reg.Name, res.snapshot); err != nil {
 			s.noteCheckpointFailure(reg.Name, err)
 		}
 	}
 	if s.cfg.Bus != nil {
 		if wasQuarantined {
-			s.cfg.Bus.Publish(fleetTopic(reg.Name), "state",
+			s.cfg.Bus.Publish(FleetTopic(reg.Name), "state",
 				StateEvent{Fleet: reg.Name, State: StateActive, Epoch: epoch, Reason: "recovered from quarantine"})
 		}
 		for _, row := range res.rows {
-			s.cfg.Bus.Publish(fleetTopic(reg.Name), "epoch", EpochEvent{Fleet: reg.Name, EpochStats: row})
+			s.cfg.Bus.Publish(FleetTopic(reg.Name), "epoch", EpochEvent{Fleet: reg.Name, EpochStats: row})
 		}
 	}
 	if s.cfg.Alerter != nil && reg.Alerts.Enabled() {
@@ -648,7 +714,7 @@ func (s *Scheduler) tickOK(p *population, res tickResult) {
 		}
 	}
 	if done && s.cfg.Bus != nil {
-		s.cfg.Bus.Publish(fleetTopic(reg.Name), "state",
+		s.cfg.Bus.Publish(FleetTopic(reg.Name), "state",
 			StateEvent{Fleet: reg.Name, State: StateDone, Epoch: epoch, Reason: "schedule complete"})
 	}
 }
@@ -670,7 +736,7 @@ func (s *Scheduler) tickFailed(p *population, err error) {
 	epoch := p.epoch
 	s.mu.Unlock()
 	if quarantine && s.cfg.Bus != nil {
-		s.cfg.Bus.Publish(fleetTopic(reg.Name), "state",
+		s.cfg.Bus.Publish(FleetTopic(reg.Name), "state",
 			StateEvent{Fleet: reg.Name, State: StateQuarantined, Epoch: epoch,
 				Reason: fmt.Sprintf("%d consecutive tick failures: %v", s.cfg.MaxFailures, err)})
 	}
@@ -691,7 +757,7 @@ func (s *Scheduler) watchdogFired(p *population) {
 		reg, epoch, state := p.reg, p.epoch, p.state
 		s.mu.Unlock()
 		if state != StateQuarantined { // quarantine transition already announced
-			s.cfg.Bus.Publish(fleetTopic(reg.Name), "state",
+			s.cfg.Bus.Publish(FleetTopic(reg.Name), "state",
 				StateEvent{Fleet: reg.Name, State: state, Epoch: epoch, Reason: "watchdog cancelled a stalled tick"})
 		}
 	}
@@ -699,7 +765,8 @@ func (s *Scheduler) watchdogFired(p *population) {
 
 // Close stops every loop and persists each population's last good
 // checkpoint, bounded by grace — SIGTERM mid-tick still leaves every
-// registered population resumable from its last completed tick.
+// registered population resumable from its last completed tick, even
+// when that tick's own checkpoint write failed.
 func (s *Scheduler) Close(grace time.Duration) {
 	s.mu.Lock()
 	if s.closed {
@@ -725,20 +792,16 @@ func (s *Scheduler) Close(grace time.Duration) {
 		return
 	}
 	s.mu.Lock()
-	type pending struct {
-		name string
-		snap []byte
-	}
-	var out []pending
+	snaps := make(map[string][]byte)
 	for name, p := range s.pops {
-		if p.snapshot != nil {
-			out = append(out, pending{name, p.snapshot})
+		if p.snapshot != nil && !p.removed {
+			snaps[name] = p.snapshot
 		}
 	}
 	s.mu.Unlock()
-	for _, pn := range out {
-		if err := s.cfg.Storage.WriteFleetCheckpoint(pn.name, pn.snap); err != nil {
-			s.noteCheckpointFailure(pn.name, err)
+	for name, snap := range snaps {
+		if err := s.cfg.Storage.PutRecord(store.KindFleetCheckpoint, name, snap); err != nil {
+			s.noteCheckpointFailure(name, err)
 		}
 	}
 }

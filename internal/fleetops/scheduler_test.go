@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"penelope/internal/lifetime"
+	"penelope/internal/store"
 )
 
 // fastCfg returns scheduler settings tuned for tests: millisecond
@@ -32,9 +33,9 @@ func TestSchedulerRunsToDone(t *testing.T) {
 	sc := NewScheduler(func() Config { c := fastCfg(cfg); c.Bus = bus; return c }())
 	defer sc.Close(time.Second)
 
-	sub := bus.Subscribe(fleetTopic("pop"), 0, 256)
+	sub := bus.Subscribe(FleetTopic("pop"), 0, 256)
 	defer sub.Close()
-	bus.Touch(fleetTopic("pop"))
+	bus.Touch(FleetTopic("pop"))
 
 	st, err := sc.Register(Registration{Name: "pop", EpochsPerTick: 2})
 	if err != nil {
@@ -216,11 +217,11 @@ func TestSchedulerResume(t *testing.T) {
 	}
 	sc.Close(time.Second)
 
-	ck, ok := storage.ReadFleetCheckpoint("pop")
-	if !ok || len(ck) == 0 {
+	ck, err := storage.ReadRecord(store.KindFleetCheckpoint, "pop")
+	if err != nil || len(ck) == 0 {
 		t.Fatal("Close left no checkpoint behind")
 	}
-	if _, ok := storage.fleets["pop"]; !ok {
+	if _, ok := storage.recs[store.KindFleet]["pop"]; !ok {
 		t.Fatal("registration sidecar missing")
 	}
 
@@ -286,17 +287,17 @@ func TestSchedulerDeregisterAndDuplicates(t *testing.T) {
 		t.Fatal("unknown fleet accepted")
 	}
 
-	sub := bus.Subscribe(fleetTopic("pop"), 0, 16)
+	sub := bus.Subscribe(FleetTopic("pop"), 0, 16)
 	if err := sc.Deregister("pop"); err != nil {
 		t.Fatalf("Deregister: %v", err)
 	}
 	if _, ok := sc.Get("pop"); ok {
 		t.Fatal("deregistered population still listed")
 	}
-	if _, ok := storage.fleets["pop"]; ok {
+	if _, ok := storage.recs[store.KindFleet]["pop"]; ok {
 		t.Fatal("deregistered sidecar still stored")
 	}
-	if bus.HasTopic(fleetTopic("pop")) {
+	if bus.HasTopic(FleetTopic("pop")) {
 		t.Fatal("deregistered topic still exists")
 	}
 	// The subscriber's channel closes so streams end.
@@ -339,7 +340,7 @@ func TestSchedulerCloseIsIdempotentAndPersists(t *testing.T) {
 	}
 	sc.Close(time.Second)
 	sc.Close(time.Second) // idempotent
-	if _, ok := storage.ReadFleetCheckpoint("pop"); !ok {
+	if ck, _ := storage.ReadRecord(store.KindFleetCheckpoint, "pop"); ck == nil {
 		t.Fatal("Close did not persist the checkpoint")
 	}
 	if _, err := sc.Register(Registration{Name: "late"}); err == nil {

@@ -23,8 +23,8 @@
 //
 // The engine is epoch-major so long jobs checkpoint at epoch
 // boundaries: population state is a flat array of trap densities plus a
-// violation bitset, serializable with Engine.WriteCheckpoint and
-// restored bit-exactly with ReadCheckpoint. Within an epoch the
+// violation bitset, serialized with Engine.Snapshot and restored
+// bit-exactly with FromSnapshot. Within an epoch the
 // population shards across a worker pool in the pipeline.RunBatch
 // style; every aggregate is accumulated in fixed-point integers, so
 // results are bit-identical for any worker count or scheduling order.
@@ -138,8 +138,20 @@ func (c Config) Validate() error {
 			}
 		}
 	}
+	epochs := 0.0 // counted as New rounds each phase, before any int conversion
+	for _, ph := range c.Phases {
+		epochs += math.Max(1, math.Round(ph.Years/c.EpochYears))
+	}
+	if !(epochs <= MaxEpochs) {
+		return fmt.Errorf("lifetime: schedule of %g epochs exceeds the %d-epoch bound", epochs, MaxEpochs)
+	}
 	return nil
 }
+
+// MaxEpochs bounds a schedule's length: 2,870 years of daily epochs
+// (the README's million-chip run needs 85). New sizes per-epoch tables
+// from it, so it also caps what a corrupt checkpoint header allocates.
+const MaxEpochs = 1 << 20
 
 // chipStream is the per-chip RNG: a SplitMix64 counter stream rooted at
 // a mix of the fleet seed and the chip index, so chip streams are

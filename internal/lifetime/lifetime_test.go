@@ -184,11 +184,11 @@ func TestCheckpointResumeIdentical(t *testing.T) {
 		for i := 0; i < k; i++ {
 			e.Step(2)
 		}
-		var buf bytes.Buffer
-		if err := e.WriteCheckpoint(&buf); err != nil {
+		snap, err := e.Snapshot()
+		if err != nil {
 			t.Fatalf("checkpoint at epoch %d: %v", k, err)
 		}
-		resumed, err := ReadCheckpoint(&buf)
+		resumed, err := FromSnapshot(snap)
 		if err != nil {
 			t.Fatalf("resume from epoch %d: %v", k, err)
 		}
@@ -208,17 +208,16 @@ func TestCheckpointResumeIdentical(t *testing.T) {
 // TestCheckpointRejectsGarbage covers the loud failure paths: wrong
 // magic, truncated state, and an invalid embedded config.
 func TestCheckpointRejectsGarbage(t *testing.T) {
-	if _, err := ReadCheckpoint(bytes.NewReader([]byte("not a checkpoint at all......"))); err == nil {
+	if _, err := FromSnapshot([]byte("not a checkpoint at all......")); err == nil {
 		t.Error("bad magic accepted")
 	}
 	e := mustNew(t, testConfig(100, 0))
 	e.Step(0)
-	var buf bytes.Buffer
-	if err := e.WriteCheckpoint(&buf); err != nil {
+	full, err := e.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	if _, err := ReadCheckpoint(bytes.NewReader(full[:len(full)-9])); err == nil {
+	if _, err := FromSnapshot(full[:len(full)-9]); err == nil {
 		t.Error("truncated checkpoint accepted")
 	}
 }
@@ -241,6 +240,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Phases[0].Years = 0 },
 		func(c *Config) { c.Delay = circuit.DelayModel{} },
 		func(c *Config) { c.Params = nbti.Params{} },
+		func(c *Config) { c.EpochYears = 1e-9 },
+		func(c *Config) { c.Phases[0].Years = 1e308; c.EpochYears = 1e-308 },
 	}
 	for i, mutate := range bad {
 		c := testConfig(10, 0)

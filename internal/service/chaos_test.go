@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -272,12 +273,12 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := st.CheckpointPath(key)
+	ckpt := st.Slot(store.KindJobCheckpoint, key)
 	s1, err := service.New(service.Config{
 		Workers: 1, DataDir: dir, MaxRetries: -1,
 		Runner: func(_ context.Context, experiment string, opts experiments.Options) (experiments.Result, error) {
 			limited := &pollCtx{Context: context.Background(), limit: 4}
-			return experiments.LifetimeCheckpointedCtx(limited, opts, ckpt, 1)
+			return experiments.LifetimeCheckpointed(limited, opts, ckpt, 1)
 		},
 	})
 	if err != nil {
@@ -301,7 +302,7 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 		!strings.Contains(done.Error, "interrupted") {
 		t.Fatalf("phase 1 job = %+v, want interrupted failure", done)
 	}
-	if len(st.JobRecords()) != 1 {
+	if len(st.Records(store.KindJob, nil)) != 1 {
 		t.Fatal("no resumable job record left behind")
 	}
 	ts1.Close() // kill -9: no graceful Close
@@ -352,7 +353,7 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 	if m.Jobs.Resumed != 1 {
 		t.Errorf("resumed = %d, want 1", m.Jobs.Resumed)
 	}
-	if recs := s2.Store().JobRecords(); len(recs) != 0 {
+	if recs := s2.Store().Records(store.KindJob, nil); len(recs) != 0 {
 		t.Errorf("job record survived completion: %+v", recs)
 	}
 }
@@ -395,7 +396,7 @@ func TestChaosGracefulCloseCheckpoints(t *testing.T) {
 
 	// Wait for the first checkpoint write — proof the engine is mid-run
 	// — then pull the plug gracefully.
-	ckpt := s.Store().CheckpointPath(key)
+	ckpt := filepath.Join(dir, "checkpoints", key+".ckpt")
 	deadline := time.Now().Add(120 * time.Second)
 	for {
 		if _, err := os.Stat(ckpt); err == nil {
@@ -420,7 +421,7 @@ func TestChaosGracefulCloseCheckpoints(t *testing.T) {
 		if _, err := os.Stat(ckpt); err != nil {
 			t.Fatalf("close lost the in-flight run: no result and no checkpoint (%v)", err)
 		}
-		if len(s.Store().JobRecords()) != 1 {
+		if len(s.Store().Records(store.KindJob, nil)) != 1 {
 			t.Error("interrupted run left no resumable job record")
 		}
 	}

@@ -224,23 +224,21 @@ func refill(b *bucket, now time.Time, rate, burst float64) float64 {
 // overloaded server degrades smoothly instead of oscillating between
 // all-accept and all-reject.
 type backoffController struct {
-	mu        sync.Mutex
-	svcTime   float64 // EWMA of job service seconds; 0 = no samples yet
-	waitTime  float64 // EWMA of observed queue-wait seconds; 0 = no samples yet
-	highWater float64 // queue fraction where shedding starts
-	draws     uint64  // shedding decisions drawn so far; keys the next one
-	shed      uint64
+	mu       sync.Mutex
+	svcTime  float64 // EWMA of job service seconds; 0 = no samples yet
+	waitTime float64 // EWMA of observed queue-wait seconds; 0 = no samples yet
+	draws    uint64  // shedding decisions drawn so far; keys the next one
+	shed     uint64
 }
 
 // defaultServiceTime seeds Retry-After before any job has completed.
 const defaultServiceTime = 500 * time.Millisecond
 
-func newBackoffController(highWater float64) *backoffController {
-	if highWater <= 0 || highWater >= 1 {
-		highWater = 0.75
-	}
-	return &backoffController{highWater: highWater}
-}
+// queueHighWater is the queue fraction where progressive shedding
+// starts and readiness degrades.
+const queueHighWater = 0.75
+
+func newBackoffController() *backoffController { return &backoffController{} }
 
 // observe folds one completed job's service time into the EWMA.
 func (b *backoffController) observe(d time.Duration) {
@@ -279,7 +277,7 @@ func (b *backoffController) admit(depth, max int) bool {
 		return true
 	}
 	q := float64(depth) / float64(max)
-	if q < b.highWater {
+	if q < queueHighWater {
 		return true
 	}
 	if q >= 1 {
@@ -288,7 +286,7 @@ func (b *backoffController) admit(depth, max int) bool {
 		b.mu.Unlock()
 		return false
 	}
-	pReject := (q - b.highWater) / (1 - b.highWater)
+	pReject := (q - queueHighWater) / (1 - queueHighWater)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.draws++

@@ -129,7 +129,7 @@ func TestRateLimiterBuckets(t *testing.T) {
 // TestBackoffController checks the shedding thresholds and the
 // Retry-After clamp.
 func TestBackoffController(t *testing.T) {
-	b := newBackoffController(0.75)
+	b := newBackoffController()
 	if !b.admit(10, 100) {
 		t.Error("admission refused below high water")
 	}
@@ -170,7 +170,7 @@ func TestBackoffController(t *testing.T) {
 // deterministic: two controllers fed the same depth sequence shed
 // exactly the same submissions, at a rate near the configured slope.
 func TestBackoffControllerSheddingReplays(t *testing.T) {
-	a, b := newBackoffController(0.75), newBackoffController(0.75)
+	a, b := newBackoffController(), newBackoffController()
 	shed := 0
 	for i := 0; i < 2000; i++ {
 		depth := 70 + i%31 // sweeps 0.70..1.00 of the queue

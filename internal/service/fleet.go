@@ -49,6 +49,8 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, fleetops.ErrExists):
 		writeError(w, http.StatusConflict, err)
+	case errors.Is(err, fleetops.ErrPersist):
+		writeError(w, http.StatusServiceUnavailable, err)
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
 	default:
@@ -89,7 +91,7 @@ func (s *Server) handleFleetEventsNDJSON(w http.ResponseWriter, r *http.Request)
 
 func (s *Server) streamFleet(w http.ResponseWriter, r *http.Request, ndjson bool) {
 	name := r.PathValue("name")
-	topic := fleetTopicName(name)
+	topic := fleetops.FleetTopic(name)
 	// A fleet streams while registered; after deregistration the topic
 	// is dropped and the stream 404s rather than idling forever.
 	if !s.bus.HasTopic(topic) {
@@ -98,9 +100,6 @@ func (s *Server) streamFleet(w http.ResponseWriter, r *http.Request, ndjson bool
 	}
 	s.streamEvents(w, r, topic, ndjson)
 }
-
-// fleetTopicName mirrors fleetops' topic naming for fleet events.
-func fleetTopicName(name string) string { return "fleet/" + name }
 
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	s.streamSweep(w, r, false)

@@ -317,14 +317,14 @@ func TestStoreInstrumentsObserve(t *testing.T) {
 // TestObserveWaitRaisesRetryAfter verifies the measured queue-wait EWMA
 // lifts the Retry-After hint when waits exceed the service-time model.
 func TestObserveWaitRaisesRetryAfter(t *testing.T) {
-	b := newBackoffController(0.75)
+	b := newBackoffController()
 	base := b.retryAfter(0, 4)
 	b.observeWait(10 * time.Second)
 	if got := b.retryAfter(0, 4); got < 10*time.Second {
 		t.Fatalf("retryAfter = %v after observing 10s waits (was %v)", got, base)
 	}
 	// The model path still wins when it predicts the longer wait.
-	b2 := newBackoffController(0.75)
+	b2 := newBackoffController()
 	b2.observe(2 * time.Second)
 	b2.observeWait(10 * time.Millisecond)
 	if got := b2.retryAfter(100, 2); got < 100*time.Second {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -523,9 +524,11 @@ func TestBootResumesInterruptedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutJobRecord(store.JobRecord{
-		Key: key, Experiment: "fig4", Options: []byte(`{}`), Client: "tester",
-	}); err != nil {
+	rec, err := json.Marshal(jobRecord{Key: key, Experiment: "fig4", Options: []byte(`{}`), Client: "tester"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutRecord(store.KindJob, key, rec); err != nil {
 		t.Fatal(err)
 	}
 
@@ -542,7 +545,7 @@ func TestBootResumesInterruptedJob(t *testing.T) {
 	if m := s.metrics(); m.Jobs.Resumed != 1 {
 		t.Errorf("resumed = %d, want 1", m.Jobs.Resumed)
 	}
-	if recs := s.Store().JobRecords(); len(recs) != 0 {
+	if recs := s.Store().Records(store.KindJob, nil); len(recs) != 0 {
 		t.Errorf("job record not cleaned up after completion: %+v", recs)
 	}
 	// The recovered result is served.

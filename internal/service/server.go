@@ -50,7 +50,7 @@ type Config struct {
 	// QueueDepth bounds queued leader jobs (default 256). Submissions
 	// beyond it are rejected with 503 + Retry-After rather than
 	// buffered without bound, and progressive shedding starts at
-	// HighWater of the depth.
+	// three quarters of the depth.
 	QueueDepth int
 	// RetainJobs bounds how many finished (done/failed) jobs stay
 	// pollable (default 4096). The oldest are evicted first; their
@@ -100,9 +100,6 @@ type Config struct {
 	// CheckpointEvery is the epoch interval between lifetime checkpoint
 	// writes when persistence is on (default 16).
 	CheckpointEvery int
-	// HighWater is the queue fraction where readiness degrades and
-	// progressive shedding starts (default 0.75).
-	HighWater float64
 	// DrainGrace bounds how long Close waits for a cancelled in-flight
 	// job to persist its state and return (default 5s). The fleet
 	// scheduler checkpoints every registered population within the same
@@ -153,8 +150,6 @@ type Config struct {
 	// HistoryRetention bounds how far back persisted history blocks are
 	// kept when DataDir is set (default 168h — one week).
 	HistoryRetention time.Duration
-	// HistoryBudget bounds history block bytes on disk (0 = unbounded).
-	HistoryBudget int64
 	// SLORules are declarative objectives evaluated against the metric
 	// history on every sampling tick; breaches fire through the event
 	// bus and the alert delivery pipeline like fleet alerts.
@@ -209,7 +204,7 @@ type Server struct {
 
 	sweeps    map[string]*sweepTrack // in-flight sweeps, for point streaming
 	sweepSeq  uint64
-	fleetBoot uint64 // registrations reloaded from sidecars at boot
+	fleetBoot uint64 // fleets re-registered from their records at boot
 }
 
 // sweepTrack counts a sweep's completed points so the stream can close
@@ -254,9 +249,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 16
 	}
-	if cfg.HighWater <= 0 || cfg.HighWater >= 1 {
-		cfg.HighWater = 0.75
-	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 5 * time.Second
 	}
@@ -280,7 +272,7 @@ func New(cfg Config) (*Server, error) {
 		cache:     NewCache(),
 		pool:      newFairPool(cfg.Workers, cfg.QueueDepth),
 		limiter:   newRateLimiter(cfg.Rate, cfg.Burst),
-		backoff:   newBackoffController(cfg.HighWater),
+		backoff:   newBackoffController(),
 		retry:     mix.Backoff{Base: cfg.RetryBackoff, Cap: 30 * cfg.RetryBackoff},
 		baseCtx:   ctx,
 		cancelCtx: cancel,
@@ -316,13 +308,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.recoverInterrupted()
-	s.recoverFleets()
+	s.fleetBoot = uint64(s.sched.Recover())
 	return s, nil
 }
 
 // initFleetops wires the continuous-operations layer: the event bus,
 // the alert pipeline (when a sink is configured), and the self-healing
-// fleet scheduler backed by the disk store's sidecars.
+// fleet scheduler backed by the disk store's fleet records.
 func (s *Server) initFleetops() {
 	fleetIns := s.fleetInstruments()
 	s.bus = fleetops.NewBus(0)
@@ -365,53 +357,58 @@ func (s *Server) initFleetops() {
 	s.registerFleetMetrics()
 }
 
-// recoverFleets re-registers every fleet sidecar found on disk, so a
-// restarted server resumes each scheduled population from its last
-// checkpointed epoch.
-func (s *Server) recoverFleets() {
-	if s.store == nil {
-		return
-	}
-	for _, rec := range s.store.Fleets() {
-		var reg fleetops.Registration
-		if err := json.Unmarshal(rec.Data, &reg); err != nil {
-			s.logger.Warn("skipping fleet sidecar with unreadable registration", "fleet", rec.Name, "error", err)
-			continue
-		}
-		if _, err := s.sched.Register(reg); err != nil {
-			s.logger.Warn("re-registering fleet failed", "fleet", rec.Name, "error", err)
-			continue
-		}
-		s.mu.Lock()
-		s.fleetBoot++
-		s.mu.Unlock()
-		s.logger.Info("resumed fleet from its sidecar", "fleet", rec.Name)
-	}
-}
-
 // registryRunner is the default Runner: the experiments registry, with
 // lifetime jobs routed through the checkpointed cancellable driver when
 // persistence is on, so a crash or shutdown mid-fleet resumes instead
 // of restarting.
 func (s *Server) registryRunner(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 	if experiment == "lifetime" && s.store != nil {
-		key := ResultKey(experiment, o)
-		return experiments.LifetimeCheckpointedCtx(ctx, o, s.store.CheckpointPath(key), s.cfg.CheckpointEvery)
+		ckpt := s.store.Slot(store.KindJobCheckpoint, ResultKey(experiment, o))
+		return experiments.LifetimeCheckpointed(ctx, o, ckpt, s.cfg.CheckpointEvery)
 	}
 	return experiments.Run(experiment, o)
+}
+
+// jobRecord is the record (store.KindJob, named by result key) written
+// before a resumable job runs: enough to resubmit it after a crash.
+// Options is the canonicalized options JSON.
+type jobRecord struct {
+	Key        string          `json:"key"`
+	Experiment string          `json:"experiment"`
+	Options    json.RawMessage `json:"options"`
+	Client     string          `json:"client,omitempty"`
+}
+
+// removeJob deletes a finished job's record and lifetime checkpoint.
+func (s *Server) removeJob(key string) {
+	s.store.RemoveRecord(store.KindJob, key)
+	s.store.RemoveRecord(store.KindJobCheckpoint, key)
 }
 
 // recoverInterrupted resubmits every resumable job record found on disk
 // whose result is not already stored: jobs that were queued or running
 // when the previous process died. Lifetime jobs resume from their
-// checkpoints inside the driver.
+// checkpoints inside the driver. Records that do not decode are
+// quarantined by the store.
 func (s *Server) recoverInterrupted() {
 	if s.store == nil {
 		return
 	}
-	for _, rec := range s.store.JobRecords() {
+	var recs []jobRecord
+	s.store.Records(store.KindJob, func(r store.Record) error {
+		var rec jobRecord
+		err := json.Unmarshal(r.Data, &rec)
+		if err == nil && rec.Key != r.Name {
+			err = fmt.Errorf("job record key %q stored under %q", rec.Key, r.Name)
+		}
+		if err == nil {
+			recs = append(recs, rec)
+		}
+		return err
+	})
+	for _, rec := range recs {
 		if s.store.Has(rec.Key) {
-			s.store.RemoveJob(rec.Key)
+			s.removeJob(rec.Key)
 			continue
 		}
 		var o experiments.Options
@@ -429,9 +426,9 @@ func (s *Server) recoverInterrupted() {
 			continue
 		}
 		if job.ResultKey != rec.Key {
-			// The key schema changed across versions; the stale sidecar
+			// The key schema changed across versions; the stale record
 			// would otherwise be resubmitted on every boot.
-			s.store.RemoveJob(rec.Key)
+			s.removeJob(rec.Key)
 		}
 		s.obs.resumed.Inc()
 		s.logger.Info("resumed interrupted job", "experiment", rec.Experiment, "job", job.ID, "key", job.ResultKey)
@@ -536,10 +533,12 @@ func (s *Server) submit(client, experiment string, o experiments.Options, sweepI
 				// Record the job before it runs so a crash mid-run (or
 				// while queued) leaves enough on disk to resume at boot.
 				optJSON, err := json.Marshal(o)
+				var rec []byte
 				if err == nil {
-					err = s.store.PutJobRecord(store.JobRecord{
-						Key: key, Experiment: experiment, Options: optJSON, Client: client,
-					})
+					rec, err = json.Marshal(jobRecord{Key: key, Experiment: experiment, Options: optJSON, Client: client})
+				}
+				if err == nil {
+					err = s.store.PutRecord(store.KindJob, key, rec)
 				}
 				if err != nil {
 					s.logger.Warn("recording resumable job failed", "key", key, "error", err)
@@ -594,7 +593,7 @@ func (s *Server) runJob(job *Job, entry *Entry) {
 		if perr := s.store.Put(job.ResultKey, payload); perr != nil {
 			s.logger.Warn("persisting result failed", "key", job.ResultKey, "error", perr)
 		}
-		s.store.RemoveJob(job.ResultKey)
+		s.removeJob(job.ResultKey)
 	}
 	s.cache.Complete(entry, payload, err)
 	s.finish(job, err, false)
@@ -875,7 +874,7 @@ func (s *Server) queueStatus() QueueStatus {
 	q := QueueStatus{
 		Depth:     s.pool.queueDepth(),
 		Capacity:  s.cfg.QueueDepth,
-		HighWater: int(s.cfg.HighWater * float64(s.cfg.QueueDepth)),
+		HighWater: int(queueHighWater * float64(s.cfg.QueueDepth)),
 	}
 	q.Degraded = q.HighWater > 0 && q.Depth >= q.HighWater
 	return q

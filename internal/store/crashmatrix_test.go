@@ -178,50 +178,54 @@ func TestCrashMatrixResultOverwrite(t *testing.T) {
 	})
 }
 
+// recordIs asserts the rebooted store holds the record of kind k under
+// name with exactly one of the allowed byte strings (nil: absent).
+func recordIs(t *testing.T, s *Store, k Kind, name string, allowed ...[]byte) {
+	t.Helper()
+	got, err := s.ReadRecord(k, name)
+	for _, want := range allowed {
+		if err == nil && (want == nil && got == nil || want != nil && bytes.Equal(got, want)) {
+			return
+		}
+	}
+	t.Errorf("%s %s = %q (err %v); want exactly one of %q", kinds[k].label, name, got, err, allowed)
+}
+
 func TestCrashMatrixJobRecord(t *testing.T) {
-	rec := JobRecord{Key: key(0), Experiment: "lifetime",
-		Options: []byte(`{"population":1000}`), Client: "crash"}
+	rec := []byte(`{"key":"` + key(0) + `","experiment":"lifetime","options":{"population":1000},"client":"crash"}`)
 	runCrashMatrix(t, crashScenario{
 		name: "job-record",
-		op:   func(s *Store) error { return s.PutJobRecord(rec) },
+		op:   func(s *Store) error { return s.PutRecord(KindJob, key(0), rec) },
 		check: func(t *testing.T, s *Store) {
-			recs := s.JobRecords()
-			switch len(recs) {
-			case 0: // fully absent: the boot recovery simply re-runs nothing
-			case 1:
-				if recs[0].Key != rec.Key || recs[0].Experiment != rec.Experiment ||
-					!bytes.Equal(recs[0].Options, rec.Options) || recs[0].Client != rec.Client {
-					t.Errorf("job record partially present: %+v", recs[0])
-				}
-			default:
+			// Fully absent (boot recovery re-runs nothing) or complete.
+			if recs := s.Records(KindJob, nil); len(recs) > 1 {
 				t.Errorf("job record duplicated: %+v", recs)
 			}
+			recordIs(t, s, KindJob, key(0), nil, rec)
 		},
 	})
 }
 
 func TestCrashMatrixRemoveJob(t *testing.T) {
-	rec := JobRecord{Key: key(0), Experiment: "lifetime", Options: []byte(`{}`)}
+	rec := []byte(`{"key":"` + key(0) + `","experiment":"lifetime","options":{}}`)
 	runCrashMatrix(t, crashScenario{
 		name: "remove-job",
 		setup: func(t *testing.T, s *Store) {
-			if err := s.PutJobRecord(rec); err != nil {
+			if err := s.PutRecord(KindJob, key(0), rec); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(s.CheckpointPath(rec.Key), []byte("ckpt"), 0o644); err != nil {
+			if err := s.PutRecord(KindJobCheckpoint, key(0), []byte("ckpt")); err != nil {
 				t.Fatal(err)
 			}
 		},
-		op: func(s *Store) error { s.RemoveJob(rec.Key); return nil },
+		op: func(s *Store) error {
+			s.RemoveRecord(KindJob, key(0))
+			s.RemoveRecord(KindJobCheckpoint, key(0))
+			return nil
+		},
 		check: func(t *testing.T, s *Store) {
-			recs := s.JobRecords()
-			if len(recs) == 1 {
-				if recs[0].Key != rec.Key {
-					t.Errorf("surviving record mutated: %+v", recs[0])
-				}
-			} else if len(recs) != 0 {
-				t.Errorf("JobRecords = %+v", recs)
-			}
+			recordIs(t, s, KindJob, key(0), nil, rec)
+			recordIs(t, s, KindJobCheckpoint, key(0), nil, []byte("ckpt"))
 		},
 	})
 }
@@ -229,14 +233,14 @@ func TestCrashMatrixRemoveJob(t *testing.T) {
 func TestCrashMatrixFleetSidecar(t *testing.T) {
 	runCrashMatrix(t, crashScenario{
 		name: "fleet-register",
-		op:   func(s *Store) error { return s.PutFleet("pop-a", crashNew) },
+		op:   func(s *Store) error { return s.PutRecord(KindFleet, "pop-a", crashNew) },
 		check: func(t *testing.T, s *Store) {
-			recs := s.Fleets()
+			recs := s.Records(KindFleet, nil)
 			if len(recs) == 1 && (recs[0].Name != "pop-a" || !bytes.Equal(recs[0].Data, crashNew)) {
 				t.Errorf("fleet sidecar partially present: %+v", recs[0])
 			}
 			if len(recs) > 1 {
-				t.Errorf("Fleets = %+v", recs)
+				t.Errorf("Records = %+v", recs)
 			}
 		},
 	})
@@ -246,18 +250,55 @@ func TestCrashMatrixFleetCheckpoint(t *testing.T) {
 	runCrashMatrix(t, crashScenario{
 		name: "fleet-checkpoint",
 		setup: func(t *testing.T, s *Store) {
-			if err := s.WriteFleetCheckpoint("pop-a", crashOld); err != nil {
+			if err := s.PutRecord(KindFleetCheckpoint, "pop-a", crashOld); err != nil {
 				t.Fatal(err)
 			}
 		},
-		op: func(s *Store) error { return s.WriteFleetCheckpoint("pop-a", crashNew) },
+		op: func(s *Store) error { return s.PutRecord(KindFleetCheckpoint, "pop-a", crashNew) },
 		check: func(t *testing.T, s *Store) {
-			got, ok := s.ReadFleetCheckpoint("pop-a")
-			if !ok || (!bytes.Equal(got, crashOld) && !bytes.Equal(got, crashNew)) {
-				t.Errorf("fleet checkpoint = %q, %v; want exactly old or new bytes", got, ok)
-			}
+			recordIs(t, s, KindFleetCheckpoint, "pop-a", crashOld, crashNew)
 		},
 	})
+}
+
+// TestCrashMatrixEveryRecordKind runs the overwrite and remove paths of
+// every record kind through the matrix: a crash leaves each record
+// exactly old, exactly new, or (for a remove) absent, and never
+// touches a bystander of another kind under the same name.
+func TestCrashMatrixEveryRecordKind(t *testing.T) {
+	const name = "0000abcd"
+	for k := Kind(0); k < numKinds; k++ {
+		other := (k + 1) % numKinds
+		setup := func(t *testing.T, s *Store) {
+			for _, kk := range []Kind{k, other} {
+				if err := s.PutRecord(kk, name, crashOld); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		t.Run(kinds[k].label+"/overwrite", func(t *testing.T) {
+			runCrashMatrix(t, crashScenario{
+				name:  "overwrite",
+				setup: setup,
+				op:    func(s *Store) error { return s.PutRecord(k, name, crashNew) },
+				check: func(t *testing.T, s *Store) {
+					recordIs(t, s, k, name, crashOld, crashNew)
+					recordIs(t, s, other, name, crashOld)
+				},
+			})
+		})
+		t.Run(kinds[k].label+"/remove", func(t *testing.T) {
+			runCrashMatrix(t, crashScenario{
+				name:  "remove",
+				setup: setup,
+				op:    func(s *Store) error { s.RemoveRecord(k, name); return nil },
+				check: func(t *testing.T, s *Store) {
+					recordIs(t, s, k, name, nil, crashOld)
+					recordIs(t, s, other, name, crashOld)
+				},
+			})
+		})
+	}
 }
 
 func TestCrashMatrixEviction(t *testing.T) {

@@ -74,13 +74,13 @@ func TestBudgetRefusalAndRecovery(t *testing.T) {
 		t.Errorf("budget refusals = %d", st.BudgetRefusals)
 	}
 	// Checkpoint-tier writes are never refused, degraded or not.
-	if err := s.PutJobRecord(JobRecord{Key: key(2), Experiment: "lifetime", Options: []byte(`{}`)}); err != nil {
+	if err := s.PutRecord(KindJob, key(2), []byte(`{}`)); err != nil {
 		t.Fatalf("job record refused under budget pressure: %v", err)
 	}
-	if err := s.WriteFleetCheckpoint("pop-a", pad(3, 500)); err != nil {
+	if err := s.PutRecord(KindFleetCheckpoint, "pop-a", pad(3, 500)); err != nil {
 		t.Fatalf("fleet checkpoint refused under budget pressure: %v", err)
 	}
-	if err := s.PutFleet("pop-a", pad(4, 500)); err != nil {
+	if err := s.PutRecord(KindFleet, "pop-a", pad(4, 500)); err != nil {
 		t.Fatalf("fleet sidecar refused under budget pressure: %v", err)
 	}
 	// A result write that fits recovers the store.

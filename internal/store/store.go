@@ -1,27 +1,30 @@
 // Package store is the crash-safe persistence layer under the
 // experiment service: a content-addressed blob store for completed
-// result payloads plus the sidecar files (fleet checkpoints, resumable
-// job records) that let `penelope serve` survive a hard kill. Every
-// write is atomic — temp file, fsync, rename, directory fsync — and
-// every stored payload is framed with a checksum, so a torn write from
-// a crash is detected on the next boot, quarantined, and re-simulated
-// instead of served.
+// result payloads plus the sidecar records (resumable job records,
+// lifetime job checkpoints, fleet registrations and fleet checkpoints)
+// that let `penelope serve` survive a hard kill. Sidecars share one
+// record API — PutRecord, ReadRecord, Records, RemoveRecord — over the
+// closed set of Kinds; each kind's bytes belong to the module that
+// writes them. Every write is atomic — temp file, fsync, rename,
+// directory fsync — and every result payload is framed with a
+// checksum, so a torn write from a crash is detected on the next boot,
+// quarantined, and re-simulated instead of served.
 //
 // All I/O goes through an injectable filesystem (internal/store/vfs);
 // the crash-matrix suite reboots the store after a simulated crash at
 // every I/O step of every write path and asserts all-or-nothing
 // visibility. The result cache is the degradable class: an optional
-// disk budget LRU-evicts cached results (never checkpoints or fleet
-// sidecars), refusing new result writes — and reporting Degraded —
+// disk budget LRU-evicts cached results (never sidecar records),
+// refusing new result writes — and reporting Degraded —
 // before any checkpoint write is ever shed, and a background scrubber
 // re-verifies frames on an interval, quarantining rot.
 package store
 
 import (
 	"container/list"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"path/filepath"
 	"sort"
@@ -37,14 +40,9 @@ import (
 // whenever the payload layout changes shape.
 const resultMagic = "penelope-store-v1\n"
 
-// resultExt, jobExt, ckptExt and fleetExt are the file extensions of
-// the artifact kinds the store manages.
-const (
-	resultExt = ".res"
-	jobExt    = ".job"
-	ckptExt   = ".ckpt"
-	fleetExt  = ".fleet"
-)
+// resultExt is the file extension of result payloads; sidecar records
+// take theirs from their Kind.
+const resultExt = ".res"
 
 // ErrBudget reports a result write refused because the store is at its
 // disk budget and eviction could not make room. Checkpoint and fleet
@@ -103,16 +101,6 @@ type Stats struct {
 	ScrubCorrupt uint64 `json:"scrub_corrupt"`
 }
 
-// JobRecord is the sidecar written next to a resumable job's checkpoint
-// before the job starts running: enough to resubmit the job after a
-// crash. Options is the canonicalized options JSON.
-type JobRecord struct {
-	Key        string          `json:"key"`
-	Experiment string          `json:"experiment"`
-	Options    json.RawMessage `json:"options"`
-	Client     string          `json:"client,omitempty"`
-}
-
 // Config tunes a Store beyond its root directory.
 type Config struct {
 	// Dir is the store's root directory.
@@ -167,17 +155,15 @@ type Store struct {
 	logger  *slog.Logger
 	dir     string
 	results string
-	ckpts   string
-	fleets  string
 
-	mu       sync.Mutex
-	index    map[string]*list.Element // key -> element holding *entry
-	lru      *list.List               // front = least recently used
-	bytes    int64
-	hits     uint64
-	misses   uint64
-	quarant  int
-	jobFiles int
+	mu      sync.Mutex
+	index   map[string]*list.Element // key -> element holding *entry
+	lru     *list.List               // front = least recently used
+	bytes   int64
+	hits    uint64
+	misses  uint64
+	quarant int
+	names   [numKinds]map[string]struct{} // sidecar records on disk, per kind
 
 	degraded       bool
 	evictions      uint64
@@ -221,8 +207,6 @@ func OpenConfig(cfg Config) (*Store, error) {
 		logger:  cfg.Logger,
 		dir:     cfg.Dir,
 		results: filepath.Join(cfg.Dir, "results"),
-		ckpts:   filepath.Join(cfg.Dir, "checkpoints"),
-		fleets:  filepath.Join(cfg.Dir, "fleets"),
 		index:   make(map[string]*list.Element),
 		lru:     list.New(),
 	}
@@ -235,7 +219,11 @@ func OpenConfig(cfg Config) (*Store, error) {
 	if s.logger == nil {
 		s.logger = obs.Logger("store")
 	}
-	for _, d := range []string{s.results, s.ckpts, s.fleets} {
+	for k := range s.names {
+		s.names[k] = make(map[string]struct{})
+	}
+	sidecarDirs := []string{filepath.Join(s.dir, "checkpoints"), filepath.Join(s.dir, "fleets")}
+	for _, d := range append([]string{s.results}, sidecarDirs...) {
 		if err := s.fs.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: creating %s: %w", d, err)
 		}
@@ -244,11 +232,7 @@ func OpenConfig(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: scanning %s: %w", s.results, err)
 	}
-	type scanned struct {
-		ent   entry
-		mtime time.Time
-	}
-	var found []scanned
+	var found []entry
 	for _, e := range entries {
 		name := e.Name()
 		path := filepath.Join(s.results, name)
@@ -266,40 +250,42 @@ func OpenConfig(cfg Config) (*Store, error) {
 			if info, err := e.Info(); err == nil {
 				mtime = info.ModTime()
 			}
-			found = append(found, scanned{entry{key, int64(len(payload)), mtime}, mtime})
+			found = append(found, entry{key, int64(len(payload)), mtime})
 		}
 	}
 	// Rebuild the LRU in last-use order (mtime ascending): the oldest
 	// results of the previous process are the first evicted by this
 	// one.
 	sort.Slice(found, func(i, j int) bool {
-		if !found[i].mtime.Equal(found[j].mtime) {
-			return found[i].mtime.Before(found[j].mtime)
+		if !found[i].lastUse.Equal(found[j].lastUse) {
+			return found[i].lastUse.Before(found[j].lastUse)
 		}
-		return found[i].ent.key < found[j].ent.key
+		return found[i].key < found[j].key
 	})
-	for _, f := range found {
-		ent := f.ent
-		s.index[ent.key] = s.lru.PushBack(&ent)
-		s.bytes += ent.size
+	for i := range found {
+		s.index[found[i].key] = s.lru.PushBack(&found[i])
+		s.bytes += found[i].size
 	}
 	s.enforceRetentionLocked()
 	if s.cfg.Budget > 0 && s.bytes > s.cfg.Budget {
 		s.shedLocked(s.lowWater(), "")
 	}
 
-	for _, scan := range []string{s.ckpts, s.fleets} {
+	for _, scan := range sidecarDirs {
 		files, err := s.fs.ReadDir(scan)
 		if err != nil {
 			return nil, fmt.Errorf("store: scanning %s: %w", scan, err)
 		}
 		for _, e := range files {
 			name := e.Name()
-			switch {
-			case strings.HasPrefix(name, ".tmp-"):
+			if strings.HasPrefix(name, ".tmp-") {
 				s.fs.Remove(filepath.Join(scan, name))
-			case scan == s.ckpts && strings.HasSuffix(name, jobExt):
-				s.jobFiles++
+				continue
+			}
+			for k, kd := range kinds {
+				if base, ok := strings.CutSuffix(name, kd.ext); ok && filepath.Base(scan) == kd.dir && ValidName(base) {
+					s.names[k][base] = struct{}{}
+				}
 			}
 		}
 	}
@@ -331,16 +317,7 @@ func (s *Store) lowWater() int64 {
 // lowercase hex, so a key can never traverse out of the store
 // directory or collide with the store's own temp/quarantine names.
 func ValidKey(key string) bool {
-	if len(key) < 8 || len(key) > 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	return len(key) >= 8 && len(key) <= 64 && strings.Trim(key, "0123456789abcdef") == ""
 }
 
 // Put durably persists payload under key: checksum-framed temp file,
@@ -607,220 +584,155 @@ func (s *Store) StartScrubber(interval time.Duration) {
 	}()
 }
 
-// CheckpointPath returns the path a resumable job's checkpoint should
-// be written to. The store does not interpret the checkpoint's
-// contents; the lifetime engine owns that format (and writes it
-// through the same vfs atomic-write discipline).
-func (s *Store) CheckpointPath(key string) string {
-	return filepath.Join(s.ckpts, key+ckptExt)
+// Kind is one class of sidecar record. The set is closed: each kind
+// owns one directory and one file extension (the kinds table), in the
+// layout every earlier version of the store wrote.
+type Kind uint8
+
+const (
+	KindJob             Kind = iota // a resumable job's resubmission record
+	KindJobCheckpoint               // an in-flight lifetime job's fleet pair checkpoint
+	KindFleet                       // a scheduled fleet's registration
+	KindFleetCheckpoint             // a scheduled fleet's engine checkpoint
+	numKinds
+)
+
+// kinds maps each Kind to its directory, extension and log label.
+var kinds = [numKinds]struct{ dir, ext, label string }{
+	KindJob:             {"checkpoints", ".job", "job record"},
+	KindJobCheckpoint:   {"checkpoints", ".ckpt", "job checkpoint"},
+	KindFleet:           {"fleets", ".fleet", "fleet registration"},
+	KindFleetCheckpoint: {"fleets", ".ckpt", "fleet checkpoint"},
 }
 
-// PutJobRecord durably records a resumable job before it starts, so a
-// crash mid-run leaves enough on disk to resubmit it at the next boot.
-// Job records are never shed by the disk budget.
-func (s *Store) PutJobRecord(rec JobRecord) error {
-	if !ValidKey(rec.Key) {
-		return fmt.Errorf("store: invalid job record key %q", rec.Key)
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	path := filepath.Join(s.ckpts, rec.Key+jobExt)
-	existed := true
-	if _, err := s.fs.Stat(path); err != nil {
-		existed = false
-	}
-	synced, err := vfs.WriteAtomic(s.fs, path, data)
-	s.noteDirsyncLocked(synced, err)
-	if err != nil {
-		return fmt.Errorf("store: writing job record %s: %w", rec.Key, err)
-	}
-	if !existed {
-		s.jobFiles++
-	}
-	return nil
+// ValidName reports whether name is safe as a record name: 1-64
+// lowercase alphanumerics with interior dashes, so a record can never
+// traverse out of its directory or collide with the store's own
+// temp/quarantine names. Result keys and fleet names both satisfy it.
+func ValidName(name string) bool {
+	return len(name) >= 1 && len(name) <= 64 && name[0] != '-' && name[len(name)-1] != '-' &&
+		strings.Trim(name, "0123456789abcdefghijklmnopqrstuvwxyz-") == ""
 }
 
-// JobRecords returns every resumable job record on disk. Unparsable
-// records are quarantined and skipped, so one corrupt sidecar never
-// blocks boot recovery of the others.
-func (s *Store) JobRecords() []JobRecord {
-	entries, err := s.fs.ReadDir(s.ckpts)
-	if err != nil {
-		return nil
-	}
-	var recs []JobRecord
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), jobExt) {
-			continue
-		}
-		path := filepath.Join(s.ckpts, e.Name())
-		data, err := s.fs.ReadFile(path)
-		var rec JobRecord
-		if err == nil {
-			err = json.Unmarshal(data, &rec)
-		}
-		if err == nil && rec.Key != strings.TrimSuffix(e.Name(), jobExt) {
-			err = fmt.Errorf("store: job record key %q does not match filename", rec.Key)
-		}
-		if err != nil {
-			s.mu.Lock()
-			s.quarantineLocked(path, err)
-			s.jobFiles--
-			s.mu.Unlock()
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	return recs
-}
-
-// RemoveJob deletes a finished job's checkpoint and record (and any
-// interrupted checkpoint temp file).
-func (s *Store) RemoveJob(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	jobPath := filepath.Join(s.ckpts, key+jobExt)
-	if _, err := s.fs.Stat(jobPath); err == nil {
-		s.jobFiles--
-	}
-	s.fs.Remove(jobPath)
-	ckpt := filepath.Join(s.ckpts, key+ckptExt)
-	s.fs.Remove(ckpt)
-	s.fs.Remove(vfs.TempName(ckpt))
-}
-
-// ValidFleetName reports whether name is safe to use as a fleet
-// sidecar filename: short lowercase alphanumerics with interior dashes,
-// so a registration can never traverse out of the fleets directory or
-// collide with the store's own temp/quarantine names.
-func ValidFleetName(name string) bool {
-	if len(name) < 1 || len(name) > 64 {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		ok := (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
-			(c == '-' && i > 0 && i < len(name)-1)
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// FleetRecord is one persisted fleet registration: the scheduler's
-// serialized Registration, opaque to the store.
-type FleetRecord struct {
+// Record is one sidecar record: its name and its bytes, which the
+// store never interprets.
+type Record struct {
 	Name string
 	Data []byte
 }
 
-// PutFleet durably persists a fleet registration sidecar, so a restart
-// re-registers every scheduled population. Fleet sidecars are never
-// shed by the disk budget.
-func (s *Store) PutFleet(name string, data []byte) error {
-	if !ValidFleetName(name) {
-		return fmt.Errorf("store: invalid fleet name %q", name)
+// recordPath returns where the record of kind k under name lives.
+func (s *Store) recordPath(k Kind, name string) (string, error) {
+	if !ValidName(name) {
+		return "", fmt.Errorf("store: invalid %s name %q", kinds[k].label, name)
 	}
-	path := filepath.Join(s.fleets, name+fleetExt)
-	synced, err := vfs.WriteAtomic(s.fs, path, data)
-	s.noteDirsync(synced, err)
+	return filepath.Join(s.dir, kinds[k].dir, name+kinds[k].ext), nil
+}
+
+// PutRecord durably replaces the record of kind k under name: temp
+// file, fsync, rename, directory fsync, like a result Put and without
+// holding the index lock across the I/O. Records are never shed by the
+// disk budget.
+func (s *Store) PutRecord(k Kind, name string, data []byte) error {
+	path, err := s.recordPath(k, name)
 	if err != nil {
-		return fmt.Errorf("store: writing fleet %s: %w", name, err)
+		return err
 	}
+	synced, err := vfs.WriteAtomic(s.fs, path, data)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.noteDirsyncLocked(synced, err)
+	if err != nil {
+		return fmt.Errorf("store: writing %s %s: %w", kinds[k].label, name, err)
+	}
+	s.names[k][name] = struct{}{}
 	return nil
 }
 
-// Fleets returns every persisted fleet registration. Unreadable
-// sidecars are quarantined and skipped, so one corrupt registration
-// never blocks boot recovery of the others.
-func (s *Store) Fleets() []FleetRecord {
-	entries, err := s.fs.ReadDir(s.fleets)
+// ReadRecord returns the record of kind k under name, or nil if none
+// has been written.
+func (s *Store) ReadRecord(k Kind, name string) ([]byte, error) {
+	path, err := s.recordPath(k, name)
+	if err != nil {
+		return nil, err
+	}
+	data, err := s.fs.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	return data, err
+}
+
+// Records lists every record of kind k, sorted by name. A record whose
+// name is invalid, whose bytes cannot be read, or that check rejects is
+// quarantined and skipped, so one corrupt sidecar never blocks boot
+// recovery of the others. A nil check accepts every readable record.
+func (s *Store) Records(k Kind, check func(Record) error) []Record {
+	dir := filepath.Join(s.dir, kinds[k].dir)
+	entries, err := s.fs.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
-	var recs []FleetRecord
+	var out []Record
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, fleetExt) {
+		name, ok := strings.CutSuffix(e.Name(), kinds[k].ext)
+		if !ok || strings.HasPrefix(name, ".tmp-") {
 			continue
 		}
-		path := filepath.Join(s.fleets, name)
-		base := strings.TrimSuffix(name, fleetExt)
-		data, err := s.fs.ReadFile(path)
-		if err == nil && !ValidFleetName(base) {
-			err = fmt.Errorf("store: invalid fleet sidecar name %q", base)
+		path := filepath.Join(dir, e.Name())
+		rec := Record{Name: name}
+		rec.Data, err = s.fs.ReadFile(path)
+		if err == nil && !ValidName(name) {
+			err = fmt.Errorf("store: invalid %s name %q", kinds[k].label, name)
+		}
+		if err == nil && check != nil {
+			err = check(rec)
 		}
 		if err != nil {
 			s.mu.Lock()
 			s.quarantineLocked(path, err)
+			delete(s.names[k], name)
 			s.mu.Unlock()
 			continue
 		}
-		recs = append(recs, FleetRecord{Name: base, Data: data})
+		out = append(out, rec)
 	}
-	return recs
+	return out
 }
 
-// RemoveFleet deletes a fleet's registration and checkpoint sidecars.
-func (s *Store) RemoveFleet(name string) {
-	if !ValidFleetName(name) {
+// RemoveRecord deletes the record of kind k under name, with any temp
+// file an interrupted write of it left behind.
+func (s *Store) RemoveRecord(k Kind, name string) {
+	path, err := s.recordPath(k, name)
+	if err != nil {
 		return
 	}
-	s.fs.Remove(filepath.Join(s.fleets, name+fleetExt))
-	ckpt := filepath.Join(s.fleets, name+ckptExt)
-	s.fs.Remove(ckpt)
-	s.fs.Remove(vfs.TempName(ckpt))
+	s.fs.Remove(path)
+	s.fs.Remove(vfs.TempName(path))
+	s.mu.Lock()
+	delete(s.names[k], name)
+	s.mu.Unlock()
 }
 
-// FleetCheckpointPath returns where a scheduled fleet's engine
-// checkpoint lives. Writes go through WriteFleetCheckpoint; the path is
-// exposed for reads and tests.
-func (s *Store) FleetCheckpointPath(name string) string {
-	return filepath.Join(s.fleets, name+ckptExt)
+// Slot is the load/save view of one record: the experiments.Checkpoint
+// a lifetime job checkpoints through.
+type Slot struct {
+	s    *Store
+	kind Kind
+	name string
 }
 
-// WriteFleetCheckpoint atomically replaces a scheduled fleet's engine
-// checkpoint. Fleet checkpoints are never shed by the disk budget.
-func (s *Store) WriteFleetCheckpoint(name string, data []byte) error {
-	if !ValidFleetName(name) {
-		return fmt.Errorf("store: invalid fleet name %q", name)
-	}
-	synced, err := vfs.WriteAtomic(s.fs, s.FleetCheckpointPath(name), data)
-	s.noteDirsync(synced, err)
-	if err != nil {
-		return fmt.Errorf("store: writing fleet checkpoint %s: %w", name, err)
-	}
-	return nil
-}
+// Slot returns the load/save view of the record of kind k under name.
+func (s *Store) Slot(k Kind, name string) Slot { return Slot{s, k, name} }
 
-// ReadFleetCheckpoint returns a scheduled fleet's engine checkpoint, or
-// false if none has been written.
-func (s *Store) ReadFleetCheckpoint(name string) ([]byte, bool) {
-	if !ValidFleetName(name) {
-		return nil, false
-	}
-	data, err := s.fs.ReadFile(s.FleetCheckpointPath(name))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
-}
+// Load returns the record, or nil if none has been written.
+func (r Slot) Load() ([]byte, error) { return r.s.ReadRecord(r.kind, r.name) }
+
+// Save durably replaces the record.
+func (r Slot) Save(data []byte) error { return r.s.PutRecord(r.kind, r.name, data) }
 
 // Stats snapshots the store counters.
 func (s *Store) Stats() Stats {
-	fleetCount := 0
-	if entries, err := s.fs.ReadDir(s.fleets); err == nil {
-		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), fleetExt) {
-				fleetCount++
-			}
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
@@ -832,8 +744,8 @@ func (s *Store) Stats() Stats {
 		Quarantined:        s.quarant,
 		QuarantineFailures: s.quarantFail,
 		DirsyncFailures:    s.dirsyncFail,
-		Checkpoints:        s.jobFiles,
-		Fleets:             fleetCount,
+		Checkpoints:        len(s.names[KindJob]),
+		Fleets:             len(s.names[KindFleet]),
 		Evictions:          s.evictions,
 		EvictedBytes:       s.evictedBytes,
 		Expired:            s.expired,
@@ -846,14 +758,8 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// noteDirsync counts a failed directory sync behind a successful
-// atomic write, logging the first one.
-func (s *Store) noteDirsync(synced bool, writeErr error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.noteDirsyncLocked(synced, writeErr)
-}
-
+// noteDirsyncLocked counts a failed directory sync behind a successful
+// atomic write, logging the first one. Callers hold s.mu.
 func (s *Store) noteDirsyncLocked(synced bool, writeErr error) {
 	if synced || writeErr != nil {
 		return

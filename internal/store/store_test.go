@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -165,13 +166,8 @@ func TestJobRecordsRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := JobRecord{
-		Key:        key(0),
-		Experiment: "lifetime",
-		Options:    json.RawMessage(`{"population":1000}`),
-		Client:     "tester",
-	}
-	if err := s.PutJobRecord(rec); err != nil {
+	rec := []byte(`{"key":"` + key(0) + `","experiment":"lifetime","options":{"population":1000},"client":"tester"}`)
+	if err := s.PutRecord(KindJob, key(0), rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "checkpoints", key(1)+".job"), []byte("{broken"), 0o644); err != nil {
@@ -182,28 +178,65 @@ func TestJobRecordsRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := s2.JobRecords()
-	if len(recs) != 1 || recs[0].Key != rec.Key || recs[0].Experiment != "lifetime" || recs[0].Client != "tester" {
-		t.Fatalf("JobRecords = %+v, want the one valid record", recs)
+	if got := s2.Stats().Checkpoints; got != 2 {
+		t.Errorf("checkpoint count = %d after boot, want 2", got)
+	}
+	isJSON := func(r Record) error {
+		var v map[string]any
+		return json.Unmarshal(r.Data, &v)
+	}
+	recs := s2.Records(KindJob, isJSON)
+	if len(recs) != 1 || recs[0].Name != key(0) || !bytes.Equal(recs[0].Data, rec) {
+		t.Fatalf("Records = %+v, want the one valid record", recs)
 	}
 	if got := s2.Stats().Quarantined; got != 1 {
 		t.Errorf("quarantined = %d, want 1 (the broken sidecar)", got)
 	}
 
-	// Checkpoint path lives in the checkpoints dir; RemoveJob clears
-	// record and checkpoint together.
-	ckpt := s2.CheckpointPath(rec.Key)
-	if err := os.WriteFile(ckpt, []byte("checkpoint bytes"), 0o644); err != nil {
+	// The job checkpoint lives in the checkpoints dir next to the
+	// record; removing both clears the job.
+	if err := s2.PutRecord(KindJobCheckpoint, key(0), []byte("checkpoint bytes")); err != nil {
 		t.Fatal(err)
 	}
-	s2.RemoveJob(rec.Key)
-	if recs := s2.JobRecords(); len(recs) != 0 {
-		t.Errorf("job record survived RemoveJob: %+v", recs)
+	ckpt := filepath.Join(dir, "checkpoints", key(0)+".ckpt")
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("job checkpoint not at %s: %v", ckpt, err)
+	}
+	s2.RemoveRecord(KindJob, key(0))
+	s2.RemoveRecord(KindJobCheckpoint, key(0))
+	if recs := s2.Records(KindJob, isJSON); len(recs) != 0 {
+		t.Errorf("job record survived RemoveRecord: %+v", recs)
 	}
 	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Error("checkpoint survived RemoveJob")
+		t.Error("checkpoint survived RemoveRecord")
+	}
+	if data, err := s2.ReadRecord(KindJobCheckpoint, key(0)); data != nil || err != nil {
+		t.Errorf("ReadRecord after removal = %q, %v; want nil, nil", data, err)
 	}
 	if got := s2.Stats().Checkpoints; got != 0 {
-		t.Errorf("checkpoint count = %d after RemoveJob, want 0", got)
+		t.Errorf("checkpoint count = %d after RemoveRecord, want 0", got)
+	}
+}
+
+// TestRecordNames pins the one record-name rule: every result key and
+// every fleet name is valid, and nothing that could leave its directory
+// or collide with temp and quarantine files is.
+func TestRecordNames(t *testing.T) {
+	for _, ok := range []string{key(0), "pop-a", "a", "0", strings.Repeat("z", 64)} {
+		if !ValidName(ok) {
+			t.Errorf("ValidName(%q) = false", ok)
+		}
+	}
+	for _, bad := range []string{"", "-a", "a-", "Pop", "../x", ".tmp-a", "a.b", "a_b", strings.Repeat("z", 65)} {
+		if ValidName(bad) {
+			t.Errorf("ValidName(%q) = true", bad)
+		}
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutRecord(KindFleet, "../escape", []byte("x")); err == nil {
+		t.Error("PutRecord accepted a traversing name")
 	}
 }
