@@ -10,7 +10,10 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"unsafe"
 
+	"penelope/internal/lifetime"
+	"penelope/internal/memo"
 	"penelope/internal/trace"
 )
 
@@ -105,6 +108,33 @@ func (o Options) normalized() Options {
 	return o
 }
 
+// Request limits: the largest workload Check admits. Both sit far above
+// every documented, golden and benchmark request, and far below what
+// exhausts a server.
+const (
+	// MaxBankBytes bounds the trace bank the options would record: 1 GiB,
+	// about forty default banks.
+	MaxBankBytes = 1 << 30
+	// MaxPopulation bounds the fleet size. Each chip costs ~120 bytes of
+	// engine state per fleet, and the lifetime experiment ages two.
+	MaxPopulation = 1_000_000
+)
+
+// Check reports whether the normalized options fit the request limits.
+// The bank size is computed from length and stride, so an oversized
+// request is refused before anything is allocated for it.
+func (o Options) Check() error {
+	o = o.normalized()
+	if b := trace.BankBytes(o.TraceLength, o.TraceStride); b > MaxBankBytes {
+		return fmt.Errorf("experiments: trace_length %d at trace_stride %d needs a %d MiB trace bank, limit %d MiB",
+			o.TraceLength, o.TraceStride, b>>20, MaxBankBytes>>20)
+	}
+	if o.Population > MaxPopulation {
+		return fmt.Errorf("experiments: population %d exceeds the limit of %d chips", o.Population, MaxPopulation)
+	}
+	return nil
+}
+
 // Normalized returns the options with zero and negative fields replaced
 // by the defaults — the canonical form Key, the result payloads and the
 // experiment service report.
@@ -113,9 +143,9 @@ func (o Options) Normalized() Options { return o.normalized() }
 // Key canonicalizes the options into a stable string: zero and
 // defaulted fields normalize first, so every Options value that runs
 // the same workload maps to the same key. The experiment service keys
-// its result cache on it (combined with the experiment id), and the
-// per-process bank cache below keys on the trace-only prefix
-// (traceKey). Workers is execution policy and deliberately absent.
+// its result memo on it (combined with the experiment id), and the bank
+// memo below keys on the trace-only prefix (traceKey). Workers is
+// execution policy and deliberately absent.
 func (o Options) Key() string {
 	o = o.normalized()
 	return fmt.Sprintf("%s,pop=%d,years=%g,epoch=%g,sigma=%g,attack=%g,seed=%d",
@@ -139,33 +169,49 @@ var defaultBank = sync.OnceValue(func() *trace.Bank {
 	return trace.NewBank(o.TraceLength, o.TraceStride)
 })
 
-// bankCache memoizes banks for non-default Options (keyed by the
-// canonical trace-only key, so fleet-knob variants share one bank), so
-// benchmark and test sweeps that re-run a driver with the same custom
-// workload also synthesize it only once — including Options values that
-// only differ in zero/defaulted fields.
-// Entries live for the process — the experiment drivers see a handful
-// of Options values, and a bank is exactly what repeated sweeps want
-// resident. The cache holds once-functions, not banks, so concurrent
-// first users of one Options value never synthesize the same workload
-// twice.
-var bankCache sync.Map // Options.traceKey() -> func() *trace.Bank
+// The drivers' memos: non-default banks and fleet duty profiles keyed
+// by traceKey, paired fleet lifetime results by Key.
+const (
+	// bankBudget holds a round of the service's sim-miss traffic, ~40
+	// banks of ~1 MB, so a grid point's fig8 job finds the bank its
+	// fig6 job built.
+	bankBudget = 64 << 20
+	// dutyBudget holds hundreds of ~150-byte profiles: more trace
+	// workloads than any sweep or fleet registry touches.
+	dutyBudget = 64 << 10
+	// trajectoryBudget holds a few hundred default fleets (two 86-epoch
+	// trajectories, ~23 KB), so yield reuses a lifetime simulation.
+	trajectoryBudget = 8 << 20
+)
 
-// bank returns the process-wide recording bank for o.
+var (
+	banks  = memo.New[string](bankBudget, func(b *trace.Bank) int64 { return int64(b.Bytes()) })
+	duties = memo.New[string](dutyBudget, func(d []StructureDuty) int64 {
+		return int64(cap(d)) * int64(unsafe.Sizeof(StructureDuty{}))
+	})
+	trajectories = memo.New[string](trajectoryBudget, func(r LifetimeResult) int64 {
+		rows := len(r.Baseline.Epochs) + len(r.Penelope.Epochs)
+		return int64(rows) * int64(unsafe.Sizeof(lifetime.EpochStats{})+8*uintptr(len(r.Structures)))
+	})
+)
+
+// bank returns the recording bank for o.
 func (o Options) bank() *trace.Bank {
 	o = o.normalized()
 	if def := DefaultOptions(); o.TraceLength == def.TraceLength && o.TraceStride == def.TraceStride {
 		return defaultBank()
 	}
-	key := o.traceKey()
-	if f, ok := bankCache.Load(key); ok {
-		return f.(func() *trace.Bank)()
+	return must(banks.Do(o.traceKey(), func() (*trace.Bank, error) {
+		return trace.NewBank(o.TraceLength, o.TraceStride), nil
+	}))
+}
+
+// must unwraps a memo outcome of an infallible driver, re-panicking on error.
+func must[V any](v V, err error) V {
+	if err != nil {
+		panic(err)
 	}
-	once := sync.OnceValue(func() *trace.Bank {
-		return trace.NewBank(o.TraceLength, o.TraceStride)
-	})
-	f, _ := bankCache.LoadOrStore(key, once)
-	return f.(func() *trace.Bank)()
+	return v
 }
 
 // sources returns fresh replay cursors over the whole bank workload.

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
+
+	"penelope/internal/trace"
 )
 
 // TestOptionsKeyCanonical checks that every Options value that runs the
@@ -60,5 +63,37 @@ func TestBankMemoizationSharesKey(t *testing.T) {
 	}
 	if (Options{TraceLength: 900, TraceStride: 531}).bank() == (Options{TraceLength: 901, TraceStride: 531}).bank() {
 		t.Error("distinct options must not share a bank")
+	}
+}
+
+// TestOptionsCheckLimits checks the request limits against the bank
+// size trace.BankBytes computes and the population ceiling: the
+// defaults and the limits themselves are admitted, one step past
+// either is refused.
+func TestOptionsCheckLimits(t *testing.T) {
+	// Stride 531 records one trace, so the largest admitted length is
+	// the limit divided by the packed bytes per uop.
+	maxLen := MaxBankBytes / trace.BankBytes(1, 531)
+	for _, o := range []Options{
+		{},
+		DefaultOptions(),
+		{TraceLength: maxLen, TraceStride: 531},
+		{Population: MaxPopulation},
+		{TraceLength: -1, Population: -1},
+	} {
+		if err := o.Check(); err != nil {
+			t.Errorf("Options%+v refused: %v", o, err)
+		}
+	}
+	for _, o := range []Options{
+		{TraceLength: maxLen + 1, TraceStride: 531},
+		{TraceLength: 1 << 40},
+		{TraceLength: math.MaxInt, TraceStride: 1},
+		{Population: MaxPopulation + 1},
+		{Population: 100_000_000_000},
+	} {
+		if err := o.Check(); err == nil {
+			t.Errorf("Options%+v admitted", o)
+		}
 	}
 }

@@ -31,21 +31,12 @@ type StructureDuty struct {
 // measurement draws; it matches the Fig 5 scenarios.
 const fleetAdderSamples = 400
 
-// dutyCache memoizes measured fleet duty profiles per trace workload
-// (the fleet knobs do not affect them), mirroring the recording-bank
-// cache: once-functions so concurrent first users measure exactly once.
-var dutyCache sync.Map // Options.traceKey() -> func() []StructureDuty
-
 // fleetDuties returns the memoized duty profile for o's workload.
 func (o Options) fleetDuties() []StructureDuty {
 	o = o.normalized()
-	key := o.traceKey()
-	if f, ok := dutyCache.Load(key); ok {
-		return f.(func() []StructureDuty)()
-	}
-	once := sync.OnceValue(func() []StructureDuty { return measureFleetDuties(o) })
-	f, _ := dutyCache.LoadOrStore(key, once)
-	return f.(func() []StructureDuty)()
+	return must(duties.Do(o.traceKey(), func() ([]StructureDuty, error) {
+		return measureFleetDuties(o), nil
+	}))
 }
 
 // measureFleetDuties runs the workload through the pipeline twice —
@@ -215,35 +206,15 @@ func trajectoryFrom(name string, eng *lifetime.Engine) FleetTrajectory {
 	}
 }
 
-// lifetimeCache memoizes completed trajectories per canonical fleet
-// options (Workers is execution-only and absent from the key), so
-// `yield` — and repeated `lifetime` requests in one process — reuse
-// one paired fleet simulation instead of aging the population again.
-var lifetimeCache sync.Map // Options.Key() -> func() LifetimeResult
-
 // Lifetime runs the fleet lifetime experiment: measure duty profiles on
 // the workload, then age the same chip population through the baseline
-// and Penelope schedules and report both guardband trajectories.
+// and Penelope schedules and report both guardband trajectories. Yield
+// and repeated runs reuse the memoized result.
 func Lifetime(o Options) LifetimeResult {
 	o = o.normalized()
-	key := o.Key()
-	if f, ok := lifetimeCache.Load(key); ok {
-		return f.(func() LifetimeResult)()
-	}
-	once := sync.OnceValue(func() LifetimeResult { return computeLifetime(o) })
-	f, _ := lifetimeCache.LoadOrStore(key, once)
-	return f.(func() LifetimeResult)()
-}
-
-// computeLifetime is the uncached driver body.
-func computeLifetime(o Options) LifetimeResult {
-	res, err := runLifetime(context.Background(), o, nil, 0)
-	if err != nil {
-		// No checkpoint is involved, so an error here is an internal
-		// invariant violation, like other driver panics.
-		panic(err)
-	}
-	return res
+	return must(trajectories.Do(o.Key(), func() (LifetimeResult, error) {
+		return LifetimeCheckpointed(context.Background(), o, nil, 0)
+	}))
 }
 
 // Checkpoint is where a checkpointed lifetime run keeps its paired
@@ -270,17 +241,13 @@ var ErrLifetimeInterrupted = fmt.Errorf("lifetime: run interrupted")
 // over. The engine polls ctx once per epoch step; on cancellation it
 // saves a final checkpoint and returns ErrLifetimeInterrupted, so a
 // shutdown or timeout loses at most the epoch in flight. The result is
-// byte-identical to an uninterrupted Lifetime run.
+// byte-identical to an uninterrupted Lifetime run. A nil ckpt runs
+// without checkpoints.
 func LifetimeCheckpointed(ctx context.Context, o Options, ckpt Checkpoint, every int) (LifetimeResult, error) {
 	if every < 1 {
 		every = 16
 	}
-	return runLifetime(ctx, o.Normalized(), ckpt, every)
-}
-
-// runLifetime advances the baseline and Penelope fleets in lockstep,
-// optionally checkpointing the pair.
-func runLifetime(ctx context.Context, o Options, ckpt Checkpoint, every int) (LifetimeResult, error) {
+	o = o.normalized()
 	duties := o.fleetDuties()
 	cfgB := o.fleetConfig(duties, false)
 	cfgP := o.fleetConfig(duties, true)
@@ -307,6 +274,9 @@ func runLifetime(ctx context.Context, o Options, ckpt Checkpoint, every int) (Li
 		}
 	}
 	save := func() error {
+		if ckpt == nil {
+			return nil
+		}
 		data, err := encodeFleetPair(engB, engP)
 		if err == nil {
 			err = ckpt.Save(data)
@@ -319,10 +289,8 @@ func runLifetime(ctx context.Context, o Options, ckpt Checkpoint, every int) (Li
 		if err := ctx.Err(); err != nil {
 			// Cancelled (shutdown or timeout): persist the epoch we
 			// reached so the next run continues instead of restarting.
-			if ckpt != nil {
-				if werr := save(); werr != nil {
-					return LifetimeResult{}, fmt.Errorf("%w; checkpoint write failed: %v", ErrLifetimeInterrupted, werr)
-				}
+			if werr := save(); werr != nil {
+				return LifetimeResult{}, fmt.Errorf("%w; checkpoint write failed: %v", ErrLifetimeInterrupted, werr)
 			}
 			return LifetimeResult{}, fmt.Errorf("%w: %v", ErrLifetimeInterrupted, err)
 		}
@@ -333,16 +301,14 @@ func runLifetime(ctx context.Context, o Options, ckpt Checkpoint, every int) (Li
 			engP.Step(o.Workers)
 		}
 		steps++
-		if ckpt != nil && steps%every == 0 {
+		if steps%every == 0 {
 			if err := save(); err != nil {
 				return LifetimeResult{}, err
 			}
 		}
 	}
-	if ckpt != nil {
-		if err := save(); err != nil {
-			return LifetimeResult{}, err
-		}
+	if err := save(); err != nil {
+		return LifetimeResult{}, err
 	}
 
 	path, delay := fleetDelayModel()

@@ -33,14 +33,22 @@ func marshalLifetime(t *testing.T, r LifetimeResult, o Options) []byte {
 // byte-identical for any engine worker count — Workers is execution
 // policy, not an experiment parameter.
 func TestLifetimeWorkerInvariance(t *testing.T) {
-	// computeLifetime bypasses the trajectory memo: the point is that
-	// re-running with different worker counts produces the same bytes.
+	// LifetimeCheckpointed bypasses the trajectory memo: the point is
+	// that re-running with different worker counts produces the same
+	// bytes.
 	o := fleetOptions().Normalized()
+	run := func() LifetimeResult {
+		res, err := LifetimeCheckpointed(context.Background(), o, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	o.Workers = 1
-	want := marshalLifetime(t, computeLifetime(o), o)
+	want := marshalLifetime(t, run(), o)
 	for _, workers := range []int{2, 7} {
 		o.Workers = workers
-		if got := marshalLifetime(t, computeLifetime(o), o); !bytes.Equal(got, want) {
+		if got := marshalLifetime(t, run(), o); !bytes.Equal(got, want) {
 			t.Fatalf("lifetime payload with %d workers diverges from serial run", workers)
 		}
 	}
@@ -164,7 +172,7 @@ func TestLifetimeCheckpointResume(t *testing.T) {
 	}
 }
 
-// pollLimitCtx cancels after a fixed number of Err polls: runLifetime
+// pollLimitCtx cancels after a fixed number of Err polls: the driver
 // polls once per epoch step, so the limit interrupts a run at an exact,
 // deterministic epoch — no timing races.
 type pollLimitCtx struct {

@@ -121,7 +121,8 @@ type Registration struct {
 	Alerts AlertRules `json:"alerts,omitempty"`
 }
 
-// Validate reports the first shape problem with a registration. Engine
+// Validate reports the first shape problem with a registration,
+// including options past the experiment request limits. Engine
 // construction is deliberately not attempted here — it is expensive and
 // fallible, and belongs inside the self-healing tick path.
 func (r Registration) Validate() error {
@@ -137,7 +138,7 @@ func (r Registration) Validate() error {
 	case r.Alerts.P99Guardband < 0 || r.Alerts.ViolatedFraction < 0 || r.Alerts.DutyTolerance < 0:
 		return fmt.Errorf("fleetops: negative alert threshold")
 	}
-	return nil
+	return r.Options.Check()
 }
 
 // Penelope reports whether the registration ages under the mitigated

@@ -214,8 +214,9 @@ func (s *Scheduler) Register(reg Registration) (Status, error) {
 // Recover re-registers every fleet registration record in storage, so
 // a restarted process resumes each scheduled population from its last
 // checkpointed epoch (the restore happens inside its first tick). A
-// record that does not decode is quarantined by the store. It returns
-// how many populations it resumed.
+// record that does not decode or validate — one past the request
+// limits would exhaust memory on every boot — is quarantined by the
+// store. It returns how many populations it resumed.
 func (s *Scheduler) Recover() int {
 	if s.cfg.Storage == nil {
 		return 0
@@ -226,6 +227,9 @@ func (s *Scheduler) Recover() int {
 		err := json.Unmarshal(rec.Data, &reg)
 		if err == nil && reg.Name != rec.Name {
 			err = fmt.Errorf("fleetops: registration %q stored under %q", reg.Name, rec.Name)
+		}
+		if err == nil {
+			err = reg.Validate()
 		}
 		if err == nil {
 			regs = append(regs, reg)

@@ -1,11 +1,28 @@
+// Package service turns the experiment drivers into a long-running,
+// queryable system: a job model over the registry, a bounded worker
+// pool that executes jobs through the shared recording-bank machinery,
+// a content-addressed result memo with in-flight deduplication, and an
+// HTTP JSON API on top. cmd/penelope exposes it as `penelope serve`.
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"time"
 
 	"penelope/internal/experiments"
 	"penelope/internal/obs"
 )
+
+// ResultKey content-addresses one experiment request: the SHA-256 of
+// the experiment id and the canonicalized Options. Every request that
+// would run the same simulation — permuted JSON fields, zeroed or
+// defaulted options — maps to the same key, so overlapping sweeps
+// deduplicate against each other and against past runs.
+func ResultKey(experiment string, o experiments.Options) string {
+	sum := sha256.Sum256([]byte(experiment + "|" + o.Key()))
+	return hex.EncodeToString(sum[:16])
+}
 
 // JobState is the lifecycle of a job: queued → running → done|failed.
 // Jobs that attach to a cached or in-flight result skip running and
@@ -21,8 +38,8 @@ const (
 )
 
 // Job is one experiment request: {experiment, Options} → result. The
-// result itself lives in the cache under ResultKey; the job records the
-// request's lifecycle and where to fetch the payload.
+// result itself lives in the result memo or the store under ResultKey;
+// the job records the request's lifecycle and where to fetch it.
 type Job struct {
 	ID         string              `json:"id"`
 	Experiment string              `json:"experiment"`

@@ -115,14 +115,16 @@ func (s *Server) initObs() {
 	reg.GaugeFunc("penelope_workers", "Worker pool size.",
 		func() float64 { return float64(s.cfg.Workers) })
 
-	reg.GaugeFunc("penelope_cache_entries", "Completed results held in the in-memory cache.",
-		func() float64 { return float64(s.cache.Stats().Entries) })
+	reg.GaugeFunc("penelope_cache_entries", "Completed results resident in the in-memory result memo.",
+		func() float64 { return float64(s.results.Stats().Entries) })
 	reg.CounterFunc("penelope_cache_hits_total", "Requests served from a completed cache entry.",
-		func() uint64 { return s.cache.Stats().Hits })
+		func() uint64 { return s.results.Stats().Hits })
 	reg.CounterFunc("penelope_cache_misses_total", "Requests that had to run the simulation.",
-		func() uint64 { return s.cache.Stats().Misses })
+		func() uint64 { return s.results.Stats().Misses })
 	reg.CounterFunc("penelope_cache_inflight_dedups_total", "Requests that attached to an already-running simulation.",
-		func() uint64 { return s.cache.Stats().InflightDedups })
+		func() uint64 { return s.results.Stats().InflightDedups })
+	reg.CounterFunc("penelope_cache_evictions_total", "Completed results dropped from memory for the result memo's byte budget.",
+		func() uint64 { return s.results.Stats().Evictions })
 
 	obs.RegisterRuntimeMetrics(reg)
 }

@@ -1,0 +1,217 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"penelope/internal/experiments"
+	"penelope/internal/fleetops"
+)
+
+// submitDone posts one job and polls it to a terminal state.
+func submitDone(t *testing.T, base, body string) Job {
+	t.Helper()
+	var job Job
+	if code := postJSON(t, base+"/v1/jobs", body, &job); code != http.StatusAccepted {
+		t.Fatalf("submit %s: status %d", body, code)
+	}
+	if job.State == StateDone || job.State == StateFailed {
+		return job
+	}
+	return pollJob(t, base, job.ID)
+}
+
+// getRaw fetches url and returns the status and the body bytes.
+func getRaw(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, data
+}
+
+// smallJob is the key the eviction tests follow; blobRunner pads its
+// payload to trace_length bytes.
+const smallJob = `{"experiment":"fig6","options":{"trace_length":100,"trace_stride":531}}`
+
+// floodResults pushes more than the result budget of distinct payloads
+// through the server, in 16 MiB blobs. Stride 531 keeps each request's
+// implied trace bank inside the request limits.
+func floodResults(t *testing.T, s *Server, base string) {
+	t.Helper()
+	for i := 0; i*16<<20 <= resultBudget; i++ {
+		body := fmt.Sprintf(`{"experiment":"fig6","options":{"trace_length":%d,"trace_stride":531}}`, 16<<20+i)
+		if job := submitDone(t, base, body); job.State != StateDone {
+			t.Fatalf("flood job failed: %s", job.Error)
+		}
+		if st := s.results.Stats(); st.Bytes > resultBudget {
+			t.Fatalf("%d resident bytes past the %d-byte budget", st.Bytes, resultBudget)
+		}
+	}
+	if st := s.results.Stats(); st.Evictions == 0 {
+		t.Fatalf("flood evicted nothing: %+v", st)
+	}
+}
+
+// countingBlobRunner is blobRunner with a per-key run count.
+func countingBlobRunner(runs map[string]int) Runner {
+	return func(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		runs[ResultKey(experiment, o)]++
+		return blobRunner(ctx, experiment, o)
+	}
+}
+
+// TestResultMemoStaysWithinBudget checks that a stream of distinct
+// payloads larger than the budget cycles through the result memo
+// instead of growing it, and that an evicted key on an in-memory
+// server answers 404 until a resubmission recomputes it.
+func TestResultMemoStaysWithinBudget(t *testing.T) {
+	runs := map[string]int{} // written by the single worker only
+	s, ts := newTestServer(t, Config{Workers: 1, Runner: countingBlobRunner(runs)})
+	first := submitDone(t, ts.URL, smallJob)
+	floodResults(t, s, ts.URL)
+
+	if code, _ := getRaw(t, ts.URL+"/v1/results/"+first.ResultKey); code != http.StatusNotFound {
+		t.Fatalf("evicted result without a store: status %d, want 404", code)
+	}
+	again := submitDone(t, ts.URL, smallJob)
+	if again.CacheHit || runs[first.ResultKey] != 2 {
+		t.Fatalf("evicted key did not recompute: cache_hit %v, runs %d", again.CacheHit, runs[first.ResultKey])
+	}
+	if code, _ := getRaw(t, ts.URL+"/v1/results/"+first.ResultKey); code != http.StatusOK {
+		t.Fatalf("recomputed result: status %d", code)
+	}
+}
+
+// TestEvictedResultReadsThroughStore checks that a store-backed server
+// serves an evicted key from disk: byte-identical on both the job and
+// the result endpoints, as one memo miss and one store hit, with no
+// re-simulation.
+func TestEvictedResultReadsThroughStore(t *testing.T) {
+	runs := map[string]int{}
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir(), Runner: countingBlobRunner(runs)})
+	first := submitDone(t, ts.URL, smallJob)
+	_, want := getRaw(t, ts.URL+"/v1/results/"+first.ResultKey)
+	floodResults(t, s, ts.URL)
+	if _, ok := s.results.Get(first.ResultKey); ok {
+		t.Fatal("flood left the first result resident")
+	}
+
+	before := s.metrics()
+	again := submitDone(t, ts.URL, smallJob)
+	if again.State != StateDone || !again.CacheHit {
+		t.Fatalf("evicted key not served from the store: %+v", again)
+	}
+	code, got := getRaw(t, ts.URL+"/v1/results/"+first.ResultKey)
+	if code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("store-served payload differs (status %d)", code)
+	}
+	after := s.metrics()
+	if runs[first.ResultKey] != 1 {
+		t.Errorf("evicted key re-simulated %d times", runs[first.ResultKey]-1)
+	}
+	if d := after.Cache.Misses - before.Cache.Misses; d != 1 {
+		t.Errorf("%d cache misses, want 1", d)
+	}
+	if d := after.Store.Hits - before.Store.Hits; d != 1 {
+		t.Errorf("%d store hits, want 1", d)
+	}
+}
+
+// TestInMemoryLifetimeHonorsContext checks that lifetime jobs on a
+// server without a store also run through the cancellable driver, so a
+// timeout or shutdown stops them.
+func TestInMemoryLifetimeHonorsContext(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := experiments.Options{TraceLength: 900, TraceStride: 531, Population: 200, Years: 0.5, FleetSeed: 9}
+	if _, err := s.registryRunner(ctx, "lifetime", o); !errors.Is(err, experiments.ErrLifetimeInterrupted) {
+		t.Fatalf("cancelled in-memory lifetime run: %v, want ErrLifetimeInterrupted", err)
+	}
+}
+
+// TestOversizeRequestsRefused sends requests past the request limits to
+// every entry point that admits Options: each is a 400, and nothing is
+// enqueued or scheduled.
+func TestOversizeRequestsRefused(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, Runner: blobRunner})
+	cases := []struct{ name, url, body string }{
+		{"job bank", "/v1/jobs", `{"experiment":"fig6","options":{"trace_length":1099511627776}}`},
+		{"job population", "/v1/jobs", `{"experiment":"lifetime","options":{"population":100000000000}}`},
+		{"sweep bank", "/v1/sweeps", `{"experiments":["fig6"],"trace_lengths":[2000,1099511627776]}`},
+		{"sweep population", "/v1/sweeps", `{"experiments":["lifetime"],"populations":[600,100000000000]}`},
+		{"fleet population", "/v1/fleets", `{"name":"huge","options":{"population":100000000000}}`},
+		{"fleet bank", "/v1/fleets", `{"name":"long","options":{"trace_length":1099511627776}}`},
+	}
+	for _, tc := range cases {
+		var e struct {
+			Error string `json:"error"`
+		}
+		if code := postJSON(t, ts.URL+tc.url, tc.body, &e); code != http.StatusBadRequest || e.Error == "" {
+			t.Errorf("%s: status %d (%q), want 400 with a reason", tc.name, code, e.Error)
+		}
+	}
+	huge := fleetops.Registration{Name: "boot", Options: experiments.Options{Population: 100_000_000_000}}
+	if _, err := s.RegisterFleet(huge); err == nil {
+		t.Error("-fleet-config path admitted an oversize fleet")
+	}
+	m := s.metrics()
+	if m.Jobs.Submitted != 0 || m.Fleet.Scheduler.Populations != 0 {
+		t.Errorf("refused requests left %d jobs and %d fleets", m.Jobs.Submitted, m.Fleet.Scheduler.Populations)
+	}
+	if code, _ := getRaw(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Errorf("healthz after refusals: status %d", code)
+	}
+}
+
+// TestBootQuarantinesOversizeRecords boots over a data dir holding a job
+// record and a fleet registration past the request limits — as an
+// earlier version admitted them — and requires the server to set both
+// aside instead of replaying them into an out-of-memory crash, and to
+// serve.
+func TestBootQuarantinesOversizeRecords(t *testing.T) {
+	dir := t.TempDir()
+	for _, sub := range []string{"checkpoints", "fleets"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec, _ := experiments.Lookup("fig6")
+	o := spec.CanonicalOptions(experiments.Options{TraceLength: 1 << 40})
+	key := ResultKey("fig6", o)
+	writeFile(t, filepath.Join(dir, "checkpoints", key+".job"),
+		[]byte(fmt.Sprintf(`{"key":%q,"experiment":"fig6","options":{"trace_length":%d}}`, key, o.TraceLength)))
+	writeFile(t, filepath.Join(dir, "fleets", "huge.fleet"),
+		[]byte(`{"name":"huge","options":{"population":100000000000}}`))
+
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir, Runner: blobRunner})
+	m := s.metrics()
+	if m.Jobs.Submitted != 0 || m.Jobs.Resumed != 0 || m.Fleet.ResumedBoot != 0 {
+		t.Fatalf("oversize records replayed: %d jobs, %d fleets", m.Jobs.Submitted, m.Fleet.ResumedBoot)
+	}
+	if m.Store.Quarantined != 2 {
+		t.Errorf("%d records quarantined, want 2", m.Store.Quarantined)
+	}
+	for _, p := range []string{"checkpoints/" + key + ".job", "fleets/huge.fleet"} {
+		if _, err := os.Stat(filepath.Join(dir, p+".quarantine")); err != nil {
+			t.Errorf("%s not set aside: %v", p, err)
+		}
+	}
+	if job := submitDone(t, ts.URL, smallJob); job.State != StateDone {
+		t.Fatalf("server not serving after boot: %+v", job)
+	}
+}

@@ -18,6 +18,7 @@ import (
 
 	"penelope/internal/experiments"
 	"penelope/internal/fleetops"
+	"penelope/internal/memo"
 	"penelope/internal/mix"
 	"penelope/internal/obs"
 	"penelope/internal/obs/tsdb"
@@ -54,17 +55,18 @@ type Config struct {
 	QueueDepth int
 	// RetainJobs bounds how many finished (done/failed) jobs stay
 	// pollable (default 4096). The oldest are evicted first; their
-	// results remain fetchable through the content-addressed cache, so
-	// eviction only limits how long /v1/jobs/{id} answers for a
-	// long-finished job.
+	// results stay fetchable by key while resident in the result memo
+	// or stored on disk, so eviction only limits how long
+	// /v1/jobs/{id} answers for a long-finished job.
 	RetainJobs int
 	// Runner overrides experiment execution (tests). Nil runs the
 	// registry.
 	Runner Runner
 
 	// DataDir enables persistence: completed result payloads are
-	// written through the in-memory cache to a content-addressed disk
-	// store under this directory, and served from it after a restart.
+	// written through the result memo to a content-addressed disk store
+	// under this directory, and served from it after an eviction or a
+	// restart.
 	// Lifetime jobs checkpoint there and resume automatically at the
 	// next boot if interrupted. Empty keeps the server fully in-memory.
 	DataDir string
@@ -160,14 +162,20 @@ type Config struct {
 	BuildInfo *obs.BuildInfo
 }
 
+// resultBudget bounds the payloads the result memo keeps resident. At a
+// few hundred bytes to ~90 KiB each, it holds every hot key of a
+// read-heavy client many times over, while never-repeated jobs cycle
+// through it instead of growing the heap.
+const resultBudget = 64 << 20
+
 // Server is the experiment service: it validates requests against the
 // experiments registry, deduplicates them through the content-addressed
-// cache (backed by the disk store when DataDir is set), and executes
-// cache leaders on a per-client fair worker pool with admission
+// result memo (backed by the disk store when DataDir is set), and
+// executes memo leaders on a per-client fair worker pool with admission
 // control, bounded retries and panic containment.
 type Server struct {
 	cfg     Config
-	cache   *Cache
+	results *memo.Memo[string, []byte] // result key -> marshaled payload
 	pool    *fairPool
 	store   *store.Store
 	limiter *rateLimiter
@@ -269,7 +277,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		started:   time.Now(),
-		cache:     NewCache(),
+		results:   memo.New[string](resultBudget, func(p []byte) int64 { return int64(cap(p)) }),
 		pool:      newFairPool(cfg.Workers, cfg.QueueDepth),
 		limiter:   newRateLimiter(cfg.Rate, cfg.Burst),
 		backoff:   newBackoffController(),
@@ -358,15 +366,18 @@ func (s *Server) initFleetops() {
 }
 
 // registryRunner is the default Runner: the experiments registry, with
-// lifetime jobs routed through the checkpointed cancellable driver when
-// persistence is on, so a crash or shutdown mid-fleet resumes instead
-// of restarting.
+// lifetime jobs routed through the cancellable driver so a timeout or
+// shutdown stops them mid-fleet. With persistence on they checkpoint to
+// the store, so a crash or shutdown resumes instead of restarting.
 func (s *Server) registryRunner(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
-	if experiment == "lifetime" && s.store != nil {
-		ckpt := s.store.Slot(store.KindJobCheckpoint, ResultKey(experiment, o))
-		return experiments.LifetimeCheckpointed(ctx, o, ckpt, s.cfg.CheckpointEvery)
+	if experiment != "lifetime" {
+		return experiments.Run(experiment, o)
 	}
-	return experiments.Run(experiment, o)
+	var ckpt experiments.Checkpoint
+	if s.store != nil {
+		ckpt = s.store.Slot(store.KindJobCheckpoint, ResultKey(experiment, o))
+	}
+	return experiments.LifetimeCheckpointed(ctx, o, ckpt, s.cfg.CheckpointEvery)
 }
 
 // jobRecord is the record (store.KindJob, named by result key) written
@@ -388,18 +399,29 @@ func (s *Server) removeJob(key string) {
 // recoverInterrupted resubmits every resumable job record found on disk
 // whose result is not already stored: jobs that were queued or running
 // when the previous process died. Lifetime jobs resume from their
-// checkpoints inside the driver. Records that do not decode are
-// quarantined by the store.
+// checkpoints inside the driver. Records that do not decode, or that a
+// submission would refuse (an over-limit record would otherwise crash
+// every boot that replays it), are quarantined by the store.
 func (s *Server) recoverInterrupted() {
 	if s.store == nil {
 		return
 	}
-	var recs []jobRecord
+	type resumable struct {
+		jobRecord
+		o experiments.Options
+	}
+	var recs []resumable
 	s.store.Records(store.KindJob, func(r store.Record) error {
-		var rec jobRecord
-		err := json.Unmarshal(r.Data, &rec)
+		var rec resumable
+		err := json.Unmarshal(r.Data, &rec.jobRecord)
 		if err == nil && rec.Key != r.Name {
 			err = fmt.Errorf("job record key %q stored under %q", rec.Key, r.Name)
+		}
+		if err == nil {
+			err = json.Unmarshal(rec.Options, &rec.o)
+		}
+		if err == nil {
+			_, err = canonicalRequest(rec.Experiment, rec.o)
 		}
 		if err == nil {
 			recs = append(recs, rec)
@@ -411,16 +433,11 @@ func (s *Server) recoverInterrupted() {
 			s.removeJob(rec.Key)
 			continue
 		}
-		var o experiments.Options
-		if err := json.Unmarshal(rec.Options, &o); err != nil {
-			s.logger.Warn("skipping job record with unreadable options", "key", rec.Key, "error", err)
-			continue
-		}
 		client := rec.Client
 		if client == "" {
 			client = "recovery"
 		}
-		job, err := s.submit(client, rec.Experiment, o, "")
+		job, err := s.submit(client, rec.Experiment, rec.o, "")
 		if err != nil {
 			s.logger.Warn("resubmitting interrupted job failed", "key", rec.Key, "error", err)
 			continue
@@ -467,21 +484,33 @@ func (s *Server) Close() {
 	})
 }
 
-// submit registers a job for (experiment, o) and routes it through the
-// cache: completed entries (in memory or on disk) finish the job
-// immediately, in-flight entries attach a waiter, and new keys enqueue
-// a leader on the fair pool under the submitting client. A non-empty
-// sweepID tags the job so its completion streams as a sweep point.
-func (s *Server) submit(client, experiment string, o experiments.Options, sweepID string) (*Job, error) {
+// canonicalRequest validates one request against the registry and the
+// request limits, and reduces its options to the fields the driver
+// consumes (defaults for options-free drivers, fleet knobs dropped for
+// trace-only ones), so every spelling of the same simulation shares
+// one result key.
+func canonicalRequest(experiment string, o experiments.Options) (experiments.Options, error) {
 	spec, ok := experiments.Lookup(experiment)
 	if !ok {
-		return nil, fmt.Errorf("unknown experiment %q (have %s)", experiment, experiments.IDList())
+		return o, fmt.Errorf("unknown experiment %q (have %s)", experiment, experiments.IDList())
 	}
-	// Canonicalize to the fields the driver consumes (defaults for
-	// options-free drivers, fleet knobs dropped for trace-only ones) so
-	// every spelling of the same simulation shares one cache entry.
 	o = spec.CanonicalOptions(o)
+	return o, o.Check()
+}
+
+// submit registers a job for (experiment, o) and routes it through the
+// result memo: completed results (resident, or read through from the
+// disk store) finish the job immediately, in-flight ones attach a
+// waiter, and new keys enqueue a leader on the fair pool under the
+// submitting client. A non-empty sweepID tags the job so its
+// completion streams as a sweep point.
+func (s *Server) submit(client, experiment string, o experiments.Options, sweepID string) (*Job, error) {
+	o, err := canonicalRequest(experiment, o)
+	if err != nil {
+		return nil, err
+	}
 	key := ResultKey(experiment, o)
+	entry, leader, ready := s.results.Acquire(key)
 
 	s.mu.Lock()
 	s.nextID++
@@ -492,6 +521,7 @@ func (s *Server) submit(client, experiment string, o experiments.Options, sweepI
 		Client:     client,
 		ResultKey:  key,
 		State:      StateQueued,
+		CacheHit:   !leader,
 		SweepID:    sweepID,
 	}
 	job.submittedAt = time.Now()
@@ -503,52 +533,46 @@ func (s *Server) submit(client, experiment string, o experiments.Options, sweepI
 	s.queued++
 	s.mu.Unlock()
 
-	entry, leader, ready := s.cache.Acquire(key)
 	switch {
 	case ready:
-		// Served from cache: the payload is resident, the job is done
-		// before the response is written.
+		// Resident: the job is done before the response is written.
 		job.trace.Attr("source", "cache")
-		_, err := entry.Wait()
-		s.finish(job, err, true)
+		s.finish(job, nil, true)
 	case !leader:
 		// In-flight dedup: share the running simulation's outcome.
-		s.setCacheHit(job)
 		job.trace.Phase("follow")
 		go func() {
 			_, err := entry.Wait()
 			s.finish(job, err, true)
 		}()
 	default:
-		if s.store != nil {
-			// Read-through: a result persisted by an earlier process
-			// completes the job without re-simulation.
-			if payload, ok := s.store.Get(key); ok {
-				job.trace.Attr("source", "store")
-				s.cache.Complete(entry, payload, nil)
-				s.finish(job, nil, true)
-				return job, nil
+		// Read-through: a result persisted before an eviction or by an
+		// earlier process completes the job without re-simulation.
+		if payload, ok := s.result(key); ok {
+			job.trace.Attr("source", "store")
+			s.results.Complete(entry, payload, nil)
+			s.finish(job, nil, true)
+			return job, nil
+		}
+		if s.store != nil && experiment == "lifetime" {
+			// Record the job before it runs so a crash mid-run (or while
+			// queued) leaves enough on disk to resume at boot.
+			optJSON, err := json.Marshal(o)
+			var rec []byte
+			if err == nil {
+				rec, err = json.Marshal(jobRecord{Key: key, Experiment: experiment, Options: optJSON, Client: client})
 			}
-			if experiment == "lifetime" {
-				// Record the job before it runs so a crash mid-run (or
-				// while queued) leaves enough on disk to resume at boot.
-				optJSON, err := json.Marshal(o)
-				var rec []byte
-				if err == nil {
-					rec, err = json.Marshal(jobRecord{Key: key, Experiment: experiment, Options: optJSON, Client: client})
-				}
-				if err == nil {
-					err = s.store.PutRecord(store.KindJob, key, rec)
-				}
-				if err != nil {
-					s.logger.Warn("recording resumable job failed", "key", key, "error", err)
-				}
+			if err == nil {
+				err = s.store.PutRecord(store.KindJob, key, rec)
+			}
+			if err != nil {
+				s.logger.Warn("recording resumable job failed", "key", key, "error", err)
 			}
 		}
 		job.trace.Phase("queue-wait")
 		job.enqueuedAt = time.Now()
 		if err := s.pool.submit(client, func() { s.runJob(job, entry) }); err != nil {
-			s.cache.Abandon(entry, err.Error())
+			s.results.Complete(entry, nil, err)
 			s.obs.rejected.Inc()
 			s.finish(job, err, false)
 			return job, err
@@ -565,9 +589,9 @@ var (
 )
 
 // runJob executes a leader job — with retries, timeout and panic
-// containment — persists a successful payload, and completes its cache
+// containment — persists a successful payload, and completes its memo
 // entry.
-func (s *Server) runJob(job *Job, entry *Entry) {
+func (s *Server) runJob(job *Job, entry *memo.Entry[string, []byte]) {
 	s.mu.Lock()
 	job.State = StateRunning
 	s.queued--
@@ -595,7 +619,7 @@ func (s *Server) runJob(job *Job, entry *Entry) {
 		}
 		s.removeJob(job.ResultKey)
 	}
-	s.cache.Complete(entry, payload, err)
+	s.results.Complete(entry, payload, err)
 	s.finish(job, err, false)
 }
 
@@ -750,12 +774,6 @@ func (s *Server) finish(job *Job, err error, cacheHit bool) {
 	}
 }
 
-func (s *Server) setCacheHit(job *Job) {
-	s.mu.Lock()
-	job.CacheHit = true
-	s.mu.Unlock()
-}
-
 // snapshot copies a job under the lock so handlers can marshal it
 // without racing state transitions.
 func (s *Server) snapshot(job *Job) Job {
@@ -823,7 +841,7 @@ type Metrics struct {
 	// because the per-client map hit its bound; omitted while zero so
 	// pre-existing payloads are byte-identical.
 	UntrackedClients uint64       `json:"untracked_clients,omitempty"`
-	Cache            CacheStats   `json:"cache"`
+	Cache            memo.Stats   `json:"cache"`
 	Store            *store.Stats `json:"store,omitempty"`
 	Queue            QueueStatus  `json:"queue"`
 	Workers          int          `json:"workers"`
@@ -911,7 +929,7 @@ func (s *Server) metrics() Metrics {
 	m.UntrackedClients = s.obs.untracked.Value()
 	s.mu.Unlock()
 	m.Jobs.Shed = s.backoff.shedCount()
-	m.Cache = s.cache.Stats()
+	m.Cache = s.results.Stats()
 	if s.store != nil {
 		st := s.store.Stats()
 		m.Store = &st
@@ -1223,23 +1241,22 @@ func jobSeq(id string) uint64 {
 	return n
 }
 
+// result returns key's completed payload: resident in the result memo,
+// or read through from the disk store after an eviction or a restart.
+func (s *Server) result(key string) ([]byte, bool) {
+	if p, ok := s.results.Get(key); ok {
+		return p, true
+	}
+	if s.store == nil {
+		return nil, false
+	}
+	return s.store.Get(key)
+}
+
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	var payload []byte
-	if entry, ok := s.cache.Get(key); ok {
-		p, err := entry.Wait()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		payload = p
-	} else if s.store != nil {
-		// Results from previous processes outlive the in-memory cache.
-		if p, ok := s.store.Get(key); ok {
-			payload = p
-		}
-	}
-	if payload == nil {
+	payload, ok := s.result(key)
+	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no completed result for key %q", key))
 		return
 	}
@@ -1312,12 +1329,32 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("sweep grid has %d points, limit %d", n, maxSweepJobs))
 		return
 	}
-	// Validate the whole grid up front: a bad id must not leave the
-	// valid points already enqueued behind a 400.
+	// Validate the whole grid up front: a bad id or an oversized point
+	// must not leave the valid points already enqueued behind a 400.
+	type point struct {
+		experiment string
+		options    experiments.Options
+	}
+	points := make([]point, 0, n)
 	for _, exp := range req.Experiments {
-		if _, ok := experiments.Lookup(exp); !ok {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("unknown experiment %q (have %s)", exp, experiments.IDList()))
-			return
+		for _, length := range req.TraceLengths {
+			for _, stride := range req.TraceStrides {
+				for _, pop := range req.Populations {
+					for _, sigma := range req.VariationSigmas {
+						for _, yrs := range req.Years {
+							o := experiments.Options{
+								TraceLength: length, TraceStride: stride,
+								Population: pop, VariationSigma: sigma, Years: yrs,
+							}
+							if _, err := canonicalRequest(exp, o); err != nil {
+								writeError(w, http.StatusBadRequest, err)
+								return
+							}
+							points = append(points, point{exp, o})
+						}
+					}
+				}
+			}
 		}
 	}
 	// Admission: a sweep charges one token per grid point, so sweep
@@ -1344,40 +1381,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.sweeps[sweepID] = &sweepTrack{total: n}
 	s.mu.Unlock()
 	s.bus.Touch(sweepTopic(sweepID))
-	var jobs []Job
-	for _, exp := range req.Experiments {
-		for _, length := range req.TraceLengths {
-			for _, stride := range req.TraceStrides {
-				for _, pop := range req.Populations {
-					for _, sigma := range req.VariationSigmas {
-						for _, yrs := range req.Years {
-							job, err := s.submit(client, exp, experiments.Options{
-								TraceLength: length, TraceStride: stride,
-								Population: pop, VariationSigma: sigma, Years: yrs,
-							}, sweepID)
-							if errors.Is(err, errQueueFull) || errors.Is(err, errShuttingDown) {
-								// Report the failed point; the rest of
-								// the grid still enqueues.
-								jobs = append(jobs, s.snapshot(job))
-								continue
-							}
-							if err != nil {
-								// The sweep is dead: untrack it and drop
-								// its topic so the aborted grid does not
-								// leak a stream that never finishes.
-								s.mu.Lock()
-								delete(s.sweeps, sweepID)
-								s.mu.Unlock()
-								s.bus.Drop(sweepTopic(sweepID))
-								writeError(w, http.StatusBadRequest, err)
-								return
-							}
-							jobs = append(jobs, s.snapshot(job))
-						}
-					}
-				}
-			}
-		}
+	jobs := make([]Job, 0, len(points))
+	for _, pt := range points {
+		// A validated point can only be refused for a full queue or a
+		// shutdown; its snapshot reports the failure and the rest of
+		// the grid still enqueues.
+		job, _ := s.submit(client, pt.experiment, pt.options, sweepID)
+		jobs = append(jobs, s.snapshot(job))
 	}
 	writeJSON(w, http.StatusAccepted, map[string]any{
 		"sweep_id": sweepID,

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -108,4 +109,16 @@ func (b *Bank) Bytes() int {
 		n += r.Bytes()
 	}
 	return n
+}
+
+// BankBytes returns what Bytes would report for NewBank(length, stride)
+// without recording anything, so a caller can refuse a bank it cannot
+// hold. stride must be positive; results past the int range saturate at
+// math.MaxInt.
+func BankBytes(length, stride int) int {
+	perUop := (TotalTraces() + stride - 1) / stride * recordedUopBytes
+	if length > math.MaxInt/perUop {
+		return math.MaxInt
+	}
+	return length * perUop
 }

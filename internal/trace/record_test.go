@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -244,6 +245,20 @@ func TestBankMatchesSampleTraces(t *testing.T) {
 		}
 	}()
 	b.SampleSources(stride + 1)
+}
+
+// TestBankBytesMatchesBank checks the size a caller can compute before
+// recording against the bank NewBank actually builds, across strides
+// that divide the 531-trace workload evenly and unevenly.
+func TestBankBytesMatchesBank(t *testing.T) {
+	for _, c := range []struct{ length, stride int }{{1, 1}, {300, 60}, {257, 90}, {64, 531}, {10, 1000}} {
+		if got, want := BankBytes(c.length, c.stride), NewBank(c.length, c.stride).Bytes(); got != want {
+			t.Errorf("BankBytes(%d, %d) = %d, bank holds %d", c.length, c.stride, got, want)
+		}
+	}
+	if got := BankBytes(math.MaxInt/2, 1); got != math.MaxInt {
+		t.Errorf("oversized bank = %d, want saturation at MaxInt", got)
+	}
 }
 
 // TestOperandStreamFromRecordings checks the adder operand path over
