@@ -69,19 +69,18 @@ func BenchmarkFig5AdderGuardband(b *testing.B) {
 	b.ReportMetric(gb*100, "guardband%")
 }
 
-// BenchmarkFig6RegfileBias runs the ISV register-file mechanism through
-// the pipeline and reports the worst-case integer bias (paper: 48.5%).
-// The trace is recorded once and replayed per iteration — the sweep
-// shape every multi-config experiment now has.
+// BenchmarkFig6RegfileBias runs the register files with ISV off and on
+// through one shared timing pass, the Figure 6 sweep shape, and reports
+// the worst-case integer bias with ISV (paper: 48.5%). The trace is
+// recorded once and replayed per iteration.
 func BenchmarkFig6RegfileBias(b *testing.B) {
-	cfg := pipeline.DefaultConfig()
-	cfg.EnableISV = true
-	src := trace.Record(trace.SpecINT2000, 1, 8000).Cursor()
+	variants := []pipeline.Mitigation{{}, {EnableISV: true}}
+	src := []trace.Source{trace.Record(trace.SpecINT2000, 1, 8000).Cursor()}
 	var worst float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := pipeline.Run(cfg, src)
-		worst = r.IntRF.WorstBias
+		r := pipeline.RunVariants(pipeline.DefaultConfig(), variants, src, 1)
+		worst = r[1][0].IntRF.WorstBias
 	}
 	b.ReportMetric(worst*100, "worstbias%")
 }

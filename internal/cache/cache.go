@@ -254,11 +254,16 @@ func newCache(name string, sets, ways int, shift uint, opt Options) *Cache {
 		opt:       opt,
 		lines:     make([]line, sets*ways),
 		order:     make([]uint8, sets*ways),
-		rng:       rand.New(rand.NewSource(opt.Seed + 1)),
 		setMask:   uint64(sets - 1),
 		active:    opt.Scheme != SchemeNone,
 	}
 	c.stats.HitWayRank = make([]uint64, ways)
+	if c.lineScheme() {
+		// Only the line-granularity schemes draw random numbers (initial
+		// inversion, maintenance and the dynamic monitor's shadow lines),
+		// and seeding a source is a measurable share of a short run.
+		c.rng = rand.New(rand.NewSource(opt.Seed + 1))
+	}
 	for s := 0; s < sets; s++ {
 		for w := 0; w < ways; w++ {
 			c.order[s*ways+w] = uint8(w)

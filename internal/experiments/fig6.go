@@ -31,8 +31,8 @@ type Fig6Result struct {
 
 // Fig6 runs the workload through the pipeline with the register-file ISV
 // mechanism off and on, aggregating per-bit bias across traces. The
-// workload comes from the shared recording bank; both sweeps replay the
-// same recorded streams.
+// workload comes from the shared recording bank; one timing pass per
+// recorded stream serves both settings.
 func Fig6(o Options) Fig6Result {
 	o = o.normalized()
 	return fig6(o.sources())
@@ -42,21 +42,18 @@ func Fig6(o Options) Fig6Result {
 // equivalence tests can feed it generator-backed sources and require
 // bit-identical results to the recorded path.
 func fig6(traces []trace.Source) Fig6Result {
-	baseCfg := pipeline.DefaultConfig()
-	isvCfg := pipeline.DefaultConfig()
-	isvCfg.EnableISV = true
-
 	var res Fig6Result
 	res.IntBaseline = make([]float64, 32)
 	res.IntISV = make([]float64, 32)
 	res.FPBaseline = make([]float64, 80)
 	res.FPISV = make([]float64, 80)
 	n := 0
-	// Both sweeps fan out over the worker pool; accumulation stays in
-	// trace order so the aggregated floats are bit-identical to a serial
-	// run.
-	baseRes := pipeline.RunBatch(baseCfg, traces, 0)
-	isvRes := pipeline.RunBatch(isvCfg, traces, 0)
+	// One timing pass per trace feeds both register-file variants; the
+	// runs fan out over the worker pool, and accumulation stays in trace
+	// order so the aggregated floats are bit-identical to a serial run.
+	runs := pipeline.RunVariants(pipeline.DefaultConfig(),
+		[]pipeline.Mitigation{{}, {EnableISV: true}}, traces, 0)
+	baseRes, isvRes := runs[0], runs[1]
 	for ti := range traces {
 		b, i := baseRes[ti], isvRes[ti]
 		for k := 0; k < 32; k++ {

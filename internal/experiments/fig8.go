@@ -23,7 +23,8 @@ type Fig8Result struct {
 // Fig8 profiles the scheduler on a slice of the workload to build the
 // per-field technique plan (the paper profiles K on 100 of the 531
 // traces), then evaluates baseline and protected schedulers on the
-// remaining traces. All three sweeps replay the shared recording bank.
+// remaining traces in one shared timing pass. Both sweeps replay the
+// shared recording bank.
 func Fig8(o Options) Fig8Result {
 	o = o.normalized()
 	return fig8(o.sources())
@@ -37,34 +38,23 @@ func fig8(traces []trace.Source) Fig8Result {
 	if profileN < 1 {
 		profileN = 1
 	}
-	base := pipeline.DefaultConfig()
-	profile := aggregateSchedReports(base, traces[:profileN])
-	plan := sched.BuildPlan(profile)
-
-	prot := pipeline.DefaultConfig()
-	prot.SchedPlan = plan
-
+	cfg := pipeline.DefaultConfig()
+	plan := sched.BuildPlan(meanSchedReports(pipeline.RunBatch(cfg, traces[:profileN], 0)))
+	eval := pipeline.RunVariants(cfg, []pipeline.Mitigation{{}, {SchedPlan: plan}}, traces[profileN:], 0)
 	res := Fig8Result{
 		Plan:      plan,
-		Baseline:  aggregateSchedReports(base, traces[profileN:]),
-		Protected: aggregateSchedReports(prot, traces[profileN:]),
+		Baseline:  meanSchedReports(eval[0]),
+		Protected: meanSchedReports(eval[1]),
 	}
 	res.WorstBaseline = res.Baseline.WorstBias()
 	res.WorstProtected = res.Protected.WorstBias()
 	return res
 }
 
-// aggregateSchedReports averages scheduler field reports across traces
-// run on fresh cores. The runs fan out over the batch runner; the
-// averaging happens in trace order, keeping the floats bit-identical to
-// a serial sweep.
-func aggregateSchedReports(cfg pipeline.Config, traces []trace.Source) sched.Report {
-	return meanSchedReports(pipeline.RunBatch(cfg, traces, 0))
-}
-
 // meanSchedReports averages the scheduler reports of already-run
-// pipeline results, in result order. Shared between Fig 8 and the fleet
-// duty profiler, which reuses one batch of results for several
+// pipeline results. The averaging happens in result order, keeping the
+// floats bit-identical to a serial sweep. Shared between Fig 8 and the
+// fleet duty profiler, which reuses one batch of results for several
 // structures.
 func meanSchedReports(results []pipeline.Result) sched.Report {
 	var agg sched.Report

@@ -39,8 +39,8 @@ func (o Options) fleetDuties() []StructureDuty {
 	}))
 }
 
-// measureFleetDuties runs the workload through the pipeline twice —
-// mitigations off and on — and distills each structure's worst-case
+// measureFleetDuties runs the workload through the pipeline with
+// mitigations off and on and distills each structure's worst-case
 // stress duty from the pipeline statistics: the per-trace-averaged
 // worst cell bias for the register files and scheduler (ISV and the
 // Fig 8 field plan are the mitigations), and the worst PMOS effective
@@ -49,20 +49,21 @@ func (o Options) fleetDuties() []StructureDuty {
 // §4.3). Duties feed lifetime.Phase directly.
 func measureFleetDuties(o Options) []StructureDuty {
 	traces := o.sources()
-	baseCfg := pipeline.DefaultConfig()
-	baseRes := pipeline.RunBatch(baseCfg, traces, 0)
+	cfg := pipeline.DefaultConfig()
 
 	// The scheduler plan is profiled on the first fifth of the
-	// workload, like Fig 8.
+	// workload, like Fig 8, so that slice runs its baseline first. The
+	// rest of the workload runs baseline and Penelope in one timing pass.
 	profileN := len(traces) / 5
 	if profileN < 1 {
 		profileN = 1
 	}
-	plan := sched.BuildPlan(meanSchedReports(baseRes[:profileN]))
-	penCfg := pipeline.DefaultConfig()
-	penCfg.EnableISV = true
-	penCfg.SchedPlan = plan
-	penRes := pipeline.RunBatch(penCfg, traces, 0)
+	baseRes := pipeline.RunBatch(cfg, traces[:profileN], 0)
+	pen := pipeline.Mitigation{EnableISV: true, SchedPlan: sched.BuildPlan(meanSchedReports(baseRes))}
+	penRes := pipeline.RunVariants(cfg, []pipeline.Mitigation{pen}, traces[:profileN], 0)[0]
+	rest := pipeline.RunVariants(cfg, []pipeline.Mitigation{{}, pen}, traces[profileN:], 0)
+	baseRes = append(baseRes, rest[0]...)
+	penRes = append(penRes, rest[1]...)
 
 	mean := func(res []pipeline.Result, pick func(pipeline.Result) float64) float64 {
 		sum := 0.0

@@ -10,38 +10,65 @@ import (
 
 // RunBatch runs every source through an independent core built from cfg,
 // fanning the work out over a pool of workers, and returns the results in
-// source order. Each Run is completely independent — cores share no state
-// and sources are deterministic streams — so the result slice is
-// bit-identical to calling Run serially on each source, regardless of the
-// worker count or scheduling order.
+// source order. It is RunVariants with cfg's own mitigation as the one
+// variant.
+func RunBatch(cfg Config, sources []trace.Source, workers int) []Result {
+	return RunVariants(cfg, []Mitigation{cfg.mitigation()}, sources, workers)[0]
+}
+
+// RunVariants runs every source once through a core built from cfg and
+// reports it under each mitigation variant: out[v][i] is the Result of
+// sources[i] with cfg's EnableISV and SchedPlan replaced by variants[v].
+// One timing pass per source drives a register-file pair per distinct
+// ISV setting and a scheduler per distinct plan (compared by pointer).
+// Mitigations never change timing, so every Result is bit-identical to
+// running that variant's config alone. Options that do change timing,
+// such as the cache schemes, need separate runs.
+//
+// The runs fan out over a pool of workers and land in source order.
+// Each core is completely independent — cores share no state and sources
+// are deterministic streams — so the results are bit-identical to a
+// serial sweep, regardless of the worker count or scheduling order.
 //
 // workers <= 0 uses GOMAXPROCS. Sources are stateful streams, so the
 // parallel path gives every job its own Fork: replay cursors fork into
 // fresh cursors over the one shared immutable recording (no copy, no
 // re-synthesis), generator traces fork into independent generators. The
 // same source may therefore appear any number of times in the slice.
-func RunBatch(cfg Config, sources []trace.Source, workers int) []Result {
+func RunVariants(cfg Config, variants []Mitigation, sources []trace.Source, workers int) [][]Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	results := make([]Result, len(sources))
-	if len(sources) == 0 {
+	n := len(sources)
+	flat := make([]Result, len(variants)*n)
+	results := make([][]Result, len(variants))
+	for v := range results {
+		results[v] = flat[v*n : (v+1)*n : (v+1)*n]
+	}
+	if n == 0 || len(variants) == 0 {
 		return results
+	}
+	simulate := func(i int, src trace.Source) {
+		c := newCore(cfg, variants)
+		c.run(src)
+		for v, m := range variants {
+			results[v][i] = c.result(m)
+		}
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(sources) {
-		workers = len(sources)
+	if workers > n {
+		workers = n
 	}
 	if workers == 1 {
 		for i, src := range sources {
-			results[i] = Run(cfg, src)
+			simulate(i, src)
 		}
 		return results
 	}
 
-	jobs := make([]trace.Source, len(sources))
+	jobs := make([]trace.Source, n)
 	for i, src := range sources {
 		jobs[i] = src.Fork()
 	}
@@ -57,7 +84,7 @@ func RunBatch(cfg Config, sources []trace.Source, workers int) []Result {
 				if i >= len(jobs) {
 					return
 				}
-				results[i] = Run(cfg, jobs[i])
+				simulate(i, jobs[i])
 			}
 		}()
 	}

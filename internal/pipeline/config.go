@@ -83,6 +83,22 @@ type Config struct {
 	RedirectPenalty int
 }
 
+// Mitigation is the part of a Config that changes what register-file
+// and scheduler cells store but never when anything happens: ISV and
+// scheduler repair writes only use leftover write and allocate ports,
+// and a repair write that finds no free port is dropped (§4.4, §4.5).
+// Runs that differ only in their Mitigation therefore share one timing
+// pass (RunVariants).
+type Mitigation struct {
+	EnableISV bool
+	SchedPlan *sched.Plan
+}
+
+// mitigation returns the Mitigation a Config selects.
+func (c Config) mitigation() Mitigation {
+	return Mitigation{EnableISV: c.EnableISV, SchedPlan: c.SchedPlan}
+}
+
 // DefaultConfig returns the Core-like configuration used throughout the
 // reproduction: 4-wide, 96-entry ROB, 32-entry scheduler, 128-entry
 // register files, 32KB 8-way DL0, 128-entry 8-way DTLB.

@@ -29,17 +29,21 @@ type Result struct {
 	AdderUtilMean float64
 }
 
-// core is the running state of one simulation.
+// core is the running state of one simulation. One timing core drives a
+// register-file pair per distinct ISV setting and a scheduler per
+// distinct plan among its variants. The copies see the same operations
+// in the same order and differ only in stored contents, so their free
+// lists agree and the first copy answers every timing question.
 type core struct {
 	cfg   Config
 	w     wheel
 	cycle uint64
 
-	intRF *regfile.File
-	fpRF  *regfile.File
-	sch   *sched.Scheduler
-	dl0   *cache.Cache
-	dtlb  *cache.Cache
+	intRFs []*regfile.File
+	fpRFs  []*regfile.File
+	schs   []*sched.Scheduler
+	dl0    *cache.Cache
+	dtlb   *cache.Cache
 
 	intRAT [trace.NumIntRegs]int
 	fpRAT  [trace.NumFPRegs]int
@@ -63,6 +67,9 @@ type core struct {
 	allocThis       int
 	allocCycle      uint64
 	frontStallUntil uint64
+
+	traceName string // the source's name
+	end       uint64 // cycles simulated, set when the run finishes
 }
 
 // Run simulates one uop source through a core built from cfg and returns
@@ -75,23 +82,16 @@ func Run(cfg Config, src trace.Source) Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	src.Reset()
+	m := cfg.mitigation()
+	c := newCore(cfg, []Mitigation{m})
+	c.run(src)
+	return c.result(m)
+}
+
+// newCore builds a core whose structures serve every variant.
+func newCore(cfg Config, variants []Mitigation) *core {
 	c := &core{
-		cfg: cfg,
-		intRF: regfile.New(regfile.Config{
-			Name: "int", Entries: cfg.IntRegs, Bits: 32,
-			WritePorts: cfg.IntWritePorts, RINVPeriod: cfg.RINVPeriod,
-			EnableISV: cfg.EnableISV,
-		}),
-		fpRF: regfile.New(regfile.Config{
-			Name: "fp", Entries: cfg.FPRegs, Bits: 80,
-			WritePorts: cfg.FPWritePorts, RINVPeriod: cfg.RINVPeriod,
-			EnableISV: cfg.EnableISV,
-		}),
-		sch: sched.New(sched.Config{
-			Entries: cfg.SchedEntries, AllocPorts: cfg.AllocPorts,
-			RINVPeriod: cfg.RINVPeriod, Plan: cfg.SchedPlan,
-		}),
+		cfg:       cfg,
 		dl0:       cache.New("DL0", cfg.DL0Bytes, cfg.DL0Line, cfg.DL0Ways, cfg.DL0Options),
 		dtlb:      cache.NewTLB("DTLB", cfg.DTLBEntries, cfg.DTLBWays, cfg.PageBytes, cfg.DTLBOptions),
 		ready:     make([]uint64, cfg.IntRegs),
@@ -100,17 +100,64 @@ func Run(cfg Config, src trace.Source) Result {
 		adderFree: make([]uint64, cfg.NumAdders),
 		adderBusy: make([]uint64, cfg.NumAdders),
 	}
+	for _, m := range variants {
+		if c.regfiles(m) < 0 {
+			c.intRFs = append(c.intRFs, regfile.New(regfile.Config{
+				Name: "int", Entries: cfg.IntRegs, Bits: 32,
+				WritePorts: cfg.IntWritePorts, RINVPeriod: cfg.RINVPeriod,
+				EnableISV: m.EnableISV,
+			}))
+			c.fpRFs = append(c.fpRFs, regfile.New(regfile.Config{
+				Name: "fp", Entries: cfg.FPRegs, Bits: 80,
+				WritePorts: cfg.FPWritePorts, RINVPeriod: cfg.RINVPeriod,
+				EnableISV: m.EnableISV,
+			}))
+		}
+		if c.scheduler(m) < 0 {
+			c.schs = append(c.schs, sched.New(sched.Config{
+				Entries: cfg.SchedEntries, AllocPorts: cfg.AllocPorts,
+				RINVPeriod: cfg.RINVPeriod, Plan: m.SchedPlan,
+			}))
+		}
+	}
 	c.w.handler = c.fire
+	return c
+}
+
+// regfiles returns the index of the register-file pair serving m, or -1.
+func (c *core) regfiles(m Mitigation) int {
+	for i, f := range c.intRFs {
+		if f.Config().EnableISV == m.EnableISV {
+			return i
+		}
+	}
+	return -1
+}
+
+// scheduler returns the index of the scheduler serving m, or -1.
+func (c *core) scheduler(m Mitigation) int {
+	for i, s := range c.schs {
+		if s.Config().Plan == m.SchedPlan {
+			return i
+		}
+	}
+	return -1
+}
+
+// run resets src and simulates it to the end, closing all accounting.
+func (c *core) run(src trace.Source) {
+	src.Reset()
+	c.traceName = src.Name()
 	// Architectural state: allocate and zero-fill the committed
 	// registers at cycle 0 (the cold-start state §4.4 mentions).
 	for i := 0; i < trace.NumIntRegs; i++ {
-		r, _ := c.intRF.Allocate(0)
-		c.intRF.Write(r, 0, 0, 0)
+		r := allocate(c.intRFs, 0)
+		write(c.intRFs, r, 0, 0, 0)
 		c.intRAT[i] = r
 	}
 	for i := 0; i < trace.NumFPRegs; i++ {
-		r, _ := c.fpRF.Allocate(0)
-		c.fpRF.Write(r, 0, 0, 0)
+		r := allocate(c.fpRFs, 0)
+		write(c.fpRFs, r, 0, 0, 0)
 		c.fpRAT[i] = r
 	}
 
@@ -125,18 +172,27 @@ func Run(cfg Config, src trace.Source) Result {
 	if end < c.cycle {
 		end = c.cycle
 	}
-	end++
-	c.intRF.Finish(end)
-	c.fpRF.Finish(end)
-	c.sch.Finish(end)
+	c.end = end + 1
+	for i := range c.intRFs {
+		c.intRFs[i].Finish(c.end)
+		c.fpRFs[i].Finish(c.end)
+	}
+	for _, s := range c.schs {
+		s.Finish(c.end)
+	}
+}
 
+// result reports a finished run as seen by variant m.
+func (c *core) result(m Mitigation) Result {
+	rf, sch := c.regfiles(m), c.scheduler(m)
+	end := c.end
 	res := Result{
-		Trace:  src.Name(),
+		Trace:  c.traceName,
 		Uops:   c.dispatched,
 		Cycles: end,
-		IntRF:  c.intRF.Report(),
-		FPRF:   c.fpRF.Report(),
-		Sched:  c.sch.Report(),
+		IntRF:  c.intRFs[rf].Report(),
+		FPRF:   c.fpRFs[rf].Report(),
+		Sched:  c.schs[sch].Report(),
 	}
 	if c.dispatched > 0 {
 		res.CPI = float64(end) / float64(c.dispatched)
@@ -148,14 +204,35 @@ func Run(cfg Config, src trace.Source) Result {
 	res.DL0MRUHits = res.DL0Stats.MRUHitFraction(0)
 	res.DL0Inverted = res.DL0Stats.AvgInvertedFraction(c.dl0.Lines())
 	res.DTLBInverted = res.DTLBStats.AvgInvertedFraction(c.dtlb.Lines())
-	res.AdderUtil = make([]float64, cfg.NumAdders)
+	res.AdderUtil = make([]float64, c.cfg.NumAdders)
 	var sum float64
 	for i, busy := range c.adderBusy {
 		res.AdderUtil[i] = float64(busy) / float64(end)
 		sum += res.AdderUtil[i]
 	}
-	res.AdderUtilMean = sum / float64(cfg.NumAdders)
+	res.AdderUtilMean = sum / float64(c.cfg.NumAdders)
 	return res
+}
+
+// allocate claims the same register in every copy of a register file.
+func allocate(files []*regfile.File, cycle uint64) int {
+	reg, _ := files[0].Allocate(cycle)
+	for _, f := range files[1:] {
+		f.Allocate(cycle)
+	}
+	return reg
+}
+
+func write(files []*regfile.File, reg int, value, ext, cycle uint64) {
+	for _, f := range files {
+		f.Write(reg, value, ext, cycle)
+	}
+}
+
+func release(files []*regfile.File, reg int, cycle uint64) {
+	for _, f := range files {
+		f.Release(reg, cycle)
+	}
 }
 
 // advanceTo moves the core clock forward, firing pending events.
@@ -195,7 +272,7 @@ func (c *core) dispatchUop(u *trace.Uop) {
 	// are available.
 	for {
 		c.w.fireUpTo(c.cycle)
-		if c.sch.FreeSlots() == 0 || c.robCount >= c.cfg.ROB || !c.destAvailable(u) {
+		if c.schs[0].FreeSlots() == 0 || c.robCount >= c.cfg.ROB || !c.destAvailable(u) {
 			next := c.w.nextTime()
 			if next == ^uint64(0) {
 				c.advanceTo(c.cycle + 1)
@@ -223,11 +300,11 @@ func (c *core) dispatchUop(u *trace.Uop) {
 	dstPhys, prevPhys := -1, -1
 	if u.Dst >= 0 {
 		if u.Class.IsFP() {
-			dstPhys, _ = c.fpRF.Allocate(dispatch)
+			dstPhys = allocate(c.fpRFs, dispatch)
 			prevPhys = c.fpRAT[u.Dst]
 			c.fpRAT[u.Dst] = dstPhys
 		} else {
-			dstPhys, _ = c.intRF.Allocate(dispatch)
+			dstPhys = allocate(c.intRFs, dispatch)
 			prevPhys = c.intRAT[u.Dst]
 			c.intRAT[u.Dst] = dstPhys
 		}
@@ -296,9 +373,12 @@ func (c *core) dispatchUop(u *trace.Uop) {
 	// scheduling loop; later ones come over the bypass network.
 	d := sched.FromUop(u, dstPhys, src1Phys, src2Phys, src1Ready <= dispatch+2, src2Ready <= dispatch+2)
 	d.Port = port
-	slot, ok := c.sch.Dispatch(&d, dispatch)
+	slot, ok := c.schs[0].Dispatch(&d, dispatch)
 	if !ok {
 		panic("pipeline: scheduler slot vanished")
+	}
+	for _, s := range c.schs[1:] {
+		s.Dispatch(&d, dispatch)
 	}
 	c.w.at(issue, eventRec{kind: evIssue, arg: int32(slot)})
 	// Memory uops hand over to the MOB once their address generation
@@ -348,25 +428,29 @@ func (c *core) dispatchUop(u *trace.Uop) {
 func (c *core) fire(r eventRec) {
 	switch r.kind {
 	case evIssue:
-		c.sch.MarkReady(int(r.arg), true, true, r.time)
-		c.sch.Issue(int(r.arg), r.time)
+		for _, s := range c.schs {
+			s.MarkReady(int(r.arg), true, true, r.time)
+			s.Issue(int(r.arg), r.time)
+		}
 	case evRelease:
-		c.sch.Release(int(r.arg), r.time)
+		for _, s := range c.schs {
+			s.Release(int(r.arg), r.time)
+		}
 	case evWriteInt:
-		c.intRF.Write(int(r.arg), r.val, 0, r.time)
+		write(c.intRFs, int(r.arg), r.val, 0, r.time)
 	case evWriteFP:
-		c.fpRF.Write(int(r.arg), r.val, uint64(r.ext), r.time)
+		write(c.fpRFs, int(r.arg), r.val, uint64(r.ext), r.time)
 	case evRetireInt:
 		c.robCount--
 		if r.arg >= 0 {
 			c.ready[r.arg] = 0
-			c.intRF.Release(int(r.arg), r.time)
+			release(c.intRFs, int(r.arg), r.time)
 		}
 	case evRetireFP:
 		c.robCount--
 		if r.arg >= 0 {
 			c.fready[r.arg] = 0
-			c.fpRF.Release(int(r.arg), r.time)
+			release(c.fpRFs, int(r.arg), r.time)
 		}
 	}
 }
@@ -378,9 +462,9 @@ func (c *core) destAvailable(u *trace.Uop) bool {
 		return true
 	}
 	if u.Class.IsFP() {
-		return c.fpRF.FreeCount() > 0
+		return c.fpRFs[0].FreeCount() > 0
 	}
-	return c.intRF.FreeCount() > 0
+	return c.intRFs[0].FreeCount() > 0
 }
 
 // lookupSrc renames a source register, returning its physical tag and

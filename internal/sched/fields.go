@@ -127,48 +127,44 @@ type Dispatch struct {
 	Opcode   uint16
 }
 
-// fieldValue extracts the stored bit pattern for a field from a dispatch.
-func fieldValue(d *Dispatch, id FieldID) uint64 {
-	switch id {
-	case FieldValid:
-		return 1
-	case FieldLatency:
-		return uint64(d.Latency) & 0x1F
-	case FieldPort:
-		return 1 << uint(d.Port) & 0x1F
-	case FieldTaken:
-		return b2u(d.Taken)
-	case FieldMOBid:
-		return uint64(d.MOBid) & 0x3F
-	case FieldTOS:
-		return uint64(d.TOS) & 0x7
-	case FieldFlags:
-		return uint64(d.Flags) & 0x3F
-	case FieldShift1:
-		return b2u(d.Shift1)
-	case FieldShift2:
-		return b2u(d.Shift2)
-	case FieldDSTTag:
-		return uint64(clampTag(d.DstTag))
-	case FieldSRC1Tag:
-		return uint64(clampTag(d.Src1Tag))
-	case FieldSRC2Tag:
-		return uint64(clampTag(d.Src2Tag))
-	case FieldReady1:
-		return b2u(d.Ready1)
-	case FieldReady2:
-		return b2u(d.Ready2)
-	case FieldSRC1Data:
-		return d.Src1Data & 0xFFFFFFFF
-	case FieldSRC2Data:
-		return d.Src2Data & 0xFFFFFFFF
-	case FieldImm:
-		return d.Imm & 0xFFFF
-	case FieldOpcode:
-		return uint64(d.Opcode) & 0xFFF
-	default:
-		panic("sched: unknown field")
-	}
+// fieldMask is the set of every field, one bit per FieldID.
+const fieldMask = 1<<NumFields - 1
+
+// fields extracts the stored bit pattern of every field from a dispatch,
+// plus the set of fields the uop writes. Conditional fields are only
+// written when the uop actually uses them: uncaptured operands arrive
+// over the bypass, and uops without an immediate, a MOB slot or a
+// register operand leave those cells alone ("they remain unused beyond
+// the allocation or are not used at all", §4.5).
+func (d *Dispatch) fields() (v [NumFields]uint64, live uint32) {
+	v[FieldValid] = 1
+	v[FieldLatency] = uint64(d.Latency) & 0x1F
+	v[FieldPort] = 1 << uint(d.Port) & 0x1F
+	v[FieldTaken] = b2u(d.Taken)
+	v[FieldMOBid] = uint64(d.MOBid) & 0x3F
+	v[FieldTOS] = uint64(d.TOS) & 0x7
+	v[FieldFlags] = uint64(d.Flags) & 0x3F
+	v[FieldShift1] = b2u(d.Shift1)
+	v[FieldShift2] = b2u(d.Shift2)
+	v[FieldDSTTag] = clampTag(d.DstTag)
+	v[FieldSRC1Tag] = clampTag(d.Src1Tag)
+	v[FieldSRC2Tag] = clampTag(d.Src2Tag)
+	v[FieldReady1] = b2u(d.Ready1)
+	v[FieldReady2] = b2u(d.Ready2)
+	v[FieldSRC1Data] = d.Src1Data & 0xFFFFFFFF
+	v[FieldSRC2Data] = d.Src2Data & 0xFFFFFFFF
+	v[FieldImm] = d.Imm & 0xFFFF
+	v[FieldOpcode] = uint64(d.Opcode) & 0xFFF
+	live = fieldMask &^ (1<<FieldSRC1Data | 1<<FieldSRC2Data | 1<<FieldImm |
+		1<<FieldMOBid | 1<<FieldDSTTag | 1<<FieldSRC1Tag | 1<<FieldSRC2Tag)
+	live |= uint32(b2u(d.Ready1 && d.HasSrc1)) << FieldSRC1Data
+	live |= uint32(b2u(d.Ready2 && d.HasSrc2 && !d.HasImm)) << FieldSRC2Data
+	live |= uint32(b2u(d.HasImm)) << FieldImm
+	live |= uint32(b2u(d.MemUop)) << FieldMOBid
+	live |= uint32(b2u(d.HasDst)) << FieldDSTTag
+	live |= uint32(b2u(d.HasSrc1)) << FieldSRC1Tag
+	live |= uint32(b2u(d.HasSrc2)) << FieldSRC2Tag
+	return v, live
 }
 
 func b2u(b bool) uint64 {
@@ -178,9 +174,9 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-func clampTag(t int) int {
+func clampTag(t int) uint64 {
 	if t < 0 {
 		return 0
 	}
-	return t & 0x7F
+	return uint64(t) & 0x7F
 }

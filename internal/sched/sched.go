@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 
 	"penelope/internal/mitigation"
 	"penelope/internal/stats"
@@ -82,26 +83,38 @@ type kRepairBit struct {
 // and 2·2¹²·8 B = 64 KB per scheduler keeps the tables cheap to zero.
 const valueTableBits = 12
 
-// fieldRun is the pending accounting run of one (slot, field) pair: the
-// cycles accrued under the field's current value, split by the busy-live
-// state they were observed in.
-type fieldRun struct {
-	last uint64 // cycle the pending segment starts
-	busy uint64 // pending busy-live cycles under the current value
-	free uint64 // pending free cycles under the current value
-}
-
+// entry is one reservation-station slot and its bias accounting state.
+//
+// Busy/free state changes per slot, not per field: a dispatch makes the
+// written fields live at once, and only the release (and, for the data
+// fields, the issue) ends that. So the slot keeps one live mask and the
+// cycle it went live, and each field keeps a value-run: the cycle its
+// current value was stored and the busy-live cycles credited to the run
+// so far. Issue and Release credit the elapsed live segment to the fields
+// that die; a value change expands the run with free time derived as
+// run length minus busy time.
 type entry struct {
 	busy   bool
 	issued bool
+	// live is a bitset over fields holding meaningful data: data-capture
+	// fields are live only when the operand was captured at dispatch and
+	// die at issue; the MOB id is live only for memory uops.
+	live uint32
+	// since is the dispatch cycle: the start of the live segment of
+	// every field in live.
+	since  uint64
 	values [NumFields]uint64
-	// live marks fields holding meaningful data: data-capture fields
-	// are live only when the operand was captured at dispatch and die
-	// at issue; the MOB id is live only for memory uops.
-	live [NumFields]bool
-	// invContent marks fields currently holding RINV-inverted repair
-	// contents (meaningful while free; cleared when real data arrives).
-	invContent [NumFields]bool
+	// runStart[f] is the cycle the current value of f was stored;
+	// runBusy[f] the busy-live cycles credited to that run. While f is
+	// live, runBusy[f] is offset by minus the part of the live segment
+	// that precedes the run, modulo 2⁶⁴, so crediting the whole segment
+	// at issue or release stays exact.
+	runStart [NumFields]uint64
+	runBusy  [NumFields]uint64
+	// inverted is a bitset over fields currently holding RINV-inverted
+	// repair contents (meaningful while free; cleared when real data
+	// arrives).
+	inverted uint32
 }
 
 // isvClock implements the timestamp rule of §3.2.2: entries are written
@@ -139,19 +152,14 @@ type Scheduler struct {
 	freeList []int
 	freeHead int
 
-	// Per-field aggregated bias trackers. runs[slot][f] carries the
-	// pending value-run of (slot, f): the busy-live and free cycles the
-	// field has accrued under its current value since the last expansion.
-	// State transitions (dispatch, issue, release) merely move the
-	// boundary between the two pending counters; the run is expanded into
-	// the bias tracker only when the stored value actually changes, so a
-	// field that keeps its contents across whole lifecycles — latencies,
-	// flags, stale data — is accounted as one long interval instead of
-	// one per event. The totals are identical (Observe is additive over
-	// equal-value intervals) and the per-bit expansion runs a fraction as
-	// often.
+	// Per-field aggregated bias trackers. A field's value-run (see entry)
+	// is expanded into its tracker only when the stored value actually
+	// changes, so a field that keeps its contents across whole
+	// lifecycles — latencies, flags, stale data — is accounted as one
+	// long interval instead of one per event. The totals are identical
+	// (Observe is additive over equal-value intervals) and the per-bit
+	// expansion runs a fraction as often.
 	bias [NumFields]*stats.BitBias
-	runs [][NumFields]fieldRun
 	// valueTime[f] aggregates expanded runs per stored value for narrow
 	// fields (width ≤ valueTableBits): slot 2v holds busy time, 2v+1
 	// free time. Narrow fields cycle through a handful of values
@@ -205,7 +213,6 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		cfg:       cfg,
 		entries:   make([]entry, cfg.Entries),
-		runs:      make([][NumFields]fieldRun, cfg.Entries),
 		occ:       stats.NewOccupancy(cfg.Entries),
 		dataOcc:   stats.NewOccupancy(cfg.Entries),
 		portStats: stats.NewUtilization(cfg.AllocPorts),
@@ -312,61 +319,44 @@ func (s *Scheduler) takePort(cycle uint64, repair bool) bool {
 	return true
 }
 
-// touchField closes the current segment of (slot, field) at cycle,
-// crediting it to the pending busy or free counter of the field's
-// value-run. Callers invoke it just before a busy/live state change;
-// the per-bit expansion is deferred until the value itself changes.
-func (s *Scheduler) touchField(slot int, f FieldID, cycle uint64) {
-	r := &s.runs[slot][f]
-	if cycle <= r.last {
-		return
+// credit closes the live segment of the fields in dead: they held live
+// data from the dispatch cycle until cycle.
+func (e *entry) credit(dead uint32, cycle uint64) {
+	dt := cycle - e.since
+	for m := dead; m != 0; m &= m - 1 {
+		e.runBusy[bits.TrailingZeros32(m)] += dt
 	}
-	dt := cycle - r.last
-	e := &s.entries[slot]
-	if e.busy && e.live[f] {
-		r.busy += dt
-	} else {
-		r.free += dt
-	}
-	r.last = cycle
 }
 
-// flushField expands the pending value-run of (slot, field) into the
-// field's value table (narrow fields) or bias tracker (wide fields).
-// Callers invoke it just before a mutation that changes the stored
-// value; state-only mutations use touchField and let the run keep
-// accruing.
+// flushField expands the value-run of (slot, field) into the field's
+// value table (narrow fields) or bias tracker (wide fields) and starts a
+// new run at cycle. Callers invoke it just before a mutation that
+// changes the stored value.
 func (s *Scheduler) flushField(slot int, f FieldID, cycle uint64) {
-	s.touchField(slot, f, cycle)
-	r := &s.runs[slot][f]
-	if r.busy == 0 && r.free == 0 {
-		return
+	e := &s.entries[slot]
+	busy := e.runBusy[f]
+	e.runBusy[f] = 0
+	if e.live>>f&1 != 0 {
+		busy += cycle - e.since
+		e.runBusy[f] = e.since - cycle
 	}
-	v := s.entries[slot].values[f]
+	free := cycle - e.runStart[f] - busy
+	e.runStart[f] = cycle
+	v := e.values[f]
 	if t := s.valueTime[f]; t != nil {
-		t[2*v] += r.busy
-		t[2*v+1] += r.free
-		r.busy, r.free = 0, 0
+		t[2*v] += busy
+		t[2*v+1] += free
 		return
 	}
-	if r.busy > 0 {
-		s.bias[f].Observe(v, r.busy)
-		r.busy = 0
-	}
-	if r.free > 0 {
-		s.bias[f].ObserveFree(v, r.free)
-		r.free = 0
-	}
-}
-
-func (s *Scheduler) flushAll(slot int, cycle uint64) {
-	for f := FieldID(0); f < NumFields; f++ {
-		s.flushField(slot, f, cycle)
-	}
+	s.bias[f].Observe(v, busy)
+	s.bias[f].ObserveFree(v, free)
 }
 
 // dataFields are the data-capture fields released at issue (§4.5).
 var dataFields = [...]FieldID{FieldSRC1Data, FieldSRC2Data, FieldImm}
+
+// dataMask is dataFields as a field bitset.
+const dataMask = 1<<FieldSRC1Data | 1<<FieldSRC2Data | 1<<FieldImm
 
 // Dispatch fills a free slot with a uop's fields, consuming one allocate
 // port. ok is false when the scheduler is full. d is read-only; it is
@@ -385,51 +375,21 @@ func (s *Scheduler) Dispatch(d *Dispatch, cycle uint64) (slot int, ok bool) {
 		s.freeHead = 0
 	}
 	e := &s.entries[slot]
-	for f := FieldID(0); f < NumFields; f++ {
-		// Conditional fields are only written when the uop actually
-		// uses them: uncaptured operands arrive over the bypass, uops
-		// without an immediate or a MOB slot leave those cells alone —
-		// including any repair contents they hold ("they remain unused
-		// beyond the allocation or are not used at all", §4.5).
-		live := true
-		switch f {
-		case FieldSRC1Data:
-			live = d.Ready1 && d.HasSrc1
-		case FieldSRC2Data:
-			live = d.Ready2 && d.HasSrc2 && !d.HasImm
-		case FieldImm:
-			live = d.HasImm
-		case FieldMOBid:
-			live = d.MemUop
-		case FieldDSTTag:
-			live = d.HasDst
-		case FieldSRC1Tag:
-			live = d.HasSrc1
-		case FieldSRC2Tag:
-			live = d.HasSrc2
-		}
-		if !live {
-			// The cell keeps its contents and stays in free-time
-			// accounting (the slot was free, and a dead field of a busy
-			// slot is accounted the same way), so its run just extends.
-			e.live[f] = false
-			continue
-		}
-		// State always changes (free → busy-live); the per-bit expansion
-		// is only needed when the incoming data differs from the cell's
-		// current contents — redispatching an equal value (zero results,
-		// repeated latencies and flags) just extends the value-run.
-		v := fieldValue(d, f)
+	values, live := d.fields()
+	// Fields the uop does not write keep their contents and stay free,
+	// so their runs just extend. Written fields go live; the per-bit
+	// expansion is only needed when the incoming data differs from the
+	// cell's current contents — redispatching an equal value (zero
+	// results, repeated latencies and flags) just extends the value-run.
+	for m := live; m != 0; m &= m - 1 {
+		f := FieldID(bits.TrailingZeros32(m))
+		v := values[f]
 		if v != e.values[f] {
 			s.flushField(slot, f, cycle)
 			e.values[f] = v
-		} else {
-			s.touchField(slot, f, cycle)
 		}
-		e.live[f] = true
-		if e.invContent[f] {
+		if e.inverted>>f&1 != 0 {
 			// Real data overwrites repair contents.
-			e.invContent[f] = false
 			s.isv[f].invertedCells--
 		}
 		// Sample write-port data into the RINVs (§4.5: "Sampled values
@@ -438,9 +398,12 @@ func (s *Scheduler) Dispatch(d *Dispatch, cycle uint64) (slot int, ok bool) {
 		// instruction").
 		s.rinv[f].Offer(v, cycle)
 	}
+	e.inverted &^= live
+	e.live = live
+	e.since = cycle
 	e.busy = true
 	e.issued = false
-	if e.live[FieldSRC1Data] {
+	if live>>FieldSRC1Data&1 != 0 {
 		s.dataCount++
 	}
 	s.busyCount++
@@ -475,19 +438,13 @@ func (s *Scheduler) Issue(slot int, cycle uint64) {
 		panic("sched: bad Issue")
 	}
 	e.issued = true
-	if e.live[FieldSRC1Data] {
+	if e.live>>FieldSRC1Data&1 != 0 {
 		s.dataCount--
 	}
-	for _, f := range dataFields {
-		// Only fields that actually held captured data change state
-		// (busy-live → free); dead data cells keep their free run going.
-		// The value survives the issue, so the run is touched, not
-		// expanded.
-		if e.live[f] {
-			s.touchField(slot, f, cycle)
-			e.live[f] = false
-		}
-	}
+	// Only fields that actually held captured data change state
+	// (busy-live → free); the values survive the issue.
+	e.credit(e.live&dataMask, cycle)
+	e.live &^= dataMask
 	if s.cfg.Plan == nil {
 		return
 	}
@@ -509,22 +466,18 @@ func (s *Scheduler) Release(slot int, cycle uint64) {
 	if !e.busy {
 		panic("sched: double release")
 	}
-	// Close the segments of the live fields (busy-live → free); dead
-	// fields keep value and free state, so their runs extend across the
-	// release. Values survive the release, so nothing expands here.
-	for f := FieldID(0); f < NumFields; f++ {
-		if e.live[f] {
-			s.touchField(slot, f, cycle)
-		}
-	}
-	e.busy = false
-	if !e.issued && e.live[FieldSRC1Data] {
+	// The live fields turn free; values survive the release, so nothing
+	// expands here.
+	e.credit(e.live, cycle)
+	if !e.issued && e.live>>FieldSRC1Data&1 != 0 {
 		s.dataCount--
 	}
+	e.live = 0
+	e.busy = false
 	s.busyCount--
 	// The valid bit physically drops to 0 the moment the slot frees;
 	// that is its unprotectable duty cycle — a real value change, so its
-	// pending run expands first.
+	// run expands first.
 	s.flushField(slot, FieldValid, cycle)
 	e.values[FieldValid] = 0
 	if s.cfg.Plan != nil {
@@ -571,8 +524,8 @@ func (s *Scheduler) repairField(slot int, f FieldID, cycle uint64) {
 		s.flushField(slot, f, cycle)
 		e.values[f] = v
 	}
-	if invert && p.isv != 0 && !e.invContent[f] {
-		e.invContent[f] = true
+	if invert && p.isv != 0 && e.inverted>>f&1 == 0 {
+		e.inverted |= 1 << f
 		clk.invertedCells++
 	}
 }
@@ -595,7 +548,9 @@ func (s *Scheduler) dutyFor(k float64) *mitigation.DutyCounter {
 func (s *Scheduler) Finish(cycle uint64) {
 	s.advance(cycle)
 	for i := range s.entries {
-		s.flushAll(i, cycle)
+		for f := FieldID(0); f < NumFields; f++ {
+			s.flushField(i, f, cycle)
+		}
 	}
 	for f := FieldID(0); f < NumFields; f++ {
 		t := s.valueTime[f]
