@@ -179,8 +179,8 @@ type DelivererConfig struct {
 	QueueDepth int
 	// Timeout bounds each delivery attempt (default 5s).
 	Timeout time.Duration
-	// MaxRetries re-attempts a failed delivery (default 3, so up to 4
-	// attempts). Negative means no retries.
+	// MaxRetries re-attempts a failed delivery up to this many times.
+	// 0 means no retries: the first failure dead-letters the alert.
 	MaxRetries int
 	// Backoff is the base retry delay, doubled per attempt with
 	// deterministic jitter (default 250ms).
@@ -235,9 +235,6 @@ func NewDeliverer(cfg DelivererConfig) *Deliverer {
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Second
-	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
 	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 250 * time.Millisecond
@@ -393,64 +390,6 @@ func (d *Deliverer) Stats() DeliveryStats {
 		BreakerFastFails: d.breakerFast,
 		DeadLetters:      append([]DeadLetter(nil), d.deadLetters...),
 	}
-}
-
-// FaultSink is a deterministic fault-injecting Sink for tests and chaos
-// drills, in the spirit of service/faultrunner: failure decisions key
-// on (seed, alert ID, per-alert attempt index), never on global order,
-// so the same seed and fault schedule reproduce the exact same
-// delivery/retry/dead-letter counts at any worker count.
-type FaultSink struct {
-	// Seed drives the per-attempt failure draw.
-	Seed uint64
-	// FailFirst fails the first N attempts of every alert outright.
-	FailFirst int
-	// FailRate is the probability any later attempt fails.
-	FailRate float64
-	// Latency delays every attempt (simulates a slow sink).
-	Latency time.Duration
-
-	mu        sync.Mutex
-	attempts  map[string]int
-	delivered []Alert
-}
-
-// Name identifies the sink.
-func (f *FaultSink) Name() string { return "fault-sink" }
-
-// Deliver fails or succeeds per the seeded schedule.
-func (f *FaultSink) Deliver(ctx context.Context, a Alert) error {
-	if f.Latency > 0 {
-		select {
-		case <-time.After(f.Latency):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	f.mu.Lock()
-	if f.attempts == nil {
-		f.attempts = make(map[string]int)
-	}
-	attempt := f.attempts[a.ID]
-	f.attempts[a.ID] = attempt + 1
-	f.mu.Unlock()
-	if attempt < f.FailFirst {
-		return fmt.Errorf("fault-sink: injected failure (attempt %d of first %d)", attempt, f.FailFirst)
-	}
-	if f.FailRate > 0 && mix.Keyed(f.Seed, a.ID, uint64(attempt)) < f.FailRate {
-		return fmt.Errorf("fault-sink: injected failure (attempt %d)", attempt)
-	}
-	f.mu.Lock()
-	f.delivered = append(f.delivered, a)
-	f.mu.Unlock()
-	return nil
-}
-
-// Delivered returns the successfully delivered alerts so far.
-func (f *FaultSink) Delivered() []Alert {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]Alert(nil), f.delivered...)
 }
 
 // latch is the one latch-and-fire path shared by the epoch Alerter and

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"penelope/internal/lifetime"
+	"penelope/internal/mix"
 )
 
 func mkAlert(i int) Alert {
@@ -350,4 +351,61 @@ func TestAlerterDutyDeviationEndToEnd(t *testing.T) {
 	if firedAt < 0 || firedAt > first+1 {
 		t.Fatalf("duty-deviation fired at %d, want within 2 epochs of %d", firedAt, first)
 	}
+}
+
+// FaultSink is a deterministic fault-injecting Sink: failure decisions
+// key on (seed, alert ID, per-alert attempt index), never on global
+// order, so the same seed and fault schedule reproduce the exact same
+// delivery/retry/dead-letter counts at any worker count.
+type FaultSink struct {
+	// Seed drives the per-attempt failure draw.
+	Seed uint64
+	// FailFirst fails the first N attempts of every alert outright.
+	FailFirst int
+	// FailRate is the probability any later attempt fails.
+	FailRate float64
+	// Latency delays every attempt (simulates a slow sink).
+	Latency time.Duration
+
+	mu        sync.Mutex
+	attempts  map[string]int
+	delivered []Alert
+}
+
+// Name identifies the sink.
+func (f *FaultSink) Name() string { return "fault-sink" }
+
+// Deliver fails or succeeds per the seeded schedule.
+func (f *FaultSink) Deliver(ctx context.Context, a Alert) error {
+	if f.Latency > 0 {
+		select {
+		case <-time.After(f.Latency):
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	f.mu.Lock()
+	if f.attempts == nil {
+		f.attempts = make(map[string]int)
+	}
+	attempt := f.attempts[a.ID]
+	f.attempts[a.ID] = attempt + 1
+	f.mu.Unlock()
+	if attempt < f.FailFirst {
+		return fmt.Errorf("fault-sink: injected failure (attempt %d of first %d)", attempt, f.FailFirst)
+	}
+	if f.FailRate > 0 && mix.Keyed(f.Seed, a.ID, uint64(attempt)) < f.FailRate {
+		return fmt.Errorf("fault-sink: injected failure (attempt %d)", attempt)
+	}
+	f.mu.Lock()
+	f.delivered = append(f.delivered, a)
+	f.mu.Unlock()
+	return nil
+}
+
+// Delivered returns the successfully delivered alerts so far.
+func (f *FaultSink) Delivered() []Alert {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]Alert(nil), f.delivered...)
 }

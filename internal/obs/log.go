@@ -1,27 +1,11 @@
 package obs
 
-import (
-	"log/slog"
-	"sync/atomic"
-)
+import "log/slog"
 
-// base is the process-wide base logger for obs.Logger. Unset, it
-// follows slog.Default(), which routes through the log package — so
+// Logger returns a structured logger tagged with the component name,
+// built on slog.Default(), which routes through the log package — so
 // existing -logtostderr style setups and test log capture keep working.
-var base atomic.Pointer[slog.Logger]
-
-// SetLogger replaces the base logger used by Logger (nil restores the
-// slog default).
-func SetLogger(l *slog.Logger) {
-	base.Store(l)
-}
-
-// Logger returns a structured logger tagged with the component name.
 // Packages add job/fleet/trace IDs per call site via With or args.
 func Logger(component string) *slog.Logger {
-	l := base.Load()
-	if l == nil {
-		l = slog.Default()
-	}
-	return l.With("component", component)
+	return slog.Default().With("component", component)
 }

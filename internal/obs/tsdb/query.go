@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -60,6 +59,18 @@ type Result struct {
 	Series   []SeriesData `json:"series"`
 }
 
+// queryMilli converts t to unix milliseconds, refusing times more than
+// 2^61 ms (~73 million years) from the epoch: UnixMilli overflows int64
+// near 2^63 ms, and within 2^61 the span, point count and boundary
+// arithmetic of a query cannot overflow.
+func queryMilli(t time.Time) (int64, error) {
+	const limit = (1 << 61) / 1000
+	if sec := t.Unix(); sec <= -limit || sec >= limit {
+		return 0, fmt.Errorf("tsdb: time %d s is out of range", sec)
+	}
+	return t.UnixMilli(), nil
+}
+
 // statPoint is the tier-independent shape query evaluation runs on:
 // raw points widen to cnt-1 windows, aggregate tiers pass through.
 type statPoint struct {
@@ -79,7 +90,15 @@ func (db *DB) Query(q Query) (*Result, error) {
 	if !q.To.After(q.From) {
 		return nil, fmt.Errorf("tsdb: empty range")
 	}
-	fromMs, toMs, stepMs := q.From.UnixMilli(), q.To.UnixMilli(), q.Step.Milliseconds()
+	fromMs, err := queryMilli(q.From)
+	if err != nil {
+		return nil, err
+	}
+	toMs, err := queryMilli(q.To)
+	if err != nil {
+		return nil, err
+	}
+	stepMs := q.Step.Milliseconds()
 	if stepMs <= 0 {
 		stepMs = 1
 	}
@@ -528,17 +547,4 @@ func (db *DB) Slope(name string, window time.Duration, now time.Time) (float64, 
 		return 0, false
 	}
 	return num / den, true
-}
-
-// SeriesNames lists every flat series currently held (live or loaded),
-// sorted — a debugging aid surfaced next to Names.
-func (db *DB) SeriesNames() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]string, 0, len(db.series))
-	for name := range db.series {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

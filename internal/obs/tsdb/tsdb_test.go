@@ -95,6 +95,41 @@ func TestUnknownSeries(t *testing.T) {
 	}
 }
 
+// TestQueryRejectsOverflowingRange pins the overflow guard: a bound
+// whose unix milliseconds overflow int64 used to wrap the point count
+// negative past the 100000-point check and panic in makeslice. Such
+// ranges are errors; the widest accepted ranges evaluate normally.
+func TestQueryRejectsOverflowingRange(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("jobs_total", "jobs")
+	db := memDB(t, reg, time.Second)
+	const edge = (1 << 61) / 1000 // first rejected unix second
+	for _, q := range []Query{
+		{From: time.Unix(0, 0), To: time.Unix(9_300_000_000_000_000, 0), Step: time.Second},
+		{From: time.Unix(0, 0), To: time.Unix(math.MaxInt64/2, 0), Step: time.Hour},
+		{From: time.Unix(-edge, 0), To: time.Unix(0, 0), Step: time.Second},
+		{From: time.Unix(0, 0), To: time.Unix(edge, 0), Step: time.Duration(math.MaxInt64)},
+	} {
+		q.Name = "jobs_total"
+		if _, err := db.Query(q); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("query %v..%v: err = %v, want out of range", q.From.Unix(), q.To.Unix(), err)
+		}
+	}
+	// The widest accepted span counts its points exactly.
+	wide := Query{Name: "jobs_total", From: time.Unix(1-edge, 0), To: time.Unix(edge-1, 0), Step: time.Duration(math.MaxInt64)}
+	if _, err := db.Query(wide); err == nil || !strings.Contains(err.Error(), "yields 500001 points") {
+		t.Errorf("widest range: err = %v, want 500001 points", err)
+	}
+	near := Query{Name: "jobs_total", From: time.Unix(edge-10, 0), To: time.Unix(edge-1, 0), Step: time.Second}
+	res, err := db.Query(near)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FromMs != (edge-10)*1000 || res.ToMs != (edge-1)*1000 {
+		t.Fatalf("range next to the edge = [%d, %d] ms", res.FromMs, res.ToMs)
+	}
+}
+
 // TestDownsampleTiersBracket samples a pseudo-random gauge stream and
 // checks every closed tier-1 and tier-2 aggregate against the raw
 // stream: min/max/sum/cnt must match the raw points in the window

@@ -1,7 +1,7 @@
 package service_test
 
-// The chaos suite runs the server against the fault-injection harness
-// and through simulated crash/restart cycles. It lives in an external
+// The chaos suite runs the server against a seeded fault-injecting
+// runner and through simulated crash/restart cycles. It lives in an external
 // test package so it exercises only the exported surface — the same
 // contract cmd/penelope and real clients get — and it is written to be
 // deterministic: faults come from a seeded schedule, and interruptions
@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,8 +27,8 @@ import (
 	"penelope/internal/experiments"
 	"penelope/internal/fleetops"
 	"penelope/internal/lifetime"
+	"penelope/internal/mix"
 	"penelope/internal/service"
-	"penelope/internal/service/faultrunner"
 	"penelope/internal/store"
 )
 
@@ -43,6 +44,28 @@ func (r chaosResult) Render(w io.Writer) {
 
 func baseRunner(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 	return chaosResult{Name: experiment, N: o.TraceLength}, nil
+}
+
+// faults wraps baseRunner with a seeded fault schedule: one SplitMix64
+// draw per invocation decides whether it fails (errRate), panics
+// (panicRate) or runs, so a seed replays the same schedule every time.
+type faults struct {
+	seed               uint64
+	errRate, panicRate float64
+	runs, errs, panics atomic.Uint64
+}
+
+func (f *faults) runner(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+	n := f.runs.Add(1)
+	switch u := mix.Float64(mix.SplitMix64(f.seed + n)); {
+	case u < f.errRate:
+		f.errs.Add(1)
+		return nil, fmt.Errorf("injected fault on run %d", n)
+	case u < f.errRate+f.panicRate:
+		f.panics.Add(1)
+		panic(fmt.Sprintf("injected panic on run %d", n))
+	}
+	return baseRunner(ctx, experiment, o)
 }
 
 func pollTerminal(t *testing.T, base, id string) service.Job {
@@ -73,23 +96,16 @@ func jsonDecode(resp *http.Response, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// TestChaosFaultStorm floods the server with jobs while the injector
-// fires transient errors and panics from a fixed seed, and requires
-// every job to reach a terminal state with the books balanced: the
-// server absorbs the storm instead of deadlocking, leaking jobs, or
-// crashing.
+// TestChaosFaultStorm floods the server with jobs while the runner
+// fires errors and panics from a fixed seed, and requires every job to
+// reach a terminal state with the books balanced: the server absorbs
+// the storm instead of deadlocking, leaking jobs, or crashing.
 func TestChaosFaultStorm(t *testing.T) {
-	inj := faultrunner.New(faultrunner.Config{
-		Seed:      42,
-		ErrorRate: 0.25,
-		PanicRate: 0.10,
-	}, baseRunner)
+	inj := &faults{seed: 42, errRate: 0.25, panicRate: 0.10}
 	srv, err := service.New(service.Config{
-		Workers:      4,
-		QueueDepth:   128,
-		MaxRetries:   4,
-		RetryBackoff: time.Millisecond,
-		Runner:       inj.Runner(),
+		Workers:    4,
+		QueueDepth: 128,
+		Runner:     inj.runner,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,12 +149,18 @@ func TestChaosFaultStorm(t *testing.T) {
 	if done+failed != n {
 		t.Fatalf("%d done + %d failed != %d submitted", done, failed, n)
 	}
-	if done == 0 {
-		t.Error("no job survived the storm; retries should absorb most transient faults")
+	// Every job is its own leader and runs once, so each injected fault
+	// fails exactly one job.
+	if done == 0 || inj.errs.Load() == 0 || inj.panics.Load() == 0 {
+		t.Fatalf("storm injected %d errors and %d panics over %d done jobs; want all three nonzero",
+			inj.errs.Load(), inj.panics.Load(), done)
+	}
+	if uint64(failed) != inj.errs.Load()+inj.panics.Load() {
+		t.Errorf("%d failed jobs != %d injected errors + %d injected panics", failed, inj.errs.Load(), inj.panics.Load())
 	}
 
-	// The books balance: recovered panics equal injected panics, and the
-	// server is still healthy enough to run a clean job.
+	// The books balance: recovered panics equal injected panics, and no
+	// job is left active.
 	resp, err := http.Get(ts.URL + "/metrics.json")
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +169,8 @@ func TestChaosFaultStorm(t *testing.T) {
 	if err := jsonDecode(resp, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Jobs.PanicsRecovered != inj.Panics() {
-		t.Errorf("panics recovered %d != injected %d", m.Jobs.PanicsRecovered, inj.Panics())
+	if m.Jobs.PanicsRecovered != inj.panics.Load() {
+		t.Errorf("panics recovered %d != injected %d", m.Jobs.PanicsRecovered, inj.panics.Load())
 	}
 	if m.Jobs.Done != uint64(done) || m.Jobs.Failed != uint64(failed) {
 		t.Errorf("metrics %d/%d disagree with observed %d/%d", m.Jobs.Done, m.Jobs.Failed, done, failed)
@@ -159,27 +181,23 @@ func TestChaosFaultStorm(t *testing.T) {
 }
 
 // TestChaosKillRestartServesFromDisk simulates kill -9 (the first
-// server is abandoned, never Closed) and requires the restarted server
-// to answer identical submissions byte-for-byte from the persistent
-// store, even while the injector keeps faulting around the live runs.
+// server is abandoned, never Closed) while its runner injects faults.
+// The restarted server must answer every job the first one finished
+// byte-for-byte from the persistent store without re-simulating, and
+// must re-run exactly the jobs that failed, which were never stored.
 func TestChaosKillRestartServesFromDisk(t *testing.T) {
 	dir := t.TempDir()
-	inj := faultrunner.New(faultrunner.Config{Seed: 7, ErrorRate: 0.3}, baseRunner)
-	s1, err := service.New(service.Config{
-		Workers: 2, DataDir: dir,
-		MaxRetries: 6, RetryBackoff: time.Millisecond,
-		Runner: inj.Runner(),
-	})
+	inj := &faults{seed: 7, errRate: 0.3}
+	s1, err := service.New(service.Config{Workers: 2, DataDir: dir, Runner: inj.runner})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
 
 	const n = 8
-	payloads := make(map[string][]byte, n)
-	for i := 0; i < n; i++ {
+	submit := func(base string, i int) service.Job {
 		body := fmt.Sprintf(`{"experiment":"fig6","options":{"trace_length":%d}}`, 5000+i)
-		resp, err := http.Post(ts1.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,18 +205,35 @@ func TestChaosKillRestartServesFromDisk(t *testing.T) {
 		if err := jsonDecode(resp, &job); err != nil {
 			t.Fatal(err)
 		}
-		if done := pollTerminal(t, ts1.URL, job.ID); done.State != service.StateDone {
-			t.Fatalf("job %d failed despite retries: %+v", i, done)
+		return job
+	}
+	payloads := make(map[string][]byte, n)
+	failed := make(map[int]bool)
+	for i := 0; i < n; i++ {
+		job := submit(ts1.URL, i)
+		switch done := pollTerminal(t, ts1.URL, job.ID); {
+		case done.State == service.StateDone:
+			payloads[job.ResultKey] = fetch(t, ts1.URL+"/v1/results/"+job.ResultKey)
+		case s1.Store().Has(job.ResultKey):
+			t.Fatalf("failed job %d left a stored result", i)
+		default:
+			failed[5000+i] = true
 		}
-		payloads[job.ResultKey] = fetch(t, ts1.URL+"/v1/results/"+job.ResultKey)
+	}
+	if len(failed) == 0 || len(payloads) == 0 {
+		t.Fatalf("%d failed and %d done on the first server; the seed must produce both", len(failed), len(payloads))
 	}
 	ts1.Close() // abandon s1 without Close: kill -9
 
+	var reruns atomic.Int64
 	s2, err := service.New(service.Config{
 		Workers: 2, DataDir: dir,
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
-			t.Errorf("restarted server re-simulated %s/%d", experiment, o.TraceLength)
-			return chaosResult{Name: experiment}, nil
+		Runner: func(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+			if !failed[o.TraceLength] {
+				t.Errorf("restarted server re-simulated %s/%d", experiment, o.TraceLength)
+			}
+			reruns.Add(1)
+			return baseRunner(ctx, experiment, o)
 		},
 	})
 	if err != nil {
@@ -211,14 +246,12 @@ func TestChaosKillRestartServesFromDisk(t *testing.T) {
 	}()
 
 	for i := 0; i < n; i++ {
-		body := fmt.Sprintf(`{"experiment":"fig6","options":{"trace_length":%d}}`, 5000+i)
-		resp, err := http.Post(ts2.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var job service.Job
-		if err := jsonDecode(resp, &job); err != nil {
-			t.Fatal(err)
+		job := submit(ts2.URL, i)
+		if failed[5000+i] {
+			if done := pollTerminal(t, ts2.URL, job.ID); job.CacheHit || done.State != service.StateDone {
+				t.Fatalf("restart did not re-run failed job %d: %+v", i, done)
+			}
+			continue
 		}
 		if job.State != service.StateDone || !job.CacheHit {
 			t.Fatalf("restart did not serve job %d from disk: %+v", i, job)
@@ -226,6 +259,9 @@ func TestChaosKillRestartServesFromDisk(t *testing.T) {
 		if got := fetch(t, ts2.URL+"/v1/results/"+job.ResultKey); !bytes.Equal(got, payloads[job.ResultKey]) {
 			t.Errorf("restart served different bytes for %s", job.ResultKey)
 		}
+	}
+	if got := reruns.Load(); got != int64(len(failed)) {
+		t.Errorf("restarted server ran %d jobs, want the %d that failed", got, len(failed))
 	}
 }
 
@@ -275,7 +311,7 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 	}
 	ckpt := st.Slot(store.KindJobCheckpoint, key)
 	s1, err := service.New(service.Config{
-		Workers: 1, DataDir: dir, MaxRetries: -1,
+		Workers: 1, DataDir: dir,
 		Runner: func(_ context.Context, experiment string, opts experiments.Options) (experiments.Result, error) {
 			limited := &pollCtx{Context: context.Background(), limit: 4}
 			return experiments.LifetimeCheckpointed(limited, opts, ckpt, 1)
@@ -372,7 +408,7 @@ func TestChaosGracefulCloseCheckpoints(t *testing.T) {
 		VariationSigma: 0.1, FleetSeed: 5,
 	}
 	s, err := service.New(service.Config{
-		Workers: 1, DataDir: dir, MaxRetries: -1, CheckpointEvery: 1,
+		Workers: 1, DataDir: dir, CheckpointEvery: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -524,14 +525,43 @@ func TestFleetQuarantineVisible(t *testing.T) {
 	}
 }
 
+// testSink is an alert Sink that fails the first failFirst attempts of
+// every alert and records the deliveries that succeed.
+type testSink struct {
+	failFirst int
+	mu        sync.Mutex
+	attempts  map[string]int
+	delivered []fleetops.Alert
+}
+
+func (s *testSink) Name() string { return "test-sink" }
+
+func (s *testSink) Deliver(_ context.Context, a fleetops.Alert) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.attempts == nil {
+		s.attempts = make(map[string]int)
+	}
+	if s.attempts[a.ID]++; s.attempts[a.ID] <= s.failFirst {
+		return fmt.Errorf("test-sink: injected failure of %s", a.ID)
+	}
+	s.delivered = append(s.delivered, a)
+	return nil
+}
+
+func (s *testSink) Delivered() []fleetops.Alert {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]fleetops.Alert(nil), s.delivered...)
+}
+
 // TestFleetAlertsDeliveredDeterministically registers a population with
-// alert rules against a seeded fault-injecting sink and checks fired
-// alerts traverse the hardened pipeline with stable accounting.
+// alert rules against a sink that fails every first attempt and checks
+// fired alerts traverse the hardened pipeline with stable accounting.
 func TestFleetAlertsDeliveredDeterministically(t *testing.T) {
-	sink := &fleetops.FaultSink{Seed: 7, FailFirst: 1}
+	sink := &testSink{failFirst: 1}
 	cfg := fastFleetConfig(testFleetBuilder(1))
 	cfg.AlertSink = sink
-	cfg.AlertSeed = 7
 	_, ts := newTestServer(t, cfg)
 
 	// A threshold low enough that aging crosses it quickly.

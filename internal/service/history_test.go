@@ -94,6 +94,9 @@ func TestHistoryQueryEndpoint(t *testing.T) {
 		"name=test_events_total&step=bogus":    http.StatusBadRequest,
 		"name=test_events_total&from=whenever": http.StatusBadRequest,
 		"name=test_latency_seconds&q=2.5":      http.StatusBadRequest,
+		// Unix milliseconds of this bound overflow int64; it used to
+		// panic the handler and drop the connection.
+		"name=penelope_jobs_done_total&from=0&to=9300000000000000": http.StatusBadRequest,
 	} {
 		if code := getJSON(t, ts.URL+"/v1/metrics/query?"+query, nil); code != want {
 			t.Errorf("query %q: status %d, want %d", query, code, want)
@@ -174,7 +177,7 @@ func TestHistoryRestartServesPrerestartSamples(t *testing.T) {
 // the sampled history into breach, and checks the alert leaves through
 // the configured sink and the status surfaces on /v1/slo and /metrics.
 func TestSLOThroughServer(t *testing.T) {
-	sink := &fleetops.FaultSink{}
+	sink := &testSink{}
 	s, ts := newTestServer(t, Config{
 		Workers:   1,
 		AlertSink: sink,

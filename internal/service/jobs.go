@@ -55,10 +55,7 @@ type Job struct {
 	// CacheHit reports that the job did not trigger its own simulation:
 	// the result was already cached (in memory or on disk) or already
 	// being computed.
-	CacheHit bool `json:"cache_hit"`
-	// Attempts counts runner invocations for leader jobs: 1 for a clean
-	// run, more when transient failures were retried.
-	Attempts int    `json:"attempts,omitempty"`
+	CacheHit bool   `json:"cache_hit"`
 	Error    string `json:"error,omitempty"`
 	// SweepID groups the jobs of one sweep submission; their completions
 	// stream as "point" events on /v1/sweeps/{id}/events.

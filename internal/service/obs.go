@@ -44,7 +44,6 @@ type serverObs struct {
 	failed    *obs.Counter // jobs finished with an error
 	rejected  *obs.Counter // submissions dropped because the queue was full
 	throttled *obs.Counter // submissions rejected by per-client rate limiting
-	retries   *obs.Counter // transient-failure retry attempts
 	panics    *obs.Counter // driver panics recovered into failed jobs
 	timeouts  *obs.Counter // jobs failed by the per-job timeout
 	resumed   *obs.Counter // interrupted jobs resubmitted at boot
@@ -89,7 +88,6 @@ func (s *Server) initObs() {
 	o.failed = reg.Counter("penelope_jobs_failed_total", "Jobs finished with an error.")
 	o.rejected = reg.Counter("penelope_jobs_rejected_total", "Submissions dropped because the queue was full.")
 	o.throttled = reg.Counter("penelope_jobs_throttled_total", "Submissions rejected by per-client rate limiting.")
-	o.retries = reg.Counter("penelope_jobs_retries_total", "Transient-failure retry attempts.")
 	o.panics = reg.Counter("penelope_jobs_panics_recovered_total", "Driver panics recovered into failed jobs.")
 	o.timeouts = reg.Counter("penelope_jobs_timeouts_total", "Jobs failed by the per-job timeout.")
 	o.resumed = reg.Counter("penelope_jobs_resumed_total", "Interrupted jobs resubmitted at boot.")

@@ -69,8 +69,7 @@ func TestSubmitAfterClose(t *testing.T) {
 // keeps serving.
 func TestPanicRecovered(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		Workers:    1,
-		MaxRetries: -1,
+		Workers: 1,
 		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			if o.TraceLength == 666 {
 				panic("simulated driver bug")
@@ -97,69 +96,13 @@ func TestPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestTransientRetry checks bounded retry: transient failures are
-// retried with backoff until the runner recovers, and the attempt count
-// is visible on the job.
-func TestTransientRetry(t *testing.T) {
-	var calls atomic.Int64
-	s, ts := newTestServer(t, Config{
-		Workers:      1,
-		MaxRetries:   3,
-		RetryBackoff: time.Millisecond,
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
-			if calls.Add(1) <= 2 {
-				return nil, fmt.Errorf("flaky dependency: %w", ErrTransient)
-			}
-			return fakeResult{Name: experiment, N: 1}, nil
-		},
-	})
-
-	var job Job
-	postJSON(t, ts.URL+"/v1/jobs", `{"experiment":"fig4"}`, &job)
-	done := pollJob(t, ts.URL, job.ID)
-	if done.State != StateDone || done.Attempts != 3 {
-		t.Fatalf("job = %+v, want done after 3 attempts", done)
-	}
-	if m := s.metrics(); m.Jobs.Retries != 2 {
-		t.Errorf("retries = %d, want 2", m.Jobs.Retries)
-	}
-}
-
-// TestRetryBackoffShiftBounded runs a job through 65 transient
-// failures. Past attempt 62 an unclamped RetryBackoff<<attempt wraps
-// negative and used to panic the worker goroutine drawing jitter from
-// it; the shared policy clamps the exponent, so the job simply
-// exhausts its retries and fails.
-func TestRetryBackoffShiftBounded(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		Workers:      1,
-		MaxRetries:   64,
-		RetryBackoff: time.Nanosecond,
-		Runner: func(context.Context, string, experiments.Options) (experiments.Result, error) {
-			return nil, fmt.Errorf("always flaky: %w", ErrTransient)
-		},
-	})
-
-	var job Job
-	postJSON(t, ts.URL+"/v1/jobs", `{"experiment":"fig4"}`, &job)
-	done := pollJob(t, ts.URL, job.ID)
-	if done.State != StateFailed || done.Attempts != 65 {
-		t.Fatalf("job = %+v, want failed after 65 attempts", done)
-	}
-	if m := s.metrics(); m.Jobs.Retries != 64 {
-		t.Errorf("retries = %d, want 64", m.Jobs.Retries)
-	}
-}
-
-// TestNonTransientNotRetried checks deterministic failures fail on the
-// first attempt — re-running a simulation that deterministically errors
-// would only burn workers.
+// TestNonTransientNotRetried checks a failing runner is invoked exactly
+// once: simulations are deterministic, so re-running one that errored
+// would only fail again and burn a worker.
 func TestNonTransientNotRetried(t *testing.T) {
 	var calls atomic.Int64
 	_, ts := newTestServer(t, Config{
-		Workers:      1,
-		MaxRetries:   3,
-		RetryBackoff: time.Millisecond,
+		Workers: 1,
 		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			calls.Add(1)
 			return nil, fmt.Errorf("deterministic failure")
@@ -168,9 +111,8 @@ func TestNonTransientNotRetried(t *testing.T) {
 
 	var job Job
 	postJSON(t, ts.URL+"/v1/jobs", `{"experiment":"fig4"}`, &job)
-	done := pollJob(t, ts.URL, job.ID)
-	if done.State != StateFailed || done.Attempts != 1 {
-		t.Fatalf("job = %+v, want failed on first attempt", done)
+	if done := pollJob(t, ts.URL, job.ID); done.State != StateFailed {
+		t.Fatalf("job = %+v, want failed", done)
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("runner called %d times, want 1", got)
@@ -182,7 +124,6 @@ func TestNonTransientNotRetried(t *testing.T) {
 func TestJobTimeout(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers:    2,
-		MaxRetries: -1,
 		JobTimeout: 30 * time.Millisecond,
 		Runner: func(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			if o.TraceLength == 4242 {

@@ -19,7 +19,6 @@ import (
 	"penelope/internal/experiments"
 	"penelope/internal/fleetops"
 	"penelope/internal/memo"
-	"penelope/internal/mix"
 	"penelope/internal/obs"
 	"penelope/internal/obs/tsdb"
 	"penelope/internal/store"
@@ -28,18 +27,10 @@ import (
 // Runner executes one experiment. The default runs the registry driver
 // (routing lifetime jobs through the checkpointed, cancellable path
 // when persistence is on); tests substitute instrumented runners to
-// count, gate and fault-inject simulations. The context is cancelled on
+// count, gate and fail simulations. The context is cancelled on
 // job timeout and on server shutdown; cooperative runners should
 // persist what they can and return promptly.
 type Runner func(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error)
-
-// ErrTransient marks runner failures worth retrying: wrap it
-// (fmt.Errorf("...: %w", service.ErrTransient)) to tell the server a
-// failure was environmental rather than deterministic. Leader jobs
-// retry transient failures with exponential backoff and jitter up to
-// Config.MaxRetries; every other error fails the job on the first
-// attempt.
-var ErrTransient = errors.New("transient failure")
 
 // Config tunes a Server.
 type Config struct {
@@ -92,13 +83,6 @@ type Config struct {
 	// JobTimeout bounds one runner attempt; a job past it fails with a
 	// timeout error and its context is cancelled. 0 = unbounded.
 	JobTimeout time.Duration
-	// MaxRetries bounds retry attempts for transient leader failures
-	// (default 2; negative disables retries).
-	MaxRetries int
-	// RetryBackoff is the base backoff between retries (default 100ms),
-	// doubled per attempt up to 30x, plus up to 50% jitter keyed on the
-	// job ID.
-	RetryBackoff time.Duration
 	// CheckpointEvery is the epoch interval between lifetime checkpoint
 	// writes when persistence is on (default 16).
 	CheckpointEvery int
@@ -137,12 +121,9 @@ type Config struct {
 	// hardened delivery pipeline. Empty disables webhook delivery
 	// (alerts still publish on the event bus).
 	AlertWebhook string
-	// AlertSink overrides the webhook sink (tests inject seeded fault
+	// AlertSink overrides the webhook sink (tests inject failing
 	// sinks); takes precedence over AlertWebhook.
 	AlertSink fleetops.Sink
-	// AlertSeed drives the delivery pipeline's deterministic retry
-	// jitter.
-	AlertSeed uint64
 
 	// HistoryInterval is the metric-history sampling cadence: every
 	// interval the registry is sampled into the embedded time-series
@@ -172,7 +153,7 @@ const resultBudget = 64 << 20
 // experiments registry, deduplicates them through the content-addressed
 // result memo (backed by the disk store when DataDir is set), and
 // executes memo leaders on a per-client fair worker pool with admission
-// control, bounded retries and panic containment.
+// control and panic containment.
 type Server struct {
 	cfg     Config
 	results *memo.Memo[string, []byte] // result key -> marshaled payload
@@ -180,7 +161,6 @@ type Server struct {
 	store   *store.Store
 	limiter *rateLimiter
 	backoff *backoffController
-	retry   mix.Backoff // transient-failure retry delays
 	obs     *serverObs
 	logger  *slog.Logger
 
@@ -245,15 +225,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 4096
 	}
-	switch {
-	case cfg.MaxRetries == 0:
-		cfg.MaxRetries = 2
-	case cfg.MaxRetries < 0:
-		cfg.MaxRetries = 0
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 100 * time.Millisecond
-	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 16
 	}
@@ -281,7 +252,6 @@ func New(cfg Config) (*Server, error) {
 		pool:      newFairPool(cfg.Workers, cfg.QueueDepth),
 		limiter:   newRateLimiter(cfg.Rate, cfg.Burst),
 		backoff:   newBackoffController(),
-		retry:     mix.Backoff{Base: cfg.RetryBackoff, Cap: 30 * cfg.RetryBackoff},
 		baseCtx:   ctx,
 		cancelCtx: cancel,
 		jobs:      make(map[string]*Job),
@@ -335,12 +305,8 @@ func (s *Server) initFleetops() {
 		s.deliverer = fleetops.NewDeliverer(fleetops.DelivererConfig{
 			Sink:             sink,
 			Workers:          2,
-			Timeout:          5 * time.Second,
 			MaxRetries:       3,
-			Backoff:          250 * time.Millisecond,
 			BreakerThreshold: 5,
-			BreakerCooldown:  30 * time.Second,
-			Seed:             s.cfg.AlertSeed,
 			Instruments:      fleetIns,
 		})
 	}
@@ -588,9 +554,8 @@ var (
 	errShuttingDown = errors.New("service: server shutting down")
 )
 
-// runJob executes a leader job — with retries, timeout and panic
-// containment — persists a successful payload, and completes its memo
-// entry.
+// runJob executes a leader job — with timeout and panic containment —
+// persists a successful payload, and completes its memo entry.
 func (s *Server) runJob(job *Job, entry *memo.Entry[string, []byte]) {
 	s.mu.Lock()
 	job.State = StateRunning
@@ -607,7 +572,7 @@ func (s *Server) runJob(job *Job, entry *memo.Entry[string, []byte]) {
 	job.trace.Phase("run")
 
 	start := time.Now()
-	payload, err := s.runWithRetry(job)
+	payload, err := s.runOnce(job)
 	elapsed := time.Since(start)
 	s.backoff.observe(elapsed)
 	s.obs.runSeconds.With(job.Experiment).ObserveDuration(elapsed)
@@ -621,28 +586,6 @@ func (s *Server) runJob(job *Job, entry *memo.Entry[string, []byte]) {
 	}
 	s.results.Complete(entry, payload, err)
 	s.finish(job, err, false)
-}
-
-// runWithRetry runs the job, retrying transient failures up to
-// MaxRetries with capped exponential backoff. The jitter is keyed on
-// the job ID, so concurrent failures decorrelate instead of stampeding
-// together while each job's schedule replays exactly.
-func (s *Server) runWithRetry(job *Job) ([]byte, error) {
-	for attempt := 0; ; attempt++ {
-		s.mu.Lock()
-		job.Attempts = attempt + 1
-		s.mu.Unlock()
-		payload, err := s.runOnce(job)
-		if err == nil || !errors.Is(err, ErrTransient) || attempt >= s.cfg.MaxRetries || s.closed.Load() {
-			return payload, err
-		}
-		s.obs.retries.Inc()
-		select {
-		case <-time.After(s.retry.Delay(job.ID, attempt)):
-		case <-s.baseCtx.Done():
-			return nil, errShuttingDown
-		}
-	}
 }
 
 // runOnce executes one runner attempt under the per-job timeout and the
@@ -831,7 +774,6 @@ type Metrics struct {
 		Rejected        uint64 `json:"rejected"`
 		Throttled       uint64 `json:"throttled"`
 		Shed            uint64 `json:"shed"`
-		Retries         uint64 `json:"retries"`
 		PanicsRecovered uint64 `json:"panics_recovered"`
 		Timeouts        uint64 `json:"timeouts"`
 		Resumed         uint64 `json:"resumed"`
@@ -922,7 +864,6 @@ func (s *Server) metrics() Metrics {
 	m.Jobs.Throttled = s.obs.throttled.Value()
 	m.Jobs.Done = s.obs.done.Value()
 	m.Jobs.Failed = s.obs.failed.Value()
-	m.Jobs.Retries = s.obs.retries.Value()
 	m.Jobs.PanicsRecovered = s.obs.panics.Value()
 	m.Jobs.Timeouts = s.obs.timeouts.Value()
 	m.Jobs.Resumed = s.obs.resumed.Value()

@@ -51,9 +51,6 @@ func (h *Histogram) Mean() float64 {
 // Bucket returns the count in bucket i.
 func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
 
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.buckets) }
-
 // FractionAbove returns the fraction of samples in buckets whose lower
 // edge is >= x.
 func (h *Histogram) FractionAbove(x float64) float64 {
