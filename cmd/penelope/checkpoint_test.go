@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -43,5 +44,22 @@ func TestFileCheckpointResumes(t *testing.T) {
 	}
 	if len(entries) != 1 || entries[0].Name() != "fleet.ckpt" {
 		t.Errorf("checkpoint dir holds %v, want just fleet.ckpt", entries)
+	}
+}
+
+// TestFileCheckpointBadFileFails requires a -checkpoint file that does
+// not decode to fail the run and stay where it is: the CLI never
+// discards a file the user pointed it at.
+func TestFileCheckpointBadFileFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.ckpt")
+	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := experiments.Options{TraceLength: 900, TraceStride: 531, Population: 200, Years: 0.5, EpochDays: 30}
+	if _, err := experiments.LifetimeCheckpointed(context.Background(), o, fileCheckpoint(path), 0); !errors.Is(err, experiments.ErrBadCheckpoint) {
+		t.Fatalf("run over a garbage checkpoint returned %v, want ErrBadCheckpoint", err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "garbage" {
+		t.Errorf("bad checkpoint file changed: %q, %v", data, err)
 	}
 }

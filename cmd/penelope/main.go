@@ -116,7 +116,7 @@ func runCmd(args []string) {
 		workers    = fs.Int("workers", 0, "lifetime engine worker count (default GOMAXPROCS; results identical for any value)")
 
 		checkpoint = fs.String("checkpoint", "", "lifetime only: checkpoint file; resumes if it exists")
-		ckptEvery  = fs.Int("checkpoint-every", 16, "epochs between checkpoint writes")
+		ckptEvery  = fs.Int("checkpoint-every", 0, "chip-epochs of work between checkpoint writes; one epoch steps 2×population (default 0: 2^25, so a fleet of a few thousand chips writes none)")
 	)
 	fs.Parse(args)
 

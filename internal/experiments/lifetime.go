@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -235,18 +236,35 @@ type Checkpoint interface {
 // same bytes an uninterrupted run would have.
 var ErrLifetimeInterrupted = fmt.Errorf("lifetime: run interrupted")
 
+// ErrBadCheckpoint reports a saved checkpoint that does not decode as a
+// fleet pair or was written for different options. The run does not
+// start; a caller that owns the checkpoint can set it aside and rerun
+// from epoch 0.
+var ErrBadCheckpoint = errors.New("lifetime: bad fleet pair checkpoint")
+
+// DefaultCheckpointWork is the checkpoint cadence, in chip-epochs of
+// work, when LifetimeCheckpointed is given none: 2^25, a few seconds of
+// engine compute. A pair at the MaxPopulation request limit steps 2M
+// chip-epochs per epoch and saves every 17 epochs; a fleet of a few
+// thousand chips finishes without saving.
+const DefaultCheckpointWork = 1 << 25
+
 // LifetimeCheckpointed is Lifetime with rolling checkpoints: the paired
-// fleet state is saved to ckpt every `every` epochs (default 16) and at
-// the end, and a checkpoint already there — from an interrupted or
-// completed run with the same options — is resumed instead of starting
-// over. The engine polls ctx once per epoch step; on cancellation it
-// saves a final checkpoint and returns ErrLifetimeInterrupted, so a
-// shutdown or timeout loses at most the epoch in flight. The result is
-// byte-identical to an uninterrupted Lifetime run. A nil ckpt runs
-// without checkpoints.
+// fleet state is saved to ckpt each time the two engines have stepped
+// `every` chip-epochs of work since the last save (one engine step over
+// P chips is P chip-epochs; every < 1 means DefaultCheckpointWork), and
+// a checkpoint already there — from an interrupted or completed run
+// with the same options — is resumed instead of starting over. There is
+// no extra save at completion: a crash loses at most `every`
+// chip-epochs. The engine polls ctx once per epoch step; on
+// cancellation it saves a final checkpoint and returns
+// ErrLifetimeInterrupted, so a shutdown or timeout loses at most the
+// epoch in flight. The result is byte-identical to an uninterrupted
+// Lifetime run. A nil ckpt runs without checkpoints; a checkpoint that
+// does not decode or does not match o fails with ErrBadCheckpoint.
 func LifetimeCheckpointed(ctx context.Context, o Options, ckpt Checkpoint, every int) (LifetimeResult, error) {
 	if every < 1 {
-		every = 16
+		every = DefaultCheckpointWork
 	}
 	o = o.normalized()
 	duties := o.fleetDuties()
@@ -285,7 +303,7 @@ func LifetimeCheckpointed(ctx context.Context, o Options, ckpt Checkpoint, every
 		return err
 	}
 
-	steps := 0
+	work := 0 // chip-epochs stepped since the last save
 	for !engB.Done() || !engP.Done() {
 		if err := ctx.Err(); err != nil {
 			// Cancelled (shutdown or timeout): persist the epoch we
@@ -295,21 +313,18 @@ func LifetimeCheckpointed(ctx context.Context, o Options, ckpt Checkpoint, every
 			}
 			return LifetimeResult{}, fmt.Errorf("%w: %v", ErrLifetimeInterrupted, err)
 		}
-		if !engB.Done() {
-			engB.Step(o.Workers)
+		for _, eng := range []*lifetime.Engine{engB, engP} {
+			if !eng.Done() {
+				eng.Step(o.Workers)
+				work += eng.Config().Population
+			}
 		}
-		if !engP.Done() {
-			engP.Step(o.Workers)
-		}
-		steps++
-		if steps%every == 0 {
+		if work >= every {
 			if err := save(); err != nil {
 				return LifetimeResult{}, err
 			}
+			work = 0
 		}
-	}
-	if err := save(); err != nil {
-		return LifetimeResult{}, err
 	}
 
 	path, delay := fleetDelayModel()
@@ -344,26 +359,27 @@ func encodeFleetPair(engB, engP *lifetime.Engine) ([]byte, error) {
 // decodeFleetPair restores a pair checkpoint, verifying the embedded
 // configs match the requested options: a mismatched checkpoint is an
 // error, so a stale one never silently answers for different options.
+// Every rejection wraps ErrBadCheckpoint.
 func decodeFleetPair(data []byte, cfgB, cfgP lifetime.Config) (*lifetime.Engine, *lifetime.Engine, error) {
 	rest, ok := bytes.CutPrefix(data, []byte(fleetPairMagic))
 	if !ok {
-		return nil, nil, fmt.Errorf("lifetime: not a fleet pair checkpoint")
+		return nil, nil, fmt.Errorf("%w: missing header", ErrBadCheckpoint)
 	}
 	engs := make([]*lifetime.Engine, 0, 2)
 	for i := 0; i < 2; i++ {
 		if len(rest) < 8 || binary.LittleEndian.Uint64(rest) > uint64(len(rest)-8) {
-			return nil, nil, fmt.Errorf("lifetime: truncated fleet pair checkpoint")
+			return nil, nil, fmt.Errorf("%w: truncated", ErrBadCheckpoint)
 		}
 		n := binary.LittleEndian.Uint64(rest)
 		eng, err := lifetime.FromSnapshot(rest[8 : 8+n])
 		if err != nil {
-			return nil, nil, fmt.Errorf("lifetime: reading fleet pair checkpoint: %w", err)
+			return nil, nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
 		}
 		engs = append(engs, eng)
 		rest = rest[8+n:]
 	}
 	if !reflect.DeepEqual(engs[0].Config(), cfgB) || !reflect.DeepEqual(engs[1].Config(), cfgP) {
-		return nil, nil, fmt.Errorf("lifetime: checkpoint was created with different options; delete it to start over")
+		return nil, nil, fmt.Errorf("%w: created with different options; delete it to start over", ErrBadCheckpoint)
 	}
 	return engs[0], engs[1], nil
 }

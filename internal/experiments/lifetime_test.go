@@ -188,14 +188,72 @@ func (c *pollLimitCtx) Err() error {
 	return nil
 }
 
-// memCheckpoint is an in-memory Checkpoint.
-type memCheckpoint struct{ data []byte }
+// memCheckpoint is an in-memory Checkpoint that counts its saves.
+type memCheckpoint struct {
+	data  []byte
+	saves int
+}
 
 func (m *memCheckpoint) Load() ([]byte, error) { return m.data, nil }
 
 func (m *memCheckpoint) Save(data []byte) error {
 	m.data = append([]byte(nil), data...)
+	m.saves++
 	return nil
+}
+
+// TestLifetimeCheckpointPacing pins the checkpoint cadence: saves are
+// paced by chip-epochs of work (both fleets of a pop-P pair step 2P per
+// epoch), there is no save at completion, and cancellation adds exactly
+// one save that resumes to a byte-identical payload.
+func TestLifetimeCheckpointPacing(t *testing.T) {
+	o := fleetOptions()
+	want := marshalLifetime(t, Lifetime(o), o)
+	n := o.Normalized()
+	eng, err := lifetime.New(n.fleetConfig(n.fleetDuties(), false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochs, pop := eng.TotalEpochs(), o.Population
+
+	ckpt := &memCheckpoint{}
+	if _, err := LifetimeCheckpointed(context.Background(), o, ckpt, 0); err != nil {
+		t.Fatal(err)
+	}
+	if ckpt.saves != 0 {
+		t.Errorf("default pacing saved %d times over a %d-epoch pop-%d run, want 0", ckpt.saves, epochs, pop)
+	}
+
+	for _, k := range []int{1, 3, 7, epochs + 1} {
+		ckpt := &memCheckpoint{}
+		res, err := LifetimeCheckpointed(context.Background(), o, ckpt, 2*pop*k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ckpt.saves != epochs/k {
+			t.Errorf("every %d epochs of work: %d saves over %d epochs, want %d", k, ckpt.saves, epochs, epochs/k)
+		}
+		if got := marshalLifetime(t, res, o); !bytes.Equal(got, want) {
+			t.Fatalf("every %d epochs of work: payload diverged", k)
+		}
+	}
+
+	const k, polls = 3, 5
+	ckpt = &memCheckpoint{}
+	ctx := &pollLimitCtx{Context: context.Background(), limit: polls}
+	if _, err := LifetimeCheckpointed(ctx, o, ckpt, 2*pop*k); !errors.Is(err, ErrLifetimeInterrupted) {
+		t.Fatalf("interrupted run returned %v, want ErrLifetimeInterrupted", err)
+	}
+	if ckpt.saves != polls/k+1 {
+		t.Errorf("cancelled after %d epochs: %d saves, want %d paced + 1", polls, ckpt.saves, polls/k)
+	}
+	res, err := LifetimeCheckpointed(context.Background(), o, ckpt, 2*pop*k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := marshalLifetime(t, res, o); !bytes.Equal(got, want) {
+		t.Fatal("resumed from the cancellation save: payload not byte-identical to an uninterrupted run")
+	}
 }
 
 // TestLifetimeCheckpointedCtxInterrupted cancels a checkpointed run
@@ -235,14 +293,14 @@ func TestLifetimeCheckpointRejectsMismatch(t *testing.T) {
 	}
 	other := o
 	other.Population = o.Population + 1
-	if _, err := LifetimeCheckpointed(context.Background(), other, ckpt, 4); err == nil ||
+	if _, err := LifetimeCheckpointed(context.Background(), other, ckpt, 4); !errors.Is(err, ErrBadCheckpoint) ||
 		!strings.Contains(err.Error(), "different options") {
 		t.Fatalf("mismatched checkpoint accepted (err = %v)", err)
 	}
 	// Corrupt magic fails loudly too.
 	ckpt.data = []byte("garbage")
-	if _, err := LifetimeCheckpointed(context.Background(), o, ckpt, 4); err == nil {
-		t.Fatal("corrupt checkpoint accepted")
+	if _, err := LifetimeCheckpointed(context.Background(), o, ckpt, 4); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("corrupt checkpoint accepted (err = %v)", err)
 	}
 }
 

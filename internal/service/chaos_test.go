@@ -394,6 +394,103 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestChaosQueuedLifetimeSurvivesCrash pins the admission contract: a
+// lifetime job's record is written when the job is admitted, not when a
+// worker starts it. The one worker is held busy, a lifetime job queues
+// behind it, and the server is dropped without Close (kill -9). The next
+// boot resumes the queued job from its record to a payload
+// byte-identical to an uninterrupted run.
+func TestChaosQueuedLifetimeSurvivesCrash(t *testing.T) {
+	dir := t.TempDir()
+	started, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	s1, err := service.New(service.Config{
+		Workers: 1, DataDir: dir,
+		Runner: func(context.Context, string, experiments.Options) (experiments.Result, error) {
+			if calls.Add(1) == 1 {
+				close(started)
+			}
+			<-release
+			return nil, fmt.Errorf("first server is gone")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	defer close(release) // let the abandoned worker return once the test is done
+
+	post := func(base, body string) service.Job {
+		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var job service.Job
+		if err := jsonDecode(resp, &job); err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	post(ts1.URL, `{"experiment":"fig4"}`)
+	<-started
+
+	o := experiments.Options{TraceLength: 900, TraceStride: 531, Population: 200, Years: 0.5, EpochDays: 30, FleetSeed: 11}
+	spec, _ := experiments.Lookup("lifetime")
+	canon := spec.CanonicalOptions(o)
+	optJSON, _ := json.Marshal(canon)
+	queued := post(ts1.URL, fmt.Sprintf(`{"experiment":"lifetime","options":%s}`, optJSON))
+	if queued.State != service.StateQueued {
+		t.Fatalf("lifetime job behind a busy worker is %s, want queued", queued.State)
+	}
+	if recs := s1.Store().Records(store.KindJob, nil); len(recs) != 1 || recs[0].Name != queued.ResultKey {
+		t.Fatalf("admission wrote job records %+v, want one for %s", recs, queued.ResultKey)
+	}
+	ts1.Close() // kill -9: no graceful Close, the queued job never ran
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("first server ran %d jobs, want only the one holding the worker", n)
+	}
+
+	s2, err := service.New(service.Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer func() {
+		ts2.Close()
+		s2.Close()
+	}()
+	deadline := time.Now().Add(60 * time.Second)
+	for !s2.Store().Has(queued.ResultKey) {
+		if time.Now().After(deadline) {
+			t.Fatal("queued lifetime job never resumed")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	got := fetch(t, ts2.URL+"/v1/results/"+queued.ResultKey)
+	res, err := experiments.Run("lifetime", canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.NewPayload(res, canon).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("resumed queued job's payload not byte-identical to an uninterrupted run")
+	}
+	resp, err := http.Get(ts2.URL + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m service.Metrics
+	if err := jsonDecode(resp, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Jobs.Resumed != 1 {
+		t.Errorf("resumed = %d, want 1", m.Jobs.Resumed)
+	}
+}
+
 // TestChaosGracefulCloseCheckpoints drives the cooperative-shutdown
 // path: Close cancels an in-flight checkpointed lifetime run, which
 // persists its state within the drain grace instead of being lost.

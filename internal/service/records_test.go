@@ -140,3 +140,86 @@ func TestFleetRegisterUnpersisted503(t *testing.T) {
 		t.Errorf("unpersisted fleet is served: status %d", code)
 	}
 }
+
+// TestCorruptJobCheckpointQuarantined puts a job checkpoint that
+// LifetimeCheckpointed must reject under a lifetime job's key, once as
+// garbage bytes and once as a real pair checkpoint written for
+// different options. The job must still answer, byte-identical to an
+// uninterrupted run, with the bad checkpoint quarantined and no job
+// record left to resubmit at the next boot.
+func TestCorruptJobCheckpointQuarantined(t *testing.T) {
+	o := experiments.Options{TraceLength: 900, TraceStride: 531, Population: 200, Years: 0.5, EpochDays: 30, FleetSeed: 9}
+	spec, _ := experiments.Lookup("lifetime")
+	canon := spec.CanonicalOptions(o)
+	key := ResultKey("lifetime", canon)
+	res, err := experiments.Run("lifetime", canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.NewPayload(res, canon).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	optJSON, err := json.Marshal(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		write func(path string)
+	}{
+		{"garbage", func(path string) { writeFile(t, path, []byte("garbage")) }},
+		{"other options", func(path string) {
+			other := canon
+			other.FleetSeed++
+			if _, err := experiments.LifetimeCheckpointed(&stopAfter{context.Background(), 2}, other, rawCheckpoint(path), 1); !errors.Is(err, experiments.ErrLifetimeInterrupted) {
+				t.Fatalf("writing the mismatched checkpoint: %v", err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ckpt := filepath.Join(dir, "checkpoints", key+".ckpt")
+			if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			tc.write(ckpt)
+			bad, err := os.ReadFile(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+
+			var job Job
+			if code := postJSON(t, ts.URL+"/v1/jobs", fmt.Sprintf(`{"experiment":"lifetime","options":%s}`, optJSON), &job); code != http.StatusAccepted && code != http.StatusOK {
+				t.Fatalf("submit: status %d", code)
+			}
+			waitFor(t, func() bool {
+				getJSON(t, ts.URL+"/v1/jobs/"+job.ID, &job)
+				return job.State == StateDone || job.State == StateFailed
+			})
+			if job.State != StateDone {
+				t.Fatalf("job over a bad checkpoint %s: %s", job.State, job.Error)
+			}
+			var got json.RawMessage
+			if code := getJSON(t, ts.URL+"/v1/results/"+key, &got); code != http.StatusOK {
+				t.Fatalf("result: status %d", code)
+			}
+			if !bytes.Equal(bytes.TrimSpace(got), bytes.TrimSpace(want)) {
+				t.Error("payload after quarantine not byte-identical to an uninterrupted run")
+			}
+			if kept, err := os.ReadFile(ckpt + ".quarantine"); err != nil || !bytes.Equal(kept, bad) {
+				t.Errorf("bad checkpoint not kept aside as .quarantine (%v)", err)
+			}
+			for _, left := range []string{ckpt, filepath.Join(dir, "checkpoints", key+".job")} {
+				if _, err := os.Stat(left); !os.IsNotExist(err) {
+					t.Errorf("%s survived the finished job (%v)", filepath.Base(left), err)
+				}
+			}
+			if q := s.Store().Stats().Quarantined; q != 1 {
+				t.Errorf("store quarantined %d files, want 1", q)
+			}
+		})
+	}
+}

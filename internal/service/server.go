@@ -83,8 +83,11 @@ type Config struct {
 	// JobTimeout bounds one runner attempt; a job past it fails with a
 	// timeout error and its context is cancelled. 0 = unbounded.
 	JobTimeout time.Duration
-	// CheckpointEvery is the epoch interval between lifetime checkpoint
-	// writes when persistence is on (default 16).
+	// CheckpointEvery is the lifetime checkpoint cadence in chip-epochs
+	// of work (a pop-P job steps 2P per epoch) when persistence is on; a
+	// kill -9 loses at most that much work. 0 means
+	// experiments.DefaultCheckpointWork (2^25), which a job of a few
+	// thousand chips never reaches, so it writes no checkpoint.
 	CheckpointEvery int
 	// DrainGrace bounds how long Close waits for a cancelled in-flight
 	// job to persist its state and return (default 5s). The fleet
@@ -225,9 +228,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 4096
 	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 16
-	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 5 * time.Second
 	}
@@ -334,16 +334,26 @@ func (s *Server) initFleetops() {
 // registryRunner is the default Runner: the experiments registry, with
 // lifetime jobs routed through the cancellable driver so a timeout or
 // shutdown stops them mid-fleet. With persistence on they checkpoint to
-// the store, so a crash or shutdown resumes instead of restarting.
+// the store, so a crash or shutdown resumes instead of restarting. A
+// checkpoint that does not decode or does not match the options
+// (experiments.ErrBadCheckpoint) is quarantined and the job reruns
+// from epoch 0, so one bad file never fails its result key on every
+// submission and every boot.
 func (s *Server) registryRunner(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 	if experiment != "lifetime" {
 		return experiments.Run(experiment, o)
 	}
-	var ckpt experiments.Checkpoint
-	if s.store != nil {
-		ckpt = s.store.Slot(store.KindJobCheckpoint, ResultKey(experiment, o))
+	if s.store == nil {
+		return experiments.LifetimeCheckpointed(ctx, o, nil, s.cfg.CheckpointEvery)
 	}
-	return experiments.LifetimeCheckpointed(ctx, o, ckpt, s.cfg.CheckpointEvery)
+	key := ResultKey(experiment, o)
+	ckpt := s.store.Slot(store.KindJobCheckpoint, key)
+	res, err := experiments.LifetimeCheckpointed(ctx, o, ckpt, s.cfg.CheckpointEvery)
+	if errors.Is(err, experiments.ErrBadCheckpoint) {
+		s.store.QuarantineRecord(store.KindJobCheckpoint, key, err)
+		res, err = experiments.LifetimeCheckpointed(ctx, o, ckpt, s.cfg.CheckpointEvery)
+	}
+	return res, err
 }
 
 // jobRecord is the record (store.KindJob, named by result key) written

@@ -689,15 +689,31 @@ func (s *Store) Records(k Kind, check func(Record) error) []Record {
 			err = check(rec)
 		}
 		if err != nil {
-			s.mu.Lock()
-			s.quarantineLocked(path, err)
-			delete(s.names[k], name)
-			s.mu.Unlock()
+			s.quarantineRecord(k, name, path, err)
 			continue
 		}
 		out = append(out, rec)
 	}
 	return out
+}
+
+// QuarantineRecord sets the record of kind k under name aside as
+// corrupt, the way Records sets aside a record its check rejects: it
+// is renamed to *.quarantine, counted, and never read under that name
+// again. Callers use it for records whose bytes only they can judge.
+func (s *Store) QuarantineRecord(k Kind, name string, cause error) {
+	if path, err := s.recordPath(k, name); err == nil {
+		s.quarantineRecord(k, name, path, cause)
+	}
+}
+
+// quarantineRecord quarantines the record file at path and drops name
+// from the kind's index.
+func (s *Store) quarantineRecord(k Kind, name, path string, cause error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.quarantineLocked(path, cause)
+	delete(s.names[k], name)
 }
 
 // RemoveRecord deletes the record of kind k under name, with any temp
