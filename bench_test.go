@@ -70,16 +70,17 @@ func BenchmarkFig5AdderGuardband(b *testing.B) {
 }
 
 // BenchmarkFig6RegfileBias runs the register files with ISV off and on
-// through one shared timing pass, the Figure 6 sweep shape, and reports
-// the worst-case integer bias with ISV (paper: 48.5%). The trace is
-// recorded once and replayed per iteration.
+// through one shared timing pass that accounts only the register files,
+// the Figure 6 sweep shape, and reports the worst-case integer bias with
+// ISV (paper: 48.5%). The trace is recorded once and replayed per
+// iteration.
 func BenchmarkFig6RegfileBias(b *testing.B) {
 	variants := []pipeline.Mitigation{{}, {EnableISV: true}}
 	src := []trace.Source{trace.Record(trace.SpecINT2000, 1, 8000).Cursor()}
 	var worst float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := pipeline.RunVariants(pipeline.DefaultConfig(), variants, src, 1)
+		r := pipeline.RunVariants(pipeline.DefaultConfig(), variants, pipeline.AccountRegfiles, src, 1)
 		worst = r[1][0].IntRF.WorstBias
 	}
 	b.ReportMetric(worst*100, "worstbias%")
@@ -165,6 +166,22 @@ func BenchmarkPipelineReplayThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pipeline.Run(cfg, src)
+	}
+	b.ReportMetric(float64(10000*b.N)/b.Elapsed().Seconds(), "uops/s")
+}
+
+// BenchmarkCoreReplay measures one reused core replaying a packed
+// recording: the BenchmarkPipelineReplayThroughput workload with every
+// structure accounted, minus building a core and a Result per run. Each
+// run resets the warm core in place, so allocs/op is 0.
+func BenchmarkCoreReplay(b *testing.B) {
+	c := pipeline.NewCore(pipeline.DefaultConfig(), []pipeline.Mitigation{{}}, pipeline.AccountAll)
+	src := trace.Record(trace.Multimedia, 0, 10000).Cursor()
+	c.Run(src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Run(src)
 	}
 	b.ReportMetric(float64(10000*b.N)/b.Elapsed().Seconds(), "uops/s")
 }

@@ -24,22 +24,30 @@ func run(isv bool) regfile.Report {
 		until uint64
 	}
 	var inFlight []live
+	// The file is an accountant: its owner keeps the FIFO free list, as
+	// the pipeline core does.
+	free := make([]int, 64)
+	for i := range free {
+		free[i] = i
+	}
 	const cycles = 60000
 	for cyc := uint64(0); cyc < cycles; cyc++ {
 		keep := inFlight[:0]
 		for _, l := range inFlight {
 			if l.until <= cyc {
 				f.Release(l.reg, cyc)
+				free = append(free, l.reg)
 			} else {
 				keep = append(keep, l)
 			}
 		}
 		inFlight = keep
-		if rng.Float64() < 0.6 {
-			if r, ok := f.Allocate(cyc); ok {
-				f.Write(r, value(rng), 0, cyc)
-				inFlight = append(inFlight, live{reg: r, until: cyc + uint64(5+rng.Intn(40))})
-			}
+		if rng.Float64() < 0.6 && len(free) > 0 {
+			r := free[0]
+			free = free[1:]
+			f.Allocate(r, cyc)
+			f.Write(r, value(rng), 0, cyc)
+			inFlight = append(inFlight, live{reg: r, until: cyc + uint64(5+rng.Intn(40))})
 		}
 	}
 	f.Finish(cycles)

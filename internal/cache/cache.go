@@ -255,7 +255,6 @@ func newCache(name string, sets, ways int, shift uint, opt Options) *Cache {
 		lines:     make([]line, sets*ways),
 		order:     make([]uint8, sets*ways),
 		setMask:   uint64(sets - 1),
-		active:    opt.Scheme != SchemeNone,
 	}
 	c.stats.HitWayRank = make([]uint64, ways)
 	if c.lineScheme() {
@@ -264,13 +263,47 @@ func newCache(name string, sets, ways int, shift uint, opt Options) *Cache {
 		// and seeding a source is a measurable share of a short run.
 		c.rng = rand.New(rand.NewSource(opt.Seed + 1))
 	}
-	for s := 0; s < sets; s++ {
-		for w := 0; w < ways; w++ {
-			c.order[s*ways+w] = uint8(w)
+	c.start()
+	return c
+}
+
+// Reset returns the cache to the state New built: every line invalid,
+// the statistics zeroed (HitWayRank keeps its backing array, so callers
+// holding a copy of Stats must clone it first) and the inversion scheme
+// re-armed from its seed. A reset cache replays an access stream exactly
+// as a fresh one does, without allocating.
+func (c *Cache) Reset() {
+	hits := c.stats.HitWayRank
+	clear(hits)
+	*c = Cache{
+		name:      c.name,
+		sets:      c.sets,
+		ways:      c.ways,
+		lineShift: c.lineShift,
+		opt:       c.opt,
+		lines:     c.lines,
+		order:     c.order,
+		rng:       c.rng,
+		stats:     Stats{HitWayRank: hits},
+		setMask:   c.setMask,
+	}
+	clear(c.lines)
+	if c.rng != nil {
+		c.rng.Seed(c.opt.Seed + 1)
+	}
+	c.start()
+}
+
+// start arms a cache whose lines are all invalid: identity MRU order in
+// every set, then the scheme's initial state.
+func (c *Cache) start() {
+	c.active = c.opt.Scheme != SchemeNone
+	for s := 0; s < c.sets; s++ {
+		for w := 0; w < c.ways; w++ {
+			c.order[s*c.ways+w] = uint8(w)
 		}
 	}
 	c.configureScheme()
-	return c
 }
 
 // Name returns the cache's label.

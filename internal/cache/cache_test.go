@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -256,5 +257,42 @@ func TestAccessDeterminism(t *testing.T) {
 	}
 	if a.Stats().Misses != b.Stats().Misses {
 		t.Error("identical runs must produce identical stats")
+	}
+}
+
+// TestResetMatchesFresh replays one access stream on a fresh cache and,
+// after Reset, on the same cache again, for every scheme: the hit
+// pattern, the statistics and the inverted-line count must be identical,
+// and the reset replay must not allocate.
+func TestResetMatchesFresh(t *testing.T) {
+	schemes := []Options{
+		{Scheme: SchemeNone},
+		{Scheme: SchemeSetFixed, InvertRatio: 0.5, RotatePeriod: 700},
+		{Scheme: SchemeWayFixed, InvertRatio: 0.5, RotatePeriod: 900},
+		{Scheme: SchemeLineFixed, InvertRatio: 0.5, Seed: 7},
+		dynOptions(0.6, 0.5, 3),
+	}
+	for _, opt := range schemes {
+		c := New("r", 4096, 64, 4, opt)
+		replay := func() ([]bool, Stats, int) {
+			rng := rand.New(rand.NewSource(5))
+			hits := make([]bool, 0, 30000)
+			for cyc := uint64(0); cyc < 30000; cyc++ {
+				hits = append(hits, c.Access(uint64(rng.Intn(160))*64, cyc))
+			}
+			st := *c.Stats()
+			st.HitWayRank = append([]uint64(nil), st.HitWayRank...)
+			return hits, st, c.InvertedLines()
+		}
+		h1, s1, inv1 := replay()
+		c.Reset()
+		h2, s2, inv2 := replay()
+		if !reflect.DeepEqual(h1, h2) || !reflect.DeepEqual(s1, s2) || inv1 != inv2 {
+			t.Errorf("%v: reset replay differs from the fresh one:\n%+v (inverted %d)\nvs\n%+v (inverted %d)",
+				opt.Scheme, s2, inv2, s1, inv1)
+		}
+		if n := testing.AllocsPerRun(5, c.Reset); n != 0 {
+			t.Errorf("%v: Reset allocates %v per call", opt.Scheme, n)
+		}
 	}
 }

@@ -81,7 +81,7 @@ func Fig5(o Options) Fig5Result {
 	util := func(cfg pipeline.Config) []float64 {
 		sum := make([]float64, cfg.NumAdders)
 		n := 0
-		for _, r := range pipeline.RunBatch(cfg, traces, 0) {
+		for _, r := range runTiming(cfg, traces) {
 			for i, u := range r.AdderUtil {
 				sum[i] += u
 			}

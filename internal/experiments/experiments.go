@@ -14,6 +14,7 @@ import (
 
 	"penelope/internal/lifetime"
 	"penelope/internal/memo"
+	"penelope/internal/pipeline"
 	"penelope/internal/trace"
 )
 
@@ -225,6 +226,12 @@ func (o Options) sources() []trace.Source {
 func (o Options) sampleSources(mul int) []trace.Source {
 	o = o.normalized()
 	return o.bank().SampleSources(o.TraceStride * mul)
+}
+
+// runTiming runs sources through cfg with no structure's bias accounted,
+// for drivers that read only timing, cache and adder figures.
+func runTiming(cfg pipeline.Config, sources []trace.Source) []pipeline.Result {
+	return pipeline.RunVariants(cfg, []pipeline.Mitigation{{}}, pipeline.AccountNone, sources, 0)[0]
 }
 
 // section prints a titled separator for experiment output.

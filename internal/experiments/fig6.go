@@ -48,11 +48,12 @@ func fig6(traces []trace.Source) Fig6Result {
 	res.FPBaseline = make([]float64, 80)
 	res.FPISV = make([]float64, 80)
 	n := 0
-	// One timing pass per trace feeds both register-file variants; the
-	// runs fan out over the worker pool, and accumulation stays in trace
-	// order so the aggregated floats are bit-identical to a serial run.
+	// One timing pass per trace feeds both register-file variants, with
+	// only the register files accounted; the runs fan out over the
+	// worker pool, and accumulation stays in trace order so the
+	// aggregated floats are bit-identical to a serial run.
 	runs := pipeline.RunVariants(pipeline.DefaultConfig(),
-		[]pipeline.Mitigation{{}, {EnableISV: true}}, traces, 0)
+		[]pipeline.Mitigation{{}, {EnableISV: true}}, pipeline.AccountRegfiles, traces, 0)
 	baseRes, isvRes := runs[0], runs[1]
 	for ti := range traces {
 		b, i := baseRes[ti], isvRes[ti]

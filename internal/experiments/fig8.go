@@ -39,8 +39,10 @@ func fig8(traces []trace.Source) Fig8Result {
 		profileN = 1
 	}
 	cfg := pipeline.DefaultConfig()
-	plan := sched.BuildPlan(meanSchedReports(pipeline.RunBatch(cfg, traces[:profileN], 0)))
-	eval := pipeline.RunVariants(cfg, []pipeline.Mitigation{{}, {SchedPlan: plan}}, traces[profileN:], 0)
+	// Both passes account the scheduler alone: Fig 8 reads nothing else.
+	profile := pipeline.RunVariants(cfg, []pipeline.Mitigation{{}}, pipeline.AccountScheduler, traces[:profileN], 0)[0]
+	plan := sched.BuildPlan(meanSchedReports(profile))
+	eval := pipeline.RunVariants(cfg, []pipeline.Mitigation{{}, {SchedPlan: plan}}, pipeline.AccountScheduler, traces[profileN:], 0)
 	res := Fig8Result{
 		Plan:      plan,
 		Baseline:  meanSchedReports(eval[0]),

@@ -61,8 +61,8 @@ func measureFleetDuties(o Options) []StructureDuty {
 	}
 	baseRes := pipeline.RunBatch(cfg, traces[:profileN], 0)
 	pen := pipeline.Mitigation{EnableISV: true, SchedPlan: sched.BuildPlan(meanSchedReports(baseRes))}
-	penRes := pipeline.RunVariants(cfg, []pipeline.Mitigation{pen}, traces[:profileN], 0)[0]
-	rest := pipeline.RunVariants(cfg, []pipeline.Mitigation{{}, pen}, traces[profileN:], 0)
+	penRes := pipeline.RunVariants(cfg, []pipeline.Mitigation{pen}, pipeline.AccountAll, traces[:profileN], 0)[0]
+	rest := pipeline.RunVariants(cfg, []pipeline.Mitigation{{}, pen}, pipeline.AccountAll, traces[profileN:], 0)
 	baseRes = append(baseRes, rest[0]...)
 	penRes = append(penRes, rest[1]...)
 

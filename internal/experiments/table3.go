@@ -71,14 +71,14 @@ func Table3(o Options) Table3Result {
 		// The four schemes sweep the workload through the batch runner;
 		// sums accumulate in trace order so the averages are bit-identical
 		// to a serial sweep.
-		baseRes := pipeline.RunBatch(applyCacheConfig(cc, cache.Options{}), traces, 0)
-		setRes := pipeline.RunBatch(applyCacheConfig(cc, cache.Options{
+		baseRes := runTiming(applyCacheConfig(cc, cache.Options{}), traces)
+		setRes := runTiming(applyCacheConfig(cc, cache.Options{
 			Scheme: cache.SchemeSetFixed, InvertRatio: 0.5, RotatePeriod: 2_000_000,
-		}), traces, 0)
-		lineRes := pipeline.RunBatch(applyCacheConfig(cc, cache.Options{
+		}), traces)
+		lineRes := runTiming(applyCacheConfig(cc, cache.Options{
 			Scheme: cache.SchemeLineFixed, InvertRatio: 0.5, Seed: 17,
-		}), traces, 0)
-		dynRes := pipeline.RunBatch(applyCacheConfig(cc, dynOptions(o, cc)), traces, 0)
+		}), traces)
+		dynRes := runTiming(applyCacheConfig(cc, dynOptions(o, cc)), traces)
 		for ti := range traces {
 			base, set, line, dyn := baseRes[ti], setRes[ti], lineRes[ti], dynRes[ti]
 			baseCPI += base.CPI
@@ -108,8 +108,8 @@ func Table3(o Options) Table3Result {
 	bothCfg := pipeline.DefaultConfig()
 	bothCfg.DL0Options = lineOpt
 	bothCfg.DTLBOptions = lineOpt
-	baseRes := pipeline.RunBatch(pipeline.DefaultConfig(), traces, 0)
-	bothRes := pipeline.RunBatch(bothCfg, traces, 0)
+	baseRes := runTiming(pipeline.DefaultConfig(), traces)
+	bothRes := runTiming(bothCfg, traces)
 	for ti := range traces {
 		baseCPI += baseRes[ti].CPI
 		bothCPI += bothRes[ti].CPI
@@ -184,7 +184,7 @@ func MRUStudy(o Options) MRUResult {
 	cfg := pipeline.DefaultConfig()
 	ranks := make([]float64, cfg.DL0Ways)
 	n := 0.0
-	for _, r := range pipeline.RunBatch(cfg, o.sampleSources(2), 0) {
+	for _, r := range runTiming(cfg, o.sampleSources(2)) {
 		var hits uint64
 		for _, c := range r.DL0Stats.HitWayRank {
 			hits += c

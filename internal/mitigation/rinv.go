@@ -32,6 +32,10 @@ func NewRINV(width int, period uint64) *RINV {
 // Width returns the register width in bits.
 func (r *RINV) Width() int { return r.width }
 
+// Reset returns the register to its built state: zero contents, no
+// samples, the next offer accepted.
+func (r *RINV) Reset() { r.value, r.samples, r.nextAt = 0, 0, 0 }
+
 // Offer presents a value flowing through a write port at the given cycle.
 // If the refresh period has elapsed, RINV captures the inverted value.
 // It returns true when the sample was taken.
@@ -74,6 +78,9 @@ func NewDutyCounter(period int, k float64) *DutyCounter {
 	high := int(k*float64(period) + 0.5)
 	return &DutyCounter{period: period, high: high}
 }
+
+// Reset rewinds the counter to the start of its period.
+func (c *DutyCounter) Reset() { c.pos = 0 }
 
 // Output returns the current level without advancing.
 func (c *DutyCounter) Output() bool { return c.pos < c.high }

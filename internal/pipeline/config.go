@@ -17,6 +17,7 @@ import (
 
 	"penelope/internal/cache"
 	"penelope/internal/sched"
+	"penelope/internal/trace"
 )
 
 // AdderPolicy selects how additions are distributed over the adders
@@ -94,6 +95,28 @@ type Mitigation struct {
 	SchedPlan *sched.Plan
 }
 
+// Accounts is the set of structures whose bias accounting a run keeps.
+// Accounting only records what the timing state tells it, so every
+// timing, cache and adder figure of a Result is the same for any set; a
+// structure left out reports its zero value. It is a run argument, not a
+// Config field, because it changes what a run measures, never what the
+// simulated core does.
+type Accounts uint8
+
+// The structures a run can account.
+const (
+	// AccountRegfiles accounts the integer and FP register files
+	// (Result.IntRF and Result.FPRF).
+	AccountRegfiles Accounts = 1 << iota
+	// AccountScheduler accounts the scheduler (Result.Sched).
+	AccountScheduler
+
+	// AccountNone keeps only timing, cache and adder figures.
+	AccountNone Accounts = 0
+	// AccountAll accounts every structure, as Run and RunBatch do.
+	AccountAll = AccountRegfiles | AccountScheduler
+)
+
 // mitigation returns the Mitigation a Config selects.
 func (c Config) mitigation() Mitigation {
 	return Mitigation{EnableISV: c.EnableISV, SchedPlan: c.SchedPlan}
@@ -145,7 +168,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pipeline: scheduler sizes must be positive")
 	case c.IntRegs < 32 || c.FPRegs < 16:
 		return fmt.Errorf("pipeline: register files too small for architectural state")
-	case c.IssuePorts <= 0 || c.NumAdders <= 0:
+	case c.IssuePorts < trace.NumIssuePorts:
+		return fmt.Errorf("pipeline: %d issue ports, but uop classes issue on ports 0..%d", c.IssuePorts, trace.NumIssuePorts-1)
+	case c.NumAdders <= 0:
 		return fmt.Errorf("pipeline: execution resources must be positive")
 	case c.DL0Bytes <= 0 || c.DTLBEntries <= 0:
 		return fmt.Errorf("pipeline: memory hierarchy must be sized")

@@ -68,6 +68,19 @@ type wheel struct {
 	overflow []eventRec // events at or beyond base+wheelSize (rare)
 }
 
+// reset empties the wheel and rewinds its clock to cycle 0, keeping the
+// bucket spill and overflow storage for reuse. A drained wheel holds no
+// events, so only the clock moves.
+func (w *wheel) reset() {
+	if w.inWheel > 0 {
+		for i := range w.buckets {
+			w.buckets[i].n = 0
+			w.buckets[i].spill = w.buckets[i].spill[:0]
+		}
+	}
+	w.base, w.inWheel, w.overflow = 0, 0, w.overflow[:0]
+}
+
 // at schedules r to fire at the given cycle.
 func (w *wheel) at(cycle uint64, r eventRec) {
 	if cycle < w.base {

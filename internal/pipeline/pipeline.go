@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"slices"
+
 	"penelope/internal/cache"
 	"penelope/internal/regfile"
 	"penelope/internal/sched"
@@ -29,15 +31,20 @@ type Result struct {
 	AdderUtilMean float64
 }
 
-// core is the running state of one simulation. One timing core drives a
-// register-file pair per distinct ISV setting and a scheduler per
-// distinct plan among its variants. The copies see the same operations
-// in the same order and differ only in stored contents, so their free
-// lists agree and the first copy answers every timing question.
-type core struct {
-	cfg   Config
-	w     wheel
-	cycle uint64
+// Core is one reusable timing core. It owns the timing state — clock,
+// event wheel, rename tables, the FIFO free lists of integer and FP
+// registers and of scheduler slots, issue ports, adders, ROB, DL0 and
+// DTLB — and answers every timing question from it. For the structures
+// it accounts it drives a register-file pair per distinct ISV setting
+// and a scheduler per distinct plan among its variants; those
+// accountants only record the claims, writes and frees the timing state
+// tells them, so a core may carry none of either. Each Run starts from
+// the state NewCore built, so one core serves any number of sources and,
+// once warm, replays a recording without allocating.
+type Core struct {
+	cfg      Config
+	accounts Accounts
+	w        wheel
 
 	intRFs []*regfile.File
 	fpRFs  []*regfile.File
@@ -45,8 +52,12 @@ type core struct {
 	dl0    *cache.Cache
 	dtlb   *cache.Cache
 
-	intRAT [trace.NumIntRegs]int
-	fpRAT  [trace.NumFPRegs]int
+	// Hardware free lists: physical registers per file and scheduler
+	// slots.
+	intFree  freeList
+	fpFree   freeList
+	slotFree freeList
+
 	// Dense scoreboards indexed by physical register: the ready cycle of
 	// the last value written, 0 once the register retires (a map would
 	// pay hashing on the two lookups every uop makes).
@@ -56,7 +67,19 @@ type core struct {
 	portFree  []uint64 // issue port -> next free cycle
 	adderFree []uint64 // adder -> next free cycle
 	adderBusy []uint64 // adder -> total busy cycles
-	adderRR   int
+
+	dirty bool // a run has started since the core was built or reset
+	coreRun
+}
+
+// coreRun is the scalar state of one run, zeroed between runs.
+type coreRun struct {
+	cycle uint64
+
+	intRAT [trace.NumIntRegs]int
+	fpRAT  [trace.NumFPRegs]int
+
+	adderRR int
 
 	robCount    int
 	lastRetire  uint64
@@ -73,27 +96,33 @@ type core struct {
 }
 
 // Run simulates one uop source through a core built from cfg and returns
-// the measured statistics. The source is reset first; runs are
-// deterministic. Sources are either synthesizing generators
+// the measured statistics of every structure. The source is reset first;
+// runs are deterministic. Sources are either synthesizing generators
 // (*trace.Trace) or zero-allocation replay cursors over a shared
 // recording (*trace.Cursor); sweeping many configurations over the same
 // workload should record once and hand each Run a cursor.
 func Run(cfg Config, src trace.Source) Result {
+	m := cfg.mitigation()
+	c := NewCore(cfg, []Mitigation{m}, AccountAll)
+	c.Run(src)
+	return c.Result(m)
+}
+
+// NewCore builds a core from cfg that reports each of variants (cfg's
+// EnableISV and SchedPlan replaced by the variant), accounting the
+// structures in accounts. It panics if cfg is invalid.
+func NewCore(cfg Config, variants []Mitigation, accounts Accounts) *Core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := cfg.mitigation()
-	c := newCore(cfg, []Mitigation{m})
-	c.run(src)
-	return c.result(m)
-}
-
-// newCore builds a core whose structures serve every variant.
-func newCore(cfg Config, variants []Mitigation) *core {
-	c := &core{
+	c := &Core{
 		cfg:       cfg,
+		accounts:  accounts,
 		dl0:       cache.New("DL0", cfg.DL0Bytes, cfg.DL0Line, cfg.DL0Ways, cfg.DL0Options),
 		dtlb:      cache.NewTLB("DTLB", cfg.DTLBEntries, cfg.DTLBWays, cfg.PageBytes, cfg.DTLBOptions),
+		intFree:   newFreeList(cfg.IntRegs),
+		fpFree:    newFreeList(cfg.FPRegs),
+		slotFree:  newFreeList(cfg.SchedEntries),
 		ready:     make([]uint64, cfg.IntRegs),
 		fready:    make([]uint64, cfg.FPRegs),
 		portFree:  make([]uint64, cfg.IssuePorts),
@@ -101,7 +130,7 @@ func newCore(cfg Config, variants []Mitigation) *core {
 		adderBusy: make([]uint64, cfg.NumAdders),
 	}
 	for _, m := range variants {
-		if c.regfiles(m) < 0 {
+		if accounts&AccountRegfiles != 0 && c.regfiles(m) < 0 {
 			c.intRFs = append(c.intRFs, regfile.New(regfile.Config{
 				Name: "int", Entries: cfg.IntRegs, Bits: 32,
 				WritePorts: cfg.IntWritePorts, RINVPeriod: cfg.RINVPeriod,
@@ -113,7 +142,7 @@ func newCore(cfg Config, variants []Mitigation) *core {
 				EnableISV: m.EnableISV,
 			}))
 		}
-		if c.scheduler(m) < 0 {
+		if accounts&AccountScheduler != 0 && c.scheduler(m) < 0 {
 			c.schs = append(c.schs, sched.New(sched.Config{
 				Entries: cfg.SchedEntries, AllocPorts: cfg.AllocPorts,
 				RINVPeriod: cfg.RINVPeriod, Plan: m.SchedPlan,
@@ -124,8 +153,33 @@ func newCore(cfg Config, variants []Mitigation) *core {
 	return c
 }
 
+// reset returns the core to the state NewCore built, keeping every
+// buffer: the wheel and caches, the accountants and the free lists are
+// rewound in place, and the per-run scalars are zeroed.
+func (c *Core) reset() {
+	c.coreRun = coreRun{}
+	c.w.reset()
+	for i := range c.intRFs {
+		c.intRFs[i].Reset()
+		c.fpRFs[i].Reset()
+	}
+	for _, s := range c.schs {
+		s.Reset()
+	}
+	c.dl0.Reset()
+	c.dtlb.Reset()
+	c.intFree.reset()
+	c.fpFree.reset()
+	c.slotFree.reset()
+	clear(c.ready)
+	clear(c.fready)
+	clear(c.portFree)
+	clear(c.adderFree)
+	clear(c.adderBusy)
+}
+
 // regfiles returns the index of the register-file pair serving m, or -1.
-func (c *core) regfiles(m Mitigation) int {
+func (c *Core) regfiles(m Mitigation) int {
 	for i, f := range c.intRFs {
 		if f.Config().EnableISV == m.EnableISV {
 			return i
@@ -135,7 +189,7 @@ func (c *core) regfiles(m Mitigation) int {
 }
 
 // scheduler returns the index of the scheduler serving m, or -1.
-func (c *core) scheduler(m Mitigation) int {
+func (c *Core) scheduler(m Mitigation) int {
 	for i, s := range c.schs {
 		if s.Config().Plan == m.SchedPlan {
 			return i
@@ -144,19 +198,24 @@ func (c *core) scheduler(m Mitigation) int {
 	return -1
 }
 
-// run resets src and simulates it to the end, closing all accounting.
-func (c *core) run(src trace.Source) {
+// Run resets the core and src, then simulates src to the end, closing
+// all accounting.
+func (c *Core) Run(src trace.Source) {
+	if c.dirty {
+		c.reset()
+	}
+	c.dirty = true
 	src.Reset()
 	c.traceName = src.Name()
 	// Architectural state: allocate and zero-fill the committed
 	// registers at cycle 0 (the cold-start state §4.4 mentions).
 	for i := 0; i < trace.NumIntRegs; i++ {
-		r := allocate(c.intRFs, 0)
+		r := allocate(&c.intFree, c.intRFs, 0)
 		write(c.intRFs, r, 0, 0, 0)
 		c.intRAT[i] = r
 	}
 	for i := 0; i < trace.NumFPRegs; i++ {
-		r := allocate(c.fpRFs, 0)
+		r := allocate(&c.fpFree, c.fpRFs, 0)
 		write(c.fpRFs, r, 0, 0, 0)
 		c.fpRAT[i] = r
 	}
@@ -182,23 +241,39 @@ func (c *core) run(src trace.Source) {
 	}
 }
 
-// result reports a finished run as seen by variant m.
-func (c *core) result(m Mitigation) Result {
-	rf, sch := c.regfiles(m), c.scheduler(m)
+// Result reports the last Run as seen by variant m, which must be one of
+// the variants the core was built with. Structures the core does not
+// account report zero values.
+func (c *Core) Result(m Mitigation) Result {
 	end := c.end
 	res := Result{
 		Trace:  c.traceName,
 		Uops:   c.dispatched,
 		Cycles: end,
-		IntRF:  c.intRFs[rf].Report(),
-		FPRF:   c.fpRFs[rf].Report(),
-		Sched:  c.schs[sch].Report(),
+	}
+	if c.accounts&AccountRegfiles != 0 {
+		rf := c.regfiles(m)
+		if rf < 0 {
+			panic("pipeline: no register files for this variant")
+		}
+		res.IntRF = c.intRFs[rf].Report()
+		res.FPRF = c.fpRFs[rf].Report()
+	}
+	if c.accounts&AccountScheduler != 0 {
+		sch := c.scheduler(m)
+		if sch < 0 {
+			panic("pipeline: no scheduler for this variant")
+		}
+		res.Sched = c.schs[sch].Report()
 	}
 	if c.dispatched > 0 {
 		res.CPI = float64(end) / float64(c.dispatched)
 	}
+	// The caches keep their histograms across runs: copy them out.
 	res.DL0Stats = *c.dl0.Stats()
+	res.DL0Stats.HitWayRank = slices.Clone(res.DL0Stats.HitWayRank)
 	res.DTLBStats = *c.dtlb.Stats()
+	res.DTLBStats.HitWayRank = slices.Clone(res.DTLBStats.HitWayRank)
 	res.DL0MissRate = res.DL0Stats.MissRate()
 	res.DTLBMissRate = res.DTLBStats.MissRate()
 	res.DL0MRUHits = res.DL0Stats.MRUHitFraction(0)
@@ -214,11 +289,12 @@ func (c *core) result(m Mitigation) Result {
 	return res
 }
 
-// allocate claims the same register in every copy of a register file.
-func allocate(files []*regfile.File, cycle uint64) int {
-	reg, _ := files[0].Allocate(cycle)
-	for _, f := range files[1:] {
-		f.Allocate(cycle)
+// allocate claims the oldest free register and tells every copy of the
+// register file.
+func allocate(free *freeList, files []*regfile.File, cycle uint64) int {
+	reg := free.pop()
+	for _, f := range files {
+		f.Allocate(reg, cycle)
 	}
 	return reg
 }
@@ -229,14 +305,16 @@ func write(files []*regfile.File, reg int, value, ext, cycle uint64) {
 	}
 }
 
-func release(files []*regfile.File, reg int, cycle uint64) {
+// release frees a register and tells every copy of the register file.
+func release(free *freeList, files []*regfile.File, reg int, cycle uint64) {
+	free.push(reg)
 	for _, f := range files {
 		f.Release(reg, cycle)
 	}
 }
 
 // advanceTo moves the core clock forward, firing pending events.
-func (c *core) advanceTo(cycle uint64) {
+func (c *Core) advanceTo(cycle uint64) {
 	if cycle > c.cycle {
 		c.cycle = cycle
 	}
@@ -245,7 +323,7 @@ func (c *core) advanceTo(cycle uint64) {
 
 // dispatchUop renames, schedules and executes one uop, stalling the
 // front end as resources demand.
-func (c *core) dispatchUop(u *trace.Uop) {
+func (c *Core) dispatchUop(u *trace.Uop) {
 	// Front-end redirect after a mispredicted branch.
 	if c.cycle < c.frontStallUntil {
 		c.advanceTo(c.frontStallUntil)
@@ -272,7 +350,7 @@ func (c *core) dispatchUop(u *trace.Uop) {
 	// are available.
 	for {
 		c.w.fireUpTo(c.cycle)
-		if c.schs[0].FreeSlots() == 0 || c.robCount >= c.cfg.ROB || !c.destAvailable(u) {
+		if c.slotFree.empty() || c.robCount >= c.cfg.ROB || !c.destAvailable(u) {
 			next := c.w.nextTime()
 			if next == ^uint64(0) {
 				c.advanceTo(c.cycle + 1)
@@ -300,11 +378,11 @@ func (c *core) dispatchUop(u *trace.Uop) {
 	dstPhys, prevPhys := -1, -1
 	if u.Dst >= 0 {
 		if u.Class.IsFP() {
-			dstPhys = allocate(c.fpRFs, dispatch)
+			dstPhys = allocate(&c.fpFree, c.fpRFs, dispatch)
 			prevPhys = c.fpRAT[u.Dst]
 			c.fpRAT[u.Dst] = dstPhys
 		} else {
-			dstPhys = allocate(c.intRFs, dispatch)
+			dstPhys = allocate(&c.intFree, c.intRFs, dispatch)
 			prevPhys = c.intRAT[u.Dst]
 			c.intRAT[u.Dst] = dstPhys
 		}
@@ -371,14 +449,13 @@ func (c *core) dispatchUop(u *trace.Uop) {
 	// 63% under dependence and miss pressure.
 	// Operands count as captured when they arrive within the two-cycle
 	// scheduling loop; later ones come over the bypass network.
-	d := sched.FromUop(u, dstPhys, src1Phys, src2Phys, src1Ready <= dispatch+2, src2Ready <= dispatch+2)
-	d.Port = port
-	slot, ok := c.schs[0].Dispatch(&d, dispatch)
-	if !ok {
-		panic("pipeline: scheduler slot vanished")
-	}
-	for _, s := range c.schs[1:] {
-		s.Dispatch(&d, dispatch)
+	slot := c.slotFree.pop()
+	if len(c.schs) > 0 {
+		d := sched.FromUop(u, dstPhys, src1Phys, src2Phys, src1Ready <= dispatch+2, src2Ready <= dispatch+2)
+		d.Port = port
+		for _, s := range c.schs {
+			s.Dispatch(slot, &d, dispatch)
+		}
 	}
 	c.w.at(issue, eventRec{kind: evIssue, arg: int32(slot)})
 	// Memory uops hand over to the MOB once their address generation
@@ -425,7 +502,7 @@ func (c *core) dispatchUop(u *trace.Uop) {
 // fire executes one event record; the wheel invokes it in time order.
 // Handlers never schedule further events, which keeps the wheel's firing
 // walk simple.
-func (c *core) fire(r eventRec) {
+func (c *Core) fire(r eventRec) {
 	switch r.kind {
 	case evIssue:
 		for _, s := range c.schs {
@@ -433,6 +510,7 @@ func (c *core) fire(r eventRec) {
 			s.Issue(int(r.arg), r.time)
 		}
 	case evRelease:
+		c.slotFree.push(int(r.arg))
 		for _, s := range c.schs {
 			s.Release(int(r.arg), r.time)
 		}
@@ -444,32 +522,32 @@ func (c *core) fire(r eventRec) {
 		c.robCount--
 		if r.arg >= 0 {
 			c.ready[r.arg] = 0
-			release(c.intRFs, int(r.arg), r.time)
+			release(&c.intFree, c.intRFs, int(r.arg), r.time)
 		}
 	case evRetireFP:
 		c.robCount--
 		if r.arg >= 0 {
 			c.fready[r.arg] = 0
-			release(c.fpRFs, int(r.arg), r.time)
+			release(&c.fpFree, c.fpRFs, int(r.arg), r.time)
 		}
 	}
 }
 
 // destAvailable reports whether the uop's destination register file has a
 // free entry.
-func (c *core) destAvailable(u *trace.Uop) bool {
+func (c *Core) destAvailable(u *trace.Uop) bool {
 	if u.Dst < 0 {
 		return true
 	}
 	if u.Class.IsFP() {
-		return c.fpRFs[0].FreeCount() > 0
+		return !c.fpFree.empty()
 	}
-	return c.intRFs[0].FreeCount() > 0
+	return !c.intFree.empty()
 }
 
 // lookupSrc renames a source register, returning its physical tag and
 // ready cycle.
-func (c *core) lookupSrc(u *trace.Uop, src int) (phys int, readyAt uint64) {
+func (c *Core) lookupSrc(u *trace.Uop, src int) (phys int, readyAt uint64) {
 	if src < 0 {
 		return -1, 0
 	}
@@ -482,7 +560,7 @@ func (c *core) lookupSrc(u *trace.Uop, src int) (phys int, readyAt uint64) {
 }
 
 // pickAdder chooses an adder per the configured policy.
-func (c *core) pickAdder(issue uint64) int {
+func (c *Core) pickAdder(issue uint64) int {
 	switch c.cfg.AdderPolicy {
 	case AdderPriority:
 		for i, free := range c.adderFree {

@@ -22,6 +22,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.IntRegs = 8 },
 		func(c *Config) { c.NumAdders = 0 },
 		func(c *Config) { c.DL0Bytes = 0 },
+		func(c *Config) { c.IssuePorts = 0 },
+		func(c *Config) { c.IssuePorts = trace.NumIssuePorts - 1 },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig()
@@ -33,6 +35,22 @@ func TestConfigValidate(t *testing.T) {
 	if AdderPriority.String() != "priority" || AdderUniform.String() != "uniform" {
 		t.Error("policy names wrong")
 	}
+}
+
+// TestRunRejectsTooFewIssuePorts requires a config with fewer issue
+// ports than the uop classes use to fail validation inside Run, not to
+// index past the port table mid-run.
+func TestRunRejectsTooFewIssuePorts(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.IssuePorts = trace.NumIssuePorts - 1
+	want := cfg.Validate()
+	defer func() {
+		r := recover()
+		if err, ok := r.(error); !ok || want == nil || err.Error() != want.Error() {
+			t.Fatalf("Run panicked with %v, want the validation error (%v)", r, want)
+		}
+	}()
+	Run(cfg, shortTrace(trace.SpecFP2000, 0))
 }
 
 func TestRunBasics(t *testing.T) {

@@ -63,19 +63,17 @@ type entry struct {
 	invContent bool   // holds RINV repair contents (only while free)
 }
 
-// File is a physical register file.
+// File is the bias accountant of a physical register file. It does not
+// choose registers: its owner keeps the free list (a FIFO, as in
+// hardware, so registers rotate through allocation instead of a stack
+// bottom stagnating with one value and defeating the balancing) and
+// tells the file which register was allocated, written or released.
 type File struct {
 	cfg     Config
 	loBits  int // tracked in the low bank (≤ 64)
 	extBits int // tracked in the extension bank
 
 	entries []entry
-	// freeList is a FIFO: hardware free lists are circular queues, so
-	// registers rotate through allocation instead of a stack bottom
-	// stagnating with one value for the whole run (which would defeat
-	// the balancing).
-	freeList []int
-	freeHead int
 
 	rinvLo  *mitigation.RINV
 	rinvExt *mitigation.RINV
@@ -129,17 +127,37 @@ func New(cfg Config) *File {
 		f.biasExt = stats.NewBitBias(ext)
 		f.rinvExt = mitigation.NewRINV(ext, cfg.RINVPeriod)
 	}
-	for i := 0; i < cfg.Entries; i++ {
-		f.freeList = append(f.freeList, i)
-	}
 	return f
+}
+
+// Reset returns the file to the state New built — every entry free and
+// holding zeros, all accounting cleared — without allocating.
+func (f *File) Reset() {
+	*f = File{
+		cfg:     f.cfg,
+		loBits:  f.loBits,
+		extBits: f.extBits,
+		entries: f.entries,
+		rinvLo:  f.rinvLo,
+		rinvExt: f.rinvExt,
+		biasLo:  f.biasLo,
+		biasExt: f.biasExt,
+		occ:     f.occ,
+		ports:   f.ports,
+	}
+	clear(f.entries)
+	f.rinvLo.Reset()
+	f.biasLo.Reset()
+	if f.rinvExt != nil {
+		f.rinvExt.Reset()
+		f.biasExt.Reset()
+	}
+	f.occ.Reset()
+	f.ports.Reset()
 }
 
 // Config returns the file's configuration.
 func (f *File) Config() Config { return f.cfg }
-
-// FreeCount returns how many registers are currently free.
-func (f *File) FreeCount() int { return len(f.freeList) - f.freeHead }
 
 // accountOccupancy integrates occupancy up to the given cycle.
 func (f *File) accountOccupancy(cycle uint64) {
@@ -227,24 +245,16 @@ func (f *File) flushEntry(i int, cycle uint64) {
 	}
 }
 
-// Allocate claims a free register at the given cycle. ok is false when
-// the file is full.
-func (f *File) Allocate(cycle uint64) (reg int, ok bool) {
+// Allocate accounts free register reg as claimed at the given cycle.
+func (f *File) Allocate(reg int, cycle uint64) {
 	f.accountOccupancy(cycle)
-	if f.FreeCount() == 0 {
-		return -1, false
-	}
-	reg = f.freeList[f.freeHead]
-	f.freeHead++
-	if f.freeHead > f.cfg.Entries {
-		copy(f.freeList, f.freeList[f.freeHead:])
-		f.freeList = f.freeList[:len(f.freeList)-f.freeHead]
-		f.freeHead = 0
+	e := &f.entries[reg]
+	if e.busy {
+		panic(fmt.Sprintf("regfile %s: allocation of busy register %d", f.cfg.Name, reg))
 	}
 	f.touchEntry(reg, cycle)
-	f.entries[reg].busy = true
+	e.busy = true
 	f.busyCount++
-	return reg, true
 }
 
 // Write stores a value into a busy register through a write port. The
@@ -307,7 +317,6 @@ func (f *File) Release(reg int, cycle uint64) {
 			f.repairDiscarded++
 		}
 	}
-	f.freeList = append(f.freeList, reg)
 }
 
 // Finish closes all accounting at the given end cycle. Call once before

@@ -3,6 +3,7 @@ package regfile
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -37,33 +38,64 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// freeRegs is a FIFO free list standing in for the file's owner (the
+// pipeline core keeps the real one): pop returns the oldest free
+// register, push returns a released one to the back.
+type freeRegs []int
+
+func newFreeRegs(n int) *freeRegs {
+	q := make(freeRegs, n)
+	for i := range q {
+		q[i] = i
+	}
+	return &q
+}
+
+func (q *freeRegs) pop() (int, bool) {
+	if len(*q) == 0 {
+		return -1, false
+	}
+	r := (*q)[0]
+	*q = (*q)[1:]
+	return r, true
+}
+
+func (q *freeRegs) push(r int) { *q = append(*q, r) }
+
 func TestAllocateReleaseCycle(t *testing.T) {
 	f := New(intConfig(false))
-	if f.FreeCount() != 16 {
-		t.Fatalf("fresh file has %d free, want 16", f.FreeCount())
+	for r := 0; r < 16; r++ {
+		f.Allocate(r, uint64(r))
 	}
-	regs := map[int]bool{}
-	for i := 0; i < 16; i++ {
-		r, ok := f.Allocate(uint64(i))
-		if !ok || regs[r] {
-			t.Fatalf("allocation %d failed or duplicated (reg %d)", i, r)
-		}
-		regs[r] = true
+	// Every register is busy: allocating any of them again is a bug in
+	// the owner's free list.
+	for r := 0; r < 16; r++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("allocating busy register %d did not panic", r)
+				}
+			}()
+			f.Allocate(r, 20)
+		}()
 	}
-	if _, ok := f.Allocate(20); ok {
-		t.Fatal("full file must refuse allocation")
-	}
-	for r := range regs {
+	for r := 0; r < 16; r++ {
 		f.Release(r, 30)
 	}
-	if f.FreeCount() != 16 {
-		t.Fatal("releases did not refill the free list")
+	// Released registers can be claimed again.
+	for r := 0; r < 16; r++ {
+		f.Allocate(r, 40)
+	}
+	f.Finish(50)
+	if rep := f.Report(); rep.Releases != 16 {
+		t.Fatalf("releases = %d, want 16", rep.Releases)
 	}
 }
 
 func TestWriteToFreePanics(t *testing.T) {
 	f := New(intConfig(false))
-	r, _ := f.Allocate(0)
+	r := 0
+	f.Allocate(r, 0)
 	f.Release(r, 1)
 	for _, fn := range []func(){
 		func() { f.Write(r, 1, 0, 2) },
@@ -82,7 +114,8 @@ func TestWriteToFreePanics(t *testing.T) {
 
 func TestValueMasking(t *testing.T) {
 	f := New(intConfig(false))
-	r, _ := f.Allocate(0)
+	r := 0
+	f.Allocate(r, 0)
 	f.Write(r, ^uint64(0), ^uint64(0), 1)
 	f.Release(r, 10)
 	f.Finish(20)
@@ -94,7 +127,8 @@ func TestValueMasking(t *testing.T) {
 
 func TestFP80Banks(t *testing.T) {
 	f := New(Config{Name: "fp", Entries: 8, Bits: 80, WritePorts: 2, EnableISV: true})
-	r, _ := f.Allocate(0)
+	r := 0
+	f.Allocate(r, 0)
 	f.Write(r, 0x8000000000000001, 0x3FFF, 1)
 	f.Release(r, 100)
 	f.Finish(200)
@@ -148,12 +182,14 @@ func runWorkload(f *File, rng *rand.Rand, cycles uint64) {
 		until uint64
 	}
 	var inFlight []live
+	free := newFreeRegs(f.Config().Entries)
 	for cyc := uint64(0); cyc < cycles; cyc++ {
 		// Release matured registers.
 		keep := inFlight[:0]
 		for _, l := range inFlight {
 			if l.until <= cyc {
 				f.Release(l.reg, cyc)
+				free.push(l.reg)
 			} else {
 				keep = append(keep, l)
 			}
@@ -161,7 +197,8 @@ func runWorkload(f *File, rng *rand.Rand, cycles uint64) {
 		inFlight = keep
 		// Allocate a new one with ~30% probability.
 		if rng.Float64() < 0.30 {
-			if r, ok := f.Allocate(cyc); ok {
+			if r, ok := free.pop(); ok {
+				f.Allocate(r, cyc)
 				f.Write(r, biasedValue(rng), 0, cyc)
 				life := uint64(5 + rng.Intn(40))
 				inFlight = append(inFlight, live{reg: r, until: cyc + life})
@@ -192,7 +229,8 @@ func TestPortAvailabilityTracked(t *testing.T) {
 	f := New(Config{Name: "tiny", Entries: 8, Bits: 8, WritePorts: 1, EnableISV: true})
 	var regs []int
 	for i := 0; i < 8; i++ {
-		r, _ := f.Allocate(0)
+		r := i
+		f.Allocate(r, 0)
 		f.Write(r, uint64(i), 0, 1) // all writes in cycle 1 exhaust the port
 		regs = append(regs, r)
 	}
@@ -226,7 +264,8 @@ func TestRepairWritesMostlySucceedWithManyPorts(t *testing.T) {
 
 func TestFreeFractionAccounting(t *testing.T) {
 	f := New(Config{Name: "t", Entries: 2, Bits: 4, WritePorts: 1})
-	r, _ := f.Allocate(0)
+	r := 0
+	f.Allocate(r, 0)
 	f.Release(r, 50) // busy half of [0,100) for one of two entries
 	f.Finish(100)
 	rep := f.Report()
@@ -245,6 +284,21 @@ func TestColdStartBiasNeutral(t *testing.T) {
 	for i, b := range rep.Biases {
 		if b != 1 {
 			t.Errorf("bit %d bias = %v, want 1 (all zeros)", i, b)
+		}
+	}
+}
+
+// TestResetMatchesFresh requires a reset file to account a workload
+// exactly as a fresh one does.
+func TestResetMatchesFresh(t *testing.T) {
+	for _, cfg := range []Config{intConfig(true), {Name: "fp", Entries: 16, Bits: 80, WritePorts: 2, RINVPeriod: 8, EnableISV: true}} {
+		f := New(cfg)
+		runWorkload(f, rand.New(rand.NewSource(4)), 5000)
+		want := f.Report()
+		f.Reset()
+		runWorkload(f, rand.New(rand.NewSource(4)), 5000)
+		if got := f.Report(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reset file reports\n%+v\nwant\n%+v", cfg.Name, got, want)
 		}
 	}
 }

@@ -433,12 +433,10 @@ func TestSchedulerMatchesReference(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 4:
 				d := randomDispatch(rng)
-				got, ok := s.Dispatch(&d, cycle)
-				want, wantOK := ref.Dispatch(&d, cycle)
-				if got != want || ok != wantOK {
-					t.Fatalf("case %d event %d: Dispatch = (%d, %v), reference (%d, %v)", c, ev, got, ok, want, wantOK)
-				}
-				if ok {
+				// The reference keeps the FIFO free list the pipeline
+				// core keeps for the scheduler, and names the slot.
+				if got, ok := ref.Dispatch(&d, cycle); ok {
+					s.Dispatch(got, &d, cycle)
 					slots[got] = state{busy: true}
 				}
 			case op < 6 && st.busy:

@@ -141,16 +141,15 @@ func (c *isvClock) wantInvert() bool {
 	return c.invertedTime*2 <= c.totalTime
 }
 
-// Scheduler is the reservation-station model.
+// Scheduler is the bias accountant of the reservation stations. It does
+// not choose slots: its owner keeps the free list (a FIFO, so slots
+// rotate through allocation; a LIFO would leave low slots stagnating
+// with one value at moderate occupancy, defeating the balancing) and
+// tells the scheduler which slot was dispatched, issued or released.
 type Scheduler struct {
 	cfg Config
 
 	entries []entry
-	// freeList is a FIFO so slots rotate through allocation; a LIFO
-	// would leave low slots stagnating with one value at moderate
-	// occupancy, defeating the balancing.
-	freeList []int
-	freeHead int
 
 	// Per-field aggregated bias trackers. A field's value-run (see entry)
 	// is expanded into its tracker only when the stored value actually
@@ -236,13 +235,45 @@ func New(cfg Config) *Scheduler {
 			s.clocks = append(s.clocks, s.isv[f])
 		}
 	}
-	for i := 0; i < cfg.Entries; i++ {
-		s.freeList = append(s.freeList, i)
-	}
 	if cfg.Plan != nil {
 		s.compilePlan()
 	}
 	return s
+}
+
+// Reset returns the scheduler to the state New built — every slot free
+// and holding zeros, all accounting, RINVs, ISV clocks and duty counters
+// cleared — keeping the compiled plan and without allocating.
+func (s *Scheduler) Reset() {
+	*s = Scheduler{
+		cfg:       s.cfg,
+		entries:   s.entries,
+		bias:      s.bias,
+		valueTime: s.valueTime,
+		occ:       s.occ,
+		dataOcc:   s.dataOcc,
+		portStats: s.portStats,
+		rinv:      s.rinv,
+		isv:       s.isv,
+		clocks:    s.clocks,
+		duty:      s.duty,
+		repair:    s.repair,
+	}
+	clear(s.entries)
+	for f := FieldID(0); f < NumFields; f++ {
+		s.bias[f].Reset()
+		s.rinv[f].Reset()
+		clear(s.valueTime[f])
+	}
+	s.occ.Reset()
+	s.dataOcc.Reset()
+	s.portStats.Reset()
+	for _, c := range s.clocks {
+		*c = isvClock{cells: c.cells}
+	}
+	for _, c := range s.duty {
+		c.Reset()
+	}
 }
 
 // compilePlan folds the plan's per-bit techniques into the repair mask
@@ -278,9 +309,6 @@ func (s *Scheduler) compilePlan() {
 
 // Config returns the scheduler configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
-
-// FreeSlots returns the number of available entries.
-func (s *Scheduler) FreeSlots() int { return len(s.freeList) - s.freeHead }
 
 func (s *Scheduler) advance(cycle uint64) {
 	if cycle > s.lastCycle {
@@ -358,23 +386,16 @@ var dataFields = [...]FieldID{FieldSRC1Data, FieldSRC2Data, FieldImm}
 // dataMask is dataFields as a field bitset.
 const dataMask = 1<<FieldSRC1Data | 1<<FieldSRC2Data | 1<<FieldImm
 
-// Dispatch fills a free slot with a uop's fields, consuming one allocate
-// port. ok is false when the scheduler is full. d is read-only; it is
-// taken by pointer to keep the per-uop hot path copy-free.
-func (s *Scheduler) Dispatch(d *Dispatch, cycle uint64) (slot int, ok bool) {
+// Dispatch fills free slot slot with a uop's fields, consuming one
+// allocate port. d is read-only; it is taken by pointer to keep the
+// per-uop hot path copy-free.
+func (s *Scheduler) Dispatch(slot int, d *Dispatch, cycle uint64) {
 	s.advance(cycle)
-	if s.FreeSlots() == 0 {
-		return -1, false
+	e := &s.entries[slot]
+	if e.busy {
+		panic("sched: Dispatch into busy slot")
 	}
 	s.takePort(cycle, false)
-	slot = s.freeList[s.freeHead]
-	s.freeHead++
-	if s.freeHead > s.cfg.Entries {
-		copy(s.freeList, s.freeList[s.freeHead:])
-		s.freeList = s.freeList[:len(s.freeList)-s.freeHead]
-		s.freeHead = 0
-	}
-	e := &s.entries[slot]
 	values, live := d.fields()
 	// Fields the uop does not write keep their contents and stay free,
 	// so their runs just extend. Written fields go live; the per-bit
@@ -408,7 +429,6 @@ func (s *Scheduler) Dispatch(d *Dispatch, cycle uint64) (slot int, ok bool) {
 	}
 	s.busyCount++
 	s.dispatches++
-	return slot, true
 }
 
 // MarkReady sets the ready bits when operands arrive.
@@ -493,7 +513,6 @@ func (s *Scheduler) Release(slot int, cycle uint64) {
 			s.repairDiscarded++
 		}
 	}
-	s.freeList = append(s.freeList, slot)
 }
 
 // repairField writes the plan's repair value into a freed field, closing

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"penelope/internal/mitigation"
@@ -47,30 +48,61 @@ func TestConfigValidate(t *testing.T) {
 	New(Config{})
 }
 
+// freeSlots is a FIFO free list standing in for the scheduler's owner
+// (the pipeline core keeps the real one): pop returns the oldest free
+// slot, push returns a released one to the back.
+type freeSlots []int
+
+func newFreeSlots(n int) *freeSlots {
+	q := make(freeSlots, n)
+	for i := range q {
+		q[i] = i
+	}
+	return &q
+}
+
+func (q *freeSlots) pop() (int, bool) {
+	if len(*q) == 0 {
+		return -1, false
+	}
+	slot := (*q)[0]
+	*q = (*q)[1:]
+	return slot, true
+}
+
+func (q *freeSlots) push(slot int) { *q = append(*q, slot) }
+
 func TestDispatchIssueReleaseLifecycle(t *testing.T) {
 	s := New(Config{Entries: 2, AllocPorts: 4})
 	d := Dispatch{Latency: 3, Port: 2, Src1Data: 0xABCD}
-	slot, ok := s.Dispatch(&d, 1)
-	if !ok || s.FreeSlots() != 1 {
-		t.Fatal("dispatch failed")
+	s.Dispatch(0, &d, 1)
+	s.MarkReady(0, true, true, 2)
+	s.Issue(0, 3)
+	s.Release(0, 5)
+	// The released slot takes a dispatch again; with both slots busy, a
+	// third dispatch into either is a bug in the owner's free list.
+	s.Dispatch(0, &d, 6)
+	s.Dispatch(1, &d, 6)
+	for slot := 0; slot < 2; slot++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("dispatch into busy slot %d did not panic", slot)
+				}
+			}()
+			s.Dispatch(slot, &d, 6)
+		}()
 	}
-	s.MarkReady(slot, true, true, 2)
-	s.Issue(slot, 3)
-	s.Release(slot, 5)
-	if s.FreeSlots() != 2 {
-		t.Fatal("release did not free the slot")
-	}
-	// Filling both slots blocks the third dispatch.
-	s.Dispatch(&d, 6)
-	s.Dispatch(&d, 6)
-	if _, ok := s.Dispatch(&d, 6); ok {
-		t.Fatal("full scheduler accepted a dispatch")
+	s.Finish(10)
+	if r := s.Report(); r.Dispatches != 3 {
+		t.Fatalf("dispatches = %d, want 3", r.Dispatches)
 	}
 }
 
 func TestLifecyclePanics(t *testing.T) {
 	s := New(Config{Entries: 2, AllocPorts: 4})
-	slot, _ := s.Dispatch(&Dispatch{}, 1)
+	slot := 0
+	s.Dispatch(slot, &Dispatch{}, 1)
 	s.Issue(slot, 2)
 	for _, f := range []func(){
 		func() { s.Issue(slot, 3) },               // double issue
@@ -104,6 +136,7 @@ func driveScheduler(s *Scheduler, tr *trace.Trace, cycles uint64, seed int64) {
 		issueAt, done uint64
 	}
 	var live []inflight
+	free := newFreeSlots(s.Config().Entries)
 	tags := 0
 	for cyc := uint64(0); cyc < cycles; cyc++ {
 		// Retire matured entries.
@@ -112,6 +145,7 @@ func driveScheduler(s *Scheduler, tr *trace.Trace, cycles uint64, seed int64) {
 			switch {
 			case fl.done <= cyc:
 				s.Release(fl.slot, cyc)
+				free.push(fl.slot)
 			default:
 				if fl.issueAt == cyc {
 					s.MarkReady(fl.slot, true, true, cyc)
@@ -134,10 +168,11 @@ func driveScheduler(s *Scheduler, tr *trace.Trace, cycles uint64, seed int64) {
 			}
 			d := FromUop(&u, tags%128, (tags+7)%128, (tags+13)%128, rng.Float64() < 0.5, rng.Float64() < 0.5)
 			tags++
-			slot, ok := s.Dispatch(&d, cyc)
+			slot, ok := free.pop()
 			if !ok {
 				break
 			}
+			s.Dispatch(slot, &d, cyc)
 			wait := uint64(6 + rng.Intn(27))
 			live = append(live, inflight{slot: slot, issueAt: cyc + wait, done: cyc + wait + 2})
 		}
@@ -255,5 +290,24 @@ func TestPortAvailabilityReported(t *testing.T) {
 	}
 	if r.Dispatches == 0 {
 		t.Error("no dispatches recorded")
+	}
+}
+
+// TestResetMatchesFresh requires a reset scheduler — baseline, planned
+// from a profile, and with a random per-bit plan that ticks K% duty
+// counters — to account a workload exactly as a fresh one does.
+func TestResetMatchesFresh(t *testing.T) {
+	profile := newTestScheduler(nil)
+	driveScheduler(profile, trace.NewTrace(trace.Multimedia, 2, 8000), 6000, 3)
+	plans := []*Plan{nil, BuildPlan(profile.Report()), randomPlan(rand.New(rand.NewSource(8)), 6)}
+	for i, plan := range plans {
+		s := newTestScheduler(plan)
+		driveScheduler(s, trace.NewTrace(trace.Server, 1, 8000), 6000, 5)
+		want := s.Report()
+		s.Reset()
+		driveScheduler(s, trace.NewTrace(trace.Server, 1, 8000), 6000, 5)
+		if got := s.Report(); !reflect.DeepEqual(got, want) {
+			t.Errorf("plan %d: reset scheduler reports\n%+v\nwant\n%+v", i, got, want)
+		}
 	}
 }

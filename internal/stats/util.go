@@ -24,6 +24,12 @@ func NewUtilization(n int) *Utilization {
 // Units returns the number of tracked units.
 func (u *Utilization) Units() int { return u.units }
 
+// Reset clears all accumulated time and requests.
+func (u *Utilization) Reset() {
+	clear(u.busy)
+	u.total, u.requests, u.denied = 0, 0, 0
+}
+
 // Tick advances elapsed time by dt cycles.
 func (u *Utilization) Tick(dt uint64) { u.total += dt }
 
@@ -109,6 +115,9 @@ func NewOccupancy(capacity int) *Occupancy {
 	}
 	return &Occupancy{capacity: capacity}
 }
+
+// Reset clears all accumulated time and the peak.
+func (o *Occupancy) Reset() { *o = Occupancy{capacity: o.capacity} }
 
 // Observe records that occupied entries were in use for dt cycles.
 func (o *Occupancy) Observe(occupied int, dt uint64) {

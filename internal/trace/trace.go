@@ -77,8 +77,13 @@ func (c Class) IsMem() bool { return c == ClassLoad || c == ClassStore }
 // IsFP reports whether the class executes on the FP stack.
 func (c Class) IsFP() bool { return c == ClassFPAdd || c == ClassFPMul }
 
-// Port returns the issue-port index (0..4) the class uses, matching the
-// 5-bit one-hot port field of the scheduler (Table 2).
+// NumIssuePorts is the number of issue ports Class.Port maps onto: every
+// port index lies in [0, NumIssuePorts), so a core needs at least this
+// many.
+const NumIssuePorts = 5
+
+// Port returns the issue-port index (0..NumIssuePorts-1) the class uses,
+// matching the 5-bit one-hot port field of the scheduler (Table 2).
 func (c Class) Port() int {
 	switch c {
 	case ClassALU:
@@ -90,7 +95,7 @@ func (c Class) Port() int {
 	case ClassStore:
 		return 3
 	default: // Mul, FP
-		return 4
+		return NumIssuePorts - 1
 	}
 }
 

@@ -333,12 +333,17 @@ func TestClassHelpers(t *testing.T) {
 	if ClassALU.String() != "alu" || Class(99).String() == "" {
 		t.Error("String wrong")
 	}
+	maxPort := 0
 	for c := Class(0); c < numClasses; c++ {
 		if c.Latency() < 1 || c.Latency() > 31 {
 			t.Errorf("%v latency %d outside 5-bit field", c, c.Latency())
 		}
-		if c.Port() < 0 || c.Port() > 4 {
-			t.Errorf("%v port %d outside 0..4", c, c.Port())
+		if c.Port() < 0 || c.Port() > 4 || c.Port() >= NumIssuePorts {
+			t.Errorf("%v port %d outside 0..%d", c, c.Port(), NumIssuePorts-1)
 		}
+		maxPort = max(maxPort, c.Port())
+	}
+	if maxPort != NumIssuePorts-1 {
+		t.Errorf("highest port %d, want NumIssuePorts-1 = %d", maxPort, NumIssuePorts-1)
 	}
 }

@@ -5,6 +5,7 @@
 # The suite covers every paper figure/table plus the raw-throughput
 # benchmarks: pipeline (BenchmarkPipelineThroughput with the generator in
 # the loop, BenchmarkPipelineReplayThroughput over a packed recording,
+# BenchmarkCoreReplay on one reused zero-allocation core,
 # BenchmarkRunBatch), the trace record/replay subsystem
 # (BenchmarkTraceRecord one-time synthesis+pack uops/s,
 # BenchmarkCursorReplay zero-alloc replay uops/s), the bit-parallel
