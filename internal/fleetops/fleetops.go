@@ -165,12 +165,15 @@ func ExperimentBuilder(reg Registration) (lifetime.Config, error) {
 // Storage is the persistence surface the scheduler needs: the store's
 // record API, through which fleetops alone writes and reads fleet
 // registrations (store.KindFleet, JSON Registrations) and engine
-// checkpoints (store.KindFleetCheckpoint, lifetime snapshots).
-// *store.Store implements it. Nil storage keeps every checkpoint in
-// memory only — a restart then starts every fleet from epoch zero.
+// checkpoints (store.KindFleetCheckpoint, lifetime snapshots). A
+// checkpoint that cannot resume its fleet is set aside with
+// QuarantineRecord. *store.Store implements it. Nil storage keeps every
+// checkpoint in memory only — a restart then starts every fleet from
+// epoch zero.
 type Storage interface {
 	PutRecord(k store.Kind, name string, data []byte) error
 	ReadRecord(k store.Kind, name string) ([]byte, error)
 	Records(k store.Kind, check func(store.Record) error) []store.Record
+	QuarantineRecord(k store.Kind, name string, cause error)
 	RemoveRecord(k store.Kind, name string)
 }

@@ -47,14 +47,19 @@ func testBuilder(cfg lifetime.Config) ConfigBuilder {
 	return func(Registration) (lifetime.Config, error) { return cfg, nil }
 }
 
-// memStorage is an in-memory fleetops.Storage.
+// memStorage is an in-memory fleetops.Storage. Quarantined records
+// move to quarantined, keyed by kind and name.
 type memStorage struct {
-	mu   sync.Mutex
-	recs map[store.Kind]map[string][]byte
+	mu          sync.Mutex
+	recs        map[store.Kind]map[string][]byte
+	quarantined map[store.Kind]map[string][]byte
 }
 
 func newMemStorage() *memStorage {
-	return &memStorage{recs: make(map[store.Kind]map[string][]byte)}
+	return &memStorage{
+		recs:        make(map[store.Kind]map[string][]byte),
+		quarantined: make(map[store.Kind]map[string][]byte),
+	}
 }
 
 func (m *memStorage) PutRecord(k store.Kind, name string, data []byte) error {
@@ -88,6 +93,18 @@ func (m *memStorage) Records(k store.Kind, check func(store.Record) error) []sto
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+func (m *memStorage) QuarantineRecord(k store.Kind, name string, cause error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if b, ok := m.recs[k][name]; ok {
+		if m.quarantined[k] == nil {
+			m.quarantined[k] = make(map[string][]byte)
+		}
+		m.quarantined[k][name] = b
+		delete(m.recs[k], name)
+	}
 }
 
 func (m *memStorage) RemoveRecord(k store.Kind, name string) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -547,6 +548,9 @@ type tickResult struct {
 	// resumed tick would invert 0 → accumulated-shift as one epoch step
 	// and fire a false wearout-attack alert.
 	restoredStats *lifetime.EpochStats
+	// badCheckpoint is why a checkpoint was quarantined and the engine
+	// rebuilt from the registration at epoch 0; nil if none was.
+	badCheckpoint error
 	err           error
 }
 
@@ -592,9 +596,12 @@ func (s *Scheduler) tick(p *population) {
 }
 
 // runTick executes the tick body in the watchdog goroutine: obtain the
-// engine (build or restore — both fallible, both under the same
-// protection), advance it, and snapshot the result. It never touches
-// scheduler state; results are applied by tickOK/tickFailed.
+// engine (restore or build — both fallible, both under the same
+// protection), advance it, and snapshot the result. A checkpoint that
+// cannot resume the registration is quarantined and the engine rebuilt,
+// the rule lifetime jobs follow for experiments.ErrBadCheckpoint. It
+// never touches scheduler state, bar that quarantine; results are
+// applied by tickOK/tickFailed.
 func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 	s.mu.Lock()
 	eng := p.eng
@@ -604,6 +611,7 @@ func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 
 	resumed := false
 	var restoredStats *lifetime.EpochStats
+	var badCheckpoint error
 	if eng == nil {
 		if snap == nil && s.cfg.Storage != nil {
 			var err error
@@ -611,26 +619,35 @@ func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 				return tickResult{err: fmt.Errorf("reading checkpoint: %w", err)}
 			}
 		}
+		cfg, err := s.cfg.Builder(reg)
+		if err != nil {
+			return tickResult{err: fmt.Errorf("building engine config: %w", err)}
+		}
 		if snap != nil {
+			// A checkpoint that does not decode, or was written for a
+			// config other than the registration's, would fail every
+			// retry and probe alike: set it aside and start over.
 			restored, err := lifetime.FromSnapshot(snap)
-			if err != nil {
-				return tickResult{err: fmt.Errorf("restoring checkpoint: %w", err)}
+			if err == nil && !reflect.DeepEqual(restored.Config(), cfg) {
+				err = errors.New("lifetime: checkpoint was written for a different engine config")
 			}
-			eng = restored
-			resumed = true
-			if row, ok := restored.LastStats(); ok {
-				restoredStats = &row
+			if err == nil {
+				eng = restored
+				resumed = true
+				if row, ok := restored.LastStats(); ok {
+					restoredStats = &row
+				}
+			} else {
+				badCheckpoint = err
+				if s.cfg.Storage != nil {
+					s.cfg.Storage.QuarantineRecord(store.KindFleetCheckpoint, reg.Name, err)
+				}
 			}
-		} else {
-			cfg, err := s.cfg.Builder(reg)
-			if err != nil {
-				return tickResult{err: fmt.Errorf("building engine config: %w", err)}
-			}
-			built, err := lifetime.New(cfg)
-			if err != nil {
+		}
+		if eng == nil {
+			if eng, err = lifetime.New(cfg); err != nil {
 				return tickResult{err: fmt.Errorf("building engine: %w", err)}
 			}
-			eng = built
 		}
 	}
 
@@ -652,7 +669,8 @@ func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 	if err != nil {
 		return tickResult{err: fmt.Errorf("snapshotting engine: %w", err)}
 	}
-	return tickResult{eng: eng, rows: rows, snapshot: snapshot, resumed: resumed, restoredStats: restoredStats}
+	return tickResult{eng: eng, rows: rows, snapshot: snapshot, resumed: resumed,
+		restoredStats: restoredStats, badCheckpoint: badCheckpoint}
 }
 
 // tickOK applies a successful tick: adopt the engine and snapshot,
@@ -662,6 +680,9 @@ func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 func (s *Scheduler) tickOK(p *population, res tickResult) {
 	s.mu.Lock()
 	var prevVTH []float64
+	if res.badCheckpoint != nil {
+		p.lastStats = nil // rows of the abandoned run are no baseline
+	}
 	if p.lastStats == nil {
 		p.lastStats = res.restoredStats
 	}
@@ -698,7 +719,16 @@ func (s *Scheduler) tickOK(p *population, res tickResult) {
 			s.noteCheckpointFailure(reg.Name, err)
 		}
 	}
+	if res.badCheckpoint != nil {
+		s.cfg.Logger.Warn("quarantined a fleet checkpoint that cannot resume; restarted from the registration",
+			"fleet", reg.Name, "error", res.badCheckpoint)
+	}
 	if s.cfg.Bus != nil {
+		if res.badCheckpoint != nil {
+			s.cfg.Bus.Publish(FleetTopic(reg.Name), "state",
+				StateEvent{Fleet: reg.Name, State: StateActive,
+					Reason: fmt.Sprintf("checkpoint quarantined, restarted from epoch 0: %v", res.badCheckpoint)})
+		}
 		if wasQuarantined {
 			s.cfg.Bus.Publish(FleetTopic(reg.Name), "state",
 				StateEvent{Fleet: reg.Name, State: StateActive, Epoch: epoch, Reason: "recovered from quarantine"})

@@ -23,12 +23,14 @@ const (
 	// percentile resolution is histMax/histBins ≈ 0.1% guardband.
 	histBins = 1024
 	histMax  = 1.0
-	// shardSize chips form one unit of parallel work. It is a multiple
-	// of 64 so shards never share a violation-bitset word, and it is
-	// fixed — never derived from the worker count — so the shard
-	// decomposition itself is deterministic.
-	shardSize = 4096
 )
+
+// ShardSize chips form one unit of parallel work. It is a multiple of
+// 64 so shards never share a violation-bitset word, and it is fixed —
+// never derived from the worker count — so the shard decomposition
+// itself is deterministic. A fleet of at most ShardSize chips steps
+// inline on the caller's goroutine.
+const ShardSize = 4096
 
 // EpochStats is one row of the fleet trajectory: the guardband
 // distribution and violation state of the whole population at the end
@@ -89,6 +91,11 @@ type Engine struct {
 	coefPhase int
 	coefM     []float64
 	coefC     []float64
+
+	// aggs holds one accumulator per worker, owned by the engine and
+	// rewound by forEachShard, so a warm Step allocates nothing but its
+	// own stats row. The epoch's merge total is aggs[0].
+	aggs []shardAgg
 }
 
 // New builds a fleet engine at epoch zero. Chip parameters are sampled
@@ -153,78 +160,158 @@ func (e *Engine) LastStats() (EpochStats, bool) {
 
 // shardAgg is one worker's integer accumulator for an epoch.
 type shardAgg struct {
-	sumG    uint64
-	maxG    uint64
-	newViol uint64
-	hist    [histBins]uint64
-	sumVTH  []uint64
+	sumG   uint64
+	maxG   uint64
+	hist   [histBins]uint64
+	sumVTH []uint64
+}
+
+// rewind zeroes the accumulator for a new epoch.
+func (a *shardAgg) rewind() {
+	a.sumG, a.maxG = 0, 0
+	clear(a.hist[:])
+	clear(a.sumVTH)
+}
+
+// merge adds b's sums into a and keeps the larger maximum: plain
+// integer arithmetic, so the merge order is irrelevant.
+func (a *shardAgg) merge(b *shardAgg) {
+	a.sumG += b.sumG
+	a.maxG = max(a.maxG, b.maxG)
+	for i := range a.hist {
+		a.hist[i] += b.hist[i]
+	}
+	for s := range a.sumVTH {
+		a.sumVTH[s] += b.sumVTH[s]
+	}
 }
 
 // buildCoefs precomputes the affine per-epoch step for phase pi across
 // the population, sharded over the workers.
 func (e *Engine) buildCoefs(pi, workers int) {
-	ph := e.cfg.Phases[pi]
+	e.coefPhase = pi
+	e.forEachShard(workers, (*Engine).coefShard)
+}
+
+// coefShard fills the current phase's step coefficients for chips
+// [lo, hi).
+func (e *Engine) coefShard(lo, hi int, _ *shardAgg) {
+	ph := e.cfg.Phases[e.coefPhase]
 	S := len(e.cfg.Structures)
 	dt := e.cfg.EpochYears
 	n0 := e.cfg.Params.N0
-	e.forEachShard(workers, func(lo, hi int, _ *shardAgg) {
-		for c := lo; c < hi; c++ {
-			ks, kr := e.kStress[c], e.kRelax[c]
-			for s := 0; s < S; s++ {
-				d := ph.Duty[s]
-				create := d * ks
-				lambda := create + (1-d)*kr
-				i := c*S + s
-				if lambda == 0 {
-					e.coefM[i], e.coefC[i] = 1, 0
-					continue
-				}
-				m := math.Exp(-lambda * dt)
-				e.coefM[i] = m
-				e.coefC[i] = n0 * create / lambda * (1 - m)
+	for c := lo; c < hi; c++ {
+		ks, kr := e.kStress[c], e.kRelax[c]
+		for s := 0; s < S; s++ {
+			d := ph.Duty[s]
+			create := d * ks
+			lambda := create + (1-d)*kr
+			i := c*S + s
+			if lambda == 0 {
+				e.coefM[i], e.coefC[i] = 1, 0
+				continue
 			}
+			m := math.Exp(-lambda * dt)
+			e.coefM[i] = m
+			e.coefC[i] = n0 * create / lambda * (1 - m)
 		}
-	})
-	e.coefPhase = pi
+	}
 }
 
-// forEachShard runs fn over fixed-size population shards on a worker
-// pool. Shards are disjoint chip ranges, so fn may write per-chip state
-// freely; each worker gets its own aggregate to fill.
-func (e *Engine) forEachShard(workers int, fn func(lo, hi int, agg *shardAgg)) []*shardAgg {
+// forEachShard runs kernel over fixed-size population shards on up to
+// workers workers (<= 0 uses GOMAXPROCS) and returns their rewound-then-
+// filled accumulators. Shards are disjoint chip ranges, so kernel may
+// write per-chip state freely. The caller is worker 0; a fleet of one
+// shard, or a single worker, never leaves the calling goroutine.
+func (e *Engine) forEachShard(workers int, kernel func(e *Engine, lo, hi int, agg *shardAgg)) []shardAgg {
 	pop := e.cfg.Population
-	shards := (pop + shardSize - 1) / shardSize
+	shards := (pop + ShardSize - 1) / ShardSize
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > shards {
-		workers = shards
+	workers = min(workers, shards)
+	for len(e.aggs) < workers {
+		e.aggs = append(e.aggs, shardAgg{sumVTH: make([]uint64, len(e.cfg.Structures))})
 	}
-	aggs := make([]*shardAgg, workers)
+	aggs := e.aggs[:workers]
+	for i := range aggs {
+		aggs[i].rewind()
+	}
+	if workers == 1 {
+		for lo := 0; lo < pop; lo += ShardSize {
+			kernel(e, lo, min(lo+ShardSize, pop), &aggs[0])
+		}
+		return aggs
+	}
 	var next atomic.Int64
+	work := func(agg *shardAgg) {
+		for {
+			lo := int(next.Add(1)-1) * ShardSize
+			if lo >= pop {
+				return
+			}
+			kernel(e, lo, min(lo+ShardSize, pop), agg)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		agg := &shardAgg{sumVTH: make([]uint64, len(e.cfg.Structures))}
-		aggs[w] = agg
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				si := int(next.Add(1)) - 1
-				if si >= shards {
-					return
-				}
-				lo := si * shardSize
-				hi := lo + shardSize
-				if hi > pop {
-					hi = pop
-				}
-				fn(lo, hi, agg)
-			}
+			work(&aggs[w])
 		}()
 	}
+	work(&aggs[0])
 	wg.Wait()
 	return aggs
+}
+
+// stepShard advances chips [lo, hi) one epoch under the current
+// coefficients and accumulates their statistics into agg.
+//
+// A chip's guardband is that of its worst structure. DelayModel.Guardband
+// is non-decreasing in floating point (a clamp, a product with a
+// non-negative sensitivity, 1-x, a floor, then S/den - S), so the
+// guardband of the largest shift is exactly the largest guardband, and
+// one call per chip replaces one per structure. A NaN shift loses every
+// comparison, so it is ignored here as it was by the max of guardbands.
+func (e *Engine) stepShard(lo, hi int, agg *shardAgg) {
+	const binScale = histBins / histMax
+	S := len(e.cfg.Structures)
+	limit := e.cfg.Limit
+	delay := e.cfg.Delay
+	nit := e.nit[lo*S : hi*S]
+	coefM := e.coefM[lo*S : hi*S]
+	coefC := e.coefC[lo*S : hi*S]
+	vthScale := e.vthScale[lo:hi]
+	sumVTH := agg.sumVTH[:S]
+	sumG, maxG := agg.sumG, agg.maxG
+	i := 0
+	for c, vscale := range vthScale {
+		worst := 0.0
+		for s := range sumVTH {
+			v := nit[i]*coefM[i] + coefC[i]
+			nit[i] = v
+			i++
+			shift := v * vscale
+			sumVTH[s] += uint64(shift*qScale + 0.5)
+			if shift > worst {
+				worst = shift
+			}
+		}
+		g := delay.Guardband(worst)
+		// g lies in [0, 9] (Susceptible <= 1, den >= 0.1), so the int64
+		// conversion is exact and cheaper than the uint64 one.
+		q := uint64(int64(g*qScale + 0.5))
+		sumG += q
+		maxG = max(maxG, q)
+		agg.hist[min(int(g*binScale), histBins-1)]++
+		if g > limit {
+			chip := lo + c
+			e.violated[chip>>6] |= 1 << uint(chip&63)
+		}
+	}
+	agg.sumG, agg.maxG = sumG, maxG
 }
 
 // Step simulates one epoch across the whole fleet and appends its
@@ -238,57 +325,10 @@ func (e *Engine) Step(workers int) EpochStats {
 	if pi != e.coefPhase {
 		e.buildCoefs(pi, workers)
 	}
-	S := len(e.cfg.Structures)
-	limit := e.cfg.Limit
-	delay := e.cfg.Delay
-	const binScale = histBins / histMax
-	aggs := e.forEachShard(workers, func(lo, hi int, agg *shardAgg) {
-		for c := lo; c < hi; c++ {
-			vscale := e.vthScale[c]
-			worst := 0.0
-			for s := 0; s < S; s++ {
-				i := c*S + s
-				v := e.nit[i]*e.coefM[i] + e.coefC[i]
-				e.nit[i] = v
-				shift := v * vscale
-				agg.sumVTH[s] += uint64(shift*qScale + 0.5)
-				if g := delay.Guardband(shift); g > worst {
-					worst = g
-				}
-			}
-			q := uint64(worst*qScale + 0.5)
-			agg.sumG += q
-			if q > agg.maxG {
-				agg.maxG = q
-			}
-			bin := int(worst * binScale)
-			if bin >= histBins {
-				bin = histBins - 1
-			}
-			agg.hist[bin]++
-			if worst > limit {
-				if w, m := c>>6, uint64(1)<<uint(c&63); e.violated[w]&m == 0 {
-					e.violated[w] |= m
-					agg.newViol++
-				}
-			}
-		}
-	})
-
-	// Merge: plain integer sums and maxes, order-irrelevant.
-	total := &shardAgg{sumVTH: make([]uint64, S)}
-	for _, a := range aggs {
-		total.sumG += a.sumG
-		total.newViol += a.newViol
-		if a.maxG > total.maxG {
-			total.maxG = a.maxG
-		}
-		for b := range total.hist {
-			total.hist[b] += a.hist[b]
-		}
-		for s := range total.sumVTH {
-			total.sumVTH[s] += a.sumVTH[s]
-		}
+	aggs := e.forEachShard(workers, (*Engine).stepShard)
+	total := &aggs[0]
+	for i := 1; i < len(aggs); i++ {
+		total.merge(&aggs[i])
 	}
 
 	pop := uint64(e.cfg.Population)
@@ -306,7 +346,7 @@ func (e *Engine) Step(workers int) EpochStats {
 		P99Guardband:     percentile(&total.hist, pop, 0.99),
 		MaxGuardband:     float64(total.maxG) / qScale,
 		ViolatedFraction: float64(violated) / float64(pop),
-		MeanVTHShift:     make([]float64, S),
+		MeanVTHShift:     make([]float64, len(total.sumVTH)),
 	}
 	for s := range st.MeanVTHShift {
 		st.MeanVTHShift[s] = float64(total.sumVTH[s]) / qScale / float64(pop)
