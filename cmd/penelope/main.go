@@ -113,7 +113,7 @@ func runCmd(args []string) {
 		sigma      = fs.Float64("sigma", 0, "process-variation sigma (default 0.08; negative disables variation)")
 		attack     = fs.Float64("attack-years", 0, "wearout-attack phase length in years (default none)")
 		fleetSeed  = fs.Uint64("fleet-seed", 0, "per-chip sampling seed (default 1)")
-		workers    = fs.Int("workers", 0, "worker cap per lifetime engine; fleets over 4096 chips step their baseline and Penelope engines concurrently (default GOMAXPROCS; results identical for any value)")
+		workers    = fs.Int("workers", 0, "lifetime engine worker count (default GOMAXPROCS; results identical for any value)")
 
 		checkpoint = fs.String("checkpoint", "", "lifetime only: checkpoint file; resumes if it exists")
 		ckptEvery  = fs.Int("checkpoint-every", 0, "chip-epochs of work between checkpoint writes; one epoch steps 2×population (default 0: 2^25, so a fleet of a few thousand chips writes none)")

@@ -51,10 +51,8 @@ type Options struct {
 	// FleetSeed roots the deterministic per-chip parameter sampling.
 	FleetSeed uint64 `json:"fleet_seed"`
 
-	// Workers caps each lifetime engine's shard fan-out (0 =
-	// GOMAXPROCS). Baseline and Penelope fleets larger than one shard
-	// step concurrently, so a lifetime run may use up to twice this
-	// many workers. Results are bit-identical for every value, so it is
+	// Workers caps the lifetime engine's shard fan-out (0 =
+	// GOMAXPROCS). Results are bit-identical for every value, so it is
 	// execution policy, not an experiment parameter: it is excluded
 	// from Key and from the JSON payload envelope, and the HTTP API
 	// cannot set it.

@@ -256,13 +256,12 @@ const DefaultCheckpointWork = 1 << 25
 // a checkpoint already there — from an interrupted or completed run
 // with the same options — is resumed instead of starting over. There is
 // no extra save at completion: a crash loses at most `every`
-// chip-epochs. The driver steps the two fleets together each epoch
-// (stepPair) and polls ctx once per epoch; on cancellation it saves a
-// final checkpoint and returns ErrLifetimeInterrupted, so a shutdown or
-// timeout loses at most the epoch in flight. The result is
-// byte-identical to an uninterrupted Lifetime run. A nil ckpt runs
-// without checkpoints; a checkpoint that does not decode or does not
-// match o fails with ErrBadCheckpoint.
+// chip-epochs. The engine polls ctx once per epoch step; on
+// cancellation it saves a final checkpoint and returns
+// ErrLifetimeInterrupted, so a shutdown or timeout loses at most the
+// epoch in flight. The result is byte-identical to an uninterrupted
+// Lifetime run. A nil ckpt runs without checkpoints; a checkpoint that
+// does not decode or does not match o fails with ErrBadCheckpoint.
 func LifetimeCheckpointed(ctx context.Context, o Options, ckpt Checkpoint, every int) (LifetimeResult, error) {
 	if every < 1 {
 		every = DefaultCheckpointWork
@@ -314,7 +313,7 @@ func LifetimeCheckpointed(ctx context.Context, o Options, ckpt Checkpoint, every
 			}
 			return LifetimeResult{}, fmt.Errorf("%w: %v", ErrLifetimeInterrupted, err)
 		}
-		work += stepPair(engB, engP, o.Workers)
+		work += stepFleets(engB, engP, o.Workers)
 		if work >= every {
 			if err := save(); err != nil {
 				return LifetimeResult{}, err
@@ -334,39 +333,13 @@ func LifetimeCheckpointed(ctx context.Context, o Options, ckpt Checkpoint, every
 	}, nil
 }
 
-// stepPair advances each unfinished fleet of the pair one epoch and
-// returns the chip-epochs stepped. Fleets larger than one shard step
-// concurrently, the baseline on a helper goroutine and Penelope on the
-// caller: each engine's shard fan-out leaves cores idle at its last
-// shard, and the other fleet fills them. A single-shard step runs
-// inline at about 18 ns per chip, and handing it to another core every
-// epoch measured no faster up to one shard (slower at 500 chips), so
-// such pairs step one after the other. The engines share no state, so
-// neither order changes a byte. A panic in the helper is re-raised on
-// the caller.
-func stepPair(engB, engP *lifetime.Engine, workers int) int {
-	work := 0
-	var done chan any
-	if !engB.Done() {
-		pop := engB.Config().Population
-		work += pop
-		if pop <= lifetime.ShardSize {
-			engB.Step(workers)
-		} else {
-			done = make(chan any, 1)
-			go func() {
-				defer func() { done <- recover() }()
-				engB.Step(workers)
-			}()
-		}
-	}
-	if !engP.Done() {
-		work += engP.Config().Population
-		engP.Step(workers)
-	}
-	if done != nil {
-		if p := <-done; p != nil {
-			panic(p)
+// stepFleets advances each unfinished fleet of the pair one epoch, one
+// after the other, and returns the chip-epochs stepped.
+func stepFleets(engB, engP *lifetime.Engine, workers int) (work int) {
+	for _, eng := range []*lifetime.Engine{engB, engP} {
+		if !eng.Done() {
+			eng.Step(workers)
+			work += eng.Config().Population
 		}
 	}
 	return work

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -193,41 +192,15 @@ func pairEngines(t *testing.T, o Options, pop int) (engB, engP *lifetime.Engine)
 	return engs[0], engs[1]
 }
 
-// TestStepPairAllocs pins the cost of one warm epoch of the paired
-// driver. A single-shard pair steps serially and allocates only the two
-// stats rows. A larger pair (engines held to one worker, so their own
-// fan-out adds nothing) adds the helper goroutine's closure and its
-// panic channel, header and buffer. The runs are long enough that the
-// stats slices' amortized growth rounds away.
-func TestStepPairAllocs(t *testing.T) {
-	for _, tc := range []struct{ pop, want int }{
-		{lifetime.ShardSize, 2},
-		{lifetime.ShardSize + 1, 5},
-	} {
-		engB, engP := pairEngines(t, fleetOptions(), tc.pop)
-		stepPair(engB, engP, 1)
-		if got := testing.AllocsPerRun(200, func() { stepPair(engB, engP, 1) }); got != float64(tc.want) {
-			t.Errorf("pop %d: warm stepPair allocates %v times per epoch, want %d", tc.pop, got, tc.want)
-		}
-	}
-}
-
-// TestStepPairMatchesSerial steps a pair larger than one shard, which
-// stepPair runs concurrently, and requires every stats row of both
-// fleets to equal the same fleets stepped one after the other.
-func TestStepPairMatchesSerial(t *testing.T) {
-	pop := lifetime.ShardSize + 904
-	engB, engP := pairEngines(t, fleetOptions(), pop)
-	refB, refP := pairEngines(t, fleetOptions(), pop)
-	for epoch := 0; epoch < 20; epoch++ {
-		if work := stepPair(engB, engP, 0); work != 2*pop {
-			t.Fatalf("epoch %d: stepPair reports %d chip-epochs, want %d", epoch, work, 2*pop)
-		}
-		refB.Step(1)
-		refP.Step(1)
-	}
-	if !reflect.DeepEqual(engB.Stats(), refB.Stats()) || !reflect.DeepEqual(engP.Stats(), refP.Stats()) {
-		t.Fatal("concurrently stepped pair diverges from serial steps")
+// TestStepFleetsAllocs pins the cost of one warm epoch of the paired
+// driver on single-shard fleets: the two stats rows and nothing else.
+// The run is long enough that the stats slices' amortized growth
+// rounds away.
+func TestStepFleetsAllocs(t *testing.T) {
+	engB, engP := pairEngines(t, fleetOptions(), 4096)
+	stepFleets(engB, engP, 1)
+	if got := testing.AllocsPerRun(200, func() { stepFleets(engB, engP, 1) }); got != 2 {
+		t.Errorf("warm stepFleets allocates %v times per epoch, want 2", got)
 	}
 }
 

@@ -1,7 +1,9 @@
 package fleetops
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,7 +18,9 @@ import (
 // written for a different engine config. Either way the record is
 // quarantined, the fleet starts over from its registration, a state
 // event says so, and the fleet finishes with exactly the rows of a
-// fresh run instead of failing every tick in quarantine.
+// fresh run instead of failing every tick in quarantine. The restart is
+// still announced when the first tick after the quarantine fails and a
+// later one builds the fleet afresh.
 func TestSchedulerRecoversBadCheckpoint(t *testing.T) {
 	cfg := testConfig(0.5, 0, 0.08)
 	ref, err := lifetime.New(cfg)
@@ -38,11 +42,13 @@ func TestSchedulerRecoversBadCheckpoint(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name string
-		ckpt []byte
+		name      string
+		ckpt      []byte
+		failFirst bool
 	}{
-		{"garbage", []byte("not a fleet checkpoint")},
-		{"other-config", staleSnap},
+		{"garbage", []byte("not a fleet checkpoint"), false},
+		{"other-config", staleSnap, false},
+		{"first-tick-fails", []byte("not a fleet checkpoint"), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			storage := newMemStorage()
@@ -57,6 +63,20 @@ func TestSchedulerRecoversBadCheckpoint(t *testing.T) {
 			scCfg := fastCfg(cfg)
 			scCfg.Storage = storage
 			scCfg.Bus = bus
+			wantFailures := uint64(0)
+			if tc.failFirst {
+				wantFailures = 1
+				ticks := 0
+				scCfg.Tick = func(ctx context.Context, name string, eng *lifetime.Engine) error {
+					if ticks++; ticks == 1 {
+						return errors.New("injected tick failure")
+					}
+					for i := 0; i < 2 && !eng.Done(); i++ {
+						eng.Step(1)
+					}
+					return nil
+				}
+			}
 			sc := NewScheduler(scCfg)
 			defer sc.Close(time.Second)
 			if n := sc.Recover(); n != 1 {
@@ -69,8 +89,8 @@ func TestSchedulerRecoversBadCheckpoint(t *testing.T) {
 				st, _ := sc.Get("pop")
 				t.Fatalf("fleet with a bad checkpoint never finished: %+v", st)
 			}
-			if st, _ := sc.Get("pop"); st.Resumed || st.TickFailures != 0 {
-				t.Errorf("status %+v: want a fresh start with no failed ticks", st)
+			if st, _ := sc.Get("pop"); st.Resumed || st.TickFailures != wantFailures {
+				t.Errorf("status %+v: want a fresh start with %d failed ticks", st, wantFailures)
 			}
 			storage.mu.Lock()
 			_, quarantined := storage.quarantined[store.KindFleetCheckpoint]["pop"]

@@ -114,7 +114,12 @@ type population struct {
 	totalEpochs int
 	lastStats   *lifetime.EpochStats
 	failures    int // consecutive
-	lastErr     string
+	// restartCause is why a checkpoint record was quarantined and the
+	// fleet rebuilt from its registration, held until a successful tick
+	// announces the restart: the record is gone once quarantined, so a
+	// failed first tick must not lose the cause.
+	restartCause error
+	lastErr      string
 
 	ticks, tickFailures, watchdogTimeouts, quarantines uint64
 	lastTickStart                                      time.Time
@@ -548,9 +553,6 @@ type tickResult struct {
 	// resumed tick would invert 0 → accumulated-shift as one epoch step
 	// and fire a false wearout-attack alert.
 	restoredStats *lifetime.EpochStats
-	// badCheckpoint is why a checkpoint was quarantined and the engine
-	// rebuilt from the registration at epoch 0; nil if none was.
-	badCheckpoint error
 	err           error
 }
 
@@ -599,9 +601,10 @@ func (s *Scheduler) tick(p *population) {
 // engine (restore or build — both fallible, both under the same
 // protection), advance it, and snapshot the result. A checkpoint that
 // cannot resume the registration is quarantined and the engine rebuilt,
-// the rule lifetime jobs follow for experiments.ErrBadCheckpoint. It
-// never touches scheduler state, bar that quarantine; results are
-// applied by tickOK/tickFailed.
+// the rule lifetime jobs follow for experiments.ErrBadCheckpoint; the
+// cause is recorded on the population for tickOK to announce. Bar that,
+// it never touches scheduler state; results are applied by
+// tickOK/tickFailed.
 func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 	s.mu.Lock()
 	eng := p.eng
@@ -611,7 +614,6 @@ func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 
 	resumed := false
 	var restoredStats *lifetime.EpochStats
-	var badCheckpoint error
 	if eng == nil {
 		if snap == nil && s.cfg.Storage != nil {
 			var err error
@@ -638,10 +640,12 @@ func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 					restoredStats = &row
 				}
 			} else {
-				badCheckpoint = err
 				if s.cfg.Storage != nil {
 					s.cfg.Storage.QuarantineRecord(store.KindFleetCheckpoint, reg.Name, err)
 				}
+				s.mu.Lock()
+				p.restartCause = err
+				s.mu.Unlock()
 			}
 		}
 		if eng == nil {
@@ -669,8 +673,7 @@ func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 	if err != nil {
 		return tickResult{err: fmt.Errorf("snapshotting engine: %w", err)}
 	}
-	return tickResult{eng: eng, rows: rows, snapshot: snapshot, resumed: resumed,
-		restoredStats: restoredStats, badCheckpoint: badCheckpoint}
+	return tickResult{eng: eng, rows: rows, snapshot: snapshot, resumed: resumed, restoredStats: restoredStats}
 }
 
 // tickOK applies a successful tick: adopt the engine and snapshot,
@@ -680,7 +683,9 @@ func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 func (s *Scheduler) tickOK(p *population, res tickResult) {
 	s.mu.Lock()
 	var prevVTH []float64
-	if res.badCheckpoint != nil {
+	restartCause := p.restartCause
+	p.restartCause = nil
+	if restartCause != nil {
 		p.lastStats = nil // rows of the abandoned run are no baseline
 	}
 	if p.lastStats == nil {
@@ -719,15 +724,15 @@ func (s *Scheduler) tickOK(p *population, res tickResult) {
 			s.noteCheckpointFailure(reg.Name, err)
 		}
 	}
-	if res.badCheckpoint != nil {
+	if restartCause != nil {
 		s.cfg.Logger.Warn("quarantined a fleet checkpoint that cannot resume; restarted from the registration",
-			"fleet", reg.Name, "error", res.badCheckpoint)
+			"fleet", reg.Name, "error", restartCause)
 	}
 	if s.cfg.Bus != nil {
-		if res.badCheckpoint != nil {
+		if restartCause != nil {
 			s.cfg.Bus.Publish(FleetTopic(reg.Name), "state",
 				StateEvent{Fleet: reg.Name, State: StateActive,
-					Reason: fmt.Sprintf("checkpoint quarantined, restarted from epoch 0: %v", res.badCheckpoint)})
+					Reason: fmt.Sprintf("checkpoint quarantined, restarted from epoch 0: %v", restartCause)})
 		}
 		if wasQuarantined {
 			s.cfg.Bus.Publish(FleetTopic(reg.Name), "state",

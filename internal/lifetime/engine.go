@@ -23,14 +23,12 @@ const (
 	// percentile resolution is histMax/histBins ≈ 0.1% guardband.
 	histBins = 1024
 	histMax  = 1.0
+	// shardSize chips form one unit of parallel work. It is a multiple
+	// of 64 so shards never share a violation-bitset word, and it is
+	// fixed — never derived from the worker count — so the shard
+	// decomposition itself is deterministic.
+	shardSize = 4096
 )
-
-// ShardSize chips form one unit of parallel work. It is a multiple of
-// 64 so shards never share a violation-bitset word, and it is fixed —
-// never derived from the worker count — so the shard decomposition
-// itself is deterministic. A fleet of at most ShardSize chips steps
-// inline on the caller's goroutine.
-const ShardSize = 4096
 
 // EpochStats is one row of the fleet trajectory: the guardband
 // distribution and violation state of the whole population at the end
@@ -225,7 +223,7 @@ func (e *Engine) coefShard(lo, hi int, _ *shardAgg) {
 // shard, or a single worker, never leaves the calling goroutine.
 func (e *Engine) forEachShard(workers int, kernel func(e *Engine, lo, hi int, agg *shardAgg)) []shardAgg {
 	pop := e.cfg.Population
-	shards := (pop + ShardSize - 1) / ShardSize
+	shards := (pop + shardSize - 1) / shardSize
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -238,19 +236,19 @@ func (e *Engine) forEachShard(workers int, kernel func(e *Engine, lo, hi int, ag
 		aggs[i].rewind()
 	}
 	if workers == 1 {
-		for lo := 0; lo < pop; lo += ShardSize {
-			kernel(e, lo, min(lo+ShardSize, pop), &aggs[0])
+		for lo := 0; lo < pop; lo += shardSize {
+			kernel(e, lo, min(lo+shardSize, pop), &aggs[0])
 		}
 		return aggs
 	}
 	var next atomic.Int64
 	work := func(agg *shardAgg) {
 		for {
-			lo := int(next.Add(1)-1) * ShardSize
+			lo := int(next.Add(1)-1) * shardSize
 			if lo >= pop {
 				return
 			}
-			kernel(e, lo, min(lo+ShardSize, pop), agg)
+			kernel(e, lo, min(lo+shardSize, pop), agg)
 		}
 	}
 	var wg sync.WaitGroup

@@ -55,10 +55,10 @@ func (r *refFleet) step() EpochStats {
 	pi := r.phaseAt(r.epoch)
 	ph := cfg.Phases[pi]
 	var aggs []*shardAgg
-	for lo := 0; lo < pop; lo += ShardSize {
+	for lo := 0; lo < pop; lo += shardSize {
 		agg := &shardAgg{sumVTH: make([]uint64, S)}
 		aggs = append(aggs, agg)
-		for c := lo; c < min(lo+ShardSize, pop); c++ {
+		for c := lo; c < min(lo+shardSize, pop); c++ {
 			ks, kr, vm := chipParams(cfg.Seed, cfg.Sigma, c)
 			kStress, kRelax := cfg.Params.KStress*ks, cfg.Params.KRelax*kr
 			vscale := cfg.Params.MaxVTHShift / cfg.Params.N0 * vm
@@ -231,7 +231,7 @@ func TestStepMatchesReference(t *testing.T) {
 // reuses its accumulators and steps inline, so the only allocation is
 // the returned row's MeanVTHShift slice.
 func TestStepAllocs(t *testing.T) {
-	cfg := testConfig(ShardSize, 0.08)
+	cfg := testConfig(shardSize, 0.08)
 	cfg.Phases = []Phase{{Name: "service", Years: 1000, Duty: []float64{0.9, 0.7}}}
 	e := mustNew(t, cfg)
 	e.Step(0)
