@@ -219,7 +219,7 @@ func serveCmd(args []string) {
 		scrubInterval  = fs.Duration("scrub-interval", time.Minute, "background re-verification interval for stored result checksums (0 = off)")
 
 		fleetConfig  = fs.String("fleet-config", "", "JSON file of fleet registrations to schedule at boot ({\"fleets\": [...]} or a bare array)")
-		fleetTick    = fs.Duration("fleet-tick", 0, "default interval between fleet epoch ticks (default 30s)")
+		fleetTick    = fs.Duration("fleet-tick", 0, "default interval between fleet epoch ticks (default 30s); failed ticks retry after 1/30 of it and quarantine lasts 10×")
 		alertWebhook = fs.String("alert-webhook", "", "POST fired fleet alerts to this URL (retries, circuit breaker, dead-letter queue)")
 
 		historyInterval  = fs.Duration("history-interval", 0, "metric-history sampling cadence behind /v1/metrics/query and /dashboard (default 10s; negative disables history)")

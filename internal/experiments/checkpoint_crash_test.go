@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"penelope/internal/lifetime"
 	"penelope/internal/store"
 	"penelope/internal/store/vfs"
 )
@@ -48,20 +47,7 @@ func crashOptions() Options {
 func TestCheckpointWriteDiscipline(t *testing.T) {
 	f := vfs.NewFaultFS(vfs.OS{})
 	_, ckpt := openCheckpoint(t, t.TempDir(), f)
-	o := crashOptions().Normalized()
-	duties := o.fleetDuties()
-	engB, err := lifetime.New(o.fleetConfig(duties, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	engP, err := lifetime.New(o.fleetConfig(duties, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := encodeFleetPair(engB, engP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, _, _ := pairImage(t, crashOptions(), 0)
 	if err := ckpt.Save(data); err != nil {
 		t.Fatal(err)
 	}

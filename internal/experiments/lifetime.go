@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"reflect"
 	"sync"
 
 	"penelope/internal/circuit"
@@ -238,9 +236,8 @@ var ErrLifetimeInterrupted = fmt.Errorf("lifetime: run interrupted")
 
 // ErrBadCheckpoint reports a saved checkpoint that does not decode as a
 // fleet pair or was written for different options. The run does not
-// start; a caller that owns the checkpoint can set it aside and rerun
-// from epoch 0.
-var ErrBadCheckpoint = errors.New("lifetime: bad fleet pair checkpoint")
+// start; the checkpoint's owner can set it aside and rerun from epoch 0.
+var ErrBadCheckpoint = lifetime.ErrBadCheckpoint
 
 // DefaultCheckpointWork is the checkpoint cadence, in chip-epochs of
 // work, when LifetimeCheckpointed is given none: 2^25, about a second
@@ -268,44 +265,38 @@ func LifetimeCheckpointed(ctx context.Context, o Options, ckpt Checkpoint, every
 	}
 	o = o.normalized()
 	duties := o.fleetDuties()
-	cfgB := o.fleetConfig(duties, false)
-	cfgP := o.fleetConfig(duties, true)
 
-	var engB, engP *lifetime.Engine
+	var saved [][]byte
 	if ckpt != nil {
 		data, err := ckpt.Load()
 		if err != nil {
 			return LifetimeResult{}, fmt.Errorf("lifetime: loading checkpoint: %w", err)
 		}
 		if data != nil {
-			if engB, engP, err = decodeFleetPair(data, cfgB, cfgP); err != nil {
+			if saved, err = decodeFleetPair(data); err != nil {
 				return LifetimeResult{}, err
 			}
 		}
 	}
-	if engB == nil {
-		var err error
-		if engB, err = lifetime.New(cfgB); err != nil {
-			return LifetimeResult{}, err
-		}
-		if engP, err = lifetime.New(cfgP); err != nil {
-			return LifetimeResult{}, err
-		}
+	run, err := lifetime.Open(saved, o.fleetConfig(duties, false), o.fleetConfig(duties, true))
+	if err != nil {
+		return LifetimeResult{}, err
 	}
+	run.Workers = o.Workers
 	save := func() error {
 		if ckpt == nil {
 			return nil
 		}
-		data, err := encodeFleetPair(engB, engP)
+		snaps, err := run.Snapshots()
 		if err == nil {
-			err = ckpt.Save(data)
+			err = ckpt.Save(encodeFleetPair(snaps))
 		}
 		return err
 	}
 
-	work := 0 // chip-epochs stepped since the last save
-	for !engB.Done() || !engP.Done() {
-		if err := ctx.Err(); err != nil {
+	for !run.Done() {
+		work, err := run.Run(ctx, 0, every)
+		if err != nil {
 			// Cancelled (shutdown or timeout): persist the epoch we
 			// reached so the next run continues instead of restarting.
 			if werr := save(); werr != nil {
@@ -313,12 +304,10 @@ func LifetimeCheckpointed(ctx context.Context, o Options, ckpt Checkpoint, every
 			}
 			return LifetimeResult{}, fmt.Errorf("%w: %v", ErrLifetimeInterrupted, err)
 		}
-		work += stepFleets(engB, engP, o.Workers)
 		if work >= every {
 			if err := save(); err != nil {
 				return LifetimeResult{}, err
 			}
-			work = 0
 		}
 	}
 
@@ -328,67 +317,44 @@ func LifetimeCheckpointed(ctx context.Context, o Options, ckpt Checkpoint, every
 		GuardbandLimit: lifetime.DefaultLimit,
 		CriticalPath:   path,
 		DelayModel:     delay,
-		Baseline:       trajectoryFrom("baseline", engB),
-		Penelope:       trajectoryFrom("penelope", engP),
+		Baseline:       trajectoryFrom("baseline", run.Engines[0]),
+		Penelope:       trajectoryFrom("penelope", run.Engines[1]),
 	}, nil
-}
-
-// stepFleets advances each unfinished fleet of the pair one epoch, one
-// after the other, and returns the chip-epochs stepped.
-func stepFleets(engB, engP *lifetime.Engine, workers int) (work int) {
-	for _, eng := range []*lifetime.Engine{engB, engP} {
-		if !eng.Done() {
-			eng.Step(workers)
-			work += eng.Config().Population
-		}
-	}
-	return work
 }
 
 // fleetPairMagic heads the experiment-level checkpoint: two
 // length-prefixed engine snapshots, baseline then Penelope.
 const fleetPairMagic = "penelope-fleet-pair-v1\n"
 
-// encodeFleetPair serializes the pair's state.
-func encodeFleetPair(engB, engP *lifetime.Engine) ([]byte, error) {
-	buf := []byte(fleetPairMagic)
-	for _, eng := range []*lifetime.Engine{engB, engP} {
-		snap, err := eng.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("lifetime: serializing checkpoint: %w", err)
-		}
+// encodeFleetPair frames the pair's two engine snapshots in one buffer
+// sized up front, so a large pair is never copied while it grows.
+func encodeFleetPair(snaps [][]byte) []byte {
+	n := len(fleetPairMagic) + 16 + len(snaps[0]) + len(snaps[1])
+	buf := append(make([]byte, 0, n), fleetPairMagic...)
+	for _, snap := range snaps {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(snap)))
 		buf = append(buf, snap...)
 	}
-	return buf, nil
+	return buf
 }
 
-// decodeFleetPair restores a pair checkpoint, verifying the embedded
-// configs match the requested options: a mismatched checkpoint is an
-// error, so a stale one never silently answers for different options.
-// Every rejection wraps ErrBadCheckpoint.
-func decodeFleetPair(data []byte, cfgB, cfgP lifetime.Config) (*lifetime.Engine, *lifetime.Engine, error) {
+// decodeFleetPair splits a pair checkpoint into its two engine
+// snapshots, which lifetime.Open decodes and checks against the
+// requested configs. Every rejection wraps ErrBadCheckpoint.
+func decodeFleetPair(data []byte) ([][]byte, error) {
 	rest, ok := bytes.CutPrefix(data, []byte(fleetPairMagic))
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: missing header", ErrBadCheckpoint)
+		return nil, fmt.Errorf("%w: missing header", ErrBadCheckpoint)
 	}
-	engs := make([]*lifetime.Engine, 0, 2)
-	for i := 0; i < 2; i++ {
+	snaps := make([][]byte, 2)
+	for i := range snaps {
 		if len(rest) < 8 || binary.LittleEndian.Uint64(rest) > uint64(len(rest)-8) {
-			return nil, nil, fmt.Errorf("%w: truncated", ErrBadCheckpoint)
+			return nil, fmt.Errorf("%w: truncated", ErrBadCheckpoint)
 		}
-		n := binary.LittleEndian.Uint64(rest)
-		eng, err := lifetime.FromSnapshot(rest[8 : 8+n])
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
-		}
-		engs = append(engs, eng)
-		rest = rest[8+n:]
+		n := 8 + binary.LittleEndian.Uint64(rest)
+		snaps[i], rest = rest[8:n], rest[n:]
 	}
-	if !reflect.DeepEqual(engs[0].Config(), cfgB) || !reflect.DeepEqual(engs[1].Config(), cfgP) {
-		return nil, nil, fmt.Errorf("%w: created with different options; delete it to start over", ErrBadCheckpoint)
-	}
-	return engs[0], engs[1], nil
+	return snaps, nil
 }
 
 // Render writes the lifetime trajectory as text: the measured duty

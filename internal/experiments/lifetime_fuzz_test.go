@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"reflect"
@@ -16,23 +17,17 @@ func pairImage(tb testing.TB, o Options, steps int) ([]byte, lifetime.Config, li
 	o = o.Normalized()
 	duties := o.fleetDuties()
 	cfgB, cfgP := o.fleetConfig(duties, false), o.fleetConfig(duties, true)
-	engB, err := lifetime.New(cfgB)
+	run, err := lifetime.Open(nil, cfgB, cfgP)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	engP, err := lifetime.New(cfgP)
+	run.Workers = 1
+	run.Run(context.Background(), steps, 0)
+	snaps, err := run.Snapshots()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for i := 0; i < steps; i++ {
-		engB.Step(1)
-		engP.Step(1)
-	}
-	data, err := encodeFleetPair(engB, engP)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return data, cfgB, cfgP
+	return encodeFleetPair(snaps), cfgB, cfgP
 }
 
 // FuzzDecodeFleetPair throws truncated, mismatched and arbitrary bytes
@@ -64,14 +59,18 @@ func FuzzDecodeFleetPair(f *testing.F) {
 	f.Add(append(swapped, body[:nB]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		engB, engP, err := decodeFleetPair(data, cfgB, cfgP)
+		snaps, err := decodeFleetPair(data)
+		var run *lifetime.Driver
+		if err == nil {
+			run, err = lifetime.Open(snaps, cfgB, cfgP)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrBadCheckpoint) {
 				t.Fatalf("rejection %v is not ErrBadCheckpoint", err)
 			}
 			return
 		}
-		if !reflect.DeepEqual(engB.Config(), cfgB) || !reflect.DeepEqual(engP.Config(), cfgP) {
+		if !reflect.DeepEqual(run.Engines[0].Config(), cfgB) || !reflect.DeepEqual(run.Engines[1].Config(), cfgP) {
 			t.Fatal("accepted a pair whose engine configs differ from the requested ones")
 		}
 	})

@@ -133,24 +133,7 @@ func TestLifetimeCheckpointResume(t *testing.T) {
 		ckpt := &memCheckpoint{}
 		// Interrupt: step both fleets to epoch k and checkpoint, exactly
 		// as a killed LifetimeCheckpointed run would have left it.
-		duties := o.Normalized().fleetDuties()
-		engB, err := lifetime.New(o.Normalized().fleetConfig(duties, false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		engP, err := lifetime.New(o.Normalized().fleetConfig(duties, true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < k; i++ {
-			engB.Step(1)
-			engP.Step(1)
-		}
-		data, err := encodeFleetPair(engB, engP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ckpt.data = data
+		ckpt.data, _, _ = pairImage(t, o, k)
 
 		o.Workers = 5
 		res, err := LifetimeCheckpointed(context.Background(), o, ckpt, 2)
@@ -198,9 +181,11 @@ func pairEngines(t *testing.T, o Options, pop int) (engB, engP *lifetime.Engine)
 // rounds away.
 func TestStepFleetsAllocs(t *testing.T) {
 	engB, engP := pairEngines(t, fleetOptions(), 4096)
-	stepFleets(engB, engP, 1)
-	if got := testing.AllocsPerRun(200, func() { stepFleets(engB, engP, 1) }); got != 2 {
-		t.Errorf("warm stepFleets allocates %v times per epoch, want 2", got)
+	run := &lifetime.Driver{Engines: []*lifetime.Engine{engB, engP}, Workers: 1}
+	ctx := context.Background()
+	run.Run(ctx, 1, 0)
+	if got := testing.AllocsPerRun(200, func() { run.Run(ctx, 1, 0) }); got != 2 {
+		t.Errorf("a warm paired epoch allocates %v times, want 2", got)
 	}
 }
 

@@ -1,9 +1,7 @@
 package fleetops
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,8 +17,9 @@ import (
 // quarantined, the fleet starts over from its registration, a state
 // event says so, and the fleet finishes with exactly the rows of a
 // fresh run instead of failing every tick in quarantine. The restart is
-// still announced when the first tick after the quarantine fails and a
-// later one builds the fleet afresh.
+// still announced when the first tick after the quarantine fails — its
+// builder hands back a config the engine rejects — and a later one
+// builds the fleet afresh.
 func TestSchedulerRecoversBadCheckpoint(t *testing.T) {
 	cfg := testConfig(0.5, 0, 0.08)
 	ref, err := lifetime.New(cfg)
@@ -66,15 +65,12 @@ func TestSchedulerRecoversBadCheckpoint(t *testing.T) {
 			wantFailures := uint64(0)
 			if tc.failFirst {
 				wantFailures = 1
-				ticks := 0
-				scCfg.Tick = func(ctx context.Context, name string, eng *lifetime.Engine) error {
-					if ticks++; ticks == 1 {
-						return errors.New("injected tick failure")
+				builds := 0
+				scCfg.Builder = func(Registration) (lifetime.Config, error) {
+					if builds++; builds == 1 {
+						return lifetime.Config{}, nil // New rejects it
 					}
-					for i := 0; i < 2 && !eng.Done(); i++ {
-						eng.Step(1)
-					}
-					return nil
+					return cfg, nil
 				}
 			}
 			sc := NewScheduler(scCfg)

@@ -4,22 +4,7 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"penelope/internal/store"
 )
-
-// failCkptStorage is a memStorage whose checkpoint writes always fail —
-// a full disk under the fleet tier.
-type failCkptStorage struct {
-	*memStorage
-}
-
-func (f *failCkptStorage) PutRecord(k store.Kind, name string, data []byte) error {
-	if k == store.KindFleetCheckpoint {
-		return errors.New("disk full")
-	}
-	return f.memStorage.PutRecord(k, name, data)
-}
 
 // TestCheckpointFailuresCounted requires failed fleet checkpoint writes
 // to surface in the scheduler stats instead of being swallowed: the
@@ -28,7 +13,9 @@ func (f *failCkptStorage) PutRecord(k store.Kind, name string, data []byte) erro
 func TestCheckpointFailuresCounted(t *testing.T) {
 	cfg := testConfig(0.5, 0, 0.05)
 	scCfg := fastCfg(cfg)
-	scCfg.Storage = &failCkptStorage{newMemStorage()}
+	scCfg.Storage = faultStorage{Storage: newMemStorage(), onWrite: func(string) error {
+		return errors.New("disk full") // a full disk under the fleet tier
+	}}
 	sc := NewScheduler(scCfg)
 	defer sc.Close(time.Second)
 

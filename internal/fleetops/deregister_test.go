@@ -1,7 +1,7 @@
 package fleetops
 
 import (
-	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -14,12 +14,12 @@ import (
 )
 
 // TestDeregisterStopsInFlightTick deregisters a population while its
-// tick is in flight, on a real store. The tick hook blocks until
-// Deregister is about to be called and then reports success — the
-// late tick that used to rewrite fleets/<name>.ckpt after its removal
-// and re-create the dropped bus topic. After Deregister returns, no
-// record of the fleet is left, its topic is gone, and re-registering
-// the name starts a fresh engine at epoch 0.
+// tick is in flight, on a real store. The second tick's checkpoint
+// write stalls until after Deregister has been called — the late write
+// that used to rewrite fleets/<name>.ckpt after its removal and
+// re-create the dropped bus topic. After Deregister returns, no record
+// of the fleet is left, its topic is gone, and re-registering the name
+// starts a fresh engine at epoch 0.
 func TestDeregisterStopsInFlightTick(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -27,33 +27,20 @@ func TestDeregisterStopsInFlightTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	bus := NewBus(0)
-	var blocking atomic.Bool
-	blocking.Store(true)
+	var writes atomic.Int64
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	var firstEpoch atomic.Int64
-	firstEpoch.Store(-1)
 
 	scCfg := fastCfg(testConfig(3, 0, 0.05))
-	scCfg.Storage = st
-	scCfg.Bus = bus
-	scCfg.TickTimeout = time.Minute // the watchdog must not be what ends the tick
-	scCfg.Tick = func(ctx context.Context, name string, eng *lifetime.Engine) error {
-		if !blocking.Load() {
-			firstEpoch.CompareAndSwap(-1, int64(eng.Epoch()))
-			eng.Step(1)
-			return nil
-		}
-		eng.Step(1)
-		if eng.Epoch() == 2 {
+	scCfg.Storage = faultStorage{Storage: st, onWrite: func(string) error {
+		if writes.Add(1) == 2 {
 			close(entered)
-			select {
-			case <-release:
-			case <-ctx.Done():
-			}
+			<-release
 		}
 		return nil
-	}
+	}}
+	scCfg.Bus = bus
+	scCfg.TickTimeout = time.Minute // the watchdog must not be what ends the tick
 	sc := NewScheduler(scCfg)
 	defer sc.Close(time.Second)
 
@@ -64,7 +51,10 @@ func TestDeregisterStopsInFlightTick(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "fleets", "pop.ckpt")); err != nil {
 		t.Fatalf("no checkpoint before deregistration: %v", err)
 	}
-	close(release)
+	go func() {
+		time.Sleep(5 * time.Millisecond) // Deregister is waiting by now
+		close(release)
+	}()
 	if err := sc.Deregister("pop"); err != nil {
 		t.Fatalf("Deregister: %v", err)
 	}
@@ -83,7 +73,6 @@ func TestDeregisterStopsInFlightTick(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // room for any straggler to misbehave
 	gone("after a pause")
 
-	blocking.Store(false)
 	stat, err := sc.Register(Registration{Name: "pop"})
 	if err != nil {
 		t.Fatalf("re-Register: %v", err)
@@ -94,8 +83,22 @@ func TestDeregisterStopsInFlightTick(t *testing.T) {
 	}) {
 		t.Fatalf("re-registered population never ticked: %+v", stat)
 	}
-	if got := firstEpoch.Load(); got != 0 || stat.Resumed {
-		t.Errorf("re-registered population started at epoch %d (resumed %v), want a fresh engine at 0", got, stat.Resumed)
+	// The re-created topic holds only the new registration's events; its
+	// first epoch row says where the engine started.
+	sub := bus.Subscribe(FleetTopic("pop"), 0, 0)
+	defer sub.Close()
+	firstEpoch := -1
+	for firstEpoch < 0 {
+		if ev := <-sub.C(); ev.Type == "epoch" {
+			var e EpochEvent
+			if err := json.Unmarshal(ev.Data, &e); err != nil {
+				t.Fatal(err)
+			}
+			firstEpoch = e.Epoch
+		}
+	}
+	if firstEpoch != 0 || stat.Resumed {
+		t.Errorf("re-registered population started at epoch %d (resumed %v), want a fresh engine at 0", firstEpoch, stat.Resumed)
 	}
 }
 
@@ -118,15 +121,16 @@ func (f *failRegStorage) PutRecord(k store.Kind, name string, data []byte) error
 // scheduled: a fleet reported as registered must survive a restart.
 func TestRegisterPersistFailure(t *testing.T) {
 	var ticks atomic.Int64
-	scCfg := fastCfg(testConfig(0.5, 0, 0.05))
+	cfg := testConfig(0.5, 0, 0.05)
+	scCfg := fastCfg(cfg)
 	failing := &failRegStorage{memStorage: newMemStorage()}
 	failing.fail.Store(true)
 	scCfg.Storage = failing
 	bus := NewBus(0)
 	scCfg.Bus = bus
-	scCfg.Tick = func(ctx context.Context, name string, eng *lifetime.Engine) error {
+	scCfg.Builder = func(Registration) (lifetime.Config, error) { // every tick without an engine calls it
 		ticks.Add(1)
-		return nil
+		return cfg, nil
 	}
 	sc := NewScheduler(scCfg)
 	defer sc.Close(time.Second)

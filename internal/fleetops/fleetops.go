@@ -14,12 +14,13 @@
 // jitter, circuit breaker, dead-letter queue).
 //
 // The package is engineered for failure first: a failing tick retries
-// with exponential backoff and quarantines the population after N
+// with exponential backoff and quarantines the population after three
 // consecutive failures instead of wedging the scheduler; a watchdog
 // cancels and restarts ticks that exceed their deadline, reloading the
-// engine from its last good snapshot; and every fault path is
-// deterministic under test via seeded fault-injecting hooks in the
-// spirit of internal/service/faultrunner.
+// engine from its last good snapshot; and a checkpoint that cannot
+// resume its fleet is set aside and the fleet rebuilt. Tests drive
+// these paths through the seams real faults arrive by: the Storage and
+// the ConfigBuilder.
 package fleetops
 
 import (

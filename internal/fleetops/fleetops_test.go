@@ -47,8 +47,9 @@ func testBuilder(cfg lifetime.Config) ConfigBuilder {
 	return func(Registration) (lifetime.Config, error) { return cfg, nil }
 }
 
-// memStorage is an in-memory fleetops.Storage. Quarantined records
-// move to quarantined, keyed by kind and name.
+// memStorage is an in-memory fleetops.Storage. Quarantined records —
+// set aside by QuarantineRecord, or rejected by a Records check as the
+// store does — move to quarantined, keyed by kind and name.
 type memStorage struct {
 	mu          sync.Mutex
 	recs        map[store.Kind]map[string][]byte
@@ -87,9 +88,15 @@ func (m *memStorage) Records(k store.Kind, check func(store.Record) error) []sto
 	var out []store.Record
 	for name, b := range m.recs[k] {
 		rec := store.Record{Name: name, Data: append([]byte(nil), b...)}
-		if check == nil || check(rec) == nil {
-			out = append(out, rec)
+		if check != nil && check(rec) != nil {
+			if m.quarantined[k] == nil {
+				m.quarantined[k] = make(map[string][]byte)
+			}
+			m.quarantined[k][name] = b
+			delete(m.recs[k], name)
+			continue
 		}
+		out = append(out, rec)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -111,6 +118,33 @@ func (m *memStorage) RemoveRecord(k store.Kind, name string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.recs[k], name)
+}
+
+// faultStorage wraps a Storage with injectable checkpoint faults:
+// onRead and onWrite, when set, run before every checkpoint read or
+// write and may fail it (return an error) or stall it (block), as a
+// sick disk would.
+type faultStorage struct {
+	Storage
+	onRead, onWrite func(name string) error
+}
+
+func (f faultStorage) ReadRecord(k store.Kind, name string) ([]byte, error) {
+	if k == store.KindFleetCheckpoint && f.onRead != nil {
+		if err := f.onRead(name); err != nil {
+			return nil, err
+		}
+	}
+	return f.Storage.ReadRecord(k, name)
+}
+
+func (f faultStorage) PutRecord(k store.Kind, name string, data []byte) error {
+	if k == store.KindFleetCheckpoint && f.onWrite != nil {
+		if err := f.onWrite(name); err != nil {
+			return err
+		}
+	}
+	return f.Storage.PutRecord(k, name, data)
 }
 
 // waitFor polls cond until it holds or the deadline passes.

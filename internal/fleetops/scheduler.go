@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -23,8 +22,8 @@ type State string
 const (
 	// StateActive populations tick on their interval.
 	StateActive State = "active"
-	// StateQuarantined populations failed MaxFailures consecutive
-	// ticks; the scheduler parks them for QuarantineCooldown, then
+	// StateQuarantined populations failed maxFailures consecutive
+	// ticks; the scheduler parks them for ten default intervals, then
 	// probes — a successful probe returns them to active. Other
 	// populations are unaffected.
 	StateQuarantined State = "quarantined"
@@ -45,10 +44,8 @@ var ErrExists = errors.New("fleetops: fleet already registered")
 // to 503.
 var ErrPersist = errors.New("fleetops: persisting fleet registration failed")
 
-// TickFunc overrides what one tick does — tests inject failures, hangs,
-// and panics here. The default (nil) steps the engine EpochsPerTick
-// epochs.
-type TickFunc func(ctx context.Context, name string, eng *lifetime.Engine) error
+// maxFailures consecutive tick failures quarantine a population.
+const maxFailures = 3
 
 // Config configures the scheduler.
 type Config struct {
@@ -63,27 +60,18 @@ type Config struct {
 	// Alerter evaluates alert rules per epoch; nil disables alerting.
 	Alerter *Alerter
 	// DefaultInterval spaces ticks for registrations that do not set
-	// one (default 30s).
+	// one (default 30s). A failed tick retries after DefaultInterval/30,
+	// doubled per consecutive failure plus up to 50% jitter keyed on the
+	// population name; a quarantined population parks for ten intervals
+	// before a probation probe — 1s and 5m at the default.
 	DefaultInterval time.Duration
-	// MaxFailures consecutive tick failures quarantine a population
-	// (default 3).
-	MaxFailures int
-	// QuarantineCooldown is how long a quarantined population parks
-	// before a probation probe (default 5m).
-	QuarantineCooldown time.Duration
 	// TickTimeout is the watchdog deadline: a tick still running after
 	// this is cancelled, counted as a failure, and its engine abandoned
 	// in favor of the last good snapshot (default 60s).
 	TickTimeout time.Duration
-	// RetryBackoff is the base delay before retrying a failed tick,
-	// doubled per consecutive failure up to QuarantineCooldown, plus up
-	// to 50% jitter keyed on the population name (default 1s).
-	RetryBackoff time.Duration
 	// Workers bounds each engine step's internal fan-out (<=0 uses
 	// GOMAXPROCS).
 	Workers int
-	// Tick overrides the tick body (tests).
-	Tick TickFunc
 	// Instruments, when set, records tick latency, aging throughput,
 	// and tick spans. Nil costs nothing.
 	Instruments *Instruments
@@ -93,8 +81,8 @@ type Config struct {
 }
 
 // population is one registered fleet's scheduler state. All mutable
-// fields are guarded by the scheduler mutex; the engine itself is only
-// touched by the population's (single) in-flight tick goroutine.
+// fields are guarded by the scheduler mutex; the engines themselves are
+// only touched by the population's (single) in-flight tick goroutine.
 type population struct {
 	reg     Registration
 	state   State
@@ -106,9 +94,9 @@ type population struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	eng      *lifetime.Engine
-	snapshot []byte // last good checkpoint bytes; source of truth for persistence
-	resumed  bool   // restored from a storage checkpoint at least once
+	run      *lifetime.Driver // the fleet's one engine; nil until built or restored
+	snapshot []byte           // last good checkpoint bytes; source of truth for persistence
+	resumed  bool             // restored from a storage checkpoint at least once
 
 	epoch       int
 	totalEpochs int
@@ -171,7 +159,7 @@ type Scheduler struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	retry mix.Backoff // failed-tick retry delays
+	retry mix.Backoff // failed-tick retry delays; Cap is the quarantine cooldown
 
 	mu       sync.Mutex
 	pops     map[string]*population
@@ -187,24 +175,15 @@ func NewScheduler(cfg Config) *Scheduler {
 	if cfg.DefaultInterval <= 0 {
 		cfg.DefaultInterval = 30 * time.Second
 	}
-	if cfg.MaxFailures <= 0 {
-		cfg.MaxFailures = 3
-	}
-	if cfg.QuarantineCooldown <= 0 {
-		cfg.QuarantineCooldown = 5 * time.Minute
-	}
 	if cfg.TickTimeout <= 0 {
 		cfg.TickTimeout = 60 * time.Second
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = time.Second
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Logger("fleetops")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Scheduler{cfg: cfg, ctx: ctx, cancel: cancel, pops: make(map[string]*population),
-		retry: mix.Backoff{Base: cfg.RetryBackoff, Cap: cfg.QuarantineCooldown}}
+		retry: mix.Backoff{Base: cfg.DefaultInterval / 30, Cap: 10 * cfg.DefaultInterval}}
 }
 
 // Register validates and admits a population, persists its
@@ -523,7 +502,7 @@ func (s *Scheduler) nextDelay(p *population, first bool) (time.Duration, bool) {
 		return 0, false
 	}
 	if p.state == StateQuarantined {
-		return s.cfg.QuarantineCooldown, false
+		return s.retry.Cap, false
 	}
 	if p.failures > 0 {
 		return s.retry.Delay(p.reg.Name, p.failures-1), false
@@ -542,18 +521,10 @@ func (s *Scheduler) nextDelay(p *population, first bool) (time.Duration, bool) {
 
 // tickResult carries one tick's outcome out of its goroutine.
 type tickResult struct {
-	eng      *lifetime.Engine
+	run      *lifetime.Driver
 	rows     []lifetime.EpochStats
 	snapshot []byte
-	resumed  bool
-	// restoredStats is the last stats row already inside a restored
-	// checkpoint, captured before the tick advances it. It re-seeds the
-	// duty-deviation detector's previous-epoch baseline after a process
-	// restart (p.lastStats lives only in memory); without it the first
-	// resumed tick would invert 0 → accumulated-shift as one epoch step
-	// and fire a false wearout-attack alert.
-	restoredStats *lifetime.EpochStats
-	err           error
+	err      error
 }
 
 // tick runs one tick under the watchdog: the tick body runs in its own
@@ -583,7 +554,7 @@ func (s *Scheduler) tick(p *population) {
 			s.cfg.Instruments.observeTick(name, start, 0, 0, res.err)
 			s.tickFailed(p, res.err)
 		} else {
-			s.cfg.Instruments.observeTick(name, start, len(res.rows), res.eng.Config().Population, nil)
+			s.cfg.Instruments.observeTick(name, start, len(res.rows), res.run.Engines[0].Config().Population, nil)
 			s.tickOK(p, res)
 		}
 	case <-ctx.Done():
@@ -598,25 +569,24 @@ func (s *Scheduler) tick(p *population) {
 }
 
 // runTick executes the tick body in the watchdog goroutine: obtain the
-// engine (restore or build — both fallible, both under the same
-// protection), advance it, and snapshot the result. A checkpoint that
-// cannot resume the registration is quarantined and the engine rebuilt,
-// the rule lifetime jobs follow for experiments.ErrBadCheckpoint; the
-// cause is recorded on the population for tickOK to announce. Bar that,
-// it never touches scheduler state; results are applied by
-// tickOK/tickFailed.
+// fleet's driver (restore or build — both fallible, both under the same
+// protection), advance it EpochsPerTick epochs, and snapshot the result.
+// A checkpoint that cannot resume the registration
+// (lifetime.ErrBadCheckpoint) is quarantined and the engine rebuilt, the
+// rule lifetime jobs follow too; the cause is recorded on the population
+// for tickOK to announce. Bar that, it never touches scheduler state or
+// storage writes; results are applied by tickOK/tickFailed on the loop
+// goroutine.
 func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 	s.mu.Lock()
-	eng := p.eng
+	run := p.run
 	snap := p.snapshot
 	reg := p.reg
 	s.mu.Unlock()
 
-	resumed := false
-	var restoredStats *lifetime.EpochStats
-	if eng == nil {
+	if run == nil {
+		var err error
 		if snap == nil && s.cfg.Storage != nil {
-			var err error
 			if snap, err = s.cfg.Storage.ReadRecord(store.KindFleetCheckpoint, reg.Name); err != nil {
 				return tickResult{err: fmt.Errorf("reading checkpoint: %w", err)}
 			}
@@ -625,55 +595,39 @@ func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 		if err != nil {
 			return tickResult{err: fmt.Errorf("building engine config: %w", err)}
 		}
+		var saved [][]byte
 		if snap != nil {
-			// A checkpoint that does not decode, or was written for a
-			// config other than the registration's, would fail every
-			// retry and probe alike: set it aside and start over.
-			restored, err := lifetime.FromSnapshot(snap)
-			if err == nil && !reflect.DeepEqual(restored.Config(), cfg) {
-				err = errors.New("lifetime: checkpoint was written for a different engine config")
-			}
-			if err == nil {
-				eng = restored
-				resumed = true
-				if row, ok := restored.LastStats(); ok {
-					restoredStats = &row
-				}
-			} else {
-				if s.cfg.Storage != nil {
-					s.cfg.Storage.QuarantineRecord(store.KindFleetCheckpoint, reg.Name, err)
-				}
-				s.mu.Lock()
-				p.restartCause = err
-				s.mu.Unlock()
-			}
+			saved = [][]byte{snap}
 		}
-		if eng == nil {
-			if eng, err = lifetime.New(cfg); err != nil {
-				return tickResult{err: fmt.Errorf("building engine: %w", err)}
+		run, err = lifetime.Open(saved, cfg)
+		if errors.Is(err, lifetime.ErrBadCheckpoint) {
+			// It would fail every retry and probe alike: set it aside
+			// and start over.
+			if s.cfg.Storage != nil {
+				s.cfg.Storage.QuarantineRecord(store.KindFleetCheckpoint, reg.Name, err)
 			}
+			s.mu.Lock()
+			p.restartCause = err
+			s.mu.Unlock()
+			run, err = lifetime.Open(nil, cfg)
 		}
+		if err != nil {
+			return tickResult{err: fmt.Errorf("building engine: %w", err)}
+		}
+		run.Workers = s.cfg.Workers
 	}
 
+	eng := run.Engines[0]
 	prev := eng.Epoch()
-	if s.cfg.Tick != nil {
-		if err := s.cfg.Tick(ctx, reg.Name, eng); err != nil {
-			return tickResult{err: err}
-		}
-	} else {
-		for i := 0; i < reg.EpochsPerTick && !eng.Done(); i++ {
-			if err := ctx.Err(); err != nil {
-				return tickResult{err: err}
-			}
-			eng.Step(s.cfg.Workers)
-		}
+	if _, err := run.Run(ctx, reg.EpochsPerTick, 0); err != nil {
+		return tickResult{err: err}
+	}
+	snaps, err := run.Snapshots()
+	if err != nil {
+		return tickResult{err: err}
 	}
 	rows := append([]lifetime.EpochStats(nil), eng.Stats()[prev:eng.Epoch()]...)
-	snapshot, err := eng.Snapshot()
-	if err != nil {
-		return tickResult{err: fmt.Errorf("snapshotting engine: %w", err)}
-	}
-	return tickResult{eng: eng, rows: rows, snapshot: snapshot, resumed: resumed, restoredStats: restoredStats}
+	return tickResult{run: run, rows: rows, snapshot: snaps[0]}
 }
 
 // tickOK applies a successful tick: adopt the engine and snapshot,
@@ -681,6 +635,7 @@ func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 // quarantined), persist the checkpoint, publish epoch events, and
 // evaluate alert rules.
 func (s *Scheduler) tickOK(p *population, res tickResult) {
+	eng := res.run.Engines[0]
 	s.mu.Lock()
 	var prevVTH []float64
 	restartCause := p.restartCause
@@ -688,28 +643,31 @@ func (s *Scheduler) tickOK(p *population, res tickResult) {
 	if restartCause != nil {
 		p.lastStats = nil // rows of the abandoned run are no baseline
 	}
-	if p.lastStats == nil {
-		p.lastStats = res.restoredStats
+	if prev := eng.Epoch() - len(res.rows); p.lastStats == nil && prev > 0 {
+		// A restored checkpoint's last row re-seeds the duty-deviation
+		// detector's baseline (p.lastStats lives only in memory); from
+		// zero, the first resumed tick would read the accumulated shift
+		// as one epoch and fire a false wearout-attack alert.
+		row := eng.Stats()[prev-1]
+		p.lastStats = &row
 	}
 	if p.lastStats != nil {
 		prevVTH = p.lastStats.MeanVTHShift
 	}
 	wasQuarantined := p.state == StateQuarantined
-	p.eng = res.eng
+	p.run = res.run
 	p.snapshot = res.snapshot
-	if res.resumed {
-		p.resumed = true
-	}
+	p.resumed = p.resumed || res.run.Resumed
 	p.ticks++
 	p.failures = 0
 	p.lastErr = ""
-	p.epoch = res.eng.Epoch()
-	p.totalEpochs = res.eng.TotalEpochs()
+	p.epoch = eng.Epoch()
+	p.totalEpochs = eng.TotalEpochs()
 	if n := len(res.rows); n > 0 {
 		row := res.rows[n-1]
 		p.lastStats = &row
 	}
-	done := res.eng.Done()
+	done := eng.Done()
 	if done {
 		p.state = StateDone
 	} else {
@@ -745,7 +703,7 @@ func (s *Scheduler) tickOK(p *population, res tickResult) {
 	if s.cfg.Alerter != nil && reg.Alerts.Enabled() {
 		var det *DeviationDetector
 		if reg.Alerts.DutyTolerance > 0 {
-			det = NewDeviationDetector(res.eng.Config(), reg.Alerts.DutyTolerance)
+			det = NewDeviationDetector(eng.Config(), reg.Alerts.DutyTolerance)
 		}
 		for _, row := range res.rows {
 			s.cfg.Alerter.Observe(reg.Name, reg.Alerts, det, prevVTH, row)
@@ -759,14 +717,14 @@ func (s *Scheduler) tickOK(p *population, res tickResult) {
 }
 
 // tickFailed counts a consecutive failure and quarantines the
-// population once it reaches MaxFailures.
+// population once it reaches maxFailures.
 func (s *Scheduler) tickFailed(p *population, err error) {
 	s.mu.Lock()
 	p.ticks++
 	p.tickFailures++
 	p.failures++
 	p.lastErr = err.Error()
-	quarantine := p.failures >= s.cfg.MaxFailures && p.state == StateActive
+	quarantine := p.failures >= maxFailures && p.state == StateActive
 	if quarantine {
 		p.state = StateQuarantined
 		p.quarantines++
@@ -777,7 +735,7 @@ func (s *Scheduler) tickFailed(p *population, err error) {
 	if quarantine && s.cfg.Bus != nil {
 		s.cfg.Bus.Publish(FleetTopic(reg.Name), "state",
 			StateEvent{Fleet: reg.Name, State: StateQuarantined, Epoch: epoch,
-				Reason: fmt.Sprintf("%d consecutive tick failures: %v", s.cfg.MaxFailures, err)})
+				Reason: fmt.Sprintf("%d consecutive tick failures: %v", maxFailures, err)})
 	}
 }
 
@@ -787,7 +745,7 @@ func (s *Scheduler) tickFailed(p *population, err error) {
 // toward quarantine like any other failure.
 func (s *Scheduler) watchdogFired(p *population) {
 	s.mu.Lock()
-	p.eng = nil
+	p.run = nil
 	p.watchdogTimeouts++
 	s.mu.Unlock()
 	s.tickFailed(p, fmt.Errorf("watchdog: tick exceeded %s deadline", s.cfg.TickTimeout))

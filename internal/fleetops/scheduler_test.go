@@ -1,7 +1,6 @@
 package fleetops
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,16 +13,14 @@ import (
 )
 
 // fastCfg returns scheduler settings tuned for tests: millisecond
-// ticks, two failures to quarantine, short cooldowns.
+// ticks, and with them sub-millisecond retries and a 20ms quarantine
+// cooldown.
 func fastCfg(cfg lifetime.Config) Config {
 	return Config{
-		Builder:            testBuilder(cfg),
-		DefaultInterval:    2 * time.Millisecond,
-		MaxFailures:        2,
-		QuarantineCooldown: 25 * time.Millisecond,
-		TickTimeout:        2 * time.Second,
-		RetryBackoff:       time.Millisecond,
-		Workers:            2,
+		Builder:         testBuilder(cfg),
+		DefaultInterval: 2 * time.Millisecond,
+		TickTimeout:     2 * time.Second,
+		Workers:         2,
 	}
 }
 
@@ -94,7 +91,7 @@ func TestSchedulerRunsToDone(t *testing.T) {
 }
 
 // TestSchedulerQuarantineAndRecovery drives one population into
-// quarantine with injected tick failures while a healthy population
+// quarantine with failing checkpoint reads while a healthy population
 // keeps aging, then lets the quarantined one recover via its probation
 // probe.
 func TestSchedulerQuarantineAndRecovery(t *testing.T) {
@@ -102,13 +99,12 @@ func TestSchedulerQuarantineAndRecovery(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
 	scCfg := fastCfg(cfg)
-	scCfg.Tick = func(ctx context.Context, name string, eng *lifetime.Engine) error {
+	scCfg.Storage = faultStorage{Storage: newMemStorage(), onRead: func(name string) error {
 		if name == "bad" && failing.Load() {
-			return errors.New("injected tick failure")
+			return errors.New("injected checkpoint read failure")
 		}
-		eng.Step(2)
 		return nil
-	}
+	}}
 	sc := NewScheduler(scCfg)
 	defer sc.Close(time.Second)
 
@@ -128,7 +124,7 @@ func TestSchedulerQuarantineAndRecovery(t *testing.T) {
 		t.Fatalf("Quarantined() = %v, want [bad]", q)
 	}
 	st, _ := sc.Get("bad")
-	if st.TickFailures < uint64(scCfg.MaxFailures) || st.Quarantines != 1 {
+	if st.TickFailures < maxFailures || st.Quarantines != 1 {
 		t.Fatalf("bad status after quarantine: %+v", st)
 	}
 
@@ -156,22 +152,17 @@ func TestSchedulerQuarantineAndRecovery(t *testing.T) {
 	}
 }
 
-// TestSchedulerWatchdog hangs a tick past its deadline and checks the
-// watchdog abandons it, counts it, and that the population still makes
-// progress once ticks behave again.
+// TestSchedulerWatchdog hangs a tick past its deadline — its engine
+// build stalls — and checks the watchdog abandons it, counts it, and
+// that the population still makes progress once ticks behave again.
 func TestSchedulerWatchdog(t *testing.T) {
 	cfg := testConfig(3, 0, 0.05)
-	var hang atomic.Bool
-	hang.Store(true)
+	unhang := make(chan struct{})
 	scCfg := fastCfg(cfg)
 	scCfg.TickTimeout = 15 * time.Millisecond
-	scCfg.Tick = func(ctx context.Context, name string, eng *lifetime.Engine) error {
-		if hang.Load() {
-			<-ctx.Done() // wedge until the watchdog cancels us
-			return ctx.Err()
-		}
-		eng.Step(2)
-		return nil
+	scCfg.Builder = func(Registration) (lifetime.Config, error) {
+		<-unhang // wedge until the test heals the builder
+		return cfg, nil
 	}
 	sc := NewScheduler(scCfg)
 	defer sc.Close(time.Second)
@@ -185,7 +176,7 @@ func TestSchedulerWatchdog(t *testing.T) {
 	}) {
 		t.Fatal("watchdog never fired")
 	}
-	hang.Store(false)
+	close(unhang)
 	if !waitFor(5*time.Second, func() bool {
 		st, ok := sc.Get("wedged")
 		return ok && st.Epoch > 0 && st.State != StateQuarantined

@@ -2,11 +2,13 @@ package lifetime
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 )
 
 // checkpointMagic versions the checkpoint layout. Bump it whenever the
@@ -196,4 +198,85 @@ func FromSnapshot(data []byte) (*Engine, error) {
 		return nil, fmt.Errorf("lifetime: %d trailing bytes after checkpoint", len(r.rest))
 	}
 	return e, nil
+}
+
+// ErrBadCheckpoint reports saved state that cannot resume the requested
+// run: it does not decode, or it decodes to a different config. Retrying
+// cannot help; whoever owns the bytes sets them aside and starts over.
+var ErrBadCheckpoint = errors.New("lifetime: bad checkpoint")
+
+// Driver steps engines through their schedules together — a lifetime
+// job's baseline/Penelope pair, or one continuously aged fleet — and is
+// the one place engines are resumed or built, stepped under a context
+// and snapshotted. Callers decide where the bytes live and when to write.
+type Driver struct {
+	Engines []*Engine
+	Resumed bool // Engines were restored from saved state
+	Workers int  // each engine step's fan-out (<=0 uses GOMAXPROCS)
+}
+
+// Open returns a driver over one engine per config, restored from
+// saved — one Snapshot payload per config, in order — or built at
+// epoch 0 when saved is nil. Saved state that does not decode, or was
+// written for a config other than the requested one, fails with
+// ErrBadCheckpoint: a stale checkpoint never answers for other options.
+func Open(saved [][]byte, cfgs ...Config) (*Driver, error) {
+	d := &Driver{Engines: make([]*Engine, len(cfgs)), Resumed: saved != nil}
+	for i, cfg := range cfgs {
+		var err error
+		if saved == nil {
+			if d.Engines[i], err = New(cfg); err != nil {
+				return nil, err
+			}
+		} else if d.Engines[i], err = FromSnapshot(saved[i]); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
+		} else if !reflect.DeepEqual(d.Engines[i].cfg, cfg) {
+			return nil, fmt.Errorf("%w: written for different options", ErrBadCheckpoint)
+		}
+	}
+	return d, nil
+}
+
+// Run steps every unfinished engine one epoch at a time, polling ctx
+// once before each epoch, until all are done, `epochs` epochs have been
+// stepped, or `work` chip-epochs have (a P-chip step is P chip-epochs;
+// a limit below 1 is none). It returns the chip-epochs stepped, with
+// ctx's error if ctx ended the run. A warm epoch allocates only each
+// engine's stats row.
+func (d *Driver) Run(ctx context.Context, epochs, work int) (int, error) {
+	stepped := 0
+	for n := 0; !d.Done() && (epochs < 1 || n < epochs) && (work < 1 || stepped < work); n++ {
+		if err := ctx.Err(); err != nil {
+			return stepped, err
+		}
+		for _, e := range d.Engines {
+			if !e.Done() {
+				e.Step(d.Workers)
+				stepped += e.cfg.Population
+			}
+		}
+	}
+	return stepped, nil
+}
+
+// Done reports whether every engine has finished its schedule.
+func (d *Driver) Done() bool {
+	for _, e := range d.Engines {
+		if !e.Done() {
+			return false
+		}
+	}
+	return true
+}
+
+// Snapshots returns each engine's Snapshot, in order.
+func (d *Driver) Snapshots() ([][]byte, error) {
+	snaps := make([][]byte, len(d.Engines))
+	for i, e := range d.Engines {
+		var err error
+		if snaps[i], err = e.Snapshot(); err != nil {
+			return nil, fmt.Errorf("lifetime: serializing checkpoint: %w", err)
+		}
+	}
+	return snaps, nil
 }

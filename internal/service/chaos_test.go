@@ -611,8 +611,7 @@ func TestChaosFleetSIGTERMMidTickResumes(t *testing.T) {
 	mk := func() (*service.Server, *httptest.Server) {
 		s, err := service.New(service.Config{
 			Workers: 2, DataDir: dir, DrainGrace: 5 * time.Second,
-			FleetTick:        time.Millisecond,
-			FleetTickTimeout: 2 * time.Second,
+			FleetTick: time.Millisecond,
 			FleetBuilder: func(fleetops.Registration) (lifetime.Config, error) {
 				return cfg, nil
 			},

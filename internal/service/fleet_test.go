@@ -41,13 +41,9 @@ func testFleetBuilder(years float64) fleetops.ConfigBuilder {
 // ticks.
 func fastFleetConfig(builder fleetops.ConfigBuilder) Config {
 	return Config{
-		Workers:           2,
-		FleetTick:         2 * time.Millisecond,
-		FleetTickTimeout:  2 * time.Second,
-		FleetMaxFailures:  2,
-		FleetRetryBackoff: time.Millisecond,
-		FleetQuarantine:   25 * time.Millisecond,
-		FleetBuilder:      builder,
+		Workers:      2,
+		FleetTick:    2 * time.Millisecond,
+		FleetBuilder: builder,
 	}
 }
 

@@ -103,19 +103,9 @@ type Config struct {
 
 	// FleetTick is the default interval between scheduled fleet epoch
 	// ticks for registrations that do not set their own (default 30s).
+	// A failed tick retries after FleetTick/30 (doubling), and a
+	// quarantined fleet parks for 10×FleetTick before its probe.
 	FleetTick time.Duration
-	// FleetTickTimeout is the fleet watchdog deadline: a tick running
-	// longer is cancelled and counted as a failure (default 60s).
-	FleetTickTimeout time.Duration
-	// FleetMaxFailures consecutive tick failures quarantine a fleet
-	// population (default 3).
-	FleetMaxFailures int
-	// FleetRetryBackoff is the base delay before retrying a failed
-	// fleet tick (default 1s).
-	FleetRetryBackoff time.Duration
-	// FleetQuarantine is how long a quarantined population parks before
-	// a probation probe (default 5m).
-	FleetQuarantine time.Duration
 	// FleetBuilder overrides how fleet registrations become engine
 	// configs (tests); nil measures duty profiles from the trace
 	// workload like the lifetime experiment.
@@ -316,17 +306,13 @@ func (s *Server) initFleetops() {
 		storage = s.store
 	}
 	s.sched = fleetops.NewScheduler(fleetops.Config{
-		Builder:            s.cfg.FleetBuilder,
-		Storage:            storage,
-		Bus:                s.bus,
-		Alerter:            s.alerter,
-		DefaultInterval:    s.cfg.FleetTick,
-		MaxFailures:        s.cfg.FleetMaxFailures,
-		QuarantineCooldown: s.cfg.FleetQuarantine,
-		TickTimeout:        s.cfg.FleetTickTimeout,
-		RetryBackoff:       s.cfg.FleetRetryBackoff,
-		Workers:            s.cfg.Workers,
-		Instruments:        fleetIns,
+		Builder:         s.cfg.FleetBuilder,
+		Storage:         storage,
+		Bus:             s.bus,
+		Alerter:         s.alerter,
+		DefaultInterval: s.cfg.FleetTick,
+		Workers:         s.cfg.Workers,
+		Instruments:     fleetIns,
 	})
 	s.registerFleetMetrics()
 }
