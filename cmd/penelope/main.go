@@ -53,6 +53,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"reflect"
 	"strings"
 	"syscall"
 	"time"
@@ -314,21 +315,30 @@ func loadSLOConfig(path string) ([]fleetops.SLORule, error) {
 	if path == "" {
 		return nil, nil
 	}
+	return loadList[fleetops.SLORule](path, "rules")
+}
+
+// loadList reads a JSON file holding {"<key>": [...]} or a bare array.
+// A wrapped list that is present, even empty, wins; anything else must
+// parse as a bare array.
+func loadList[T any](path, key string) ([]T, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var rules []fleetops.SLORule
-	var wrapped struct {
-		Rules []fleetops.SLORule `json:"rules"`
+	wrapped := reflect.New(reflect.StructOf([]reflect.StructField{{
+		Name: "List", Type: reflect.TypeFor[[]T](), Tag: reflect.StructTag(fmt.Sprintf("json:%q", key)),
+	}}))
+	if err := json.Unmarshal(data, wrapped.Interface()); err == nil {
+		if list := wrapped.Elem().Field(0).Interface().([]T); list != nil {
+			return list, nil
+		}
 	}
-	if err := json.Unmarshal(data, &wrapped); err == nil && wrapped.Rules != nil {
-		return wrapped.Rules, nil
+	var list []T
+	if err := json.Unmarshal(data, &list); err != nil {
+		return nil, fmt.Errorf("want {%q: [...]} or a bare array: %w", key, err)
 	}
-	if err := json.Unmarshal(data, &rules); err != nil {
-		return nil, fmt.Errorf("want {\"rules\": [...]} or a bare array: %w", err)
-	}
-	return rules, nil
+	return list, nil
 }
 
 // registerFleetConfig schedules every registration in a -fleet-config
@@ -336,18 +346,9 @@ func loadSLOConfig(path string) ([]fleetops.SLORule, error) {
 // skipped silently, so a fixed config file plus a persistent data dir
 // is idempotent across restarts.
 func registerFleetConfig(srv *service.Server, path string) (int, error) {
-	data, err := os.ReadFile(path)
+	regs, err := loadList[fleetops.Registration](path, "fleets")
 	if err != nil {
 		return 0, err
-	}
-	var regs []fleetops.Registration
-	var wrapped struct {
-		Fleets []fleetops.Registration `json:"fleets"`
-	}
-	if err := json.Unmarshal(data, &wrapped); err == nil && wrapped.Fleets != nil {
-		regs = wrapped.Fleets
-	} else if err := json.Unmarshal(data, &regs); err != nil {
-		return 0, fmt.Errorf("want {\"fleets\": [...]} or a bare array: %w", err)
 	}
 	n := 0
 	for _, reg := range regs {

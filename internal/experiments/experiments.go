@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"unsafe"
 
 	"penelope/internal/lifetime"
@@ -161,21 +160,14 @@ func (o Options) traceKey() string {
 	return fmt.Sprintf("length=%d,stride=%d", o.TraceLength, o.TraceStride)
 }
 
-// defaultBank records the default workload — every 12th trace, 45
-// recordings, ~27 MB packed — exactly once per process, like the shared
-// compiled adder. Every driver replays cursors over it, so Fig 5/6/8,
-// Table 3 and the ablations all share one synthesis pass.
-var defaultBank = sync.OnceValue(func() *trace.Bank {
-	o := DefaultOptions()
-	return trace.NewBank(o.TraceLength, o.TraceStride)
-})
-
-// The drivers' memos: non-default banks and fleet duty profiles keyed
-// by traceKey, paired fleet lifetime results by Key.
+// The drivers' memos: recording banks and fleet duty profiles keyed by
+// traceKey, paired fleet lifetime results by Key.
 const (
-	// bankBudget holds a round of the service's sim-miss traffic, ~40
-	// banks of ~1 MB, so a grid point's fig8 job finds the bank its
-	// fig6 job built.
+	// bankBudget holds the default bank (every 12th trace, 45
+	// recordings, ~27 MB packed, which Fig 5/6/8, Table 3 and the
+	// ablations all replay) beside a round of the service's sim-miss
+	// traffic, ~40 banks of ~1 MB, so a grid point's fig8 job finds the
+	// bank its fig6 job built.
 	bankBudget = 64 << 20
 	// dutyBudget holds hundreds of ~150-byte profiles: more trace
 	// workloads than any sweep or fleet registry touches.
@@ -199,9 +191,6 @@ var (
 // bank returns the recording bank for o.
 func (o Options) bank() *trace.Bank {
 	o = o.normalized()
-	if def := DefaultOptions(); o.TraceLength == def.TraceLength && o.TraceStride == def.TraceStride {
-		return defaultBank()
-	}
 	return must(banks.Do(o.traceKey(), func() (*trace.Bank, error) {
 		return trace.NewBank(o.TraceLength, o.TraceStride), nil
 	}))

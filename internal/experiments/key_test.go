@@ -64,6 +64,12 @@ func TestBankMemoizationSharesKey(t *testing.T) {
 	if (Options{TraceLength: 900, TraceStride: 531}).bank() == (Options{TraceLength: 901, TraceStride: 531}).bank() {
 		t.Error("distinct options must not share a bank")
 	}
+	// The default bank lives in the same memo, so it must fit beside a
+	// round of sim-miss banks or every default-option job re-records it.
+	def := DefaultOptions()
+	if b := trace.BankBytes(def.TraceLength, def.TraceStride); b > bankBudget/2 {
+		t.Errorf("default bank is %d MiB, more than half the %d MiB bank budget", b>>20, bankBudget>>20)
+	}
 }
 
 // TestOptionsCheckLimits checks the request limits against the bank

@@ -354,6 +354,9 @@ func decodeFleetPair(data []byte) ([][]byte, error) {
 		n := 8 + binary.LittleEndian.Uint64(rest)
 		snaps[i], rest = rest[8:n], rest[n:]
 	}
+	if len(rest) > 0 {
+		return nil, fmt.Errorf("%w: trailing bytes", ErrBadCheckpoint)
+	}
 	return snaps, nil
 }
 

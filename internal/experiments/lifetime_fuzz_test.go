@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -57,6 +58,8 @@ func FuzzDecodeFleetPair(f *testing.F) {
 	nB := 8 + binary.LittleEndian.Uint64(body)
 	swapped := append([]byte(fleetPairMagic), body[nB:]...)
 	f.Add(append(swapped, body[:nB]...))
+	// A valid pair with junk after the second snapshot.
+	f.Add(append(append([]byte(nil), pair...), "trailing junk"...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snaps, err := decodeFleetPair(data)
@@ -72,6 +75,10 @@ func FuzzDecodeFleetPair(f *testing.F) {
 		}
 		if !reflect.DeepEqual(run.Engines[0].Config(), cfgB) || !reflect.DeepEqual(run.Engines[1].Config(), cfgP) {
 			t.Fatal("accepted a pair whose engine configs differ from the requested ones")
+		}
+		// An accepted image is canonical: it re-encodes byte for byte.
+		if again := encodeFleetPair(snaps); !bytes.Equal(again, data) {
+			t.Fatalf("accepted a %d-byte image that re-encodes to %d bytes", len(data), len(again))
 		}
 	})
 }

@@ -79,8 +79,8 @@ func (s *WebhookSink) Deliver(ctx context.Context, a Alert) error {
 }
 
 // breaker is a circuit breaker over consecutive sink failures: closed →
-// open after Threshold consecutive failures; open fast-fails deliveries
-// until Cooldown passes; the first delivery after that is the half-open
+// open after threshold consecutive failures; open fast-fails deliveries
+// until cooldown passes; the first delivery after that is the half-open
 // probe — success closes the breaker, failure re-opens it.
 type breaker struct {
 	mu          sync.Mutex
@@ -100,9 +100,6 @@ const (
 )
 
 func (b *breaker) admit(now time.Time) breakerVerdict {
-	if b.threshold <= 0 {
-		return breakerAllow
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.openUntil.IsZero() {
@@ -120,9 +117,6 @@ func (b *breaker) admit(now time.Time) breakerVerdict {
 }
 
 func (b *breaker) success() {
-	if b.threshold <= 0 {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.consecutive = 0
@@ -131,9 +125,6 @@ func (b *breaker) success() {
 }
 
 func (b *breaker) failure(now time.Time) {
-	if b.threshold <= 0 {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
@@ -147,9 +138,6 @@ func (b *breaker) failure(now time.Time) {
 }
 
 func (b *breaker) state(now time.Time) string {
-	if b.threshold <= 0 {
-		return "disabled"
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch {
@@ -168,48 +156,46 @@ type DeadLetter struct {
 	Reason string `json:"reason"`
 }
 
-// DelivererConfig configures the hardened delivery pipeline.
-type DelivererConfig struct {
-	// Sink receives delivery attempts. Required.
-	Sink Sink
-	// Workers drain the queue concurrently (default 1).
-	Workers int
-	// QueueDepth bounds the intake queue; a full queue drops the alert
-	// and counts it (default 256).
-	QueueDepth int
-	// Timeout bounds each delivery attempt (default 5s).
-	Timeout time.Duration
-	// MaxRetries re-attempts a failed delivery up to this many times.
-	// 0 means no retries: the first failure dead-letters the alert.
-	MaxRetries int
-	// Backoff is the base retry delay, doubled per attempt with
-	// deterministic jitter (default 250ms).
-	Backoff time.Duration
-	// BreakerThreshold opens the circuit after this many consecutive
-	// failures; 0 disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown holds the circuit open before the half-open probe
-	// (default 30s).
-	BreakerCooldown time.Duration
-	// Seed drives the jitter; fixed seed + deterministic alert IDs give
-	// a reproducible retry schedule.
-	Seed uint64
-	// DeadLetterLimit bounds the retained dead letters (default 128).
-	DeadLetterLimit int
-	// Instruments, when set, records per-attempt sink latency and
-	// delivery spans. Nil costs nothing.
-	Instruments *Instruments
+// policy is the delivery pipeline's behaviour. Every Deliverer outside
+// this package's tests runs deliveryPolicy; a test copies it and changes
+// only the fields it needs.
+type policy struct {
+	workers    int           // drain the queue concurrently
+	queueDepth int           // a full queue drops the alert and counts it
+	timeout    time.Duration // bounds each delivery attempt
+	maxRetries int           // re-attempts after the first failure
+	// retry spaces the attempts: Base doubled per attempt up to Cap,
+	// jitter keyed on (Seed, alert ID, attempt), so the same alert
+	// retries on the same schedule in every run, whichever worker
+	// carries it.
+	retry            mix.Backoff
+	breakerThreshold int           // consecutive failures that open the circuit
+	breakerCooldown  time.Duration // how long it stays open before the half-open probe
+	deadLetters      int           // retained dead letters
+}
+
+// deliveryPolicy is the one production policy.
+var deliveryPolicy = policy{
+	workers:          2,
+	queueDepth:       256,
+	timeout:          5 * time.Second,
+	maxRetries:       3,
+	retry:            mix.Backoff{Base: 250 * time.Millisecond, Cap: 30 * time.Second},
+	breakerThreshold: 5,
+	breakerCooldown:  30 * time.Second,
+	deadLetters:      128,
 }
 
 // Deliverer pushes alerts through the sink with per-attempt timeout,
 // retry with backoff and jitter, a circuit breaker, and a bounded
 // dead-letter queue. Enqueue never blocks.
 type Deliverer struct {
-	cfg   DelivererConfig
+	sink  Sink
+	ins   *Instruments
+	pol   policy
 	queue chan Alert
 	wg    sync.WaitGroup
 	brk   breaker
-	retry mix.Backoff
 
 	mu          sync.Mutex
 	closed      bool
@@ -222,40 +208,26 @@ type Deliverer struct {
 	deadLetters []DeadLetter
 }
 
-// NewDeliverer starts the pipeline's workers.
-func NewDeliverer(cfg DelivererConfig) *Deliverer {
-	if cfg.Sink == nil {
+// NewDeliverer starts the pipeline's workers over sink. ins, when set,
+// records per-attempt sink latency and delivery spans; nil costs
+// nothing.
+func NewDeliverer(sink Sink, ins *Instruments) *Deliverer {
+	return newDeliverer(sink, ins, deliveryPolicy)
+}
+
+func newDeliverer(sink Sink, ins *Instruments, pol policy) *Deliverer {
+	if sink == nil {
 		panic("fleetops: NewDeliverer requires a sink")
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Second
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 250 * time.Millisecond
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 30 * time.Second
-	}
-	if cfg.DeadLetterLimit <= 0 {
-		cfg.DeadLetterLimit = 128
-	}
 	d := &Deliverer{
-		cfg:   cfg,
-		queue: make(chan Alert, cfg.QueueDepth),
-		brk:   breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown},
-		// Jitter keyed on (seed, alert ID, attempt): the same alert
-		// retries on the same schedule in every run, regardless of
-		// which worker carries it.
-		retry: mix.Backoff{Base: cfg.Backoff, Cap: 30 * time.Second, Seed: cfg.Seed},
+		sink:  sink,
+		ins:   ins,
+		pol:   pol,
+		queue: make(chan Alert, pol.queueDepth),
+		brk:   breaker{threshold: pol.breakerThreshold, cooldown: pol.breakerCooldown},
 	}
-	d.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
+	d.wg.Add(pol.workers)
+	for i := 0; i < pol.workers; i++ {
 		go d.worker()
 	}
 	return d
@@ -318,11 +290,11 @@ func (d *Deliverer) deliver(a Alert) {
 			d.deadLetter(a, reason)
 			return
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), d.cfg.Timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), d.pol.timeout)
 		attemptStart := time.Now()
-		err := d.cfg.Sink.Deliver(ctx, a)
+		err := d.sink.Deliver(ctx, a)
 		cancel()
-		d.cfg.Instruments.observeDeliver(a.ID, attempt, attemptStart, err)
+		d.ins.observeDeliver(a.ID, attempt, attemptStart, err)
 		if err == nil {
 			d.brk.success()
 			d.mu.Lock()
@@ -332,14 +304,14 @@ func (d *Deliverer) deliver(a Alert) {
 		}
 		lastErr = err
 		d.brk.failure(time.Now())
-		if attempt >= d.cfg.MaxRetries {
+		if attempt >= d.pol.maxRetries {
 			d.deadLetter(a, fmt.Sprintf("retries exhausted: %v", err))
 			return
 		}
 		d.mu.Lock()
 		d.retries++
 		d.mu.Unlock()
-		time.Sleep(d.retry.Delay(a.ID, attempt))
+		time.Sleep(d.pol.retry.Delay(a.ID, attempt))
 	}
 }
 
@@ -348,8 +320,8 @@ func (d *Deliverer) deadLetter(a Alert, reason string) {
 	defer d.mu.Unlock()
 	d.deadTotal++
 	d.deadLetters = append(d.deadLetters, DeadLetter{Alert: a, Reason: reason})
-	if len(d.deadLetters) > d.cfg.DeadLetterLimit {
-		d.deadLetters = d.deadLetters[len(d.deadLetters)-d.cfg.DeadLetterLimit:]
+	if len(d.deadLetters) > d.pol.deadLetters {
+		d.deadLetters = d.deadLetters[len(d.deadLetters)-d.pol.deadLetters:]
 	}
 }
 
@@ -378,7 +350,7 @@ func (d *Deliverer) Stats() DeliveryStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return DeliveryStats{
-		Sink:             d.cfg.Sink.Name(),
+		Sink:             d.sink.Name(),
 		QueueDepth:       len(d.queue),
 		Enqueued:         d.enqueued,
 		Delivered:        d.delivered,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -16,6 +17,14 @@ import (
 	"penelope/internal/mix"
 )
 
+// fastPolicy is the production delivery policy with the given worker
+// and retry counts and microsecond backoff.
+func fastPolicy(workers, maxRetries int) policy {
+	pol := deliveryPolicy
+	pol.workers, pol.maxRetries, pol.retry.Base = workers, maxRetries, time.Microsecond
+	return pol
+}
+
 func mkAlert(i int) Alert {
 	return Alert{
 		ID:    fmt.Sprintf("pop/%s/%d", RuleP99Guardband, i),
@@ -26,9 +35,7 @@ func mkAlert(i int) Alert {
 
 func TestDelivererRetriesThenDelivers(t *testing.T) {
 	sink := &FaultSink{Seed: 1, FailFirst: 2}
-	d := NewDeliverer(DelivererConfig{
-		Sink: sink, Workers: 1, MaxRetries: 3, Backoff: time.Microsecond, Timeout: time.Second,
-	})
+	d := newDeliverer(sink, nil, fastPolicy(1, 3))
 	d.Enqueue(mkAlert(0))
 	d.Close()
 	st := d.Stats()
@@ -42,9 +49,7 @@ func TestDelivererRetriesThenDelivers(t *testing.T) {
 
 func TestDelivererDeadLettersAfterRetriesExhausted(t *testing.T) {
 	sink := &FaultSink{Seed: 1, FailFirst: 10}
-	d := NewDeliverer(DelivererConfig{
-		Sink: sink, Workers: 1, MaxRetries: 2, Backoff: time.Microsecond, Timeout: time.Second,
-	})
+	d := newDeliverer(sink, nil, fastPolicy(1, 2))
 	d.Enqueue(mkAlert(0))
 	d.Close()
 	st := d.Stats()
@@ -79,10 +84,9 @@ func (f *flakySink) Deliver(ctx context.Context, a Alert) error {
 func TestBreakerLifecycle(t *testing.T) {
 	sink := &flakySink{}
 	sink.broken.Store(true)
-	d := NewDeliverer(DelivererConfig{
-		Sink: sink, Workers: 1, MaxRetries: 0, Backoff: time.Microsecond, Timeout: time.Second,
-		BreakerThreshold: 3, BreakerCooldown: 50 * time.Millisecond,
-	})
+	pol := fastPolicy(1, 0)
+	pol.breakerThreshold, pol.breakerCooldown = 3, 50*time.Millisecond
+	d := newDeliverer(sink, nil, pol)
 	defer d.Close()
 
 	// Three failed deliveries open the breaker.
@@ -135,10 +139,12 @@ func TestDelivererDeterministicAcrossWorkers(t *testing.T) {
 	const alerts = 40
 	run := func(workers int) DeliveryStats {
 		sink := &FaultSink{Seed: 99, FailRate: 0.45}
-		d := NewDeliverer(DelivererConfig{
-			Sink: sink, Workers: workers, QueueDepth: alerts,
-			MaxRetries: 2, Backoff: time.Microsecond, Timeout: time.Second, Seed: 99,
-		})
+		pol := fastPolicy(workers, 2)
+		pol.queueDepth, pol.retry.Seed = alerts, 99
+		// Which alerts a tripped breaker fast-fails depends on the order
+		// workers finish in, so an unreachable threshold keeps it out.
+		pol.breakerThreshold = math.MaxInt
+		d := newDeliverer(sink, nil, pol)
 		for i := 0; i < alerts; i++ {
 			if !d.Enqueue(mkAlert(i)) {
 				t.Fatalf("enqueue %d rejected", i)
@@ -168,7 +174,9 @@ func TestDelivererDeterministicAcrossWorkers(t *testing.T) {
 
 func TestDelivererQueueFullDrops(t *testing.T) {
 	sink := &FaultSink{Latency: 50 * time.Millisecond}
-	d := NewDeliverer(DelivererConfig{Sink: sink, Workers: 1, QueueDepth: 1, Timeout: time.Second})
+	pol := fastPolicy(1, 0)
+	pol.queueDepth = 1
+	d := newDeliverer(sink, nil, pol)
 	accepted := 0
 	for i := 0; i < 10; i++ {
 		if d.Enqueue(mkAlert(i)) {
@@ -194,9 +202,7 @@ func TestDelivererQueueFullDrops(t *testing.T) {
 func TestDelivererEnqueueCloseRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		sink := &FaultSink{Seed: 1}
-		d := NewDeliverer(DelivererConfig{
-			Sink: sink, Workers: 2, Backoff: time.Microsecond, Timeout: time.Second,
-		})
+		d := newDeliverer(sink, nil, fastPolicy(2, 0))
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
@@ -294,7 +300,7 @@ func TestAlerterLatching(t *testing.T) {
 func TestAlerterFansOut(t *testing.T) {
 	bus := NewBus(0)
 	sink := &FaultSink{}
-	d := NewDeliverer(DelivererConfig{Sink: sink, Workers: 1, Timeout: time.Second})
+	d := newDeliverer(sink, nil, fastPolicy(1, 0))
 	al := NewAlerter(bus, d)
 	sub := bus.Subscribe(FleetTopic("pop"), 0, 8)
 	defer sub.Close()

@@ -97,6 +97,9 @@ type population struct {
 	run      *lifetime.Driver // the fleet's one engine; nil until built or restored
 	snapshot []byte           // last good checkpoint bytes; source of truth for persistence
 	resumed  bool             // restored from a storage checkpoint at least once
+	// abandoned answers for the tick the watchdog gave up on, until it
+	// does; only the population's loop goroutine touches it.
+	abandoned chan tickResult
 
 	epoch       int
 	totalEpochs int
@@ -530,7 +533,11 @@ type tickResult struct {
 // tick runs one tick under the watchdog: the tick body runs in its own
 // goroutine with a deadline; if the deadline passes, the tick is
 // abandoned (its engine with it — the next tick reloads from the last
-// good snapshot) and counted as a failure.
+// good snapshot) and counted as a failure. A fleet has at most one
+// abandoned tick: while it has not answered, later ticks wait on it
+// under their own deadlines instead of starting another goroutine, so a
+// Builder or checkpoint read that never returns holds one goroutine,
+// not one per retry. Its late result is discarded.
 func (s *Scheduler) tick(p *population) {
 	start := time.Now()
 	s.mu.Lock()
@@ -539,6 +546,17 @@ func (s *Scheduler) tick(p *population) {
 	s.mu.Unlock()
 	ctx, cancel := context.WithTimeout(p.ctx, s.cfg.TickTimeout)
 	defer cancel()
+	if p.abandoned != nil {
+		select {
+		case <-p.abandoned:
+			// The abandoned tick answered at last; its engine was
+			// already dropped.
+			p.abandoned = nil
+		case <-ctx.Done():
+			s.tickExpired(p, name, start)
+			return
+		}
+	}
 	ch := make(chan tickResult, 1)
 	go func() {
 		defer func() {
@@ -558,14 +576,20 @@ func (s *Scheduler) tick(p *population) {
 			s.tickOK(p, res)
 		}
 	case <-ctx.Done():
-		if p.ctx.Err() != nil {
-			// Shutdown or deregistration: abandon the in-flight tick;
-			// the last good snapshot is what persists.
-			return
-		}
-		s.cfg.Instruments.observeTick(name, start, 0, 0, fmt.Errorf("watchdog: tick exceeded %s deadline", s.cfg.TickTimeout))
-		s.watchdogFired(p)
+		p.abandoned = ch
+		s.tickExpired(p, name, start)
 	}
+}
+
+// tickExpired handles a tick whose context ended before it answered.
+func (s *Scheduler) tickExpired(p *population, name string, start time.Time) {
+	if p.ctx.Err() != nil {
+		// Shutdown or deregistration: abandon the in-flight tick; the
+		// last good snapshot is what persists.
+		return
+	}
+	s.cfg.Instruments.observeTick(name, start, 0, 0, fmt.Errorf("watchdog: tick exceeded %s deadline", s.cfg.TickTimeout))
+	s.watchdogFired(p)
 }
 
 // runTick executes the tick body in the watchdog goroutine: obtain the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -186,6 +187,44 @@ func TestSchedulerWatchdog(t *testing.T) {
 	}
 }
 
+// TestSchedulerWatchdogBoundsAbandonedTicks stalls the Builder for
+// good: every retry and probation probe times out, but they all wait on
+// the one abandoned tick, so the fleet holds its loop goroutine and one
+// stalled tick goroutine however often the watchdog fires.
+func TestSchedulerWatchdogBoundsAbandonedTicks(t *testing.T) {
+	cfg := testConfig(3, 0, 0.05)
+	unhang := make(chan struct{})
+	var builds atomic.Int64
+	scCfg := fastCfg(cfg)
+	scCfg.TickTimeout = 5 * time.Millisecond
+	scCfg.Builder = func(Registration) (lifetime.Config, error) {
+		builds.Add(1)
+		<-unhang
+		return cfg, nil
+	}
+	sc := NewScheduler(scCfg)
+	defer sc.Close(time.Second)
+	defer close(unhang)
+
+	before := runtime.NumGoroutine()
+	if _, err := sc.Register(Registration{Name: "stalled"}); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	if !waitFor(10*time.Second, func() bool {
+		st, _ := sc.Get("stalled")
+		return st.WatchdogTimeouts >= 10
+	}) {
+		st, _ := sc.Get("stalled")
+		t.Fatalf("watchdog fired %d times, want 10", st.WatchdogTimeouts)
+	}
+	if extra := runtime.NumGoroutine() - before; extra > 2 {
+		t.Fatalf("%d goroutines beyond the %d before registration, want at most 2", extra, before)
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("stalled Builder entered %d times, want 1", n)
+	}
+}
+
 // TestSchedulerResume closes a scheduler mid-schedule and restarts it
 // against the same storage: the population resumes from its checkpoint
 // (Resumed flag set) instead of restarting at epoch zero, and the
@@ -354,9 +393,7 @@ func TestSchedulerResumeSeedsDetectorBaseline(t *testing.T) {
 
 	run := func(minEpoch int) {
 		t.Helper()
-		d := NewDeliverer(DelivererConfig{
-			Sink: sink, Workers: 1, Backoff: time.Microsecond, Timeout: time.Second,
-		})
+		d := newDeliverer(sink, nil, fastPolicy(1, 0))
 		scCfg := fastCfg(cfg)
 		scCfg.Storage = storage
 		scCfg.Alerter = NewAlerter(nil, d)

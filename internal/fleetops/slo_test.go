@@ -195,10 +195,9 @@ func TestSLOFiresThroughDeliveryPipeline(t *testing.T) {
 	// First attempt of every alert fails: each fired alert costs one
 	// retry, then delivers.
 	sink := &FaultSink{FailFirst: 1}
-	d := NewDeliverer(DelivererConfig{
-		Sink: sink, MaxRetries: 2, Backoff: time.Millisecond,
-		BreakerThreshold: 10, Seed: 42,
-	})
+	pol := deliveryPolicy
+	pol.maxRetries, pol.retry.Base, pol.retry.Seed = 2, time.Millisecond, 42
+	d := newDeliverer(sink, nil, pol)
 	bus := NewBus(16)
 	eng, err := NewSLOEngine(h, []SLORule{burnRule()}, bus, d)
 	if err != nil {
@@ -229,10 +228,8 @@ func TestSLOFiresThroughDeliveryPipeline(t *testing.T) {
 	// A sink that never recovers: retries exhaust into the dead-letter
 	// queue and the breaker opens after the threshold.
 	deadSink := &FaultSink{FailFirst: 1 << 20}
-	d2 := NewDeliverer(DelivererConfig{
-		Sink: deadSink, MaxRetries: 1, Backoff: time.Millisecond,
-		BreakerThreshold: 2, BreakerCooldown: time.Hour, Seed: 42,
-	})
+	pol.maxRetries, pol.breakerThreshold, pol.breakerCooldown = 1, 2, time.Hour
+	d2 := newDeliverer(deadSink, nil, pol)
 	eng2, err := NewSLOEngine(h, []SLORule{burnRule()}, nil, d2)
 	if err != nil {
 		t.Fatal(err)

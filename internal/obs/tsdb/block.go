@@ -109,27 +109,17 @@ func (db *DB) sortedSeries() []*series {
 	return out
 }
 
-// enforceLimits deletes the oldest blocks until retention and the byte
-// budget are both satisfied. Callers hold db.mu.
+// enforceLimits deletes the oldest blocks past retention, always
+// keeping the newest. Callers hold db.mu.
 func (db *DB) enforceLimits(now int64) {
 	cutoff := now - db.cfg.Retention.Milliseconds()
-	total := int64(0)
-	for _, b := range db.blocks {
-		total += b.size
-	}
-	for len(db.blocks) > 1 {
+	for len(db.blocks) > 1 && db.blocks[0].maxT < cutoff {
 		oldest := db.blocks[0]
-		expired := oldest.maxT < cutoff
-		overBudget := db.cfg.Budget > 0 && total > db.cfg.Budget
-		if !expired && !overBudget {
-			break
-		}
 		if err := db.cfg.FS.Remove(filepath.Join(db.cfg.Dir, oldest.name)); err != nil {
 			db.cfg.Logger.Warn("tsdb: block delete failed", "block", oldest.name, "err", err)
 			break
 		}
 		db.cfg.FS.SyncDir(db.cfg.Dir)
-		total -= oldest.size
 		db.blocks = db.blocks[1:]
 		db.nDeleted.Add(1)
 	}
@@ -148,8 +138,8 @@ func (db *DB) updateBlockGauges() {
 // loadBlocks runs at Open: sweep temp leftovers, load every block in
 // name (= time) order replaying its samples through the same push path
 // live sampling uses, quarantine anything torn or corrupt, then apply
-// retention and budget. After it returns, rings and tiers match a
-// process that never restarted.
+// retention. After it returns, rings and tiers match a process that
+// never restarted.
 func (db *DB) loadBlocks() error {
 	fsys := db.cfg.FS
 	if err := fsys.MkdirAll(db.cfg.Dir, 0o755); err != nil {

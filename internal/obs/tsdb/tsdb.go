@@ -51,9 +51,6 @@ type Config struct {
 	Dir string
 	// FS is the filesystem blocks are written through (default vfs.OS).
 	FS vfs.FS
-	// Budget bounds total block bytes on disk; past it the oldest
-	// blocks are deleted (0 = unbounded).
-	Budget int64
 	// FlushEvery is the number of samples between block flushes
 	// (default 30). Close always flushes the tail.
 	FlushEvery int

@@ -427,28 +427,6 @@ func TestQuarantineCorruptBlock(t *testing.T) {
 	}
 }
 
-func TestBudgetDeletesOldestBlocks(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	c := reg.Counter("x_total", "")
-	db, err := Open(Config{Registry: reg, Interval: time.Second, Dir: dir, FlushEvery: 5, Budget: 1, Clock: func() time.Time { return t0 }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for i := 0; i < 20; i++ {
-		c.Inc()
-		db.Sample(t0.Add(time.Duration(i) * time.Second))
-	}
-	st := db.Stats()
-	if st.Blocks != 1 {
-		t.Fatalf("blocks on disk = %d, want 1 under a 1-byte budget", st.Blocks)
-	}
-	if st.BlocksDeleted == 0 {
-		t.Fatal("budget enforcement deleted nothing")
-	}
-}
-
 func TestRetentionExpiresAtBoot(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()

@@ -610,7 +610,7 @@ func TestChaosFleetSIGTERMMidTickResumes(t *testing.T) {
 	cfg := chaosFleetConfig()
 	mk := func() (*service.Server, *httptest.Server) {
 		s, err := service.New(service.Config{
-			Workers: 2, DataDir: dir, DrainGrace: 5 * time.Second,
+			Workers: 2, DataDir: dir,
 			FleetTick: time.Millisecond,
 			FleetBuilder: func(fleetops.Registration) (lifetime.Config, error) {
 				return cfg, nil

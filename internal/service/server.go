@@ -89,11 +89,6 @@ type Config struct {
 	// experiments.DefaultCheckpointWork (2^25), which a job of a few
 	// thousand chips never reaches, so it writes no checkpoint.
 	CheckpointEvery int
-	// DrainGrace bounds how long Close waits for a cancelled in-flight
-	// job to persist its state and return (default 5s). The fleet
-	// scheduler checkpoints every registered population within the same
-	// grace.
-	DrainGrace time.Duration
 	// SweepRetention keeps a finished sweep's event topic (and its
 	// resume ring) alive after the "done" event so late subscribers can
 	// still replay it; past that the topic is dropped so a long-lived
@@ -141,6 +136,11 @@ type Config struct {
 // read-heavy client many times over, while never-repeated jobs cycle
 // through it instead of growing the heap.
 const resultBudget = 64 << 20
+
+// drainGrace bounds how long Close waits for a cancelled in-flight job
+// to persist its state and return. The fleet scheduler checkpoints
+// every registered population within the same grace.
+const drainGrace = 5 * time.Second
 
 // Server is the experiment service: it validates requests against the
 // experiments registry, deduplicates them through the content-addressed
@@ -218,9 +218,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 4096
 	}
-	if cfg.DrainGrace <= 0 {
-		cfg.DrainGrace = 5 * time.Second
-	}
 	if cfg.SweepRetention <= 0 {
 		cfg.SweepRetention = 5 * time.Minute
 	}
@@ -292,13 +289,7 @@ func (s *Server) initFleetops() {
 		sink = &fleetops.WebhookSink{URL: s.cfg.AlertWebhook}
 	}
 	if sink != nil {
-		s.deliverer = fleetops.NewDeliverer(fleetops.DelivererConfig{
-			Sink:             sink,
-			Workers:          2,
-			MaxRetries:       3,
-			BreakerThreshold: 5,
-			Instruments:      fleetIns,
-		})
+		s.deliverer = fleetops.NewDeliverer(sink, fleetIns)
 	}
 	s.alerter = fleetops.NewAlerter(s.bus, s.deliverer)
 	var storage fleetops.Storage
@@ -422,16 +413,16 @@ func (s *Server) Store() *store.Store { return s.store }
 
 // Close shuts down gracefully: new submissions fail with a
 // shutting-down error, the fleet scheduler checkpoints every
-// registered population (bounded by DrainGrace), in-flight job
+// registered population (bounded by drainGrace), in-flight job
 // contexts are cancelled (the checkpointed lifetime driver persists
-// its state before returning, also bounded by DrainGrace), queued jobs
+// its state before returning, also bounded by drainGrace), queued jobs
 // drain as fast failures, and pending alerts flush through the
 // delivery pipeline. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.closed.Store(true)
 		s.cancelCtx()
-		s.sched.Close(s.cfg.DrainGrace)
+		s.sched.Close(drainGrace)
 		s.pool.close()
 		if s.deliverer != nil {
 			s.deliverer.Close()
@@ -629,7 +620,7 @@ func (s *Server) runOnce(job *Job) ([]byte, error) {
 				if out.err == nil {
 					return out.payload, nil
 				}
-			case <-time.After(s.cfg.DrainGrace):
+			case <-time.After(drainGrace):
 			}
 			return nil, errShuttingDown
 		}
