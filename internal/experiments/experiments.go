@@ -108,7 +108,7 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// Request limits: the largest workload Check admits. Both sit far above
+// Request limits: the largest workload Check admits. Each sits far above
 // every documented, golden and benchmark request, and far below what
 // exhausts a server.
 const (
@@ -118,11 +118,19 @@ const (
 	// MaxPopulation bounds the fleet size. Each chip costs ~120 bytes of
 	// engine state per fleet, and the lifetime experiment ages two.
 	MaxPopulation = 1_000_000
+	// MaxChipEpochs bounds one fleet engine's work: its population times
+	// the epochs of its schedule. The README's million-chip, 7-year run
+	// is 8.5×10^7; 2^33 (~8.6×10^9) admits a hundred of those, minutes of
+	// engine compute, and is also the longest replay a recovering fleet
+	// can face.
+	MaxChipEpochs = 1 << 33
 )
 
 // Check reports whether the normalized options fit the request limits.
-// The bank size is computed from length and stride, so an oversized
-// request is refused before anything is allocated for it.
+// The bank size is computed from length and stride, and the fleet work
+// from the schedule the options imply, rounded to epochs as the engine
+// rounds them, so an oversized request is refused before anything is
+// allocated for it.
 func (o Options) Check() error {
 	o = o.normalized()
 	if b := trace.BankBytes(o.TraceLength, o.TraceStride); b > MaxBankBytes {
@@ -131,6 +139,11 @@ func (o Options) Check() error {
 	}
 	if o.Population > MaxPopulation {
 		return fmt.Errorf("experiments: population %d exceeds the limit of %d chips", o.Population, MaxPopulation)
+	}
+	epochs := lifetime.ScheduleEpochs(fleetSchedule(nil, true, o), o.EpochDays/365.25)
+	if work := float64(o.Population) * epochs; !(work <= MaxChipEpochs) {
+		return fmt.Errorf("experiments: %d chips over %g epochs is %g chip-epochs per fleet, limit %d",
+			o.Population, epochs, work, MaxChipEpochs)
 	}
 	return nil
 }

@@ -73,18 +73,23 @@ func TestBankMemoizationSharesKey(t *testing.T) {
 }
 
 // TestOptionsCheckLimits checks the request limits against the bank
-// size trace.BankBytes computes and the population ceiling: the
-// defaults and the limits themselves are admitted, one step past
-// either is refused.
+// size trace.BankBytes computes, the population ceiling and the
+// chip-epoch work ceiling: the defaults and the limits themselves are
+// admitted, one step past any is refused.
 func TestOptionsCheckLimits(t *testing.T) {
 	// Stride 531 records one trace, so the largest admitted length is
 	// the limit divided by the packed bytes per uop.
 	maxLen := MaxBankBytes / trace.BankBytes(1, 531)
+	// A million chips in daily epochs: the largest admitted schedule is
+	// the work limit's epochs at that population.
+	maxDays := MaxChipEpochs / MaxPopulation
 	for _, o := range []Options{
 		{},
 		DefaultOptions(),
 		{TraceLength: maxLen, TraceStride: 531},
 		{Population: MaxPopulation},
+		{Population: MaxPopulation, Years: float64(maxDays) / 365.25, EpochDays: 1},
+		{Population: MaxPopulation, Years: float64(maxDays) / 365.25, AttackYears: 5, EpochDays: 1},
 		{TraceLength: -1, Population: -1},
 	} {
 		if err := o.Check(); err != nil {
@@ -97,6 +102,9 @@ func TestOptionsCheckLimits(t *testing.T) {
 		{TraceLength: math.MaxInt, TraceStride: 1},
 		{Population: MaxPopulation + 1},
 		{Population: 100_000_000_000},
+		{Population: MaxPopulation, Years: float64(maxDays+1) / 365.25, EpochDays: 1},
+		{Population: MaxPopulation, Years: 2800, EpochDays: 1},
+		{Population: 1, Years: 1e300},
 	} {
 		if err := o.Check(); err == nil {
 			t.Errorf("Options%+v admitted", o)

@@ -14,12 +14,12 @@ import (
 )
 
 // TestDeregisterStopsInFlightTick deregisters a population while its
-// tick is in flight, on a real store. The second tick's checkpoint
-// write stalls until after Deregister has been called — the late write
-// that used to rewrite fleets/<name>.ckpt after its removal and
-// re-create the dropped bus topic. After Deregister returns, no record
-// of the fleet is left, its topic is gone, and re-registering the name
-// starts a fresh engine at epoch 0.
+// tick is in flight, on a real store. The second tick's cursor write
+// stalls until after Deregister has been called — the late write that
+// would rewrite fleets/<name>.fleet after its removal and re-create the
+// dropped bus topic. After Deregister returns, no record of the fleet
+// is left, its topic is gone, and re-registering the name starts a
+// fresh engine at epoch 0.
 func TestDeregisterStopsInFlightTick(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -47,9 +47,9 @@ func TestDeregisterStopsInFlightTick(t *testing.T) {
 	if _, err := sc.Register(Registration{Name: "pop"}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	<-entered // the first tick checkpointed epoch 1; the second is in flight
-	if _, err := os.Stat(filepath.Join(dir, "fleets", "pop.ckpt")); err != nil {
-		t.Fatalf("no checkpoint before deregistration: %v", err)
+	<-entered // the first tick persisted cursor 1; the second is in flight
+	if c := cursorOf(t, st, "pop"); c != 1 {
+		t.Fatalf("cursor before deregistration = %d, want 1", c)
 	}
 	go func() {
 		time.Sleep(5 * time.Millisecond) // Deregister is waiting by now
@@ -60,7 +60,7 @@ func TestDeregisterStopsInFlightTick(t *testing.T) {
 	}
 	gone := func(when string) {
 		t.Helper()
-		for _, f := range []string{"pop.fleet", "pop.ckpt", ".tmp-pop.ckpt"} {
+		for _, f := range []string{"pop.fleet", ".tmp-pop.fleet", "pop.ckpt"} {
 			if _, err := os.Stat(filepath.Join(dir, "fleets", f)); !errors.Is(err, os.ErrNotExist) {
 				t.Errorf("%s: fleets/%s survived deregistration (%v)", when, f, err)
 			}

@@ -2,8 +2,9 @@
 // lifetime engine: where internal/service runs one-shot experiment
 // jobs, fleetops keeps registered chip populations aging in real time.
 // A scheduler advances each population epoch-by-epoch on its own
-// interval, checkpointing after every tick so a restart resumes every
-// fleet from its last epoch; per-epoch aggregates publish to an
+// interval, persisting its epoch cursor after every tick so a restart
+// rebuilds every fleet and replays it to its last published epoch, the
+// engine being deterministic; per-epoch aggregates publish to an
 // in-process event bus with bounded, drop-and-count subscriber buffers
 // (the HTTP layer streams them as SSE and NDJSON with Last-Event-ID
 // resume); and threshold rules — plus a duty-deviation detector that
@@ -15,12 +16,11 @@
 //
 // The package is engineered for failure first: a failing tick retries
 // with exponential backoff and quarantines the population after three
-// consecutive failures instead of wedging the scheduler; a watchdog
-// cancels and restarts ticks that exceed their deadline, reloading the
-// engine from its last good snapshot; and a checkpoint that cannot
-// resume its fleet is set aside and the fleet rebuilt. Tests drive
-// these paths through the seams real faults arrive by: the Storage and
-// the ConfigBuilder.
+// consecutive failures instead of wedging the scheduler; and a
+// watchdog cancels ticks that exceed their deadline, after which — as
+// after any failed tick — the next tick rebuilds the engine and replays
+// it to the cursor. Tests drive these paths through the seams real
+// faults arrive by: the Storage and the ConfigBuilder.
 package fleetops
 
 import (
@@ -95,7 +95,7 @@ func (r AlertRules) Enabled() bool {
 }
 
 // Registration declares one continuously-aged fleet population. It is
-// the unit the scheduler persists (as a store sidecar) and resumes.
+// what the scheduler persists (with the fleet's cursor) and resumes.
 type Registration struct {
 	// Name identifies the population; it doubles as the name of its
 	// store records, so it must satisfy store.ValidName: short
@@ -165,12 +165,11 @@ func ExperimentBuilder(reg Registration) (lifetime.Config, error) {
 
 // Storage is the persistence surface the scheduler needs: the store's
 // record API, through which fleetops alone writes and reads fleet
-// registrations (store.KindFleet, JSON Registrations) and engine
-// checkpoints (store.KindFleetCheckpoint, lifetime snapshots). A
-// checkpoint that cannot resume its fleet is set aside with
-// QuarantineRecord. *store.Store implements it. Nil storage keeps every
-// checkpoint in memory only — a restart then starts every fleet from
-// epoch zero.
+// records (store.KindFleet: a JSON Registration plus its epoch cursor).
+// ReadRecord and QuarantineRecord serve only Recover's one-time
+// migration of legacy engine checkpoints (store.KindFleetCheckpoint).
+// *store.Store implements it. Nil storage keeps cursors in memory only —
+// a restart then starts every fleet from epoch zero.
 type Storage interface {
 	PutRecord(k store.Kind, name string, data []byte) error
 	ReadRecord(k store.Kind, name string) ([]byte, error)

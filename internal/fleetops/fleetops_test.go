@@ -1,8 +1,10 @@
 package fleetops
 
 import (
+	"encoding/json"
 	"sort"
 	"sync"
+	"testing"
 	"time"
 
 	"penelope/internal/circuit"
@@ -120,31 +122,43 @@ func (m *memStorage) RemoveRecord(k store.Kind, name string) {
 	delete(m.recs[k], name)
 }
 
-// faultStorage wraps a Storage with injectable checkpoint faults:
-// onRead and onWrite, when set, run before every checkpoint read or
-// write and may fail it (return an error) or stall it (block), as a
-// sick disk would.
+// faultStorage wraps a Storage with an injectable cursor-write fault:
+// onWrite, when set, runs before every rewrite of an existing fleet
+// record — each tick's cursor write, not the registration that creates
+// it — and may fail it (return an error) or stall it (block), as a sick
+// disk would.
 type faultStorage struct {
 	Storage
-	onRead, onWrite func(name string) error
-}
-
-func (f faultStorage) ReadRecord(k store.Kind, name string) ([]byte, error) {
-	if k == store.KindFleetCheckpoint && f.onRead != nil {
-		if err := f.onRead(name); err != nil {
-			return nil, err
-		}
-	}
-	return f.Storage.ReadRecord(k, name)
+	onWrite func(name string) error
 }
 
 func (f faultStorage) PutRecord(k store.Kind, name string, data []byte) error {
-	if k == store.KindFleetCheckpoint && f.onWrite != nil {
-		if err := f.onWrite(name); err != nil {
-			return err
+	if k == store.KindFleet && f.onWrite != nil {
+		if old, _ := f.Storage.ReadRecord(k, name); old != nil {
+			if err := f.onWrite(name); err != nil {
+				return err
+			}
 		}
 	}
 	return f.Storage.PutRecord(k, name, data)
+}
+
+// cursorOf reads the cursor a fleet's record carries, or -1 when there
+// is no record or it has no cursor.
+func cursorOf(t testing.TB, st Storage, name string) int {
+	t.Helper()
+	data, err := st.ReadRecord(store.KindFleet, name)
+	if err != nil || data == nil {
+		return -1
+	}
+	var fr fleetRecord
+	if err := json.Unmarshal(data, &fr); err != nil {
+		t.Fatalf("fleet record %q: %v", data, err)
+	}
+	if fr.Cursor == nil {
+		return -1
+	}
+	return *fr.Cursor
 }
 
 // waitFor polls cond until it holds or the deadline passes.

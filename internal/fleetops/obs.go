@@ -26,7 +26,7 @@ type Instruments struct {
 func NewInstruments(reg *obs.Registry, tracer *obs.Tracer) *Instruments {
 	return &Instruments{
 		TickSeconds: reg.Histogram("penelope_fleet_tick_seconds",
-			"Duration of fleet scheduler ticks (engine build/restore + epoch steps + snapshot).", nil),
+			"Duration of fleet scheduler ticks (engine build + replay to the cursor + epoch steps).", nil),
 		ChipEpochsPerSec: reg.Gauge("penelope_fleet_chip_epochs_per_second",
 			"Aging throughput of the most recent successful tick: population size times epochs advanced, divided by tick duration."),
 		BusPublishSeconds: reg.Histogram("penelope_bus_publish_seconds",

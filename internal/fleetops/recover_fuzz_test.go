@@ -17,6 +17,9 @@ func FuzzRecoverRegistration(f *testing.F) {
 	f.Add([]byte(`{"name":"other"}`))
 	f.Add([]byte(`{"name":"pop","options":{"population":1000001}}`))
 	f.Add([]byte(`{"name":"pop","options":{"popul`))
+	f.Add([]byte(`{"name":"pop","options":{"population":1000000,"years":2800,"epoch_days":1}}`))
+	f.Add([]byte(`{"name":"pop","options":{},"cursor":-1}`))
+	f.Add([]byte(`{"name":"pop","options":{},"cursor":1000000}`))
 
 	cfg := testConfig(0.1, 0, 0.05)
 	cfg.Population = 8

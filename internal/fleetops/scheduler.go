@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"penelope/internal/lifetime"
@@ -47,13 +48,19 @@ var ErrPersist = errors.New("fleetops: persisting fleet registration failed")
 // maxFailures consecutive tick failures quarantine a population.
 const maxFailures = 3
 
+// catchUpWork bounds the chip-epochs one tick replays while a rebuilt
+// engine catches up to its fleet's cursor: ~1 s of engine compute, so a
+// long schedule replays over several ticks instead of holding the
+// watchdog.
+const catchUpWork = 1 << 26
+
 // Config configures the scheduler.
 type Config struct {
 	// Builder turns registrations into engine configs. Nil uses
 	// ExperimentBuilder.
 	Builder ConfigBuilder
-	// Storage persists registration sidecars and checkpoints; nil keeps
-	// everything in memory.
+	// Storage persists each fleet's record, its registration and epoch
+	// cursor; nil keeps everything in memory.
 	Storage Storage
 	// Bus receives epoch/state events; nil disables publishing.
 	Bus *Bus
@@ -66,8 +73,9 @@ type Config struct {
 	// before a probation probe — 1s and 5m at the default.
 	DefaultInterval time.Duration
 	// TickTimeout is the watchdog deadline: a tick still running after
-	// this is cancelled, counted as a failure, and its engine abandoned
-	// in favor of the last good snapshot (default 60s).
+	// this is cancelled, counted as a failure, and its engine abandoned;
+	// the next tick rebuilds it and replays it to the cursor (default
+	// 60s).
 	TickTimeout time.Duration
 	// Workers bounds each engine step's internal fan-out (<=0 uses
 	// GOMAXPROCS).
@@ -94,23 +102,18 @@ type population struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	run      *lifetime.Driver // the fleet's one engine; nil until built or restored
-	snapshot []byte           // last good checkpoint bytes; source of truth for persistence
-	resumed  bool             // restored from a storage checkpoint at least once
+	run     *lifetime.Driver // the fleet's one engine; nil until built, after a failed tick, and once done
+	cursor  int              // last epoch published; a rebuilt engine replays to it in silence
+	resumed bool             // recovered from a persisted cursor past epoch 0
 	// abandoned answers for the tick the watchdog gave up on, until it
 	// does; only the population's loop goroutine touches it.
 	abandoned chan tickResult
 
-	epoch       int
+	epoch       int // the engine's, which trails cursor while it replays
 	totalEpochs int
 	lastStats   *lifetime.EpochStats
 	failures    int // consecutive
-	// restartCause is why a checkpoint record was quarantined and the
-	// fleet rebuilt from its registration, held until a successful tick
-	// announces the restart: the record is gone once quarantined, so a
-	// failed first tick must not lose the cause.
-	restartCause error
-	lastErr      string
+	lastErr     string
 
 	ticks, tickFailures, watchdogTimeouts, quarantines uint64
 	lastTickStart                                      time.Time
@@ -146,10 +149,11 @@ type Stats struct {
 	TickFailures     uint64 `json:"tick_failures"`
 	WatchdogTimeouts uint64 `json:"watchdog_timeouts"`
 	Quarantines      uint64 `json:"quarantines"`
-	// CheckpointFailures counts fleet checkpoint writes the storage
-	// refused or failed. The fleet keeps aging in memory — the failure
-	// only widens how far a restart would rewind it, which is exactly
-	// why it must be visible rather than swallowed.
+	// CheckpointFailures counts fleet cursor writes the storage refused
+	// or failed. The fleet keeps aging and publishing — the failure only
+	// means a restart would resume from an older cursor and publish those
+	// epochs again, which is exactly why it must be visible rather than
+	// swallowed.
 	CheckpointFailures uint64 `json:"checkpoint_failures"`
 }
 
@@ -164,10 +168,11 @@ type Scheduler struct {
 
 	retry mix.Backoff // failed-tick retry delays; Cap is the quarantine cooldown
 
-	mu       sync.Mutex
-	pops     map[string]*population
-	closed   bool
-	ckptFail uint64 // fleet checkpoint writes refused or failed
+	ckptFail atomic.Uint64 // fleet cursor writes refused or failed
+
+	mu     sync.Mutex
+	pops   map[string]*population
+	closed bool
 }
 
 // NewScheduler builds a scheduler; populations are added with Register.
@@ -189,56 +194,110 @@ func NewScheduler(cfg Config) *Scheduler {
 		retry: mix.Backoff{Base: cfg.DefaultInterval / 30, Cap: 10 * cfg.DefaultInterval}}
 }
 
-// Register validates and admits a population, persists its
-// registration record, and starts its tick loop (first tick runs
-// immediately). A registration that cannot be persisted is refused
-// with ErrPersist and nothing is scheduled. Expensive, fallible work —
-// engine construction, checkpoint restore — happens inside the first
-// tick, under the same retry/quarantine protection as any other tick.
+// Register validates and admits a population at epoch 0, persists its
+// record, and starts its tick loop (first tick runs immediately). A
+// registration that cannot be persisted is refused with ErrPersist and
+// nothing is scheduled. Expensive, fallible work — engine construction
+// — happens inside the first tick, under the same retry/quarantine
+// protection as any other tick.
 func (s *Scheduler) Register(reg Registration) (Status, error) {
-	return s.register(reg, true)
+	return s.register(reg, 0, true)
 }
 
-// Recover re-registers every fleet registration record in storage, so
-// a restarted process resumes each scheduled population from its last
-// checkpointed epoch (the restore happens inside its first tick). A
+// fleetRecord is a fleet's one durable record (store.KindFleet): its
+// registration plus its cursor, the last epoch it published. A fleet's
+// state at an epoch is a pure function of its registration and that
+// epoch, so the cursor is all a restart needs. Records written before
+// fleets kept cursors have none, hence the pointer.
+type fleetRecord struct {
+	Registration
+	Cursor *int `json:"cursor"`
+}
+
+// persist writes a fleet's record with its cursor.
+func (s *Scheduler) persist(reg Registration, cursor int) error {
+	data, err := json.Marshal(fleetRecord{reg, &cursor})
+	if err != nil {
+		return err
+	}
+	return s.cfg.Storage.PutRecord(store.KindFleet, reg.Name, data)
+}
+
+// Recover re-registers every fleet record in storage at its cursor, so
+// a restarted process rebuilds each population and replays it, in
+// silence, to the last epoch it published (inside its first ticks). A
 // record that does not decode or validate — one past the request
-// limits would exhaust memory on every boot — is quarantined by the
-// store. It returns how many populations it resumed.
+// limits would exhaust memory on every boot, and a negative cursor
+// names no epoch — is quarantined by the store. It returns how many
+// populations it resumed.
 func (s *Scheduler) Recover() int {
 	if s.cfg.Storage == nil {
 		return 0
 	}
-	var regs []Registration
+	var recs []fleetRecord
 	s.cfg.Storage.Records(store.KindFleet, func(rec store.Record) error {
-		var reg Registration
-		err := json.Unmarshal(rec.Data, &reg)
-		if err == nil && reg.Name != rec.Name {
-			err = fmt.Errorf("fleetops: registration %q stored under %q", reg.Name, rec.Name)
+		var fr fleetRecord
+		err := json.Unmarshal(rec.Data, &fr)
+		if err == nil && fr.Name != rec.Name {
+			err = fmt.Errorf("fleetops: registration %q stored under %q", fr.Name, rec.Name)
+		}
+		if err == nil && fr.Cursor != nil && *fr.Cursor < 0 {
+			err = fmt.Errorf("fleetops: fleet %q recorded at negative epoch %d", fr.Name, *fr.Cursor)
 		}
 		if err == nil {
-			err = reg.Validate()
+			err = fr.Validate()
 		}
 		if err == nil {
-			regs = append(regs, reg)
+			recs = append(recs, fr)
 		}
 		return err
 	})
 	n := 0
-	for _, reg := range regs {
-		if _, err := s.register(reg, false); err != nil {
-			s.cfg.Logger.Warn("re-registering fleet failed", "fleet", reg.Name, "error", err)
+	for _, fr := range recs {
+		var cursor int
+		if fr.Cursor != nil {
+			cursor = *fr.Cursor
+		} else {
+			cursor = s.migrate(fr.Registration)
+		}
+		if _, err := s.register(fr.Registration, cursor, false); err != nil {
+			s.cfg.Logger.Warn("re-registering fleet failed", "fleet", fr.Name, "error", err)
 			continue
 		}
 		n++
-		s.cfg.Logger.Info("resumed fleet from its registration record", "fleet", reg.Name)
+		s.cfg.Logger.Info("resumed fleet from its record", "fleet", fr.Name, "cursor", cursor)
 	}
 	return n
 }
 
-// register admits a population; persist writes its registration
-// record first (Recover re-admits records already on disk).
-func (s *Scheduler) register(reg Registration, persist bool) (Status, error) {
+// migrate gives a record written before fleets kept cursors the epoch
+// of its legacy engine checkpoint (store.KindFleetCheckpoint), writes
+// that cursor into the record, then removes the checkpoint (kept if the
+// write fails). One that cannot be read or decoded is quarantined and
+// the fleet starts at 0.
+func (s *Scheduler) migrate(reg Registration) int {
+	data, err := s.cfg.Storage.ReadRecord(store.KindFleetCheckpoint, reg.Name)
+	if err == nil && data == nil {
+		return 0
+	}
+	var eng *lifetime.Engine
+	if err == nil {
+		eng, err = lifetime.FromSnapshot(data)
+	}
+	if err != nil {
+		s.cfg.Storage.QuarantineRecord(store.KindFleetCheckpoint, reg.Name, err)
+		s.cfg.Logger.Warn("quarantined a legacy fleet checkpoint; the fleet starts at epoch 0", "fleet", reg.Name, "error", err)
+		return 0
+	}
+	if s.persist(reg, eng.Epoch()) == nil {
+		s.cfg.Storage.RemoveRecord(store.KindFleetCheckpoint, reg.Name)
+	}
+	return eng.Epoch()
+}
+
+// register admits a population at cursor; persist writes its record
+// first (Recover re-admits records already on disk).
+func (s *Scheduler) register(reg Registration, cursor int, persist bool) (Status, error) {
 	if err := reg.Validate(); err != nil {
 		return Status{}, err
 	}
@@ -254,18 +313,14 @@ func (s *Scheduler) register(reg Registration, persist bool) (Status, error) {
 		s.mu.Unlock()
 		return Status{}, fmt.Errorf("fleet %q: %w", reg.Name, ErrExists)
 	}
-	p := &population{reg: reg, state: StateActive, done: make(chan struct{})}
+	p := &population{reg: reg, state: StateActive, done: make(chan struct{}), cursor: cursor, resumed: cursor > 0}
 	p.ctx, p.cancel = context.WithCancel(s.ctx)
 	s.pops[reg.Name] = p // reserves the name while the record is written
 	s.wg.Add(1)
 	s.mu.Unlock()
 
 	if persist && s.cfg.Storage != nil {
-		data, err := json.Marshal(reg)
-		if err == nil {
-			err = s.cfg.Storage.PutRecord(store.KindFleet, reg.Name, data)
-		}
-		if err != nil {
+		if err := s.persist(reg, cursor); err != nil {
 			s.mu.Lock()
 			delete(s.pops, reg.Name)
 			s.mu.Unlock()
@@ -301,10 +356,10 @@ type EpochEvent struct {
 	lifetime.EpochStats
 }
 
-// Deregister stops a population, removes its records, and ends its
+// Deregister stops a population, removes its record, and ends its
 // event stream. It cancels the in-flight tick and waits for the loop
-// to exit first, so no late tick can rewrite the removed checkpoint
-// (a re-registration would resume it) or re-create the dropped topic.
+// to exit first, so no late tick can rewrite the removed record (a
+// restart would resume it) or re-create the dropped topic.
 func (s *Scheduler) Deregister(name string) error {
 	s.mu.Lock()
 	p, ok := s.pops[name]
@@ -318,7 +373,6 @@ func (s *Scheduler) Deregister(name string) error {
 	<-p.done
 	if s.cfg.Storage != nil {
 		s.cfg.Storage.RemoveRecord(store.KindFleet, name)
-		s.cfg.Storage.RemoveRecord(store.KindFleetCheckpoint, name)
 	}
 	if s.cfg.Bus != nil {
 		s.cfg.Bus.Drop(FleetTopic(name))
@@ -390,7 +444,7 @@ func (s *Scheduler) Stats() Stats {
 		st.WatchdogTimeouts += p.watchdogTimeouts
 		st.Quarantines += p.quarantines
 	}
-	st.CheckpointFailures = s.ckptFail
+	st.CheckpointFailures = s.ckptFail.Load()
 	return st
 }
 
@@ -492,9 +546,10 @@ func (s *Scheduler) loop(p *population) {
 }
 
 // nextDelay picks the next sleep for a population: immediately for the
-// first tick, exponential backoff after failures, the quarantine
-// cooldown when parked, otherwise the registration interval (floored by
-// its cooldown since the last tick start).
+// first tick and while its engine replays toward the cursor,
+// exponential backoff after failures, the quarantine cooldown when
+// parked, otherwise the registration interval (floored by its cooldown
+// since the last tick start).
 func (s *Scheduler) nextDelay(p *population, first bool) (time.Duration, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -510,6 +565,9 @@ func (s *Scheduler) nextDelay(p *population, first bool) (time.Duration, bool) {
 	if p.failures > 0 {
 		return s.retry.Delay(p.reg.Name, p.failures-1), false
 	}
+	if p.epoch < p.cursor {
+		return 0, false
+	}
 	d := time.Duration(p.reg.Interval)
 	if d <= 0 {
 		d = s.cfg.DefaultInterval
@@ -524,20 +582,19 @@ func (s *Scheduler) nextDelay(p *population, first bool) (time.Duration, bool) {
 
 // tickResult carries one tick's outcome out of its goroutine.
 type tickResult struct {
-	run      *lifetime.Driver
-	rows     []lifetime.EpochStats
-	snapshot []byte
-	err      error
+	run  *lifetime.Driver
+	rows []lifetime.EpochStats
+	err  error
 }
 
 // tick runs one tick under the watchdog: the tick body runs in its own
 // goroutine with a deadline; if the deadline passes, the tick is
-// abandoned (its engine with it — the next tick reloads from the last
-// good snapshot) and counted as a failure. A fleet has at most one
-// abandoned tick: while it has not answered, later ticks wait on it
-// under their own deadlines instead of starting another goroutine, so a
-// Builder or checkpoint read that never returns holds one goroutine,
-// not one per retry. Its late result is discarded.
+// abandoned (its engine with it — the next tick rebuilds one) and
+// counted as a failure. A fleet has at most one abandoned tick: while
+// it has not answered, later ticks wait on it under their own deadlines
+// instead of starting another goroutine, so a Builder that never
+// returns holds one goroutine, not one per retry. Its late result is
+// discarded.
 func (s *Scheduler) tick(p *population) {
 	start := time.Now()
 	s.mu.Lock()
@@ -582,140 +639,118 @@ func (s *Scheduler) tick(p *population) {
 }
 
 // tickExpired handles a tick whose context ended before it answered.
+// On shutdown or deregistration it just abandons the tick: the last
+// persisted cursor is where the fleet resumes. Otherwise the watchdog
+// fired, and the timeout counts toward quarantine like any other
+// failure.
 func (s *Scheduler) tickExpired(p *population, name string, start time.Time) {
 	if p.ctx.Err() != nil {
-		// Shutdown or deregistration: abandon the in-flight tick; the
-		// last good snapshot is what persists.
 		return
 	}
-	s.cfg.Instruments.observeTick(name, start, 0, 0, fmt.Errorf("watchdog: tick exceeded %s deadline", s.cfg.TickTimeout))
-	s.watchdogFired(p)
+	err := fmt.Errorf("watchdog: tick exceeded %s deadline", s.cfg.TickTimeout)
+	s.cfg.Instruments.observeTick(name, start, 0, 0, err)
+	s.mu.Lock()
+	p.watchdogTimeouts++
+	s.mu.Unlock()
+	s.tickFailed(p, err)
+	s.mu.Lock()
+	epoch, state := p.epoch, p.state
+	s.mu.Unlock()
+	if s.cfg.Bus != nil && state != StateQuarantined { // quarantine transition already announced
+		s.cfg.Bus.Publish(FleetTopic(name), "state",
+			StateEvent{Fleet: name, State: state, Epoch: epoch, Reason: "watchdog cancelled a stalled tick"})
+	}
 }
 
 // runTick executes the tick body in the watchdog goroutine: obtain the
-// fleet's driver (restore or build — both fallible, both under the same
-// protection), advance it EpochsPerTick epochs, and snapshot the result.
-// A checkpoint that cannot resume the registration
-// (lifetime.ErrBadCheckpoint) is quarantined and the engine rebuilt, the
-// rule lifetime jobs follow too; the cause is recorded on the population
-// for tickOK to announce. Bar that, it never touches scheduler state or
-// storage writes; results are applied by tickOK/tickFailed on the loop
-// goroutine.
+// fleet's driver (building it from the registration if it has none —
+// fallible, so under the same protection), replay it silently to the
+// cursor, then advance it EpochsPerTick epochs. Replay is bounded by
+// catchUpWork per tick; a tick that only replays returns no rows. It
+// never touches scheduler state or storage; results are applied by
+// tickOK/tickFailed on the loop goroutine.
 func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 	s.mu.Lock()
-	run := p.run
-	snap := p.snapshot
-	reg := p.reg
+	run, reg, cursor := p.run, p.reg, p.cursor
 	s.mu.Unlock()
 
 	if run == nil {
-		var err error
-		if snap == nil && s.cfg.Storage != nil {
-			if snap, err = s.cfg.Storage.ReadRecord(store.KindFleetCheckpoint, reg.Name); err != nil {
-				return tickResult{err: fmt.Errorf("reading checkpoint: %w", err)}
-			}
-		}
 		cfg, err := s.cfg.Builder(reg)
 		if err != nil {
 			return tickResult{err: fmt.Errorf("building engine config: %w", err)}
 		}
-		var saved [][]byte
-		if snap != nil {
-			saved = [][]byte{snap}
-		}
-		run, err = lifetime.Open(saved, cfg)
-		if errors.Is(err, lifetime.ErrBadCheckpoint) {
-			// It would fail every retry and probe alike: set it aside
-			// and start over.
-			if s.cfg.Storage != nil {
-				s.cfg.Storage.QuarantineRecord(store.KindFleetCheckpoint, reg.Name, err)
-			}
-			s.mu.Lock()
-			p.restartCause = err
-			s.mu.Unlock()
-			run, err = lifetime.Open(nil, cfg)
-		}
-		if err != nil {
+		if run, err = lifetime.Open(nil, cfg); err != nil {
 			return tickResult{err: fmt.Errorf("building engine: %w", err)}
 		}
 		run.Workers = s.cfg.Workers
 	}
 
 	eng := run.Engines[0]
+	if behind := cursor - eng.Epoch(); behind > 0 {
+		if _, err := run.Run(ctx, behind, catchUpWork); err != nil {
+			return tickResult{err: err}
+		}
+		if eng.Epoch() < cursor {
+			return tickResult{run: run}
+		}
+	}
 	prev := eng.Epoch()
 	if _, err := run.Run(ctx, reg.EpochsPerTick, 0); err != nil {
 		return tickResult{err: err}
 	}
-	snaps, err := run.Snapshots()
-	if err != nil {
-		return tickResult{err: err}
-	}
-	rows := append([]lifetime.EpochStats(nil), eng.Stats()[prev:eng.Epoch()]...)
-	return tickResult{run: run, rows: rows, snapshot: snaps[0]}
+	rows := append([]lifetime.EpochStats(nil), eng.Stats()[prev:]...)
+	return tickResult{run: run, rows: rows}
 }
 
-// tickOK applies a successful tick: adopt the engine and snapshot,
-// clear failures (announcing recovery if the population was
-// quarantined), persist the checkpoint, publish epoch events, and
-// evaluate alert rules.
+// tickOK applies a successful tick: adopt the engine, clear failures
+// (announcing recovery if the population was quarantined), advance and
+// persist the cursor, then publish epoch events and evaluate alert
+// rules — persist before publish, so a restart never publishes a row
+// twice.
 func (s *Scheduler) tickOK(p *population, res tickResult) {
 	eng := res.run.Engines[0]
-	s.mu.Lock()
+	epoch := eng.Epoch()
 	var prevVTH []float64
-	restartCause := p.restartCause
-	p.restartCause = nil
-	if restartCause != nil {
-		p.lastStats = nil // rows of the abandoned run are no baseline
+	if prev := epoch - len(res.rows); prev > 0 {
+		// The duty-deviation detector's baseline is the row before the
+		// first new one. A rebuilt engine replayed every earlier row, so
+		// a resumed fleet never reads its accumulated shift as one epoch
+		// and fires a false wearout-attack alert.
+		prevVTH = eng.Stats()[prev-1].MeanVTHShift
 	}
-	if prev := eng.Epoch() - len(res.rows); p.lastStats == nil && prev > 0 {
-		// A restored checkpoint's last row re-seeds the duty-deviation
-		// detector's baseline (p.lastStats lives only in memory); from
-		// zero, the first resumed tick would read the accumulated shift
-		// as one epoch and fire a false wearout-attack alert.
-		row := eng.Stats()[prev-1]
-		p.lastStats = &row
-	}
-	if p.lastStats != nil {
-		prevVTH = p.lastStats.MeanVTHShift
-	}
+	s.mu.Lock()
 	wasQuarantined := p.state == StateQuarantined
 	p.run = res.run
-	p.snapshot = res.snapshot
-	p.resumed = p.resumed || res.run.Resumed
 	p.ticks++
 	p.failures = 0
 	p.lastErr = ""
-	p.epoch = eng.Epoch()
+	p.epoch = epoch
 	p.totalEpochs = eng.TotalEpochs()
-	if n := len(res.rows); n > 0 {
-		row := res.rows[n-1]
+	if epoch > 0 {
+		row := eng.Stats()[epoch-1]
 		p.lastStats = &row
+	}
+	if len(res.rows) > 0 {
+		p.cursor = epoch
 	}
 	done := eng.Done()
 	if done {
-		p.state = StateDone
+		p.state, p.run = StateDone, nil // a finished fleet never steps again
 	} else {
 		p.state = StateActive
 	}
 	reg := p.reg
-	epoch := p.epoch
 	s.mu.Unlock()
 
-	if s.cfg.Storage != nil {
-		if err := s.cfg.Storage.PutRecord(store.KindFleetCheckpoint, reg.Name, res.snapshot); err != nil {
-			s.noteCheckpointFailure(reg.Name, err)
+	if len(res.rows) > 0 && s.cfg.Storage != nil {
+		// A failed write leaves the fleet aging and publishing, but a
+		// restart would resume it from an older cursor and publish these
+		// epochs again: counted, and logged once.
+		if err := s.persist(reg, epoch); err != nil && s.ckptFail.Add(1) == 1 {
+			s.cfg.Logger.Warn("fleet cursor write failed (counted; logged once)", "fleet", reg.Name, "error", err)
 		}
-	}
-	if restartCause != nil {
-		s.cfg.Logger.Warn("quarantined a fleet checkpoint that cannot resume; restarted from the registration",
-			"fleet", reg.Name, "error", restartCause)
 	}
 	if s.cfg.Bus != nil {
-		if restartCause != nil {
-			s.cfg.Bus.Publish(FleetTopic(reg.Name), "state",
-				StateEvent{Fleet: reg.Name, State: StateActive,
-					Reason: fmt.Sprintf("checkpoint quarantined, restarted from epoch 0: %v", restartCause)})
-		}
 		if wasQuarantined {
 			s.cfg.Bus.Publish(FleetTopic(reg.Name), "state",
 				StateEvent{Fleet: reg.Name, State: StateActive, Epoch: epoch, Reason: "recovered from quarantine"})
@@ -740,10 +775,14 @@ func (s *Scheduler) tickOK(p *population, res tickResult) {
 	}
 }
 
-// tickFailed counts a consecutive failure and quarantines the
-// population once it reaches maxFailures.
+// tickFailed counts a consecutive failure, drops the engine (a failed
+// or abandoned tick may have stepped it past the cursor, or still be
+// stepping it), and quarantines the population once it reaches
+// maxFailures. The next tick rebuilds the engine and replays it to the
+// cursor.
 func (s *Scheduler) tickFailed(p *population, err error) {
 	s.mu.Lock()
+	p.run = nil
 	p.ticks++
 	p.tickFailures++
 	p.failures++
@@ -763,31 +802,9 @@ func (s *Scheduler) tickFailed(p *population, err error) {
 	}
 }
 
-// watchdogFired abandons a tick that blew its deadline: the engine is
-// dropped (the abandoned goroutine may still be mutating it), so the
-// next tick reloads from the last good snapshot, and the timeout counts
-// toward quarantine like any other failure.
-func (s *Scheduler) watchdogFired(p *population) {
-	s.mu.Lock()
-	p.run = nil
-	p.watchdogTimeouts++
-	s.mu.Unlock()
-	s.tickFailed(p, fmt.Errorf("watchdog: tick exceeded %s deadline", s.cfg.TickTimeout))
-	if s.cfg.Bus != nil {
-		s.mu.Lock()
-		reg, epoch, state := p.reg, p.epoch, p.state
-		s.mu.Unlock()
-		if state != StateQuarantined { // quarantine transition already announced
-			s.cfg.Bus.Publish(FleetTopic(reg.Name), "state",
-				StateEvent{Fleet: reg.Name, State: state, Epoch: epoch, Reason: "watchdog cancelled a stalled tick"})
-		}
-	}
-}
-
-// Close stops every loop and persists each population's last good
-// checkpoint, bounded by grace — SIGTERM mid-tick still leaves every
-// registered population resumable from its last completed tick, even
-// when that tick's own checkpoint write failed.
+// Close stops every loop, bounded by grace. Each completed tick already
+// persisted its cursor, so SIGTERM mid-tick leaves every registered
+// population resumable from its last completed tick.
 func (s *Scheduler) Close(grace time.Duration) {
 	s.mu.Lock()
 	if s.closed {
@@ -808,34 +825,5 @@ func (s *Scheduler) Close(grace time.Duration) {
 	select {
 	case <-done:
 	case <-time.After(grace):
-	}
-	if s.cfg.Storage == nil {
-		return
-	}
-	s.mu.Lock()
-	snaps := make(map[string][]byte)
-	for name, p := range s.pops {
-		if p.snapshot != nil && !p.removed {
-			snaps[name] = p.snapshot
-		}
-	}
-	s.mu.Unlock()
-	for name, snap := range snaps {
-		if err := s.cfg.Storage.PutRecord(store.KindFleetCheckpoint, name, snap); err != nil {
-			s.noteCheckpointFailure(name, err)
-		}
-	}
-}
-
-// noteCheckpointFailure counts and logs a failed fleet checkpoint
-// write: the population keeps aging in memory, but a restart would
-// rewind it to the last checkpoint that did land.
-func (s *Scheduler) noteCheckpointFailure(name string, err error) {
-	s.mu.Lock()
-	s.ckptFail++
-	first := s.ckptFail == 1
-	s.mu.Unlock()
-	if first {
-		s.cfg.Logger.Warn("fleet checkpoint write failed (counted; logged once)", "fleet", name, "error", err)
 	}
 }

@@ -58,6 +58,12 @@ func TestSchedulerRunsToDone(t *testing.T) {
 	if st.Last == nil || st.Last.Epoch != st.Epoch-1 {
 		t.Fatalf("missing or stale last stats: %+v", st.Last)
 	}
+	sc.mu.Lock()
+	held := sc.pops["pop"].run != nil
+	sc.mu.Unlock()
+	if held {
+		t.Error("finished population still holds its engine")
+	}
 
 	// The bus saw every epoch in order, plus the terminal state event.
 	epochs, doneSeen := 0, false
@@ -92,7 +98,7 @@ func TestSchedulerRunsToDone(t *testing.T) {
 }
 
 // TestSchedulerQuarantineAndRecovery drives one population into
-// quarantine with failing checkpoint reads while a healthy population
+// quarantine with failing engine builds while a healthy population
 // keeps aging, then lets the quarantined one recover via its probation
 // probe.
 func TestSchedulerQuarantineAndRecovery(t *testing.T) {
@@ -100,12 +106,13 @@ func TestSchedulerQuarantineAndRecovery(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
 	scCfg := fastCfg(cfg)
-	scCfg.Storage = faultStorage{Storage: newMemStorage(), onRead: func(name string) error {
-		if name == "bad" && failing.Load() {
-			return errors.New("injected checkpoint read failure")
+	scCfg.Storage = newMemStorage()
+	scCfg.Builder = func(reg Registration) (lifetime.Config, error) {
+		if reg.Name == "bad" && failing.Load() {
+			return lifetime.Config{}, errors.New("injected engine build failure")
 		}
-		return nil
-	}}
+		return cfg, nil
+	}
 	sc := NewScheduler(scCfg)
 	defer sc.Close(time.Second)
 
@@ -225,8 +232,8 @@ func TestSchedulerWatchdogBoundsAbandonedTicks(t *testing.T) {
 	}
 }
 
-// TestSchedulerResume closes a scheduler mid-schedule and restarts it
-// against the same storage: the population resumes from its checkpoint
+// TestSchedulerResume closes a scheduler mid-schedule and recovers it
+// against the same storage: the population resumes at its cursor
 // (Resumed flag set) instead of restarting at epoch zero, and the
 // resumed trajectory matches an uninterrupted reference run exactly.
 func TestSchedulerResume(t *testing.T) {
@@ -247,9 +254,8 @@ func TestSchedulerResume(t *testing.T) {
 	}
 	sc.Close(time.Second)
 
-	ck, err := storage.ReadRecord(store.KindFleetCheckpoint, "pop")
-	if err != nil || len(ck) == 0 {
-		t.Fatal("Close left no checkpoint behind")
+	if cursorOf(t, storage, "pop") < 2 {
+		t.Fatal("Close left no cursor behind")
 	}
 	if _, ok := storage.recs[store.KindFleet]["pop"]; !ok {
 		t.Fatal("registration sidecar missing")
@@ -257,8 +263,8 @@ func TestSchedulerResume(t *testing.T) {
 
 	sc2 := NewScheduler(scCfg)
 	defer sc2.Close(time.Second)
-	if _, err := sc2.Register(Registration{Name: "pop", EpochsPerTick: 4}); err != nil {
-		t.Fatalf("re-Register: %v", err)
+	if n := sc2.Recover(); n != 1 {
+		t.Fatalf("Recover resumed %d fleets, want 1", n)
 	}
 	if !waitFor(10*time.Second, func() bool {
 		st, ok := sc2.Get("pop")
@@ -351,8 +357,8 @@ func TestSchedulerDeregisterAndDuplicates(t *testing.T) {
 }
 
 // TestSchedulerCloseIsIdempotentAndPersists covers Close: it persists
-// the last good snapshot even when no clean tick boundary coincides
-// with shutdown, and calling it twice is safe.
+// the cursor even when no clean tick boundary coincides with shutdown,
+// and calling it twice is safe.
 func TestSchedulerCloseIsIdempotentAndPersists(t *testing.T) {
 	cfg := testConfig(3, 0, 0.05)
 	storage := newMemStorage()
@@ -370,8 +376,8 @@ func TestSchedulerCloseIsIdempotentAndPersists(t *testing.T) {
 	}
 	sc.Close(time.Second)
 	sc.Close(time.Second) // idempotent
-	if ck, _ := storage.ReadRecord(store.KindFleetCheckpoint, "pop"); ck == nil {
-		t.Fatal("Close did not persist the checkpoint")
+	if st, _ := sc.Get("pop"); cursorOf(t, storage, "pop") != st.Epoch {
+		t.Fatal("Close did not persist the cursor")
 	}
 	if _, err := sc.Register(Registration{Name: "late"}); err == nil {
 		t.Fatal("Register after Close succeeded")
@@ -381,9 +387,9 @@ func TestSchedulerCloseIsIdempotentAndPersists(t *testing.T) {
 // TestSchedulerResumeSeedsDetectorBaseline restarts a scheduler whose
 // population has the wearout-attack monitor armed. The first resumed
 // tick must seed the detector's previous-epoch baseline from the
-// restored checkpoint's last stats row (Engine.LastStats) — seeding
-// from zero would read the accumulated shift as one epoch at duty
-// ~1.0 and fire a false wearout-attack alert on every restart.
+// replayed engine's row at the cursor — seeding from zero would read
+// the accumulated shift as one epoch at duty ~1.0 and fire a false
+// wearout-attack alert on every restart.
 func TestSchedulerResumeSeedsDetectorBaseline(t *testing.T) {
 	cfg := testConfig(0.5, 0, 0.08)
 	storage := newMemStorage()
@@ -391,14 +397,18 @@ func TestSchedulerResumeSeedsDetectorBaseline(t *testing.T) {
 	reg := Registration{Name: "pop", EpochsPerTick: 1,
 		Alerts: AlertRules{DutyTolerance: DefaultDutyTolerance}}
 
-	run := func(minEpoch int) {
+	run := func(minEpoch int, recover bool) {
 		t.Helper()
 		d := newDeliverer(sink, nil, fastPolicy(1, 0))
 		scCfg := fastCfg(cfg)
 		scCfg.Storage = storage
 		scCfg.Alerter = NewAlerter(nil, d)
 		sc := NewScheduler(scCfg)
-		if _, err := sc.Register(reg); err != nil {
+		if recover {
+			if n := sc.Recover(); n != 1 {
+				t.Fatalf("Recover resumed %d fleets, want 1", n)
+			}
+		} else if _, err := sc.Register(reg); err != nil {
 			t.Fatalf("Register: %v", err)
 		}
 		if !waitFor(10*time.Second, func() bool {
@@ -412,8 +422,8 @@ func TestSchedulerResumeSeedsDetectorBaseline(t *testing.T) {
 		d.Close()
 	}
 
-	run(3) // accumulate shift under the clean declared workload
-	run(5) // restart: the resumed ticks must stay quiet too
+	run(3, false) // accumulate shift under the clean declared workload
+	run(5, true)  // restart: the resumed ticks must stay quiet too
 	if got := sink.Delivered(); len(got) != 0 {
 		t.Fatalf("clean resumed run fired alerts: %+v", got)
 	}

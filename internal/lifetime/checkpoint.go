@@ -211,8 +211,7 @@ var ErrBadCheckpoint = errors.New("lifetime: bad checkpoint")
 // and snapshotted. Callers decide where the bytes live and when to write.
 type Driver struct {
 	Engines []*Engine
-	Resumed bool // Engines were restored from saved state
-	Workers int  // each engine step's fan-out (<=0 uses GOMAXPROCS)
+	Workers int // each engine step's fan-out (<=0 uses GOMAXPROCS)
 }
 
 // Open returns a driver over one engine per config, restored from
@@ -221,7 +220,7 @@ type Driver struct {
 // written for a config other than the requested one, fails with
 // ErrBadCheckpoint: a stale checkpoint never answers for other options.
 func Open(saved [][]byte, cfgs ...Config) (*Driver, error) {
-	d := &Driver{Engines: make([]*Engine, len(cfgs)), Resumed: saved != nil}
+	d := &Driver{Engines: make([]*Engine, len(cfgs))}
 	for i, cfg := range cfgs {
 		var err error
 		if saved == nil {

@@ -147,15 +147,6 @@ func (e *Engine) Done() bool { return e.epoch >= e.epochTotal }
 // slice is owned by the engine; callers must not modify it.
 func (e *Engine) Stats() []EpochStats { return e.stats }
 
-// LastStats returns the most recent epoch row, if any. A freshly built
-// (or epoch-zero restored) engine has none.
-func (e *Engine) LastStats() (EpochStats, bool) {
-	if len(e.stats) == 0 {
-		return EpochStats{}, false
-	}
-	return e.stats[len(e.stats)-1], true
-}
-
 // shardAgg is one worker's integer accumulator for an epoch.
 type shardAgg struct {
 	sumG   uint64

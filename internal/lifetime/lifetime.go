@@ -138,14 +138,22 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	epochs := 0.0 // counted as New rounds each phase, before any int conversion
-	for _, ph := range c.Phases {
-		epochs += math.Max(1, math.Round(ph.Years/c.EpochYears))
-	}
-	if !(epochs <= MaxEpochs) {
+	if epochs := ScheduleEpochs(c.Phases, c.EpochYears); !(epochs <= MaxEpochs) {
 		return fmt.Errorf("lifetime: schedule of %g epochs exceeds the %d-epoch bound", epochs, MaxEpochs)
 	}
 	return nil
+}
+
+// ScheduleEpochs counts the epochs New lays phases out in: each phase
+// rounds to whole epochs of epochYears, at least one. The count is a
+// float, taken before any int conversion, so an absurd schedule
+// overflows into a refusal instead of wrapping.
+func ScheduleEpochs(phases []Phase, epochYears float64) float64 {
+	epochs := 0.0
+	for _, ph := range phases {
+		epochs += math.Max(1, math.Round(ph.Years/epochYears))
+	}
+	return epochs
 }
 
 // MaxEpochs bounds a schedule's length: 2,870 years of daily epochs

@@ -601,10 +601,10 @@ func chaosFleetConfig() lifetime.Config {
 
 // TestChaosFleetSIGTERMMidTickResumes is the continuous-operations
 // drain guarantee: Close (the SIGTERM path) lands while registered
-// populations are mid-tick, every population's checkpoint persists
-// within the drain grace, and a restarted server resumes each one from
-// its sidecar — finishing with a trajectory byte-identical to an
-// uninterrupted reference run of the same engine config.
+// populations are mid-tick, the drain ends within its grace, and a
+// restarted server resumes each one at the cursor in its record —
+// finishing with a trajectory byte-identical to an uninterrupted
+// reference run of the same engine config.
 func TestChaosFleetSIGTERMMidTickResumes(t *testing.T) {
 	dir := t.TempDir()
 	cfg := chaosFleetConfig()
@@ -665,7 +665,7 @@ func TestChaosFleetSIGTERMMidTickResumes(t *testing.T) {
 	}
 	ts1.Close()
 	start := time.Now()
-	s1.Close() // SIGTERM: drain, checkpoint every population
+	s1.Close() // SIGTERM: drain every population
 	if took := time.Since(start); took > 10*time.Second {
 		t.Fatalf("drain took %v, want within the grace", took)
 	}
@@ -678,8 +678,8 @@ func TestChaosFleetSIGTERMMidTickResumes(t *testing.T) {
 		ts2.Close()
 		s2.Close()
 	}()
-	// The engine restore happens inside the first tick (under the same
-	// retry protection as any tick), so wait for it: each population
+	// The engine rebuild and replay happen inside the first tick (under
+	// the same retry protection as any tick), so wait for it: each population
 	// must come back flagged resumed, continuing past its pre-kill epoch
 	// rather than restarting from zero.
 	for _, name := range names {

@@ -174,7 +174,7 @@ func (s *Server) registerFleetMetrics() {
 		func() uint64 { return s.sched.Stats().TickFailures })
 	reg.CounterFunc("penelope_fleet_watchdog_timeouts_total", "Fleet ticks cancelled by the watchdog.",
 		func() uint64 { return s.sched.Stats().WatchdogTimeouts })
-	reg.CounterFunc("penelope_fleet_checkpoint_failures_total", "Fleet checkpoint writes refused or failed.",
+	reg.CounterFunc("penelope_fleet_checkpoint_failures_total", "Fleet cursor writes refused or failed.",
 		func() uint64 { return s.sched.Stats().CheckpointFailures })
 
 	reg.GaugeFunc("penelope_fleet_p99_guardband", "Worst p99 guardband across scheduled populations.",

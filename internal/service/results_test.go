@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -156,6 +157,9 @@ func TestOversizeRequestsRefused(t *testing.T) {
 		{"sweep population", "/v1/sweeps", `{"experiments":["lifetime"],"populations":[600,100000000000]}`},
 		{"fleet population", "/v1/fleets", `{"name":"huge","options":{"population":100000000000}}`},
 		{"fleet bank", "/v1/fleets", `{"name":"long","options":{"trace_length":1099511627776}}`},
+		{"job work", "/v1/jobs", `{"experiment":"lifetime","options":{"population":1000000,"years":2800,"epoch_days":1}}`},
+		{"sweep work", "/v1/sweeps", `{"experiments":["lifetime"],"populations":[1000000],"years":[7,2800]}`},
+		{"fleet work", "/v1/fleets", `{"name":"forever","options":{"population":1000000,"years":2800,"epoch_days":1}}`},
 	}
 	for _, tc := range cases {
 		var e struct {
@@ -213,5 +217,41 @@ func TestBootQuarantinesOversizeRecords(t *testing.T) {
 	}
 	if job := submitDone(t, ts.URL, smallJob); job.State != StateDone {
 		t.Fatalf("server not serving after boot: %+v", job)
+	}
+}
+
+// TestBootQuarantinesOverWorkRecords boots over a job record and a
+// fleet registration whose population fits but whose schedule runs past
+// the chip-epoch work limit — hours of engine compute, replayed on
+// every boot — and requires both to be set aside like any record past
+// the request limits.
+func TestBootQuarantinesOverWorkRecords(t *testing.T) {
+	dir := t.TempDir()
+	for _, sub := range []string{"checkpoints", "fleets"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec, _ := experiments.Lookup("lifetime")
+	o := spec.CanonicalOptions(experiments.Options{Population: 1_000_000, Years: 2800, EpochDays: 1})
+	optJSON, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := ResultKey("lifetime", o)
+	writeFile(t, filepath.Join(dir, "checkpoints", key+".job"),
+		[]byte(fmt.Sprintf(`{"key":%q,"experiment":"lifetime","options":%s}`, key, optJSON)))
+	writeFile(t, filepath.Join(dir, "fleets", "forever.fleet"),
+		[]byte(`{"name":"forever","options":{"population":1000000,"years":2800,"epoch_days":1},"cursor":0}`))
+
+	s, _ := newTestServer(t, Config{Workers: 1, DataDir: dir, Runner: blobRunner})
+	m := s.metrics()
+	if m.Jobs.Submitted != 0 || m.Jobs.Resumed != 0 || m.Fleet.ResumedBoot != 0 {
+		t.Fatalf("over-work records replayed: %d jobs, %d fleets", m.Jobs.Submitted, m.Fleet.ResumedBoot)
+	}
+	for _, p := range []string{"checkpoints/" + key + ".job", "fleets/forever.fleet"} {
+		if _, err := os.Stat(filepath.Join(dir, p+".quarantine")); err != nil {
+			t.Errorf("%s not set aside: %v", p, err)
+		}
 	}
 }

@@ -138,8 +138,8 @@ type Config struct {
 const resultBudget = 64 << 20
 
 // drainGrace bounds how long Close waits for a cancelled in-flight job
-// to persist its state and return. The fleet scheduler checkpoints
-// every registered population within the same grace.
+// to persist its state and return. The fleet scheduler stops every
+// registered population within the same grace.
 const drainGrace = 5 * time.Second
 
 // Server is the experiment service: it validates requests against the
@@ -412,12 +412,12 @@ func (s *Server) Workers() int { return s.cfg.Workers }
 func (s *Server) Store() *store.Store { return s.store }
 
 // Close shuts down gracefully: new submissions fail with a
-// shutting-down error, the fleet scheduler checkpoints every
-// registered population (bounded by drainGrace), in-flight job
-// contexts are cancelled (the checkpointed lifetime driver persists
-// its state before returning, also bounded by drainGrace), queued jobs
-// drain as fast failures, and pending alerts flush through the
-// delivery pipeline. Idempotent.
+// shutting-down error, the fleet scheduler stops every registered
+// population at its last persisted cursor (bounded by drainGrace),
+// in-flight job contexts are cancelled (the checkpointed lifetime
+// driver persists its state before returning, also bounded by
+// drainGrace), queued jobs drain as fast failures, and pending alerts
+// flush through the delivery pipeline. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.closed.Store(true)

@@ -141,8 +141,8 @@ type entry struct {
 //	<dir>/results/<key>.res      checksum-framed result payloads
 //	<dir>/checkpoints/<key>.ckpt fleet checkpoints of in-flight jobs
 //	<dir>/checkpoints/<key>.job  resumable job records
-//	<dir>/fleets/<name>.fleet    scheduled fleet registrations
-//	<dir>/fleets/<name>.ckpt     scheduled fleet engine checkpoints
+//	<dir>/fleets/<name>.fleet    scheduled fleets: registration and epoch cursor
+//	<dir>/fleets/<name>.ckpt     legacy fleet engine checkpoints, read once at boot
 //
 // The in-memory index is rebuilt by scanning (and verifying) the
 // results directory on Open, so the directory itself is the source of
@@ -592,8 +592,8 @@ type Kind uint8
 const (
 	KindJob             Kind = iota // a resumable job's resubmission record
 	KindJobCheckpoint               // an in-flight lifetime job's fleet pair checkpoint
-	KindFleet                       // a scheduled fleet's registration
-	KindFleetCheckpoint             // a scheduled fleet's engine checkpoint
+	KindFleet                       // a scheduled fleet's registration and epoch cursor
+	KindFleetCheckpoint             // a legacy fleet engine checkpoint, migrated once at boot
 	numKinds
 )
 
