@@ -156,7 +156,7 @@ func (o Options) Normalized() Options { return o.normalized() }
 // Key canonicalizes the options into a stable string: zero and
 // defaulted fields normalize first, so every Options value that runs
 // the same workload maps to the same key. The experiment service keys
-// its result memo on it (combined with the experiment id), and the bank
+// its result memo on it (combined with the experiment id), and the duty
 // memo below keys on the trace-only prefix (traceKey). Workers is
 // execution policy and deliberately absent.
 func (o Options) Key() string {
@@ -173,15 +173,14 @@ func (o Options) traceKey() string {
 	return fmt.Sprintf("length=%d,stride=%d", o.TraceLength, o.TraceStride)
 }
 
-// The drivers' memos: recording banks and fleet duty profiles keyed by
-// traceKey, paired fleet lifetime results by Key.
+// The drivers' memos: trace recordings keyed by trace, fleet duty
+// profiles by traceKey, paired fleet lifetime results by Key.
 const (
-	// bankBudget holds the default bank (every 12th trace, 45
-	// recordings, ~27 MB packed, which Fig 5/6/8, Table 3 and the
-	// ablations all replay) beside a round of the service's sim-miss
-	// traffic, ~40 banks of ~1 MB, so a grid point's fig8 job finds the
-	// bank its fig6 job built.
-	bankBudget = 64 << 20
+	// recordingBudget holds the default bank's recordings (every 12th
+	// trace, 45 recordings, ~27 MB packed, which Fig 5/6/8, Table 3 and
+	// the ablations all replay) beside ~400 more traces at the ~1800-uop
+	// lengths of service sweeps (~92 KB each).
+	recordingBudget = 64 << 20
 	// dutyBudget holds hundreds of ~150-byte profiles: more trace
 	// workloads than any sweep or fleet registry touches.
 	dutyBudget = 64 << 10
@@ -191,8 +190,8 @@ const (
 )
 
 var (
-	banks  = memo.New[string](bankBudget, func(b *trace.Bank) int64 { return int64(b.Bytes()) })
-	duties = memo.New[string](dutyBudget, func(d []StructureDuty) int64 {
+	recordings = newRecordings(recordingBudget)
+	duties     = memo.New[string](dutyBudget, func(d []StructureDuty) int64 {
 		return int64(cap(d)) * int64(unsafe.Sizeof(StructureDuty{}))
 	})
 	trajectories = memo.New[string](trajectoryBudget, func(r LifetimeResult) int64 {
@@ -201,12 +200,33 @@ var (
 	})
 )
 
-// bank returns the recording bank for o.
+// traceID names one trace of the workload, the key of its recording.
+type traceID struct {
+	suite trace.SuiteID
+	idx   int
+}
+
+// newRecordings returns an empty recordings memo of budget bytes. Each
+// trace's recording is charged its packed bytes at its longest length.
+func newRecordings(budget int64) *memo.Memo[traceID, *trace.Recording] {
+	return memo.New[traceID](budget, func(r *trace.Recording) int64 { return int64(r.Bytes()) })
+}
+
+// record returns a recording of trace (id, idx) at least length uops
+// long. Each trace keeps one recording, at the longest length asked of
+// it so far: a longer request records the trace again and replaces it,
+// a shorter one is served by the resident recording.
+func record(id trace.SuiteID, idx, length int) *trace.Recording {
+	return must(recordings.DoIf(traceID{id, idx},
+		func(r *trace.Recording) bool { return r.Len() >= length },
+		func() (*trace.Recording, error) { return trace.Record(id, idx, length), nil }))
+}
+
+// bank returns the recording bank for o: prefix views of the memoized
+// recordings, so only traces never recorded this long are recorded.
 func (o Options) bank() *trace.Bank {
 	o = o.normalized()
-	return must(banks.Do(o.traceKey(), func() (*trace.Bank, error) {
-		return trace.NewBank(o.TraceLength, o.TraceStride), nil
-	}))
+	return trace.NewBankFrom(o.TraceLength, o.TraceStride, record)
 }
 
 // must unwraps a memo outcome of an infallible driver, re-panicking on error.

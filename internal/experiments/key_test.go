@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"penelope/internal/trace"
@@ -47,28 +48,35 @@ func TestOptionsKeyCanonical(t *testing.T) {
 	}
 }
 
-// TestBankMemoizationSharesKey checks that the per-process bank cache
-// is keyed on the canonical form: an explicit and a zero-valued spelling
-// of the same workload share one recorded bank.
+// TestBankMemoizationSharesKey checks that banks draw on the
+// per-process recordings memo through the canonical form: an explicit
+// and a zero-valued spelling of the same workload record nothing new,
+// and a longer length gets a bank of its own length.
 func TestBankMemoizationSharesKey(t *testing.T) {
+	// sameBank builds b's bank again from o and reports whether it is
+	// equal and recorded nothing.
+	sameBank := func(b *trace.Bank, o Options) bool {
+		made := recordings.Stats().Misses
+		return reflect.DeepEqual(b, o.bank()) && recordings.Stats().Misses == made
+	}
 	// Stride 531 keeps this cheap: a single recorded trace.
-	a := Options{TraceLength: 900, TraceStride: 531}
-	if a.bank() != (Options{TraceLength: 900, TraceStride: 531}).bank() {
-		t.Error("equal options must share one memoized bank")
+	if !sameBank((Options{TraceLength: 900, TraceStride: 531}).bank(), Options{TraceLength: 900, TraceStride: 531}) {
+		t.Error("equal options must share the memoized recordings")
 	}
-	// A negative stride normalizes to the default before keying, so it
-	// shares the default-stride bank for the same length.
-	if (Options{TraceLength: 900, TraceStride: -3}).bank() != (Options{TraceLength: 900, TraceStride: DefaultOptions().TraceStride}).bank() {
-		t.Error("normalized-equivalent options must share the memoized bank")
+	// A negative stride normalizes to the default before building, so it
+	// shares the default-stride recordings for the same length.
+	if !sameBank((Options{TraceLength: 900, TraceStride: DefaultOptions().TraceStride}).bank(), Options{TraceLength: 900, TraceStride: -3}) {
+		t.Error("normalized-equivalent options must share the memoized recordings")
 	}
-	if (Options{TraceLength: 900, TraceStride: 531}).bank() == (Options{TraceLength: 901, TraceStride: 531}).bank() {
+	if b := (Options{TraceLength: 901, TraceStride: 531}).bank(); b.Length != 901 || b.Recordings()[0].Len() != 901 {
 		t.Error("distinct options must not share a bank")
 	}
-	// The default bank lives in the same memo, so it must fit beside a
-	// round of sim-miss banks or every default-option job re-records it.
-	def := DefaultOptions()
-	if b := trace.BankBytes(def.TraceLength, def.TraceStride); b > bankBudget/2 {
-		t.Errorf("default bank is %d MiB, more than half the %d MiB bank budget", b>>20, bankBudget>>20)
+	// The default bank's recordings live in the same memo, so they must
+	// fit beside a round of sim-miss recordings or every default-option
+	// job re-records them.
+	d := DefaultOptions()
+	if b := trace.BankBytes(d.TraceLength, d.TraceStride); b > recordingBudget/2 {
+		t.Errorf("default bank is %d MiB, more than half the %d MiB recordings budget", b>>20, recordingBudget>>20)
 	}
 }
 

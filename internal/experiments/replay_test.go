@@ -56,15 +56,16 @@ func TestFig8ReplayGolden(t *testing.T) {
 	}
 }
 
-// TestBankReusedAcrossDrivers pins the record-once property: two
-// invocations with the same Options must hand out cursors over the very
-// same Recording instances (pointer equality), not re-synthesized ones.
+// TestBankReusedAcrossDrivers pins the record-once property: once a
+// bank is built, further banks and cursors for the same Options replay
+// the memoized recordings and record nothing again.
 func TestBankReusedAcrossDrivers(t *testing.T) {
 	o := replayOptions()
 	a := o.bank()
+	made := recordings.Stats().Misses
 	b := o.bank()
-	if a != b {
-		t.Fatal("bank() built two banks for identical Options")
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("bank() built two different banks for identical Options")
 	}
 	recs := a.Recordings()
 	if len(recs) == 0 {
@@ -81,8 +82,11 @@ func TestBankReusedAcrossDrivers(t *testing.T) {
 		if !okA || !okB {
 			t.Fatalf("source %d is not a replay cursor", i)
 		}
-		if ca.Recording() != recs[i] || cb.Recording() != recs[i] {
-			t.Errorf("source %d does not share the bank's recording", i)
+		if !reflect.DeepEqual(ca.Recording(), recs[i]) || !reflect.DeepEqual(cb.Recording(), recs[i]) {
+			t.Errorf("source %d does not replay the bank's recording", i)
 		}
+	}
+	if n := recordings.Stats().Misses - made; n != 0 {
+		t.Errorf("%d traces recorded again for identical Options", n)
 	}
 }

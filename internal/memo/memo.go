@@ -121,11 +121,43 @@ func (m *Memo[K, V]) Complete(e *Entry[K, V], v V, err error) {
 // Do returns key's value, running fn if the caller leads. If fn
 // panics, the entry completes with ErrPanicked, so waiters are released
 // and the next call recomputes, and the panic continues.
-func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (v V, err error) {
-	e, leader, _ := m.Acquire(key)
-	if !leader {
-		return e.Wait()
+func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
+	return m.DoIf(key, nil, fn)
+}
+
+// DoIf is Do for values that can fall short of a request: it returns
+// only a value that fits accepts. A resident value fits rejects is
+// dropped and replaced by the caller's fn, and a waiter whose leader's
+// value fits rejects tries again. A nil fits accepts every value.
+func (m *Memo[K, V]) DoIf(key K, fits func(V) bool, fn func() (V, error)) (V, error) {
+	for {
+		e, leader, _ := m.Acquire(key)
+		if leader {
+			return m.lead(e, fn)
+		}
+		v, err := e.Wait()
+		if err != nil || fits == nil || fits(v) {
+			return v, err
+		}
+		m.drop(e)
 	}
+}
+
+// drop removes e if it is still its key's resident entry, so the next
+// Acquire of the key leads a fresh computation.
+func (m *Memo[K, V]) drop(e *Entry[K, V]) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.entries[e.key] == e && e.elem != nil {
+		m.lru.Remove(e.elem)
+		e.elem = nil
+		delete(m.entries, e.key)
+		m.stats.Bytes -= e.bytes
+	}
+}
+
+// lead runs fn for the leader of e and completes e with its outcome.
+func (m *Memo[K, V]) lead(e *Entry[K, V], fn func() (V, error)) (v V, err error) {
 	err = ErrPanicked // stands if fn never returns
 	defer func() { m.Complete(e, v, err) }()
 	return fn()

@@ -229,3 +229,59 @@ func TestLeaderPanicPropagates(t *testing.T) {
 	}()
 	m.Do("k", func() (int64, error) { panic("driver bug") })
 }
+
+// TestDoIfReplacesValuesThatFallShort checks DoIf's two paths past a
+// rejected value: a resident one is replaced in place, charged anew, and
+// a waiter whose leader's value falls short leads a computation of its
+// own instead of returning it.
+func TestDoIfReplacesValuesThatFallShort(t *testing.T) {
+	m := New[string, int64](10, identity)
+	atLeast := func(n int64) func(int64) bool { return func(v int64) bool { return v >= n } }
+	put(t, m, "k", 3)
+	if v, err := m.DoIf("k", atLeast(2), nil); v != 3 || err != nil {
+		t.Fatalf("fitting resident value = %d, %v", v, err)
+	}
+	if v, _ := m.DoIf("k", atLeast(5), func() (int64, error) { return 5, nil }); v != 5 {
+		t.Fatalf("short resident value not replaced: got %d", v)
+	}
+	// The rejected value was found resident, so it counts as a hit.
+	if st := m.Stats(); st.Entries != 1 || st.Bytes != 5 || st.Misses != 2 || st.Hits != 2 || st.Evictions != 0 {
+		t.Fatalf("after replacement: stats %+v", st)
+	}
+
+	release := make(chan struct{})
+	leader := make(chan int64)
+	go func() {
+		v, _ := m.DoIf("w", atLeast(1), func() (int64, error) { <-release; return 1, nil })
+		leader <- v
+	}()
+	waitMisses(t, m, 3)
+	waiter := make(chan int64)
+	go func() {
+		v, _ := m.DoIf("w", atLeast(4), func() (int64, error) { return 4, nil })
+		waiter <- v
+	}()
+	waitDedups(t, m, 1)
+	close(release)
+	if v := <-leader; v != 1 {
+		t.Fatalf("leader got %d, want 1", v)
+	}
+	if v := <-waiter; v != 4 {
+		t.Fatalf("waiter accepted %d, want its own 4", v)
+	}
+	if v, ok := m.Get("w"); !ok || v != 4 {
+		t.Fatalf("resident w = %d, %v; want 4", v, ok)
+	}
+}
+
+// waitMisses blocks until n callers have led computations.
+func waitMisses(t *testing.T, m *Memo[string, int64], n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for m.Stats().Misses < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d leaders started", m.Stats().Misses, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -52,6 +52,24 @@ func TestRunVariantsMatchesSeparateRuns(t *testing.T) {
 	}
 }
 
+// TestViewReplayMatchesFreshRecording requires a bank of prefix views of
+// longer recordings to report, for every mitigation variant, the
+// deep-equal Results of the same traces recorded fresh at the bank's
+// length.
+func TestViewReplayMatchesFreshRecording(t *testing.T) {
+	plan := sched.BuildPlan(Run(DefaultConfig(), trace.Record(trace.Multimedia, 1, 4000).Cursor()).Sched)
+	variants := []Mitigation{{}, {EnableISV: true}, {SchedPlan: plan}, {EnableISV: true, SchedPlan: plan}}
+	const length, stride = 1700, 90
+	views := trace.NewBankFrom(length, stride, func(id trace.SuiteID, idx, n int) *trace.Recording {
+		return trace.Record(id, idx, n+100*(1+idx%4))
+	})
+	got := RunVariants(DefaultConfig(), variants, AccountAll, views.Sources(), 0)
+	want := RunVariants(DefaultConfig(), variants, AccountAll, trace.NewBank(length, stride).Sources(), 0)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("results over prefix views differ from results over fresh recordings")
+	}
+}
+
 // TestAccountedMatchesFull requires a run that accounts only some
 // structures to report, for every variant, exactly the full run's
 // Result with the unaccounted structures' reports left at their zero

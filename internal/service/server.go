@@ -343,6 +343,32 @@ type jobRecord struct {
 	Client     string          `json:"client,omitempty"`
 }
 
+// encodeJobRecord is the record submit writes for a job it must be able
+// to resume.
+func encodeJobRecord(key, experiment string, o experiments.Options, client string) ([]byte, error) {
+	opts, err := json.Marshal(o)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(jobRecord{Key: key, Experiment: experiment, Options: opts, Client: client})
+}
+
+// decodeJobRecord decodes the job record stored under name and checks it
+// as a submission would: its key must be name, and its experiment and
+// options must pass canonicalRequest. It returns the canonical options.
+func decodeJobRecord(name string, data []byte) (rec jobRecord, o experiments.Options, err error) {
+	if err = json.Unmarshal(data, &rec); err == nil && rec.Key != name {
+		err = fmt.Errorf("job record key %q stored under %q", rec.Key, name)
+	}
+	if err == nil {
+		err = json.Unmarshal(rec.Options, &o)
+	}
+	if err == nil {
+		o, err = canonicalRequest(rec.Experiment, o)
+	}
+	return rec, o, err
+}
+
 // removeJob deletes a finished job's record and lifetime checkpoint.
 func (s *Server) removeJob(key string) {
 	s.store.RemoveRecord(store.KindJob, key)
@@ -365,19 +391,9 @@ func (s *Server) recoverInterrupted() {
 	}
 	var recs []resumable
 	s.store.Records(store.KindJob, func(r store.Record) error {
-		var rec resumable
-		err := json.Unmarshal(r.Data, &rec.jobRecord)
-		if err == nil && rec.Key != r.Name {
-			err = fmt.Errorf("job record key %q stored under %q", rec.Key, r.Name)
-		}
+		rec, o, err := decodeJobRecord(r.Name, r.Data)
 		if err == nil {
-			err = json.Unmarshal(rec.Options, &rec.o)
-		}
-		if err == nil {
-			_, err = canonicalRequest(rec.Experiment, rec.o)
-		}
-		if err == nil {
-			recs = append(recs, rec)
+			recs = append(recs, resumable{rec, o})
 		}
 		return err
 	})
@@ -510,11 +526,7 @@ func (s *Server) submit(client, experiment string, o experiments.Options, sweepI
 		if s.store != nil && experiment == "lifetime" {
 			// Record the job before it runs so a crash mid-run (or while
 			// queued) leaves enough on disk to resume at boot.
-			optJSON, err := json.Marshal(o)
-			var rec []byte
-			if err == nil {
-				rec, err = json.Marshal(jobRecord{Key: key, Experiment: experiment, Options: optJSON, Client: client})
-			}
+			rec, err := encodeJobRecord(key, experiment, o, client)
 			if err == nil {
 				err = s.store.PutRecord(store.KindJob, key, rec)
 			}

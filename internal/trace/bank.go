@@ -13,7 +13,8 @@ import (
 // shared by every sweep. Experiments that replay the same workload
 // through many processor configurations (Fig 6 runs it twice, Fig 8
 // three times, Table 3 once per scheme) draw fresh Cursors from the bank
-// instead of re-synthesizing the streams.
+// instead of re-synthesizing the streams. A bank's recordings may be
+// Prefix views of longer recordings of the same traces.
 type Bank struct {
 	Length int // uops per trace
 	Stride int // workload subsampling stride the bank was built with
@@ -24,10 +25,15 @@ type Bank struct {
 
 // NewBank records every stride-th trace of the workload at the given
 // replay length, preserving the suite mix exactly like SampleTraces.
-// Recording fans out over the CPUs: each trace is an independent
+func NewBank(length, stride int) *Bank { return NewBankFrom(length, stride, Record) }
+
+// NewBankFrom builds the bank NewBank(length, stride) would record, taking
+// each trace from record, which must return a recording of trace
+// (id, idx) at least length uops long; the bank keeps its length-uop
+// Prefix. Calls fan out over the CPUs: each trace is an independent
 // deterministic stream, so the bank's contents do not depend on the
-// recording order.
-func NewBank(length, stride int) *Bank {
+// order, and record must be safe for concurrent use.
+func NewBankFrom(length, stride int, record func(id SuiteID, idx, length int) *Recording) *Bank {
 	if stride <= 0 {
 		panic("trace: stride must be positive")
 	}
@@ -62,7 +68,7 @@ func NewBank(length, stride int) *Bank {
 				if i >= len(slots) {
 					return
 				}
-				b.recs[i] = Record(slots[i].id, slots[i].idx, length)
+				b.recs[i] = record(slots[i].id, slots[i].idx, length).Prefix(length)
 				b.ord[i] = slots[i].ord
 			}
 		}()

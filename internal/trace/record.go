@@ -217,6 +217,41 @@ const recordedUopBytes = 4*8 + 5*2 + 9*1
 // budgeting (slice headers excluded).
 func (r *Recording) Bytes() int { return r.length * recordedUopBytes }
 
+// Prefix returns the recording of the same trace at length n ≤ Len():
+// a view that shares every column with r, one slice header each, and
+// copies no uop. Generation depends on the trace's length only where it
+// stops, so the view deep-equals Record(SuiteID(), Index(), n). At
+// n == Len() it is r itself.
+func (r *Recording) Prefix(n int) *Recording {
+	if n < 0 || n > r.length {
+		panic(fmt.Sprintf("trace: prefix %d of recording %s of %d uops", n, r.name, r.length))
+	}
+	if n == r.length {
+		return r
+	}
+	return &Recording{
+		suite: r.suite, index: r.index, name: r.name, length: n,
+		class:  r.class[:n:n],
+		dst:    r.dst[:n:n],
+		src1:   r.src1[:n:n],
+		src2:   r.src2[:n:n],
+		sv1:    r.sv1[:n:n],
+		sv2:    r.sv2[:n:n],
+		dv:     r.dv[:n:n],
+		se1:    r.se1[:n:n],
+		se2:    r.se2[:n:n],
+		de:     r.de[:n:n],
+		imm:    r.imm[:n:n],
+		addr:   r.addr[:n:n],
+		bubble: r.bubble[:n:n],
+		flags:  r.flags[:n:n],
+		bools:  r.bools[:n:n],
+		mob:    r.mob[:n:n],
+		tos:    r.tos[:n:n],
+		opcode: r.opcode[:n:n],
+	}
+}
+
 // Cursor returns a fresh replayer positioned at the first uop.
 func (r *Recording) Cursor() *Cursor { return &Cursor{rec: r} }
 

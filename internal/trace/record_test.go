@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -209,6 +211,79 @@ func TestRecordingMetadata(t *testing.T) {
 	}
 	if rec.Cursor().Name() != "server/12" {
 		t.Error("cursor name mismatch")
+	}
+}
+
+// TestPrefixMatchesRecord is the oracle of prefix views: for every
+// suite, at sampled indices and random lengths L ≤ L' (1 and L'
+// included), the length-L Prefix of the length-L' recording deep-equals
+// the trace recorded at length L.
+func TestPrefixMatchesRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for id := SuiteID(0); id < NumSuites; id++ {
+		count := SuiteByID(id).Count
+		for _, idx := range []int{0, rng.Intn(count), count - 1} {
+			long := 1 + rng.Intn(2500)
+			r := Record(id, idx, long)
+			for _, n := range []int{1, long, 1 + rng.Intn(long), 1 + rng.Intn(long)} {
+				if v, want := r.Prefix(n), Record(id, idx, n); !reflect.DeepEqual(v, want) {
+					t.Fatalf("%s: prefix %d of %d differs from the recording at %d", r.Name(), n, long, n)
+				}
+			}
+		}
+	}
+}
+
+// TestPrefixSharesColumns checks that a view copies nothing: every
+// column aliases the full recording's, capped at the view's length so
+// nothing can grow into the rest. The full length is the recording
+// itself, and lengths outside [0, Len()] panic.
+func TestPrefixSharesColumns(t *testing.T) {
+	r := Record(Kernels, 3, 800)
+	v := r.Prefix(300)
+	if v.Len() != 300 || v.Bytes() != 300*51 || v.Name() != r.Name() || v.SuiteID() != r.SuiteID() || v.Index() != r.Index() {
+		t.Fatalf("view metadata %s/%d uops/%d bytes", v.Name(), v.Len(), v.Bytes())
+	}
+	rv, vv := reflect.ValueOf(r).Elem(), reflect.ValueOf(v).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if rv.Field(i).Kind() != reflect.Slice {
+			continue
+		}
+		name := rv.Type().Field(i).Name
+		if rv.Field(i).Pointer() != vv.Field(i).Pointer() {
+			t.Errorf("column %s is a copy", name)
+		}
+		if vv.Field(i).Len() != 300 || vv.Field(i).Cap() != 300 {
+			t.Errorf("column %s has len %d cap %d, want 300", name, vv.Field(i).Len(), vv.Field(i).Cap())
+		}
+	}
+	if r.Prefix(r.Len()) != r {
+		t.Error("the full-length prefix is not the recording itself")
+	}
+	if r.Prefix(0).Len() != 0 {
+		t.Error("empty prefix is not empty")
+	}
+	for _, n := range []int{-1, r.Len() + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Prefix(%d) of %d uops did not panic", n, r.Len())
+				}
+			}()
+			r.Prefix(n)
+		}()
+	}
+}
+
+// TestNewBankFromViews builds banks from sources that hand out longer
+// recordings than asked for and requires each to deep-equal the bank
+// NewBank records at that length.
+func TestNewBankFromViews(t *testing.T) {
+	for _, c := range []struct{ length, stride, extra int }{{200, 60, 0}, {257, 90, 1}, {64, 531, 1000}} {
+		longer := func(id SuiteID, idx, length int) *Recording { return Record(id, idx, length+c.extra+idx%3) }
+		if got, want := NewBankFrom(c.length, c.stride, longer), NewBank(c.length, c.stride); !reflect.DeepEqual(got, want) {
+			t.Errorf("bank of views at length %d stride %d differs from NewBank", c.length, c.stride)
+		}
 	}
 }
 

@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
 # Runs the benchmark suite and archives the results as BENCH_<date>.json
-# so successive PRs accumulate a performance trajectory.
+# so successive PRs accumulate a performance trajectory. An archive is
+# never overwritten: a second run on the same date writes
+# BENCH_<date>-2.json, a third BENCH_<date>-3.json, and so on. Every
+# record carries the host it ran on (nproc, Go version, and the
+# filesystem type of the checkout), since the same code reads very
+# differently on different hosts.
 #
 # The suite covers every paper figure/table plus the raw-throughput
 # benchmarks: pipeline (BenchmarkPipelineThroughput with the generator in
@@ -29,17 +34,25 @@ cd "$(dirname "$0")/.."
 
 date="$(date -u +%Y-%m-%d)"
 out="BENCH_${date}.json"
+n=1
+while [ -e "$out" ]; do
+    n=$((n + 1))
+    out="BENCH_${date}-${n}.json"
+done
+nproc="$(nproc)"
+gover="$(go env GOVERSION)"
+fstype="$(df --output=fstype . 2>/dev/null | tail -n 1 || stat -f -c %T .)"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' -bench . -benchmem "$@" . | tee "$tmp"
 
 # Convert `go test -bench` output lines into a JSON array of records.
-awk -v date="$date" '
+awk -v date="$date" -v nproc="$nproc" -v gover="$gover" -v fstype="$fstype" '
 BEGIN { print "[" }
 /^Benchmark/ {
     if (n++) printf ",\n"
-    printf "  {\"date\": \"%s\", \"name\": \"%s\", \"iterations\": %s", date, $1, $2
+    printf "  {\"date\": \"%s\", \"nproc\": %s, \"go\": \"%s\", \"fs\": \"%s\", \"name\": \"%s\", \"iterations\": %s", date, nproc, gover, fstype, $1, $2
     for (i = 3; i < NF; i += 2) {
         unit = $(i + 1)
         gsub(/"/, "", unit)
