@@ -55,14 +55,17 @@ func BenchmarkFig4InputPairs(b *testing.B) {
 }
 
 // BenchmarkFig5AdderGuardband ages the adder at 21% utilization with
-// pair 1+8 idle injection and reports the guardband (paper: 5.8%).
+// pair 1+8 idle injection and reports the guardband (paper: 5.8%). The
+// trace is recorded once and every iteration reads it from a fresh
+// cursor, so the guardband does not depend on b.N.
 func BenchmarkFig5AdderGuardband(b *testing.B) {
 	ad := adder.New32()
 	params := nbti.DefaultParams()
-	src := trace.NewOperandStream([]trace.Source{trace.Record(trace.SpecINT2000, 0, 4000).Cursor()})
+	rec := trace.Record(trace.SpecINT2000, 0, 4000)
 	var gb float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		src := trace.NewOperandStream([]trace.Source{rec.Cursor()})
 		res := ad.GuardbandScenario(src, 0.21, 1, 8, 150, params)
 		gb = res.Guardband
 	}
@@ -303,6 +306,27 @@ func BenchmarkLifetimeTrajectory(b *testing.B) {
 	b.ReportMetric(final*100, "guardband%")
 }
 
+// BenchmarkPayloadMarshal prices rendering one lifetime payload (a
+// 500-chip fleet, about 86 KiB indented, the size every fleet-miss job
+// ships) as the indented JSON the service stores and serves.
+func BenchmarkPayloadMarshal(b *testing.B) {
+	o := experiments.Options{TraceLength: 2000, TraceStride: 90, Population: 500}
+	res, err := experiments.Run("lifetime", o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := experiments.NewPayload(res, o)
+	var out []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out, err = p.Marshal(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(out))/1024, "KiB")
+}
+
 // BenchmarkBusPublish measures the continuous-operations event bus on
 // its hot path — one per-epoch aggregate published to a topic with four
 // live (and saturated) subscribers, the fan-out every scheduled fleet
@@ -396,7 +420,8 @@ func BenchmarkAblationInvertRatio(b *testing.B) {
 
 // BenchmarkAblationAdderInputs varies how many synthetic inputs the idle
 // injector alternates: one input leaves complementary transistors fully
-// stressed; the complementary pair fixes them.
+// stressed; the complementary pair fixes them. Each iteration reseeds
+// the operand RNG, so the guardband does not depend on b.N.
 func BenchmarkAblationAdderInputs(b *testing.B) {
 	ad := adder.New32()
 	params := nbti.DefaultParams()
@@ -412,6 +437,7 @@ func BenchmarkAblationAdderInputs(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var gb float64
 			for i := 0; i < b.N; i++ {
+				rng.Seed(11)
 				sim := ad.NewStressSim()
 				// 21% utilization with random operands packed 64 per
 				// bit-parallel pass; the idle round-robin over the input
@@ -564,7 +590,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 // representative registry (counter, gauge, histogram, two-cell vec) and
 // pins the steady-state path at zero allocations — the sampler runs
 // forever on a 10s cadence, so any per-tick garbage would accumulate
-// for the life of the server.
+// for the life of the server. Rings grow until they are full, so the
+// warm-up fills every tier first: a small RawPoints fills the 100x tier
+// after 200×RawPoints samples.
 func BenchmarkTsdbSample(b *testing.B) {
 	reg := obs.NewRegistry()
 	ctr := reg.Counter("bench_events_total", "bench")
@@ -574,7 +602,8 @@ func BenchmarkTsdbSample(b *testing.B) {
 	vec.With("a").Observe(0.1)
 	vec.With("b").Observe(0.2)
 
-	db, err := tsdb.Open(tsdb.Config{Registry: reg, Interval: 10 * time.Second})
+	const rawPoints = 4
+	db, err := tsdb.Open(tsdb.Config{Registry: reg, Interval: 10 * time.Second, RawPoints: rawPoints})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -587,16 +616,20 @@ func BenchmarkTsdbSample(b *testing.B) {
 		hist.Observe(float64(i%100) * 1e-3)
 		db.Sample(now.Add(time.Duration(i) * 10 * time.Second))
 	}
-	// Warm the bindings and the rings past the first fold windows.
-	for i := 0; i < 256; i++ {
-		step(i)
-	}
-	iter := 256
-	if allocs := testing.AllocsPerRun(100, func() {
+	// Warm the bindings and fill every tier; one extra 100x window
+	// covers a start that is not window-aligned.
+	iter := 0
+	for ; iter < 200*rawPoints+100; iter++ {
 		step(iter)
-		iter++
+	}
+	// Count over 100 ticks in one run so one allocation cannot round away.
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100; i++ {
+			step(iter)
+			iter++
+		}
 	}); allocs != 0 {
-		b.Fatalf("steady-state Sample allocates %.1f times per tick, want 0", allocs)
+		b.Fatalf("steady-state Sample allocated %v times over 100 ticks, want 0", allocs)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -39,6 +39,13 @@ func TestResultJSONDeterministic(t *testing.T) {
 		if !bytes.Equal(first, second) {
 			t.Errorf("%s: marshaling twice produced different bytes", spec.ID)
 		}
+		std, err := json.MarshalIndent(NewPayload(res, o), "", "  ")
+		if err != nil {
+			t.Fatalf("%s: MarshalIndent: %v", spec.ID, err)
+		}
+		if !bytes.Equal(first, std) {
+			t.Errorf("%s: Marshal differs from json.MarshalIndent (%d vs %d bytes)", spec.ID, len(first), len(std))
+		}
 		var env struct {
 			Schema     int             `json:"schema"`
 			Experiment string          `json:"experiment"`
@@ -90,6 +97,39 @@ func TestResultJSONGolden(t *testing.T) {
 		if !bytes.Equal(payload, want) {
 			t.Errorf("%s: payload diverges from committed golden %s (%d vs %d bytes); run with -update if intentional",
 				id, path, len(payload), len(want))
+		}
+	}
+}
+
+// TestIndentMatchesMarshalIndent re-indents the compacted bytes of all
+// four committed goldens and a set of edge cases — empty and nested
+// containers, escapes and delimiters inside strings, top-level scalars
+// — and requires appendIndent to reproduce json.Indent exactly.
+func TestIndentMatchesMarshalIndent(t *testing.T) {
+	cases := []string{
+		`{}`, `[]`, `null`, `true`, `-1.5e-07`, `"a\\"`,
+		`{"a":[],"b":{},"c":[{}],"d":[[],[[]]]}`,
+		`{"k":"x\"y\\","e":"{[,:]}","u":"\u003c\u0026\u003e","n":null}`,
+		`["a\",\"b","c\\",{"d\\":"\\\\"},"\"{}\""]`,
+		`[1,-2,3.25,1e+21,"s",false,{"a":{"b":{"c":[0]}}}]`,
+	}
+	for _, id := range []string{"fig6", "fig8", "lifetime", "yield"} {
+		golden, err := os.ReadFile(filepath.Join("testdata", id+"_golden.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, string(golden))
+	}
+	for _, c := range cases {
+		var compact, want bytes.Buffer
+		if err := json.Compact(&compact, []byte(c)); err != nil {
+			t.Fatalf("case %.40q: %v", c, err)
+		}
+		if err := json.Indent(&want, compact.Bytes(), "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendIndent(nil, compact.Bytes()); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("case %.40q: appendIndent gave\n%s\nwant\n%s", c, got, want.Bytes())
 		}
 	}
 }

@@ -39,11 +39,78 @@ func NewPayload(r Result, o Options) Payload {
 	return Payload{Schema: SchemaVersion, Experiment: r.ID(), Options: o.normalized(), Data: r}
 }
 
-// Marshal renders the payload as stable, indented JSON. The output is
+// Marshal renders the payload as stable, indented JSON, byte-identical
+// to json.MarshalIndent(p, "", "  ") but indented in one pass without
+// the standard library's validating scanner. The output is
 // deterministic: marshaling the same result twice yields identical
 // bytes.
 func (p Payload) Marshal() ([]byte, error) {
-	return json.MarshalIndent(p, "", "  ")
+	b, err := json.Marshal(p)
+	if err != nil {
+		return nil, err
+	}
+	return appendIndent(make([]byte, 0, 2*len(b)), b), nil
+}
+
+// appendIndent appends src, compact JSON as json.Marshal writes it, to
+// dst with two spaces of indent per level, laid out as json.Indent does:
+// one element per line, ": " after keys, and empty objects and arrays
+// kept as {} and []. src is trusted, not validated: json.Marshal's
+// output is valid and has no whitespace outside strings.
+func appendIndent(dst, src []byte) []byte {
+	depth := 0
+	opened := false // the previous byte opened an object or array
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		if opened {
+			opened = false
+			if c == '}' || c == ']' { // empty: {} or []
+				depth--
+				dst = append(dst, c)
+				continue
+			}
+			dst = appendNewline(dst, depth)
+		}
+		switch c {
+		case '{', '[':
+			dst = append(dst, c)
+			depth++
+			opened = true
+		case '}', ']':
+			depth--
+			dst = append(appendNewline(dst, depth), c)
+		case ',':
+			dst = appendNewline(append(dst, ','), depth)
+		case ':':
+			dst = append(dst, ':', ' ')
+		case '"':
+			j := i + 1
+			for src[j] != '"' {
+				if src[j] == '\\' {
+					j++
+				}
+				j++
+			}
+			dst = append(dst, src[i:j+1]...)
+			i = j
+		default: // a number or literal runs to the next delimiter
+			j := i + 1
+			for j < len(src) && src[j] != ',' && src[j] != '}' && src[j] != ']' {
+				j++
+			}
+			dst = append(dst, src[i:j]...)
+			i = j - 1
+		}
+	}
+	return dst
+}
+
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for ; depth > 0; depth-- {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 // MarshalCompact renders the payload on a single line, for NDJSON

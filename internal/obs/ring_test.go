@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math/bits"
 	"testing"
 
 	"penelope/internal/mix"
@@ -55,9 +56,53 @@ func TestRingZeroCapacityHoldsOne(t *testing.T) {
 	}
 }
 
+// TestRingPushAllocatesNothing pins a full ring's Push at zero
+// allocations. The count is taken over 1000 pushes in one run, so a
+// single allocation anywhere shows instead of rounding away.
 func TestRingPushAllocatesNothing(t *testing.T) {
 	r := NewRing[int](8)
-	if n := testing.AllocsPerRun(100, func() { r.Push(1) }); n != 0 {
-		t.Fatalf("Push allocates %v per call", n)
+	for !r.Full() {
+		r.Push(0)
+	}
+	n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			r.Push(i)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("Push into a full ring allocated %v times over 1000 calls", n)
+	}
+}
+
+// TestRingGrowthBounded fills fresh rings of several capacities and
+// requires NewRing to allocate nothing, the buffer never to outgrow the
+// capacity, the whole fill to take at most ⌈log2 capacity⌉+1
+// allocations (counted exactly, over a single run) and the full ring to
+// hold what was pushed. TestRingMatchesReferenceSlice checks contents
+// push by push, growth included.
+func TestRingGrowthBounded(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 4, 5, 7, 8, 9, 64, 360, 720, 1000, 4096} {
+		bound := bits.Len(uint(capacity-1)) + 1
+		var r Ring[int]
+		var startCap, maxCap int
+		allocs := testing.AllocsPerRun(1, func() {
+			r = NewRing[int](capacity)
+			startCap, maxCap = cap(r.buf), 0
+			for i := 0; i < capacity; i++ {
+				r.Push(i)
+				maxCap = max(maxCap, cap(r.buf))
+			}
+		})
+		if startCap != 0 || maxCap != capacity || !r.Full() {
+			t.Fatalf("capacity %d: NewRing cap %d, largest cap %d, Full %v", capacity, startCap, maxCap, r.Full())
+		}
+		if allocs > float64(bound) {
+			t.Errorf("capacity %d: filling took %v allocations, want <= %d", capacity, allocs, bound)
+		}
+		for i := 0; i < capacity; i++ {
+			if got := r.At(i); got != i {
+				t.Fatalf("capacity %d: At(%d) = %d, want %d", capacity, i, got, i)
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -515,7 +516,10 @@ func TestHistoryReductions(t *testing.T) {
 }
 
 // TestSampleSteadyStateAllocs pins the sampler's hot path at zero heap
-// allocations once bindings are resolved.
+// allocations once bindings are resolved and every tier is full. A
+// small RawPoints fills the 100x tier after 200×RawPoints samples; the
+// count is then taken over 200 samples in one run, so a single
+// allocation shows instead of rounding away.
 func TestSampleSteadyStateAllocs(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("a_total", "")
@@ -524,17 +528,63 @@ func TestSampleSteadyStateAllocs(t *testing.T) {
 	v := reg.HistogramVec("d_seconds", "", "route", []float64{0.1, 1})
 	v.With("/x").Observe(0.5)
 	v.With("/y").Observe(2)
-	db := memDB(t, reg, time.Second)
+	const rawPoints = 4
+	db, err := Open(Config{Registry: reg, Interval: time.Second, RawPoints: rawPoints})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(db.Close)
 	now := t0
-	db.Sample(now) // resolve bindings
-	allocs := testing.AllocsPerRun(200, func() {
+	step := func() {
 		c.Inc()
 		g.Set(1)
 		h.Observe(0.2)
 		now = now.Add(time.Second)
 		db.Sample(now)
+	}
+	for i := 0; i <= 200*rawPoints; i++ {
+		step()
+	}
+	for _, s := range db.order {
+		if !s.raw.Full() || !s.t1.Full() || !s.t2.Full() {
+			t.Fatalf("%s: tiers not full after warm-up (raw %d, t1 %d, t2 %d)", s.name, s.raw.Len(), s.t1.Len(), s.t2.Len())
+		}
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 200; i++ {
+			step()
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Sample allocates %v times per run, want 0", allocs)
+		t.Fatalf("steady-state Sample allocated %v times over 200 samples, want 0", allocs)
 	}
+}
+
+// TestFreshHistoryHoldsWhatItSampled samples a registry of over a
+// thousand flat series once and requires the history to cost what it
+// holds: under 2 MB of live heap, where rings allocated at full
+// capacity (57.6 KB per series at the default RawPoints) would hold
+// about 60 MB.
+func TestFreshHistoryHoldsWhatItSampled(t *testing.T) {
+	reg := obs.NewRegistry()
+	v := reg.HistogramVec("req_seconds", "", "route", obs.LatencyBuckets())
+	for i := 0; i < 36; i++ {
+		v.With("/r" + itoa(i)).Observe(float64(i) * 1e-4)
+	}
+	db := memDB(t, reg, 10*time.Second)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db.Sample(t0)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := db.Stats().Series; n < 1000 {
+		t.Fatalf("registry flattened to %d series, want >= 1000", n)
+	}
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if growth > 2<<20 {
+		t.Fatalf("first sample of %d series grew the heap by %.1f MB, want < 2 MB",
+			db.Stats().Series, float64(growth)/(1<<20))
+	}
+	runtime.KeepAlive(db)
 }

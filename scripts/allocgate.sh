@@ -8,7 +8,8 @@
 #   BenchmarkCursorReplay    100x   0 allocs/op even at 1x
 #   BenchmarkCoreReplay      10x    0 at 1x (the core is warmed first)
 #   BenchmarkStressApplyVec  1000x  0 at 1x
-#   BenchmarkTsdbSample      1000x  0 at 1x (it also asserts 0 inside)
+#   BenchmarkTsdbSample      1000x  0 at 1x: it fills every tier before
+#                                   its loop and asserts 0 inside
 #   BenchmarkObsOverhead     1000x  its subs build a registry before the
 #                                   loop: up to 11 allocs, 0 from 12x up
 #
