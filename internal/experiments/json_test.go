@@ -104,7 +104,7 @@ func TestResultJSONGolden(t *testing.T) {
 // TestIndentMatchesMarshalIndent re-indents the compacted bytes of all
 // four committed goldens and a set of edge cases — empty and nested
 // containers, escapes and delimiters inside strings, top-level scalars
-// — and requires appendIndent to reproduce json.Indent exactly.
+// — and requires AppendIndent to reproduce json.Indent exactly.
 func TestIndentMatchesMarshalIndent(t *testing.T) {
 	cases := []string{
 		`{}`, `[]`, `null`, `true`, `-1.5e-07`, `"a\\"`,
@@ -128,8 +128,8 @@ func TestIndentMatchesMarshalIndent(t *testing.T) {
 		if err := json.Indent(&want, compact.Bytes(), "", "  "); err != nil {
 			t.Fatal(err)
 		}
-		if got := appendIndent(nil, compact.Bytes()); !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("case %.40q: appendIndent gave\n%s\nwant\n%s", c, got, want.Bytes())
+		if got := AppendIndent(nil, compact.Bytes()); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("case %.40q: AppendIndent gave\n%s\nwant\n%s", c, got, want.Bytes())
 		}
 	}
 }

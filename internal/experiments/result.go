@@ -49,15 +49,15 @@ func (p Payload) Marshal() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return appendIndent(make([]byte, 0, 2*len(b)), b), nil
+	return AppendIndent(make([]byte, 0, 2*len(b)), b), nil
 }
 
-// appendIndent appends src, compact JSON as json.Marshal writes it, to
+// AppendIndent appends src, compact JSON as json.Marshal writes it, to
 // dst with two spaces of indent per level, laid out as json.Indent does:
 // one element per line, ": " after keys, and empty objects and arrays
 // kept as {} and []. src is trusted, not validated: json.Marshal's
 // output is valid and has no whitespace outside strings.
-func appendIndent(dst, src []byte) []byte {
+func AppendIndent(dst, src []byte) []byte {
 	depth := 0
 	opened := false // the previous byte opened an object or array
 	for i := 0; i < len(src); i++ {

@@ -17,17 +17,7 @@ type Label struct {
 // Labels render on the sample line with full exposition escaping, so
 // values may contain backslashes, quotes and newlines.
 func (r *Registry) GaugeConst(name, help string, labels []Label, v float64) {
-	for _, l := range labels {
-		if !validName(l.Name) {
-			panic("obs: invalid label name " + l.Name)
-		}
-	}
-	val := v
-	r.register(&family{
-		name: name, help: help, kind: kindGauge,
-		labels:  append([]Label(nil), labels...),
-		gaugeFn: func() float64 { return val },
-	})
+	r.GaugeFunc(name, help, func() float64 { return v }, labels...)
 }
 
 // BuildInfo identifies the running binary.

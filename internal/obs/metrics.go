@@ -296,7 +296,7 @@ const (
 type family struct {
 	name, help string
 	kind       kind
-	labels     []Label // constant labels (GaugeConst); nil for everything else
+	labels     []Label // constant labels (GaugeConst, labelled GaugeFunc); nil for everything else
 
 	counter   *Counter
 	counterFn func() uint64
@@ -381,9 +381,16 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// GaugeFunc registers a gauge read from fn at exposition time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(&family{name: name, help: help, kind: kindGauge, gaugeFn: fn})
+// GaugeFunc registers a gauge read from fn at exposition time. Labels,
+// if any, are constant and render on its one sample line.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
+	for _, l := range labels {
+		if !validName(l.Name) {
+			panic("obs: invalid label name " + l.Name)
+		}
+	}
+	r.register(&family{name: name, help: help, kind: kindGauge,
+		labels: append([]Label(nil), labels...), gaugeFn: fn})
 }
 
 // Histogram registers and returns a new histogram over bounds (nil

@@ -154,6 +154,9 @@ func decodeChunk(src []byte, emit func(t int64, v float64)) ([]byte, error) {
 		return nil, fmt.Errorf("tsdb: unknown chunk value mode %d", mode)
 	}
 	src = src[1:]
+	if n > uint64(len(src)) { // every timestamp takes at least one byte
+		return nil, fmt.Errorf("tsdb: chunk claims %d samples in %d bytes", n, len(src))
+	}
 	ts := make([]int64, n)
 	var td dodDecoder
 	var err error

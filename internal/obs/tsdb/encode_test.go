@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -110,4 +111,49 @@ func TestEmptyChunk(t *testing.T) {
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("empty chunk: rest=%d err=%v", len(rest), err)
 	}
+}
+
+// TestChunkHostileCountRejected: a header claiming more samples than
+// the chunk has bytes fails before anything is allocated for them.
+func TestChunkHostileCountRejected(t *testing.T) {
+	for _, mode := range []byte{valueModeInt, valueModeFloat} {
+		enc := append(appendUvarint(nil, 1<<62), mode, 0, 0, 0)
+		if _, err := decodeChunk(enc, func(int64, float64) {}); err == nil {
+			t.Fatalf("mode %d: a 2^62-sample header decoded without error", mode)
+		}
+	}
+}
+
+// FuzzDecodeChunk feeds arbitrary bytes to the chunk decoder, as a
+// block read at boot may hold (the frame checksum covers the bytes, not
+// their meaning). It must never panic, must emit as many samples as
+// the header claims when it succeeds, and the codec must round-trip
+// whatever it accepted bit-exactly.
+func FuzzDecodeChunk(f *testing.F) {
+	ints := []point{{t: 1_700_000_000_000, v: 1}, {t: 1_700_000_010_000, v: 3}, {t: 1_700_000_020_000, v: -7}}
+	floats := []point{{t: 1_700_000_000_000, v: 2.5}, {t: 1_700_000_010_000, v: math.NaN()}, {t: 1_700_000_020_000, v: math.Copysign(0, -1)}}
+	f.Add(appendChunk(nil, ints))
+	f.Add(appendChunk(nil, floats))
+	f.Add(appendChunk(nil, nil))
+	f.Add(append(appendUvarint(nil, 1<<62), valueModeInt, 0))
+	f.Fuzz(func(t *testing.T, src []byte) {
+		var got []point
+		if _, err := decodeChunk(src, func(ts int64, v float64) { got = append(got, point{t: ts, v: v}) }); err != nil {
+			return
+		}
+		if n, _ := binary.Uvarint(src); n != uint64(len(got)) {
+			t.Fatalf("header claims %d samples, decoded %d", n, len(got))
+		}
+		var again []point
+		if _, err := decodeChunk(appendChunk(nil, got), func(ts int64, v float64) {
+			again = append(again, point{t: ts, v: v})
+		}); err != nil || len(again) != len(got) {
+			t.Fatalf("re-encoded chunk: %d of %d samples, %v", len(again), len(got), err)
+		}
+		for i := range got {
+			if again[i].t != got[i].t || math.Float64bits(again[i].v) != math.Float64bits(got[i].v) {
+				t.Fatalf("sample %d: round trip gave %+v, want %+v", i, again[i], got[i])
+			}
+		}
+	})
 }

@@ -115,6 +115,8 @@ func (s *Server) initObs() {
 
 	reg.GaugeFunc("penelope_cache_entries", "Completed results resident in the in-memory result memo.",
 		func() float64 { return float64(s.results.Stats().Entries) })
+	reg.GaugeFunc("penelope_resident_bytes", "Bytes a bounded in-memory holder charges against its budget.",
+		func() float64 { return float64(s.results.Stats().Bytes) }, obs.Label{Name: "holder", Value: "results"})
 	reg.CounterFunc("penelope_cache_hits_total", "Requests served from a completed cache entry.",
 		func() uint64 { return s.results.Stats().Hits })
 	reg.CounterFunc("penelope_cache_misses_total", "Requests that had to run the simulation.",

@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"penelope/internal/experiments"
@@ -48,18 +50,20 @@ func getRaw(t *testing.T, url string) (int, []byte) {
 // payload to trace_length bytes.
 const smallJob = `{"experiment":"fig6","options":{"trace_length":100,"trace_stride":531}}`
 
-// floodResults pushes more than the result budget of distinct payloads
-// through the server, in 16 MiB blobs. Stride 531 keeps each request's
-// implied trace bank inside the request limits.
+// floodResults pushes more than the server's result budget of distinct
+// payloads through it, in blobs of a quarter of that budget. Stride 531
+// keeps each request's implied trace bank inside the request limits.
 func floodResults(t *testing.T, s *Server, base string) {
 	t.Helper()
-	for i := 0; i*16<<20 <= resultBudget; i++ {
-		body := fmt.Sprintf(`{"experiment":"fig6","options":{"trace_length":%d,"trace_stride":531}}`, 16<<20+i)
+	budget := residentResultBudget(s.cfg)
+	blob := int(budget / 4)
+	for i := 0; i*blob <= int(budget); i++ {
+		body := fmt.Sprintf(`{"experiment":"fig6","options":{"trace_length":%d,"trace_stride":531}}`, blob+i)
 		if job := submitDone(t, base, body); job.State != StateDone {
 			t.Fatalf("flood job failed: %s", job.Error)
 		}
-		if st := s.results.Stats(); st.Bytes > resultBudget {
-			t.Fatalf("%d resident bytes past the %d-byte budget", st.Bytes, resultBudget)
+		if st := s.results.Stats(); st.Bytes > budget {
+			t.Fatalf("%d resident bytes past the %d-byte budget", st.Bytes, budget)
 		}
 	}
 	if st := s.results.Stats(); st.Evictions == 0 {
@@ -130,6 +134,73 @@ func TestEvictedResultReadsThroughStore(t *testing.T) {
 	if d := after.Store.Hits - before.Store.Hits; d != 1 {
 		t.Errorf("%d store hits, want 1", d)
 	}
+}
+
+// TestHotKeysStayResident checks that a store-backed server keeps a
+// read-heavy client's key set resident: the four golden-option payloads
+// and four small ones, resubmitted and fetched after a first pass, are
+// served from the memo without a single store read.
+func TestHotKeysStayResident(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2, DataDir: t.TempDir()})
+	var bodies []string
+	for _, id := range []string{"fig6", "fig8", "lifetime", "yield"} {
+		bodies = append(bodies, fmt.Sprintf(`{"experiment":%q,"options":{"trace_length":2000,"trace_stride":90,"population":600}}`, id))
+	}
+	for _, id := range []string{"table1", "table2", "fig1", "fig4"} {
+		bodies = append(bodies, fmt.Sprintf(`{"experiment":%q}`, id))
+	}
+	pass := func() {
+		for _, body := range bodies {
+			job := submitDone(t, ts.URL, body)
+			if job.State != StateDone {
+				t.Fatalf("%s: %s", body, job.Error)
+			}
+			if code, _ := getRaw(t, ts.URL+"/v1/results/"+job.ResultKey); code != http.StatusOK {
+				t.Fatalf("%s: result status %d", body, code)
+			}
+		}
+	}
+	pass()
+	before := s.metrics().Store
+	for range 3 {
+		pass()
+	}
+	after := s.metrics().Store
+	if reads := after.Hits + after.Misses - before.Hits - before.Misses; reads != 0 {
+		t.Errorf("%d store reads after the first pass, want 0", reads)
+	}
+	if st := s.results.Stats(); st.Entries != len(bodies) {
+		t.Errorf("%d results resident (%d bytes), want %d", st.Entries, st.Bytes, len(bodies))
+	}
+}
+
+// TestResidentBytesGauge checks that /metrics reports the result memo's
+// charged bytes as penelope_resident_bytes{holder="results"}, through
+// an insert and the evictions of a flood.
+func TestResidentBytesGauge(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir(), Runner: blobRunner})
+	const prefix = `penelope_resident_bytes{holder="results"} `
+	check := func() {
+		t.Helper()
+		_, text, _ := get(t, ts.URL+"/metrics", nil)
+		for _, line := range strings.Split(string(text), "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				got, err := strconv.ParseFloat(v, 64)
+				if want := s.results.Stats().Bytes; err != nil || got != float64(want) {
+					t.Fatalf("%s%s, want %d", prefix, v, want)
+				}
+				return
+			}
+		}
+		t.Fatalf("exposition lacks %s", prefix)
+	}
+	submitDone(t, ts.URL, smallJob)
+	if s.results.Stats().Bytes == 0 {
+		t.Fatal("a completed result charges no bytes")
+	}
+	check()
+	floodResults(t, s, ts.URL)
+	check()
 }
 
 // TestInMemoryLifetimeHonorsContext checks that lifetime jobs on a

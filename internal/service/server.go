@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -131,11 +130,27 @@ type Config struct {
 	BuildInfo *obs.BuildInfo
 }
 
-// resultBudget bounds the payloads the result memo keeps resident. At a
-// few hundred bytes to ~90 KiB each, it holds every hot key of a
+// resultBudget bounds the payloads the result memo keeps resident on a
+// server without a store, where the memo is their only copy. At a few
+// hundred bytes to ~90 KiB each, it holds every hot key of a
 // read-heavy client many times over, while never-repeated jobs cycle
 // through it instead of growing the heap.
 const resultBudget = 64 << 20
+
+// hotResultBudget replaces resultBudget when the disk store holds every
+// completed payload: the memo keeps its single-flight role and a hot
+// set (a read-heavy client's keys, a few hundred KiB), and a key
+// evicted from it reads through the store and becomes resident again.
+const hotResultBudget = 4 << 20
+
+// residentResultBudget is the result memo's budget for a server
+// configured with cfg.
+func residentResultBudget(cfg Config) int64 {
+	if cfg.DataDir != "" {
+		return hotResultBudget
+	}
+	return resultBudget
+}
 
 // drainGrace bounds how long Close waits for a cancelled in-flight job
 // to persist its state and return. The fleet scheduler stops every
@@ -235,7 +250,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		started:   time.Now(),
-		results:   memo.New[string](resultBudget, func(p []byte) int64 { return int64(cap(p)) }),
+		results:   memo.New[string](residentResultBudget(cfg), func(p []byte) int64 { return int64(cap(p)) }),
 		pool:      newFairPool(cfg.Workers, cfg.QueueDepth),
 		limiter:   newRateLimiter(cfg.Rate, cfg.Burst),
 		backoff:   newBackoffController(),
@@ -1350,17 +1365,18 @@ func decodeStrict(r *http.Request, v any) error {
 	return nil
 }
 
+// writeJSON writes v as indented JSON plus a newline, the bytes a
+// json.Encoder with SetIndent("", "  ") writes, indented in one pass.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	b, err := json.Marshal(v)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	body := append(experiments.AppendIndent(make([]byte, 0, 2*len(b)+1), b), '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(buf.Bytes())
+	w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
