@@ -8,7 +8,7 @@
 //	penelope run -experiment fig4 -json
 //	penelope run -experiment table3 -length 20000 -stride 8
 //	penelope run -experiment lifetime -population 100000 -years 7 -attack-years 1
-//	penelope run -experiment lifetime -checkpoint fleet.ckpt -workers 8
+//	penelope run -experiment lifetime -workers 8
 //	penelope serve -addr :8080
 //	penelope serve -addr :8080 -data-dir /var/lib/penelope -rate 5 -burst 20
 //	penelope serve -data-dir /var/lib/penelope -fleet-config fleets.json -alert-webhook http://ops/hook
@@ -16,15 +16,15 @@
 // The experiment list comes from the experiments registry (run
 // `penelope run -h`). Length is uops per trace; stride subsamples the
 // 531-trace workload (1 = full workload, as in the paper — slow). The
-// fleet flags parameterize the lifetime/yield experiments; -checkpoint
-// makes a long lifetime run resumable. With -data-dir the server
-// persists results to a content-addressed store and resumes
-// interrupted lifetime jobs after a restart; -rate/-burst enable
-// per-client rate limiting and -job-timeout bounds each attempt.
-// -store-budget and -store-retention bound the on-disk result cache
-// (LRU results are evicted first, then oversized cache writes shed;
-// checkpoints are never evicted) and -scrub-interval re-verifies stored
-// frames against their checksums in the background.
+// fleet flags parameterize the lifetime/yield experiments. With
+// -data-dir the server persists results to a content-addressed store
+// and recomputes interrupted lifetime jobs after a restart;
+// -rate/-burst enable per-client rate limiting and -job-timeout bounds
+// each attempt. -store-budget and -store-retention bound the on-disk
+// result cache (LRU results are evicted first, then oversized cache
+// writes shed; job and fleet records are never evicted) and
+// -scrub-interval re-verifies stored frames against their checksums in
+// the background.
 // -fleet-config schedules continuously-aged populations at boot (they
 // also register over POST /v1/fleets and resume from -data-dir
 // sidecars); -fleet-tick paces their epochs and -alert-webhook receives
@@ -46,7 +46,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log/slog"
 	"net"
 	"net/http"
@@ -61,7 +60,6 @@ import (
 	"penelope/internal/experiments"
 	"penelope/internal/fleetops"
 	"penelope/internal/service"
-	"penelope/internal/store/vfs"
 )
 
 func main() {
@@ -115,9 +113,6 @@ func runCmd(args []string) {
 		attack     = fs.Float64("attack-years", 0, "wearout-attack phase length in years (default none)")
 		fleetSeed  = fs.Uint64("fleet-seed", 0, "per-chip sampling seed (default 1)")
 		workers    = fs.Int("workers", 0, "lifetime engine worker count (default GOMAXPROCS; results identical for any value)")
-
-		checkpoint = fs.String("checkpoint", "", "lifetime only: checkpoint file; resumes if it exists")
-		ckptEvery  = fs.Int("checkpoint-every", 0, "chip-epochs of work between checkpoint writes; one epoch steps 2×population (default 0: 2^25, so a fleet of a few thousand chips writes none)")
 	)
 	fs.Parse(args)
 
@@ -148,24 +143,13 @@ func runCmd(args []string) {
 	}
 	opts.Workers = *workers
 
-	if *checkpoint != "" && *exp != "lifetime" {
-		fmt.Fprintln(os.Stderr, "-checkpoint only applies to -experiment lifetime")
-		os.Exit(2)
-	}
-
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experiments.IDs()
 	}
 	w := os.Stdout
 	for _, id := range ids {
-		var res experiments.Result
-		var err error
-		if *checkpoint != "" {
-			res, err = experiments.LifetimeCheckpointed(context.Background(), opts, fileCheckpoint(*checkpoint), *ckptEvery)
-		} else {
-			res, err = experiments.Run(id, opts)
-		}
+		res, err := experiments.Run(id, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -183,23 +167,6 @@ func runCmd(args []string) {
 	}
 }
 
-// fileCheckpoint is the -checkpoint file of a CLI lifetime run,
-// replaced atomically and durably (vfs.WriteAtomic) on every save.
-type fileCheckpoint string
-
-func (path fileCheckpoint) Load() ([]byte, error) {
-	data, err := os.ReadFile(string(path))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	return data, err
-}
-
-func (path fileCheckpoint) Save(data []byte) error {
-	_, err := vfs.WriteAtomic(vfs.OS{}, string(path), data)
-	return err
-}
-
 // serveCmd starts the experiment service: a worker pool over the
 // simulator with a content-addressed result cache (persisted to
 // -data-dir when set), exposed as an HTTP JSON API with per-client fair
@@ -210,12 +177,12 @@ func serveCmd(args []string) {
 		addr       = fs.String("addr", ":8080", "listen address")
 		workers    = fs.Int("workers", 0, "simulation worker count (default: GOMAXPROCS)")
 		queue      = fs.Int("queue", 0, "job queue depth (default 256)")
-		dataDir    = fs.String("data-dir", "", "persist results and checkpoints under this directory; survives restarts")
+		dataDir    = fs.String("data-dir", "", "persist results, job records and fleets under this directory; survives restarts")
 		rate       = fs.Float64("rate", 0, "per-client submissions/second (0 = unlimited; sweeps charge one per grid point)")
 		burst      = fs.Int("burst", 0, "per-client rate-limit burst (default ceil(rate))")
 		jobTimeout = fs.Duration("job-timeout", 0, "per-job runner timeout (0 = unbounded)")
 
-		storeBudget    = fs.Int64("store-budget", 0, "disk budget in bytes for cached result payloads; past it LRU results are evicted and oversized cache writes shed (0 = unbounded; checkpoints are never evicted)")
+		storeBudget    = fs.Int64("store-budget", 0, "disk budget in bytes for cached result payloads; past it LRU results are evicted and oversized cache writes shed (0 = unbounded; job and fleet records are never evicted)")
 		storeRetention = fs.Duration("store-retention", 0, "evict cached results unused for longer than this (0 = keep forever)")
 		scrubInterval  = fs.Duration("scrub-interval", time.Minute, "background re-verification interval for stored result checksums (0 = off)")
 
@@ -289,10 +256,10 @@ func serveCmd(args []string) {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
-		logger.Info("draining (in-flight lifetime jobs checkpoint before exit)")
+		logger.Info("draining (in-flight lifetime jobs recompute at the next boot)")
 		// Stop accepting connections, then drain the pool: in-flight
-		// jobs see their context cancelled and checkpointed lifetime
-		// runs persist their state before the process exits.
+		// jobs see their context cancelled, and an interrupted lifetime
+		// job's record resubmits it at the next boot.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		httpSrv.Shutdown(ctx)
 		cancel()

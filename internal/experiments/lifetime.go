@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -213,102 +211,30 @@ func trajectoryFrom(name string, eng *lifetime.Engine) FleetTrajectory {
 func Lifetime(o Options) LifetimeResult {
 	o = o.normalized()
 	return must(trajectories.Do(o.Key(), func() (LifetimeResult, error) {
-		return LifetimeCheckpointed(context.Background(), o, nil, 0)
+		return LifetimeContext(context.Background(), o)
 	}))
 }
 
-// Checkpoint is where a checkpointed lifetime run keeps its paired
-// fleet state between runs. Load returns nil when nothing has been
-// saved; Save must replace the state atomically and durably, so a
-// crash leaves either the previous checkpoint or the new one. The
-// service backs it with a store record, the CLI's -checkpoint with a
-// plain file.
-type Checkpoint interface {
-	Load() ([]byte, error)
-	Save(data []byte) error
-}
-
-// ErrLifetimeInterrupted reports that a checkpointed lifetime run was
-// cancelled mid-flight; the checkpoint holds the epoch it reached, and
-// rerunning with the same options resumes from it and produces the
-// same bytes an uninterrupted run would have.
+// ErrLifetimeInterrupted reports that a lifetime run was cancelled
+// mid-flight. Nothing of it is kept: rerunning with the same options
+// recomputes from epoch 0 and produces the same bytes an uninterrupted
+// run would have.
 var ErrLifetimeInterrupted = fmt.Errorf("lifetime: run interrupted")
 
-// ErrBadCheckpoint reports a saved checkpoint that does not decode as a
-// fleet pair or was written for different options. The run does not
-// start; the checkpoint's owner can set it aside and rerun from epoch 0.
-var ErrBadCheckpoint = lifetime.ErrBadCheckpoint
-
-// DefaultCheckpointWork is the checkpoint cadence, in chip-epochs of
-// work, when LifetimeCheckpointed is given none: 2^25, about a second
-// of engine compute on one core. A pair at the MaxPopulation request
-// limit steps 2M chip-epochs per epoch and saves every 17 epochs; a
-// fleet of a few thousand chips finishes without saving.
-const DefaultCheckpointWork = 1 << 25
-
-// LifetimeCheckpointed is Lifetime with rolling checkpoints: the paired
-// fleet state is saved to ckpt each time the two engines have stepped
-// `every` chip-epochs of work since the last save (one engine step over
-// P chips is P chip-epochs; every < 1 means DefaultCheckpointWork), and
-// a checkpoint already there — from an interrupted or completed run
-// with the same options — is resumed instead of starting over. There is
-// no extra save at completion: a crash loses at most `every`
-// chip-epochs. The engine polls ctx once per epoch step; on
-// cancellation it saves a final checkpoint and returns
-// ErrLifetimeInterrupted, so a shutdown or timeout loses at most the
-// epoch in flight. The result is byte-identical to an uninterrupted
-// Lifetime run. A nil ckpt runs without checkpoints; a checkpoint that
-// does not decode or does not match o fails with ErrBadCheckpoint.
-func LifetimeCheckpointed(ctx context.Context, o Options, ckpt Checkpoint, every int) (LifetimeResult, error) {
-	if every < 1 {
-		every = DefaultCheckpointWork
-	}
+// LifetimeContext is Lifetime without the memo, stoppable through ctx:
+// the engines poll it once per epoch step, so a shutdown or timeout
+// returns ErrLifetimeInterrupted within one epoch. The result is
+// byte-identical to Lifetime's for any o.Workers.
+func LifetimeContext(ctx context.Context, o Options) (LifetimeResult, error) {
 	o = o.normalized()
 	duties := o.fleetDuties()
-
-	var saved [][]byte
-	if ckpt != nil {
-		data, err := ckpt.Load()
-		if err != nil {
-			return LifetimeResult{}, fmt.Errorf("lifetime: loading checkpoint: %w", err)
-		}
-		if data != nil {
-			if saved, err = decodeFleetPair(data); err != nil {
-				return LifetimeResult{}, err
-			}
-		}
-	}
-	run, err := lifetime.Open(saved, o.fleetConfig(duties, false), o.fleetConfig(duties, true))
+	run, err := lifetime.Open(o.fleetConfig(duties, false), o.fleetConfig(duties, true))
 	if err != nil {
 		return LifetimeResult{}, err
 	}
 	run.Workers = o.Workers
-	save := func() error {
-		if ckpt == nil {
-			return nil
-		}
-		snaps, err := run.Snapshots()
-		if err == nil {
-			err = ckpt.Save(encodeFleetPair(snaps))
-		}
-		return err
-	}
-
-	for !run.Done() {
-		work, err := run.Run(ctx, 0, every)
-		if err != nil {
-			// Cancelled (shutdown or timeout): persist the epoch we
-			// reached so the next run continues instead of restarting.
-			if werr := save(); werr != nil {
-				return LifetimeResult{}, fmt.Errorf("%w; checkpoint write failed: %v", ErrLifetimeInterrupted, werr)
-			}
-			return LifetimeResult{}, fmt.Errorf("%w: %v", ErrLifetimeInterrupted, err)
-		}
-		if work >= every {
-			if err := save(); err != nil {
-				return LifetimeResult{}, err
-			}
-		}
+	if _, err := run.Run(ctx, 0, 0); err != nil {
+		return LifetimeResult{}, fmt.Errorf("%w: %v", ErrLifetimeInterrupted, err)
 	}
 
 	path, delay := fleetDelayModel()
@@ -320,44 +246,6 @@ func LifetimeCheckpointed(ctx context.Context, o Options, ckpt Checkpoint, every
 		Baseline:       trajectoryFrom("baseline", run.Engines[0]),
 		Penelope:       trajectoryFrom("penelope", run.Engines[1]),
 	}, nil
-}
-
-// fleetPairMagic heads the experiment-level checkpoint: two
-// length-prefixed engine snapshots, baseline then Penelope.
-const fleetPairMagic = "penelope-fleet-pair-v1\n"
-
-// encodeFleetPair frames the pair's two engine snapshots in one buffer
-// sized up front, so a large pair is never copied while it grows.
-func encodeFleetPair(snaps [][]byte) []byte {
-	n := len(fleetPairMagic) + 16 + len(snaps[0]) + len(snaps[1])
-	buf := append(make([]byte, 0, n), fleetPairMagic...)
-	for _, snap := range snaps {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(snap)))
-		buf = append(buf, snap...)
-	}
-	return buf
-}
-
-// decodeFleetPair splits a pair checkpoint into its two engine
-// snapshots, which lifetime.Open decodes and checks against the
-// requested configs. Every rejection wraps ErrBadCheckpoint.
-func decodeFleetPair(data []byte) ([][]byte, error) {
-	rest, ok := bytes.CutPrefix(data, []byte(fleetPairMagic))
-	if !ok {
-		return nil, fmt.Errorf("%w: missing header", ErrBadCheckpoint)
-	}
-	snaps := make([][]byte, 2)
-	for i := range snaps {
-		if len(rest) < 8 || binary.LittleEndian.Uint64(rest) > uint64(len(rest)-8) {
-			return nil, fmt.Errorf("%w: truncated", ErrBadCheckpoint)
-		}
-		n := 8 + binary.LittleEndian.Uint64(rest)
-		snaps[i], rest = rest[8:n], rest[n:]
-	}
-	if len(rest) > 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrBadCheckpoint)
-	}
-	return snaps, nil
 }
 
 // Render writes the lifetime trajectory as text: the measured duty

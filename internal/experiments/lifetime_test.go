@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"penelope/internal/lifetime"
@@ -33,12 +32,11 @@ func marshalLifetime(t *testing.T, r LifetimeResult, o Options) []byte {
 // byte-identical for any engine worker count — Workers is execution
 // policy, not an experiment parameter.
 func TestLifetimeWorkerInvariance(t *testing.T) {
-	// LifetimeCheckpointed bypasses the trajectory memo: the point is
-	// that re-running with different worker counts produces the same
-	// bytes.
+	// LifetimeContext bypasses the trajectory memo: the point is that
+	// re-running with different worker counts produces the same bytes.
 	o := fleetOptions().Normalized()
 	run := func() LifetimeResult {
-		res, err := LifetimeCheckpointed(context.Background(), o, nil, 0)
+		res, err := LifetimeContext(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,41 +118,6 @@ func TestLifetimeResultShape(t *testing.T) {
 	}
 }
 
-// TestLifetimeCheckpointResume is the end-to-end checkpoint guarantee:
-// a run checkpointed mid-flight at epoch k and resumed — with a
-// different worker count — produces a payload byte-identical to an
-// uninterrupted run.
-func TestLifetimeCheckpointResume(t *testing.T) {
-	o := fleetOptions()
-	o.Workers = 2
-	want := marshalLifetime(t, Lifetime(o), o)
-
-	for _, k := range []int{1, 5} {
-		ckpt := &memCheckpoint{}
-		// Interrupt: step both fleets to epoch k and checkpoint, exactly
-		// as a killed LifetimeCheckpointed run would have left it.
-		ckpt.data, _, _ = pairImage(t, o, k)
-
-		o.Workers = 5
-		res, err := LifetimeCheckpointed(context.Background(), o, ckpt, 2)
-		if err != nil {
-			t.Fatalf("resume from epoch %d: %v", k, err)
-		}
-		if got := marshalLifetime(t, res, o); !bytes.Equal(got, want) {
-			t.Fatalf("resume from epoch %d: payload not byte-identical to uninterrupted run", k)
-		}
-		// The completed run leaves a final checkpoint; re-running resumes
-		// from the finished state and still answers identically.
-		res, err = LifetimeCheckpointed(context.Background(), o, ckpt, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := marshalLifetime(t, res, o); !bytes.Equal(got, want) {
-			t.Fatal("re-run from completed checkpoint diverged")
-		}
-	}
-}
-
 // pairEngines builds a baseline/Penelope pair of pop-chip fleets on
 // o's duty profile, each over a single long service phase.
 func pairEngines(t *testing.T, o Options, pop int) (engB, engP *lifetime.Engine) {
@@ -205,119 +168,26 @@ func (c *pollLimitCtx) Err() error {
 	return nil
 }
 
-// memCheckpoint is an in-memory Checkpoint that counts its saves.
-type memCheckpoint struct {
-	data  []byte
-	saves int
-}
-
-func (m *memCheckpoint) Load() ([]byte, error) { return m.data, nil }
-
-func (m *memCheckpoint) Save(data []byte) error {
-	m.data = append([]byte(nil), data...)
-	m.saves++
-	return nil
-}
-
-// TestLifetimeCheckpointPacing pins the checkpoint cadence: saves are
-// paced by chip-epochs of work (both fleets of a pop-P pair step 2P per
-// epoch), there is no save at completion, and cancellation adds exactly
-// one save that resumes to a byte-identical payload.
-func TestLifetimeCheckpointPacing(t *testing.T) {
-	o := fleetOptions()
-	want := marshalLifetime(t, Lifetime(o), o)
-	n := o.Normalized()
-	eng, err := lifetime.New(n.fleetConfig(n.fleetDuties(), false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	epochs, pop := eng.TotalEpochs(), o.Population
-
-	ckpt := &memCheckpoint{}
-	if _, err := LifetimeCheckpointed(context.Background(), o, ckpt, 0); err != nil {
-		t.Fatal(err)
-	}
-	if ckpt.saves != 0 {
-		t.Errorf("default pacing saved %d times over a %d-epoch pop-%d run, want 0", ckpt.saves, epochs, pop)
-	}
-
-	for _, k := range []int{1, 3, 7, epochs + 1} {
-		ckpt := &memCheckpoint{}
-		res, err := LifetimeCheckpointed(context.Background(), o, ckpt, 2*pop*k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ckpt.saves != epochs/k {
-			t.Errorf("every %d epochs of work: %d saves over %d epochs, want %d", k, ckpt.saves, epochs, epochs/k)
-		}
-		if got := marshalLifetime(t, res, o); !bytes.Equal(got, want) {
-			t.Fatalf("every %d epochs of work: payload diverged", k)
-		}
-	}
-
-	const k, polls = 3, 5
-	ckpt = &memCheckpoint{}
-	ctx := &pollLimitCtx{Context: context.Background(), limit: polls}
-	if _, err := LifetimeCheckpointed(ctx, o, ckpt, 2*pop*k); !errors.Is(err, ErrLifetimeInterrupted) {
-		t.Fatalf("interrupted run returned %v, want ErrLifetimeInterrupted", err)
-	}
-	if ckpt.saves != polls/k+1 {
-		t.Errorf("cancelled after %d epochs: %d saves, want %d paced + 1", polls, ckpt.saves, polls/k)
-	}
-	res, err := LifetimeCheckpointed(context.Background(), o, ckpt, 2*pop*k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := marshalLifetime(t, res, o); !bytes.Equal(got, want) {
-		t.Fatal("resumed from the cancellation save: payload not byte-identical to an uninterrupted run")
-	}
-}
-
-// TestLifetimeCheckpointedCtxInterrupted cancels a checkpointed run
-// mid-flight and checks the cancellation path wrote a resumable
-// checkpoint: the resumed run's payload is byte-identical to an
-// uninterrupted one.
-func TestLifetimeCheckpointedCtxInterrupted(t *testing.T) {
+// TestLifetimeContextInterrupted cancels a run after a few epochs: it
+// fails with ErrLifetimeInterrupted, and rerunning the same options
+// recomputes a payload byte-identical to an uninterrupted run.
+func TestLifetimeContextInterrupted(t *testing.T) {
 	o := fleetOptions()
 	want := marshalLifetime(t, Lifetime(o), o)
 
-	ckpt := &memCheckpoint{}
 	ctx := &pollLimitCtx{Context: context.Background(), limit: 5}
-	_, err := LifetimeCheckpointed(ctx, o, ckpt, 4)
-	if !errors.Is(err, ErrLifetimeInterrupted) {
+	if _, err := LifetimeContext(ctx, o); !errors.Is(err, ErrLifetimeInterrupted) {
 		t.Fatalf("interrupted run returned %v, want ErrLifetimeInterrupted", err)
 	}
-	if ckpt.data == nil {
-		t.Fatal("cancellation did not leave a checkpoint")
+	if ctx.polls != ctx.limit+1 {
+		t.Errorf("run polled ctx %d times, want one poll per epoch until the cancelling one (%d)", ctx.polls, ctx.limit+1)
 	}
-
-	res, err := LifetimeCheckpointed(context.Background(), o, ckpt, 4)
+	res, err := LifetimeContext(context.Background(), o)
 	if err != nil {
-		t.Fatalf("resume after interruption: %v", err)
+		t.Fatalf("rerun after interruption: %v", err)
 	}
 	if got := marshalLifetime(t, res, o); !bytes.Equal(got, want) {
-		t.Fatal("resumed payload not byte-identical to uninterrupted run")
-	}
-}
-
-// TestLifetimeCheckpointRejectsMismatch requires a stale checkpoint
-// from different options to fail loudly instead of answering.
-func TestLifetimeCheckpointRejectsMismatch(t *testing.T) {
-	o := fleetOptions()
-	ckpt := &memCheckpoint{}
-	if _, err := LifetimeCheckpointed(context.Background(), o, ckpt, 4); err != nil {
-		t.Fatal(err)
-	}
-	other := o
-	other.Population = o.Population + 1
-	if _, err := LifetimeCheckpointed(context.Background(), other, ckpt, 4); !errors.Is(err, ErrBadCheckpoint) ||
-		!strings.Contains(err.Error(), "different options") {
-		t.Fatalf("mismatched checkpoint accepted (err = %v)", err)
-	}
-	// Corrupt magic fails loudly too.
-	ckpt.data = []byte("garbage")
-	if _, err := LifetimeCheckpointed(context.Background(), o, ckpt, 4); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("corrupt checkpoint accepted (err = %v)", err)
+		t.Fatal("recomputed payload not byte-identical to an uninterrupted run")
 	}
 }
 

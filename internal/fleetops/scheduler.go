@@ -679,7 +679,7 @@ func (s *Scheduler) runTick(ctx context.Context, p *population) tickResult {
 		if err != nil {
 			return tickResult{err: fmt.Errorf("building engine config: %w", err)}
 		}
-		if run, err = lifetime.Open(nil, cfg); err != nil {
+		if run, err = lifetime.Open(cfg); err != nil {
 			return tickResult{err: fmt.Errorf("building engine: %w", err)}
 		}
 		run.Workers = s.cfg.Workers

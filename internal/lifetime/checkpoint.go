@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 )
 
 // checkpointMagic versions the checkpoint layout. Bump it whenever the
@@ -200,37 +199,21 @@ func FromSnapshot(data []byte) (*Engine, error) {
 	return e, nil
 }
 
-// ErrBadCheckpoint reports saved state that cannot resume the requested
-// run: it does not decode, or it decodes to a different config. Retrying
-// cannot help; whoever owns the bytes sets them aside and starts over.
-var ErrBadCheckpoint = errors.New("lifetime: bad checkpoint")
-
 // Driver steps engines through their schedules together — a lifetime
 // job's baseline/Penelope pair, or one continuously aged fleet — and is
-// the one place engines are resumed or built, stepped under a context
-// and snapshotted. Callers decide where the bytes live and when to write.
+// the one place engines are built and stepped under a context.
 type Driver struct {
 	Engines []*Engine
 	Workers int // each engine step's fan-out (<=0 uses GOMAXPROCS)
 }
 
-// Open returns a driver over one engine per config, restored from
-// saved — one Snapshot payload per config, in order — or built at
-// epoch 0 when saved is nil. Saved state that does not decode, or was
-// written for a config other than the requested one, fails with
-// ErrBadCheckpoint: a stale checkpoint never answers for other options.
-func Open(saved [][]byte, cfgs ...Config) (*Driver, error) {
+// Open returns a driver over one engine per config, each at epoch 0.
+func Open(cfgs ...Config) (*Driver, error) {
 	d := &Driver{Engines: make([]*Engine, len(cfgs))}
 	for i, cfg := range cfgs {
 		var err error
-		if saved == nil {
-			if d.Engines[i], err = New(cfg); err != nil {
-				return nil, err
-			}
-		} else if d.Engines[i], err = FromSnapshot(saved[i]); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
-		} else if !reflect.DeepEqual(d.Engines[i].cfg, cfg) {
-			return nil, fmt.Errorf("%w: written for different options", ErrBadCheckpoint)
+		if d.Engines[i], err = New(cfg); err != nil {
+			return nil, err
 		}
 	}
 	return d, nil
@@ -266,16 +249,4 @@ func (d *Driver) Done() bool {
 		}
 	}
 	return true
-}
-
-// Snapshots returns each engine's Snapshot, in order.
-func (d *Driver) Snapshots() ([][]byte, error) {
-	snaps := make([][]byte, len(d.Engines))
-	for i, e := range d.Engines {
-		var err error
-		if snaps[i], err = e.Snapshot(); err != nil {
-			return nil, fmt.Errorf("lifetime: serializing checkpoint: %w", err)
-		}
-	}
-	return snaps, nil
 }

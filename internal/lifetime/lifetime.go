@@ -21,10 +21,10 @@
 // guardband, violation fractions against a provisioned guardband
 // budget, and the lifetime-yield curve those violations trace out.
 //
-// The engine is epoch-major so long jobs checkpoint at epoch
-// boundaries: population state is a flat array of trap densities plus a
-// violation bitset, serialized with Engine.Snapshot and restored
-// bit-exactly with FromSnapshot. Within an epoch the
+// The engine is epoch-major, so a run stops, and a fleet resumes by
+// replay, at epoch boundaries: population state is a flat array of trap
+// densities plus a violation bitset, serialized with Engine.Snapshot and
+// restored bit-exactly with FromSnapshot. Within an epoch the
 // population shards across a worker pool in the pipeline.RunBatch
 // style; every aggregate is accumulated in fixed-point integers, so
 // results are bit-identical for any worker count or scheduling order.
@@ -54,8 +54,7 @@ type Phase struct {
 }
 
 // Config parameterizes a fleet simulation. All fields participate in
-// the checkpoint header; two configs must be equal for a checkpoint to
-// resume.
+// the Snapshot header.
 type Config struct {
 	// Structures names the per-chip aged structures; every phase's Duty
 	// slice is indexed by it.

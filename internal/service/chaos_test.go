@@ -15,8 +15,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -266,8 +264,7 @@ func TestChaosKillRestartServesFromDisk(t *testing.T) {
 }
 
 // pollCtx cancels after a fixed number of Err() polls — the
-// deterministic way to interrupt a checkpointing lifetime run at an
-// exact epoch.
+// deterministic way to interrupt a lifetime run at an exact epoch.
 type pollCtx struct {
 	context.Context
 	polls, limit int
@@ -282,10 +279,9 @@ func (c *pollCtx) Err() error {
 }
 
 // TestChaosLifetimeResumeAcrossRestart is the end-to-end resume
-// guarantee: a lifetime job killed mid-run leaves a checkpoint and a
-// job record; the next boot resumes it automatically from the
-// checkpointed epoch; and the final payload is byte-identical to an
-// uninterrupted run.
+// guarantee: a lifetime job killed mid-run leaves its job record; the
+// next boot resubmits it automatically and recomputes it from epoch 0;
+// and the final payload is byte-identical to an uninterrupted run.
 func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real fleet lifetime engine")
@@ -300,21 +296,15 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 	canon := spec.CanonicalOptions(o)
 	key := service.ResultKey("lifetime", canon)
 
-	// Phase 1: the runner mimics a process dying mid-run — the
-	// checkpointed engine advances a handful of epochs under a counted
-	// context, persists its state, and the job fails as interrupted.
-	// Because it never completes, the resumable job record stays on
-	// disk, exactly as kill -9 would leave things.
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt := st.Slot(store.KindJobCheckpoint, key)
+	// Phase 1: the runner mimics a process dying mid-run — the engine
+	// advances a handful of epochs under a counted context, and the job
+	// fails as interrupted. Because it never completes, the resumable
+	// job record stays on disk, exactly as kill -9 would leave things.
 	s1, err := service.New(service.Config{
 		Workers: 1, DataDir: dir,
 		Runner: func(_ context.Context, experiment string, opts experiments.Options) (experiments.Result, error) {
 			limited := &pollCtx{Context: context.Background(), limit: 4}
-			return experiments.LifetimeCheckpointed(limited, opts, ckpt, 1)
+			return experiments.LifetimeContext(limited, opts)
 		},
 	})
 	if err != nil {
@@ -338,7 +328,7 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 		!strings.Contains(done.Error, "interrupted") {
 		t.Fatalf("phase 1 job = %+v, want interrupted failure", done)
 	}
-	if len(st.Records(store.KindJob, nil)) != 1 {
+	if len(s1.Store().Records(store.KindJob, nil)) != 1 {
 		t.Fatal("no resumable job record left behind")
 	}
 	ts1.Close() // kill -9: no graceful Close
@@ -374,7 +364,7 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("resumed lifetime payload not byte-identical to an uninterrupted run")
+		t.Fatal("recomputed lifetime payload not byte-identical to an uninterrupted run")
 	}
 
 	// The resume bookkeeping: counted, and the sidecar cleaned up.
@@ -491,22 +481,22 @@ func TestChaosQueuedLifetimeSurvivesCrash(t *testing.T) {
 	}
 }
 
-// TestChaosGracefulCloseCheckpoints drives the cooperative-shutdown
-// path: Close cancels an in-flight checkpointed lifetime run, which
-// persists its state within the drain grace instead of being lost.
-func TestChaosGracefulCloseCheckpoints(t *testing.T) {
+// TestChaosGracefulCloseKeepsJobRecord drives the cooperative-shutdown
+// path: Close cancels an in-flight lifetime run and returns without
+// waiting for it to save anything. Either the run finished first
+// (result stored) or its job record stays for the next boot to
+// recompute.
+func TestChaosGracefulCloseKeepsJobRecord(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real fleet lifetime engine")
 	}
 	dir := t.TempDir()
 	o := experiments.Options{
 		TraceLength: 2000, TraceStride: 120,
-		Population: 900, Years: 3, EpochDays: 45,
+		Population: 20000, Years: 7, EpochDays: 30,
 		VariationSigma: 0.1, FleetSeed: 5,
 	}
-	s, err := service.New(service.Config{
-		Workers: 1, DataDir: dir, CheckpointEvery: 1,
-	})
+	s, err := service.New(service.Config{Workers: 1, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,36 +517,34 @@ func TestChaosGracefulCloseCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait for the first checkpoint write — proof the engine is mid-run
-	// — then pull the plug gracefully.
-	ckpt := filepath.Join(dir, "checkpoints", key+".ckpt")
+	// Wait until a worker has the job, then pull the plug gracefully.
 	deadline := time.Now().Add(120 * time.Second)
 	for {
-		if _, err := os.Stat(ckpt); err == nil {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jsonDecode(resp, &job); err != nil {
+			t.Fatal(err)
+		}
+		if job.State == service.StateRunning {
 			break
 		}
-		if s.Store().Has(key) {
-			t.Skip("run completed before the shutdown raced it; nothing to drain")
+		if job.State != service.StateQueued {
+			t.Skipf("run ended (%s) before the shutdown raced it; nothing to drain", job.State)
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint ever written")
+			t.Fatal("job never started")
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 	start := time.Now()
 	s.Close()
 	if took := time.Since(start); took > 30*time.Second {
 		t.Fatalf("graceful close took %v", took)
 	}
-	// Either the run finished during the drain (result stored) or it
-	// was interrupted with its state checkpointed for the next boot.
-	if !s.Store().Has(key) {
-		if _, err := os.Stat(ckpt); err != nil {
-			t.Fatalf("close lost the in-flight run: no result and no checkpoint (%v)", err)
-		}
-		if len(s.Store().Records(store.KindJob, nil)) != 1 {
-			t.Error("interrupted run left no resumable job record")
-		}
+	if !s.Store().Has(key) && len(s.Store().Records(store.KindJob, nil)) != 1 {
+		t.Error("interrupted run left neither a result nor a resumable job record")
 	}
 }
 

@@ -3,8 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -16,34 +16,36 @@ import (
 	"penelope/internal/lifetime"
 )
 
-// rawCheckpoint writes a lifetime pair checkpoint the way earlier
-// versions of the server did: straight to its file under the data dir.
-type rawCheckpoint string
-
-func (p rawCheckpoint) Load() ([]byte, error) { return nil, nil }
-
-func (p rawCheckpoint) Save(data []byte) error { return os.WriteFile(string(p), data, 0o644) }
-
-// stopAfter cancels after a fixed number of Err polls: the lifetime
-// driver polls once per epoch step, so it stops at an exact epoch.
-type stopAfter struct {
-	context.Context
-	polls int
-}
-
-func (c *stopAfter) Err() error {
-	if c.polls--; c.polls < 0 {
-		return context.Canceled
+// earlierJobSnapshot returns the snapshot an earlier binary kept for a
+// lifetime job interrupted after `epochs` epochs: both engines'
+// Snapshots, length-prefixed under the penelope-fleet-pair-v1 header.
+// No current code reads one.
+func earlierJobSnapshot(t *testing.T, o experiments.Options, epochs int) []byte {
+	t.Helper()
+	run, err := lifetime.Open(experiments.FleetConfig(o, false), experiments.FleetConfig(o, true))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return nil
+	run.Run(context.Background(), epochs, 0)
+	out := []byte("penelope-fleet-pair-v1\n")
+	for _, e := range run.Engines {
+		snap, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(snap)))
+		out = append(out, snap...)
+	}
+	return out
 }
 
 // TestBootResumesEarlierLayout boots over a data dir whose sidecars
 // were written as raw files in the established layout — a fleet
 // registration with its engine checkpoint, and an interrupted lifetime
-// job's record with its pair checkpoint — and requires both to resume:
-// the fleet from its checkpointed epoch, the job to a payload
-// byte-identical to an uninterrupted run.
+// job's record with the pair snapshot earlier binaries kept beside it —
+// and requires both to resume: the fleet from its checkpointed epoch,
+// the job by recomputing to a payload byte-identical to an
+// uninterrupted run. The job snapshot is left where it was, unread.
 func TestBootResumesEarlierLayout(t *testing.T) {
 	dir := t.TempDir()
 	for _, sub := range []string{"checkpoints", "fleets"} {
@@ -71,10 +73,9 @@ func TestBootResumesEarlierLayout(t *testing.T) {
 	spec, _ := experiments.Lookup("lifetime")
 	canon := spec.CanonicalOptions(o)
 	key := ResultKey("lifetime", canon)
-	ckpt := rawCheckpoint(filepath.Join(dir, "checkpoints", key+".ckpt"))
-	if _, err := experiments.LifetimeCheckpointed(&stopAfter{context.Background(), 2}, canon, ckpt, 1); !errors.Is(err, experiments.ErrLifetimeInterrupted) {
-		t.Fatalf("interrupting the job: %v", err)
-	}
+	jobSnap := earlierJobSnapshot(t, canon, 2)
+	ckpt := filepath.Join(dir, "checkpoints", key+".ckpt")
+	writeFile(t, ckpt, jobSnap)
 	optJSON, err := json.Marshal(canon)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +101,10 @@ func TestBootResumesEarlierLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bytes.TrimSpace(got), bytes.TrimSpace(want)) {
-		t.Error("resumed lifetime payload not byte-identical to an uninterrupted run")
+		t.Error("recomputed lifetime payload not byte-identical to an uninterrupted run")
+	}
+	if left, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(left, jobSnap) {
+		t.Errorf("earlier job snapshot not left as it was (%v)", err)
 	}
 
 	st := waitForStatus(t, ts.URL, "pop", func(st fleetops.Status) bool { return st.Epoch > 0 })
@@ -141,13 +145,13 @@ func TestFleetRegisterUnpersisted503(t *testing.T) {
 	}
 }
 
-// TestCorruptJobCheckpointQuarantined puts a job checkpoint that
-// LifetimeCheckpointed must reject under a lifetime job's key, once as
-// garbage bytes and once as a real pair checkpoint written for
-// different options. The job must still answer, byte-identical to an
-// uninterrupted run, with the bad checkpoint quarantined and no job
-// record left to resubmit at the next boot.
-func TestCorruptJobCheckpointQuarantined(t *testing.T) {
+// TestStaleJobCheckpointIgnored puts a job snapshot of the kind earlier
+// binaries wrote under a lifetime job's key, once as garbage bytes and
+// once as a real pair snapshot written for different options. Neither
+// is read: the job answers byte-identical to an uninterrupted run,
+// nothing is quarantined, no job record is left to resubmit at the next
+// boot, and the stale file stays as it was.
+func TestStaleJobCheckpointIgnored(t *testing.T) {
 	o := experiments.Options{TraceLength: 900, TraceStride: 531, Population: 200, Years: 0.5, EpochDays: 30, FleetSeed: 9}
 	spec, _ := experiments.Lookup("lifetime")
 	canon := spec.CanonicalOptions(o)
@@ -164,19 +168,15 @@ func TestCorruptJobCheckpointQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	other := canon
+	other.FleetSeed++
 
 	for _, tc := range []struct {
 		name  string
-		write func(path string)
+		stale []byte
 	}{
-		{"garbage", func(path string) { writeFile(t, path, []byte("garbage")) }},
-		{"other options", func(path string) {
-			other := canon
-			other.FleetSeed++
-			if _, err := experiments.LifetimeCheckpointed(&stopAfter{context.Background(), 2}, other, rawCheckpoint(path), 1); !errors.Is(err, experiments.ErrLifetimeInterrupted) {
-				t.Fatalf("writing the mismatched checkpoint: %v", err)
-			}
-		}},
+		{"garbage", []byte("garbage")},
+		{"other options", earlierJobSnapshot(t, other, 2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -184,11 +184,7 @@ func TestCorruptJobCheckpointQuarantined(t *testing.T) {
 			if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			tc.write(ckpt)
-			bad, err := os.ReadFile(ckpt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			writeFile(t, ckpt, tc.stale)
 			s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
 
 			var job Job
@@ -200,25 +196,23 @@ func TestCorruptJobCheckpointQuarantined(t *testing.T) {
 				return job.State == StateDone || job.State == StateFailed
 			})
 			if job.State != StateDone {
-				t.Fatalf("job over a bad checkpoint %s: %s", job.State, job.Error)
+				t.Fatalf("job over a stale snapshot %s: %s", job.State, job.Error)
 			}
 			var got json.RawMessage
 			if code := getJSON(t, ts.URL+"/v1/results/"+key, &got); code != http.StatusOK {
 				t.Fatalf("result: status %d", code)
 			}
 			if !bytes.Equal(bytes.TrimSpace(got), bytes.TrimSpace(want)) {
-				t.Error("payload after quarantine not byte-identical to an uninterrupted run")
+				t.Error("payload over a stale snapshot not byte-identical to an uninterrupted run")
 			}
-			if kept, err := os.ReadFile(ckpt + ".quarantine"); err != nil || !bytes.Equal(kept, bad) {
-				t.Errorf("bad checkpoint not kept aside as .quarantine (%v)", err)
+			if left, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(left, tc.stale) {
+				t.Errorf("stale snapshot not left as it was (%v)", err)
 			}
-			for _, left := range []string{ckpt, filepath.Join(dir, "checkpoints", key+".job")} {
-				if _, err := os.Stat(left); !os.IsNotExist(err) {
-					t.Errorf("%s survived the finished job (%v)", filepath.Base(left), err)
-				}
+			if _, err := os.Stat(filepath.Join(dir, "checkpoints", key+".job")); !os.IsNotExist(err) {
+				t.Errorf("job record survived the finished job (%v)", err)
 			}
-			if q := s.Store().Stats().Quarantined; q != 1 {
-				t.Errorf("store quarantined %d files, want 1", q)
+			if q := s.Store().Stats().Quarantined; q != 0 {
+				t.Errorf("store quarantined %d files, want 0", q)
 			}
 		})
 	}

@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"penelope/internal/experiments"
@@ -133,6 +135,80 @@ func TestEvictedResultReadsThroughStore(t *testing.T) {
 	}
 	if d := after.Store.Hits - before.Store.Hits; d != 1 {
 		t.Errorf("%d store hits, want 1", d)
+	}
+}
+
+// TestResultFetchMakesKeyResident checks that GET /v1/results/{key}
+// reads an evicted key through the store once and makes it resident:
+// three fetches cost one store read, and the key stays resident.
+func TestResultFetchMakesKeyResident(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir(), Runner: blobRunner})
+	first := submitDone(t, ts.URL, smallJob)
+	_, want := getRaw(t, ts.URL+"/v1/results/"+first.ResultKey)
+	floodResults(t, s, ts.URL)
+	if _, ok := s.results.Get(first.ResultKey); ok {
+		t.Fatal("flood left the first result resident")
+	}
+
+	before := s.store.Stats()
+	for i := 0; i < 3; i++ {
+		code, got := getRaw(t, ts.URL+"/v1/results/"+first.ResultKey)
+		if code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("fetch %d: status %d, payload equal %v", i, code, bytes.Equal(got, want))
+		}
+	}
+	if d := s.store.Stats().Hits - before.Hits; d != 1 {
+		t.Errorf("3 fetches made %d store reads, want 1", d)
+	}
+	if _, ok := s.results.Get(first.ResultKey); !ok {
+		t.Error("fetched key not resident afterwards")
+	}
+}
+
+// TestResultFetchRacesResubmit fetches and resubmits an evicted key
+// from several goroutines at once: every fetch answers the stored
+// bytes, every job completes without error, and nothing re-simulates.
+func TestResultFetchRacesResubmit(t *testing.T) {
+	runs := map[string]int{} // written by the single worker only
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir(), Runner: countingBlobRunner(runs)})
+	first := submitDone(t, ts.URL, smallJob)
+	_, want := getRaw(t, ts.URL+"/v1/results/"+first.ResultKey)
+	floodResults(t, s, ts.URL)
+
+	h := s.Handler()
+	jobs := make([]*Job, 4)
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/results/"+first.ResultKey, nil))
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Errorf("concurrent fetch: status %d, payload equal %v", rec.Code, bytes.Equal(rec.Body.Bytes(), want))
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			job, err := s.submit("racer", first.Experiment, first.Options, "")
+			if err != nil {
+				t.Errorf("concurrent resubmit: %v", err)
+			}
+			jobs[i] = job
+		}()
+	}
+	wg.Wait()
+	for _, job := range jobs {
+		if job == nil {
+			continue
+		}
+		waitFor(t, func() bool { st := s.snapshot(job).State; return st == StateDone || st == StateFailed })
+		if snap := s.snapshot(job); snap.State != StateDone {
+			t.Errorf("resubmitted job %s: %s", snap.State, snap.Error)
+		}
+	}
+	if runs[first.ResultKey] != 1 {
+		t.Errorf("stored key re-simulated %d times", runs[first.ResultKey]-1)
 	}
 }
 

@@ -23,12 +23,12 @@ import (
 	"penelope/internal/store"
 )
 
-// Runner executes one experiment. The default runs the registry driver
-// (routing lifetime jobs through the checkpointed, cancellable path
-// when persistence is on); tests substitute instrumented runners to
-// count, gate and fail simulations. The context is cancelled on
-// job timeout and on server shutdown; cooperative runners should
-// persist what they can and return promptly.
+// Runner executes one experiment. The default runs the registry driver,
+// routing lifetime jobs through the cancellable path; tests substitute
+// instrumented runners to count, gate and fail simulations. The context
+// is cancelled on job timeout and on server shutdown; cooperative
+// runners should return promptly. An interrupted job keeps nothing but
+// its job record: the next boot recomputes it.
 type Runner func(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error)
 
 // Config tunes a Server.
@@ -57,13 +57,14 @@ type Config struct {
 	// written through the result memo to a content-addressed disk store
 	// under this directory, and served from it after an eviction or a
 	// restart.
-	// Lifetime jobs checkpoint there and resume automatically at the
-	// next boot if interrupted. Empty keeps the server fully in-memory.
+	// Lifetime jobs record themselves there when admitted, and an
+	// interrupted one is recomputed at the next boot. Empty keeps the
+	// server fully in-memory.
 	DataDir string
 	// StoreBudget bounds the disk store's result-cache payload bytes:
 	// past it the least-recently-used cached results are evicted, and a
 	// result write that still cannot fit is shed (the job itself
-	// succeeds; only its cache entry is lost). Checkpoints and fleet
+	// succeeds; only its cache entry is lost). Job records and fleet
 	// sidecars are never budget-evicted or refused. 0 is unbounded.
 	StoreBudget int64
 	// StoreRetention evicts cached results unused for longer than this,
@@ -82,12 +83,6 @@ type Config struct {
 	// JobTimeout bounds one runner attempt; a job past it fails with a
 	// timeout error and its context is cancelled. 0 = unbounded.
 	JobTimeout time.Duration
-	// CheckpointEvery is the lifetime checkpoint cadence in chip-epochs
-	// of work (a pop-P job steps 2P per epoch) when persistence is on; a
-	// kill -9 loses at most that much work. 0 means
-	// experiments.DefaultCheckpointWork (2^25), which a job of a few
-	// thousand chips never reaches, so it writes no checkpoint.
-	CheckpointEvery int
 	// SweepRetention keeps a finished sweep's event topic (and its
 	// resume ring) alive after the "done" event so late subscribers can
 	// still replay it; past that the topic is dropped so a long-lived
@@ -152,9 +147,8 @@ func residentResultBudget(cfg Config) int64 {
 	return resultBudget
 }
 
-// drainGrace bounds how long Close waits for a cancelled in-flight job
-// to persist its state and return. The fleet scheduler stops every
-// registered population within the same grace.
+// drainGrace bounds how long Close waits for the fleet scheduler to
+// stop every registered population at its last persisted cursor.
 const drainGrace = 5 * time.Second
 
 // Server is the experiment service: it validates requests against the
@@ -325,27 +319,12 @@ func (s *Server) initFleetops() {
 
 // registryRunner is the default Runner: the experiments registry, with
 // lifetime jobs routed through the cancellable driver so a timeout or
-// shutdown stops them mid-fleet. With persistence on they checkpoint to
-// the store, so a crash or shutdown resumes instead of restarting. A
-// checkpoint that does not decode or does not match the options
-// (experiments.ErrBadCheckpoint) is quarantined and the job reruns
-// from epoch 0, so one bad file never fails its result key on every
-// submission and every boot.
+// shutdown stops them mid-fleet.
 func (s *Server) registryRunner(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 	if experiment != "lifetime" {
 		return experiments.Run(experiment, o)
 	}
-	if s.store == nil {
-		return experiments.LifetimeCheckpointed(ctx, o, nil, s.cfg.CheckpointEvery)
-	}
-	key := ResultKey(experiment, o)
-	ckpt := s.store.Slot(store.KindJobCheckpoint, key)
-	res, err := experiments.LifetimeCheckpointed(ctx, o, ckpt, s.cfg.CheckpointEvery)
-	if errors.Is(err, experiments.ErrBadCheckpoint) {
-		s.store.QuarantineRecord(store.KindJobCheckpoint, key, err)
-		res, err = experiments.LifetimeCheckpointed(ctx, o, ckpt, s.cfg.CheckpointEvery)
-	}
-	return res, err
+	return experiments.LifetimeContext(ctx, o)
 }
 
 // jobRecord is the record (store.KindJob, named by result key) written
@@ -384,18 +363,18 @@ func decodeJobRecord(name string, data []byte) (rec jobRecord, o experiments.Opt
 	return rec, o, err
 }
 
-// removeJob deletes a finished job's record and lifetime checkpoint.
+// removeJob deletes a finished job's record.
 func (s *Server) removeJob(key string) {
 	s.store.RemoveRecord(store.KindJob, key)
-	s.store.RemoveRecord(store.KindJobCheckpoint, key)
 }
 
 // recoverInterrupted resubmits every resumable job record found on disk
 // whose result is not already stored: jobs that were queued or running
-// when the previous process died. Lifetime jobs resume from their
-// checkpoints inside the driver. Records that do not decode, or that a
-// submission would refuse (an over-limit record would otherwise crash
-// every boot that replays it), are quarantined by the store.
+// when the previous process died. Each recomputes from epoch 0 to the
+// bytes it would have produced uninterrupted. Records that do not
+// decode, or that a submission would refuse (an over-limit record would
+// otherwise crash every boot that replays it), are quarantined by the
+// store.
 func (s *Server) recoverInterrupted() {
 	if s.store == nil {
 		return
@@ -445,10 +424,10 @@ func (s *Server) Store() *store.Store { return s.store }
 // Close shuts down gracefully: new submissions fail with a
 // shutting-down error, the fleet scheduler stops every registered
 // population at its last persisted cursor (bounded by drainGrace),
-// in-flight job contexts are cancelled (the checkpointed lifetime
-// driver persists its state before returning, also bounded by
-// drainGrace), queued jobs drain as fast failures, and pending alerts
-// flush through the delivery pipeline. Idempotent.
+// in-flight jobs fail at once with their contexts cancelled (a lifetime
+// job keeps its record, so the next boot recomputes it), queued jobs
+// drain as fast failures, and pending alerts flush through the delivery
+// pipeline. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.closed.Store(true)
@@ -638,23 +617,14 @@ func (s *Server) runOnce(job *Job) ([]byte, error) {
 	case out := <-ch:
 		return out.payload, out.err
 	case <-ctx.Done():
+		// The runner goroutine may outlive the attempt (it is leaked
+		// until it returns); ctx cancellation asks cooperative drivers
+		// to stop early. Shutdown waits for nothing: an interrupted
+		// lifetime job's record resubmits it at the next boot.
 		if s.closed.Load() {
-			// Graceful shutdown: give a cooperative runner (the
-			// checkpointed lifetime driver) a bounded grace period to
-			// persist its state and return.
-			select {
-			case out := <-ch:
-				if out.err == nil {
-					return out.payload, nil
-				}
-			case <-time.After(drainGrace):
-			}
 			return nil, errShuttingDown
 		}
 		s.obs.timeouts.Inc()
-		// The runner goroutine may outlive the attempt (it is leaked
-		// until it returns); ctx cancellation asks cooperative drivers
-		// to stop early.
 		return nil, fmt.Errorf("service: job exceeded timeout %s", s.cfg.JobTimeout)
 	}
 }
@@ -1208,9 +1178,20 @@ func (s *Server) result(key string) ([]byte, bool) {
 	return s.store.Get(key)
 }
 
+// handleResult serves a completed payload by key. One read through the
+// store makes the key resident again, so repeated fetches of an evicted
+// key cost one disk read. Only an absent key is completed here: a key a
+// submission holds, in flight or resident, is left to it.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	payload, ok := s.result(key)
+	payload, ok := s.results.Get(key)
+	if !ok && s.store != nil {
+		if payload, ok = s.store.Get(key); ok {
+			if entry, leader, _ := s.results.Acquire(key); leader {
+				s.results.Complete(entry, payload, nil)
+			}
+		}
+	}
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no completed result for key %q", key))
 		return

@@ -612,3 +612,37 @@ func TestFleetKnobsCanonicalizedForTraceExperiments(t *testing.T) {
 		t.Error("lifetime canonicalization dropped the population knob")
 	}
 }
+
+// TestCloseDoesNotWaitForRunner closes a server whose one in-flight job
+// runs a runner that ignores its context. Close must not wait for it:
+// the job fails as shutting down and Close returns well inside
+// drainGrace.
+func TestCloseDoesNotWaitForRunner(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	defer close(release) // let the abandoned runner return once the test is done
+	s, err := New(Config{
+		Workers:         1,
+		HistoryInterval: -1,
+		Runner: func(context.Context, string, experiments.Options) (experiments.Result, error) {
+			close(started)
+			<-release
+			return fakeResult{Name: "fig4"}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := s.submit("tester", "fig4", experiments.Options{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	start := time.Now()
+	s.Close()
+	if took := time.Since(start); took > drainGrace/10 {
+		t.Fatalf("Close took %v with a runner that ignores ctx, want well under %v", took, drainGrace)
+	}
+	if snap := s.snapshot(job); snap.State != StateFailed || snap.Error != errShuttingDown.Error() {
+		t.Errorf("in-flight job after Close: %s %q, want failed with %q", snap.State, snap.Error, errShuttingDown)
+	}
+}

@@ -214,18 +214,13 @@ func TestCrashMatrixRemoveJob(t *testing.T) {
 			if err := s.PutRecord(KindJob, key(0), rec); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.PutRecord(KindJobCheckpoint, key(0), []byte("ckpt")); err != nil {
-				t.Fatal(err)
-			}
 		},
 		op: func(s *Store) error {
 			s.RemoveRecord(KindJob, key(0))
-			s.RemoveRecord(KindJobCheckpoint, key(0))
 			return nil
 		},
 		check: func(t *testing.T, s *Store) {
 			recordIs(t, s, KindJob, key(0), nil, rec)
-			recordIs(t, s, KindJobCheckpoint, key(0), nil, []byte("ckpt"))
 		},
 	})
 }

@@ -1,8 +1,8 @@
 // Package store is the crash-safe persistence layer under the
 // experiment service: a content-addressed blob store for completed
 // result payloads plus the sidecar records (resumable job records,
-// lifetime job checkpoints, fleet registrations and fleet checkpoints)
-// that let `penelope serve` survive a hard kill. Sidecars share one
+// fleet registrations and legacy fleet checkpoints) that let
+// `penelope serve` survive a hard kill. Sidecars share one
 // record API — PutRecord, ReadRecord, Records, RemoveRecord — over the
 // closed set of Kinds; each kind's bytes belong to the module that
 // writes them. Every write is atomic — temp file, fsync, rename,
@@ -16,7 +16,7 @@
 // visibility. The result cache is the degradable class: an optional
 // disk budget LRU-evicts cached results (never sidecar records),
 // refusing new result writes — and reporting Degraded —
-// before any checkpoint write is ever shed, and a background scrubber
+// before any record write is ever shed, and a background scrubber
 // re-verifies frames on an interval, quarantining rot.
 package store
 
@@ -45,7 +45,7 @@ const resultMagic = "penelope-store-v1\n"
 const resultExt = ".res"
 
 // ErrBudget reports a result write refused because the store is at its
-// disk budget and eviction could not make room. Checkpoint and fleet
+// disk budget and eviction could not make room. Job and fleet record
 // writes are never refused for budget reasons — results are shed
 // first, always.
 var ErrBudget = errors.New("store: result budget exhausted")
@@ -112,7 +112,7 @@ type Config struct {
 	// Budget bounds the resident result payload bytes; past it the
 	// least-recently-used results are evicted down to the low
 	// watermark (7/8 of Budget), and a write that still cannot fit is
-	// refused with ErrBudget. Checkpoints and fleet sidecars are never
+	// refused with ErrBudget. Job records and fleet sidecars are never
 	// evicted and never refused. 0 means unbounded.
 	Budget int64
 	// Retention evicts results unused for longer than this (checked at
@@ -139,10 +139,13 @@ type entry struct {
 // data directory:
 //
 //	<dir>/results/<key>.res      checksum-framed result payloads
-//	<dir>/checkpoints/<key>.ckpt fleet checkpoints of in-flight jobs
 //	<dir>/checkpoints/<key>.job  resumable job records
 //	<dir>/fleets/<name>.fleet    scheduled fleets: registration and epoch cursor
 //	<dir>/fleets/<name>.ckpt     legacy fleet engine checkpoints, read once at boot
+//
+// A <dir>/checkpoints/<key>.ckpt is a lifetime job snapshot written by
+// an earlier binary. Nothing reads it: an interrupted job recomputes
+// from its .job record, so such a file is safe to delete.
 //
 // The in-memory index is rebuilt by scanning (and verifying) the
 // results directory on Open, so the directory itself is the source of
@@ -326,7 +329,7 @@ func ValidKey(key string) bool {
 // never a half-written file under the final name. Under a disk budget
 // Put first evicts least-recently-used results to make room and
 // refuses with ErrBudget when it cannot — shedding the result cache
-// before any checkpoint write is ever at risk.
+// before any record write is ever at risk.
 func (s *Store) Put(key string, payload []byte) (err error) {
 	if !ValidKey(key) {
 		return fmt.Errorf("store: invalid result key %q", key)
@@ -471,7 +474,7 @@ func (s *Store) evictLocked(el *list.Element, expired bool) {
 
 // shedLocked evicts least-recently-used results until the resident
 // bytes drop to target. exclude (the key being written) is never
-// evicted; checkpoints and fleet sidecars live outside this index and
+// evicted; job records and fleet sidecars live outside this index and
 // are untouchable by construction.
 func (s *Store) shedLocked(target int64, exclude string) {
 	for el := s.lru.Front(); el != nil && s.bytes > target; {
@@ -591,7 +594,6 @@ type Kind uint8
 
 const (
 	KindJob             Kind = iota // a resumable job's resubmission record
-	KindJobCheckpoint               // an in-flight lifetime job's fleet pair checkpoint
 	KindFleet                       // a scheduled fleet's registration and epoch cursor
 	KindFleetCheckpoint             // a legacy fleet engine checkpoint, migrated once at boot
 	numKinds
@@ -600,7 +602,6 @@ const (
 // kinds maps each Kind to its directory, extension and log label.
 var kinds = [numKinds]struct{ dir, ext, label string }{
 	KindJob:             {"checkpoints", ".job", "job record"},
-	KindJobCheckpoint:   {"checkpoints", ".ckpt", "job checkpoint"},
 	KindFleet:           {"fleets", ".fleet", "fleet registration"},
 	KindFleetCheckpoint: {"fleets", ".ckpt", "fleet checkpoint"},
 }
@@ -729,23 +730,6 @@ func (s *Store) RemoveRecord(k Kind, name string) {
 	delete(s.names[k], name)
 	s.mu.Unlock()
 }
-
-// Slot is the load/save view of one record: the experiments.Checkpoint
-// a lifetime job checkpoints through.
-type Slot struct {
-	s    *Store
-	kind Kind
-	name string
-}
-
-// Slot returns the load/save view of the record of kind k under name.
-func (s *Store) Slot(k Kind, name string) Slot { return Slot{s, k, name} }
-
-// Load returns the record, or nil if none has been written.
-func (r Slot) Load() ([]byte, error) { return r.s.ReadRecord(r.kind, r.name) }
-
-// Save durably replaces the record.
-func (r Slot) Save(data []byte) error { return r.s.PutRecord(r.kind, r.name, data) }
 
 // Stats snapshots the store counters.
 func (s *Store) Stats() Stats {

@@ -193,24 +193,11 @@ func TestJobRecordsRoundtrip(t *testing.T) {
 		t.Errorf("quarantined = %d, want 1 (the broken sidecar)", got)
 	}
 
-	// The job checkpoint lives in the checkpoints dir next to the
-	// record; removing both clears the job.
-	if err := s2.PutRecord(KindJobCheckpoint, key(0), []byte("checkpoint bytes")); err != nil {
-		t.Fatal(err)
-	}
-	ckpt := filepath.Join(dir, "checkpoints", key(0)+".ckpt")
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("job checkpoint not at %s: %v", ckpt, err)
-	}
 	s2.RemoveRecord(KindJob, key(0))
-	s2.RemoveRecord(KindJobCheckpoint, key(0))
 	if recs := s2.Records(KindJob, isJSON); len(recs) != 0 {
 		t.Errorf("job record survived RemoveRecord: %+v", recs)
 	}
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Error("checkpoint survived RemoveRecord")
-	}
-	if data, err := s2.ReadRecord(KindJobCheckpoint, key(0)); data != nil || err != nil {
+	if data, err := s2.ReadRecord(KindJob, key(0)); data != nil || err != nil {
 		t.Errorf("ReadRecord after removal = %q, %v; want nil, nil", data, err)
 	}
 	if got := s2.Stats().Checkpoints; got != 0 {

@@ -1,7 +1,7 @@
 // Package vfs is the injectable filesystem under all of Penelope's
-// persistence: the store, the fleet checkpoints and the CLI checkpoint
-// writer perform every file operation through the FS interface instead
-// of calling os.* directly. Production code runs on OS (a thin
+// persistence: the store (results, job records and fleet records) and
+// the metric-history blocks perform every file operation through the
+// FS interface instead of calling os.* directly. Production code runs on OS (a thin
 // passthrough); tests run on FaultFS, which can fail any call with
 // ENOSPC/EIO, truncate a write at byte k, or snapshot-freeze the tree
 // at any I/O step to simulate a crash between two syscalls — the
