@@ -591,8 +591,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 // pins the steady-state path at zero allocations — the sampler runs
 // forever on a 10s cadence, so any per-tick garbage would accumulate
 // for the life of the server. Rings grow until they are full, so the
-// warm-up fills every tier first: a small RawPoints fills the 100x tier
-// after 200×RawPoints samples.
+// warm-up fills every tier first: the 100x tier fills after 200×360
+// samples, 360 being the raw ring a history keeps per series.
 func BenchmarkTsdbSample(b *testing.B) {
 	reg := obs.NewRegistry()
 	ctr := reg.Counter("bench_events_total", "bench")
@@ -602,8 +602,8 @@ func BenchmarkTsdbSample(b *testing.B) {
 	vec.With("a").Observe(0.1)
 	vec.With("b").Observe(0.2)
 
-	const rawPoints = 4
-	db, err := tsdb.Open(tsdb.Config{Registry: reg, Interval: 10 * time.Second, RawPoints: rawPoints})
+	const rawPoints = 360
+	db, err := tsdb.Open(tsdb.Config{Registry: reg, Interval: 10 * time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -101,6 +101,53 @@ func TestResultJSONGolden(t *testing.T) {
 	}
 }
 
+// TestMarshalExactCapacity checks that Marshal hands back no unused
+// capacity, which a cache charging cap(payload) would count as resident,
+// and that trimming it changed no byte: a pop-500 lifetime payload (the
+// size every perfbench fleet-miss job ships) still matches
+// json.MarshalIndent, and fig6 at the golden options still matches its
+// committed golden.
+func TestMarshalExactCapacity(t *testing.T) {
+	lo := Options{TraceLength: 2000, TraceStride: 90, Population: 500}
+	res, err := Run("lifetime", lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lifetime, err := NewPayload(res, lo).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	std, err := json.MarshalIndent(NewPayload(res, lo), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(lifetime, std) {
+		t.Errorf("lifetime: Marshal differs from json.MarshalIndent (%d vs %d bytes)", len(lifetime), len(std))
+	}
+
+	o := goldenOptions()
+	if res, err = Run("fig6", o); err != nil {
+		t.Fatal(err)
+	}
+	fig6, err := NewPayload(res, o).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "fig6_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fig6, golden) {
+		t.Errorf("fig6: payload diverges from committed golden (%d vs %d bytes)", len(fig6), len(golden))
+	}
+
+	for id, payload := range map[string][]byte{"lifetime": lifetime, "fig6": fig6} {
+		if cap(payload) != len(payload) {
+			t.Errorf("%s: payload len %d, cap %d; want no unused capacity", id, len(payload), cap(payload))
+		}
+	}
+}
+
 // TestIndentMatchesMarshalIndent re-indents the compacted bytes of all
 // four committed goldens and a set of edge cases — empty and nested
 // containers, escapes and delimiters inside strings, top-level scalars

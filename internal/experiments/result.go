@@ -43,13 +43,15 @@ func NewPayload(r Result, o Options) Payload {
 // to json.MarshalIndent(p, "", "  ") but indented in one pass without
 // the standard library's validating scanner. The output is
 // deterministic: marshaling the same result twice yields identical
-// bytes.
+// bytes. Its capacity equals its length, so a cache that charges
+// cap(payload) counts only the bytes it serves.
 func (p Payload) Marshal() ([]byte, error) {
 	b, err := json.Marshal(p)
 	if err != nil {
 		return nil, err
 	}
-	return AppendIndent(make([]byte, 0, 2*len(b)), b), nil
+	indented := AppendIndent(make([]byte, 0, 2*len(b)), b)
+	return append(make([]byte, 0, len(indented)), indented...), nil
 }
 
 // AppendIndent appends src, compact JSON as json.Marshal writes it, to

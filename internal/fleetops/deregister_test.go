@@ -40,7 +40,7 @@ func TestDeregisterStopsInFlightTick(t *testing.T) {
 		return nil
 	}}
 	scCfg.Bus = bus
-	scCfg.TickTimeout = time.Minute // the watchdog must not be what ends the tick
+	scCfg.tickTimeout = time.Minute // the watchdog must not be what ends the tick
 	sc := NewScheduler(scCfg)
 	defer sc.Close(time.Second)
 

@@ -72,21 +72,22 @@ type Config struct {
 	// population name; a quarantined population parks for ten intervals
 	// before a probation probe — 1s and 5m at the default.
 	DefaultInterval time.Duration
-	// TickTimeout is the watchdog deadline: a tick still running after
-	// this is cancelled, counted as a failure, and its engine abandoned;
-	// the next tick rebuilds it and replays it to the cursor (default
-	// 60s).
-	TickTimeout time.Duration
 	// Workers bounds each engine step's internal fan-out (<=0 uses
 	// GOMAXPROCS).
 	Workers int
 	// Instruments, when set, records tick latency, aging throughput,
 	// and tick spans. Nil costs nothing.
 	Instruments *Instruments
-	// Logger receives the scheduler's structured log records; nil uses
-	// the process default tagged with component=fleetops.
-	Logger *slog.Logger
+
+	// tickTimeout is the watchdog deadline: a tick still running after
+	// this is cancelled, counted as a failure, and its engine abandoned;
+	// the next tick rebuilds it and replays it to the cursor. Zero
+	// takes defaultTickTimeout; only in-package tests shorten it.
+	tickTimeout time.Duration
 }
+
+// defaultTickTimeout is the watchdog deadline of a production tick.
+const defaultTickTimeout = 60 * time.Second
 
 // population is one registered fleet's scheduler state. All mutable
 // fields are guarded by the scheduler mutex; the engines themselves are
@@ -162,6 +163,7 @@ type Stats struct {
 // stalls the others.
 type Scheduler struct {
 	cfg    Config
+	logger *slog.Logger
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -183,14 +185,11 @@ func NewScheduler(cfg Config) *Scheduler {
 	if cfg.DefaultInterval <= 0 {
 		cfg.DefaultInterval = 30 * time.Second
 	}
-	if cfg.TickTimeout <= 0 {
-		cfg.TickTimeout = 60 * time.Second
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = obs.Logger("fleetops")
+	if cfg.tickTimeout <= 0 {
+		cfg.tickTimeout = defaultTickTimeout
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Scheduler{cfg: cfg, ctx: ctx, cancel: cancel, pops: make(map[string]*population),
+	return &Scheduler{cfg: cfg, logger: obs.Logger("fleetops"), ctx: ctx, cancel: cancel, pops: make(map[string]*population),
 		retry: mix.Backoff{Base: cfg.DefaultInterval / 30, Cap: 10 * cfg.DefaultInterval}}
 }
 
@@ -261,11 +260,11 @@ func (s *Scheduler) Recover() int {
 			cursor = s.migrate(fr.Registration)
 		}
 		if _, err := s.register(fr.Registration, cursor, false); err != nil {
-			s.cfg.Logger.Warn("re-registering fleet failed", "fleet", fr.Name, "error", err)
+			s.logger.Warn("re-registering fleet failed", "fleet", fr.Name, "error", err)
 			continue
 		}
 		n++
-		s.cfg.Logger.Info("resumed fleet from its record", "fleet", fr.Name, "cursor", cursor)
+		s.logger.Info("resumed fleet from its record", "fleet", fr.Name, "cursor", cursor)
 	}
 	return n
 }
@@ -286,7 +285,7 @@ func (s *Scheduler) migrate(reg Registration) int {
 	}
 	if err != nil {
 		s.cfg.Storage.QuarantineRecord(store.KindFleetCheckpoint, reg.Name, err)
-		s.cfg.Logger.Warn("quarantined a legacy fleet checkpoint; the fleet starts at epoch 0", "fleet", reg.Name, "error", err)
+		s.logger.Warn("quarantined a legacy fleet checkpoint; the fleet starts at epoch 0", "fleet", reg.Name, "error", err)
 		return 0
 	}
 	if s.persist(reg, eng.Epoch()) == nil {
@@ -601,7 +600,7 @@ func (s *Scheduler) tick(p *population) {
 	p.lastTickStart = start
 	name := p.reg.Name
 	s.mu.Unlock()
-	ctx, cancel := context.WithTimeout(p.ctx, s.cfg.TickTimeout)
+	ctx, cancel := context.WithTimeout(p.ctx, s.cfg.tickTimeout)
 	defer cancel()
 	if p.abandoned != nil {
 		select {
@@ -647,7 +646,7 @@ func (s *Scheduler) tickExpired(p *population, name string, start time.Time) {
 	if p.ctx.Err() != nil {
 		return
 	}
-	err := fmt.Errorf("watchdog: tick exceeded %s deadline", s.cfg.TickTimeout)
+	err := fmt.Errorf("watchdog: tick exceeded %s deadline", s.cfg.tickTimeout)
 	s.cfg.Instruments.observeTick(name, start, 0, 0, err)
 	s.mu.Lock()
 	p.watchdogTimeouts++
@@ -747,7 +746,7 @@ func (s *Scheduler) tickOK(p *population, res tickResult) {
 		// restart would resume it from an older cursor and publish these
 		// epochs again: counted, and logged once.
 		if err := s.persist(reg, epoch); err != nil && s.ckptFail.Add(1) == 1 {
-			s.cfg.Logger.Warn("fleet cursor write failed (counted; logged once)", "fleet", reg.Name, "error", err)
+			s.logger.Warn("fleet cursor write failed (counted; logged once)", "fleet", reg.Name, "error", err)
 		}
 	}
 	if s.cfg.Bus != nil {

@@ -20,7 +20,7 @@ func fastCfg(cfg lifetime.Config) Config {
 	return Config{
 		Builder:         testBuilder(cfg),
 		DefaultInterval: 2 * time.Millisecond,
-		TickTimeout:     2 * time.Second,
+		tickTimeout:     2 * time.Second,
 		Workers:         2,
 	}
 }
@@ -167,7 +167,7 @@ func TestSchedulerWatchdog(t *testing.T) {
 	cfg := testConfig(3, 0, 0.05)
 	unhang := make(chan struct{})
 	scCfg := fastCfg(cfg)
-	scCfg.TickTimeout = 15 * time.Millisecond
+	scCfg.tickTimeout = 15 * time.Millisecond
 	scCfg.Builder = func(Registration) (lifetime.Config, error) {
 		<-unhang // wedge until the test heals the builder
 		return cfg, nil
@@ -203,7 +203,7 @@ func TestSchedulerWatchdogBoundsAbandonedTicks(t *testing.T) {
 	unhang := make(chan struct{})
 	var builds atomic.Int64
 	scCfg := fastCfg(cfg)
-	scCfg.TickTimeout = 5 * time.Millisecond
+	scCfg.tickTimeout = 5 * time.Millisecond
 	scCfg.Builder = func(Registration) (lifetime.Config, error) {
 		builds.Add(1)
 		<-unhang

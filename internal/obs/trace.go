@@ -104,9 +104,12 @@ type TraceSnapshot struct {
 	Spans      []SpanSnapshot `json:"spans"`
 }
 
-// snapshot copies the trace. Open spans (and an unfinished trace) are
-// rendered as extending to now.
-func (t *Trace) snapshot() TraceSnapshot {
+// Snapshot copies the trace. Open spans (and an unfinished trace) are
+// rendered as extending to now. A nil trace snapshots as empty.
+func (t *Trace) Snapshot() TraceSnapshot {
+	if t == nil {
+		return TraceSnapshot{}
+	}
 	now := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -143,38 +146,34 @@ func (t *Trace) snapshot() TraceSnapshot {
 	return s
 }
 
-// Tracer records traces in bounded rings: one FIFO index by trace ID
-// (for GET /v1/jobs/{id}/trace) and one ring per component (for
-// GET /v1/debug/traces). Memory is bounded regardless of traffic.
+// Tracer records traces in one bounded ring per component (for
+// GET /v1/debug/traces). Memory is bounded regardless of traffic. It
+// keeps no index by trace ID: whoever begins a trace holds it for as
+// long as it answers for it, as the service's job map does for
+// GET /v1/jobs/{id}/trace.
 type Tracer struct {
 	ringCap int
 
-	mu      sync.Mutex
-	byID    map[string]*Trace
-	idOrder Ring[string] // byID keys, oldest first
-	rings   map[string]*Ring[*Trace]
-	seq     uint64
+	mu    sync.Mutex
+	rings map[string]*Ring[*Trace]
+	seq   uint64
 }
 
-// Default ring sizes: enough history to debug a burst without letting
-// the tracer grow past a few MB.
-const (
-	defaultIDCap   = 4096
-	defaultRingCap = 256
-)
+// defaultRingCap sizes each component ring: enough history to debug a
+// burst without letting the tracer grow past a few MB.
+const defaultRingCap = 256
 
 // NewTracer returns a tracer with the default capacities.
 func NewTracer() *Tracer {
 	return &Tracer{
 		ringCap: defaultRingCap,
-		byID:    make(map[string]*Trace),
-		idOrder: NewRing[string](defaultIDCap),
 		rings:   make(map[string]*Ring[*Trace]),
 	}
 }
 
 // Begin starts a trace for id under component, opening its first span
-// named firstPhase. The trace is immediately visible in both rings.
+// named firstPhase. The trace is immediately visible in the component
+// ring.
 func (tr *Tracer) Begin(id, component, firstPhase string) *Trace {
 	if tr == nil {
 		return nil
@@ -187,14 +186,6 @@ func (tr *Tracer) Begin(id, component, firstPhase string) *Trace {
 		spans:     []span{{name: firstPhase, start: now}},
 	}
 	tr.mu.Lock()
-	// A re-submitted ID (e.g. a resumed job) replaces its index entry in
-	// place; the stale pointer ages out of the component ring naturally.
-	if _, ok := tr.byID[id]; !ok {
-		if evict, full := tr.idOrder.Push(id); full {
-			delete(tr.byID, evict)
-		}
-	}
-	tr.byID[id] = t
 	tr.pushRingLocked(component, t)
 	tr.mu.Unlock()
 	return t
@@ -238,20 +229,6 @@ func (tr *Tracer) pushRingLocked(component string, t *Trace) {
 	ring.Push(t)
 }
 
-// Get returns the trace recorded under id.
-func (tr *Tracer) Get(id string) (TraceSnapshot, bool) {
-	if tr == nil {
-		return TraceSnapshot{}, false
-	}
-	tr.mu.Lock()
-	t, ok := tr.byID[id]
-	tr.mu.Unlock()
-	if !ok {
-		return TraceSnapshot{}, false
-	}
-	return t.snapshot(), true
-}
-
 // Recent returns up to n most-recent traces for a component, newest
 // first. n <= 0 means the whole ring.
 func (tr *Tracer) Recent(component string, n int) []TraceSnapshot {
@@ -274,7 +251,7 @@ func (tr *Tracer) Recent(component string, n int) []TraceSnapshot {
 	tr.mu.Unlock()
 	out := make([]TraceSnapshot, n)
 	for i, t := range picked {
-		out[i] = t.snapshot()
+		out[i] = t.Snapshot()
 	}
 	return out
 }

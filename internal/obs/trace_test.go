@@ -37,9 +37,9 @@ func TestTracePhases(t *testing.T) {
 	tc.Phase("done")
 	tc.Finish()
 
-	s, ok := tr.Get("job-1")
-	if !ok {
-		t.Fatal("trace not found")
+	s := tc.Snapshot()
+	if s.ID != "job-1" || s.Component != "job" {
+		t.Fatalf("trace identity = %q/%q, want job-1/job", s.ID, s.Component)
 	}
 	if !s.Done {
 		t.Fatal("trace should be done")
@@ -66,10 +66,10 @@ func TestTraceFinishIdempotent(t *testing.T) {
 	tr := NewTracer()
 	tc := tr.Begin("job-2", "job", "admit")
 	tc.Finish()
-	end1, _ := tr.Get("job-2")
+	end1 := tc.Snapshot()
 	tc.Phase("late") // ignored after finish
 	tc.Finish()
-	end2, _ := tr.Get("job-2")
+	end2 := tc.Snapshot()
 	if len(end2.Spans) != len(end1.Spans) || end2.DurationNS != end1.DurationNS {
 		t.Fatalf("finish not idempotent: %+v vs %+v", end1, end2)
 	}
@@ -79,9 +79,9 @@ func TestTraceUnfinishedSnapshot(t *testing.T) {
 	tr := NewTracer()
 	tc := tr.Begin("job-3", "job", "admit")
 	tc.Phase("run")
-	s, ok := tr.Get("job-3")
-	if !ok || s.Done {
-		t.Fatalf("want live trace, got ok=%v done=%v", ok, s.Done)
+	s := tc.Snapshot()
+	if s.ID != "job-3" || s.Done {
+		t.Fatalf("want live trace job-3, got id=%q done=%v", s.ID, s.Done)
 	}
 	checkContiguous(t, s)
 	if len(s.Spans) != 2 || s.Spans[1].Name != "run" {
@@ -124,20 +124,15 @@ func TestTracerRingsBounded(t *testing.T) {
 	if got := len(tr.Recent("fleet", 0)); got != defaultRingCap {
 		t.Fatalf("ring size = %d, want %d", got, defaultRingCap)
 	}
-	for i := 0; i < defaultIDCap+10; i++ {
+	for i := 0; i < defaultRingCap+10; i++ {
 		tr.Begin(fmt.Sprintf("job-%d", i), "job", "admit").Finish()
 	}
-	if _, ok := tr.Get("job-0"); ok {
-		t.Fatal("oldest ID should have been evicted")
+	jobs := tr.Recent("job", 0)
+	if len(jobs) != defaultRingCap {
+		t.Fatalf("job ring size = %d, want %d", len(jobs), defaultRingCap)
 	}
-	if _, ok := tr.Get(fmt.Sprintf("job-%d", defaultIDCap+9)); !ok {
-		t.Fatal("newest ID should be present")
-	}
-	tr.mu.Lock()
-	n := len(tr.byID)
-	tr.mu.Unlock()
-	if n != defaultIDCap {
-		t.Fatalf("byID size = %d, want %d", n, defaultIDCap)
+	if newest, oldest := jobs[0].ID, jobs[len(jobs)-1].ID; newest != fmt.Sprintf("job-%d", defaultRingCap+9) || oldest != "job-10" {
+		t.Fatalf("job ring holds %s..%s, want job-10..job-%d", oldest, newest, defaultRingCap+9)
 	}
 }
 
@@ -154,8 +149,10 @@ func TestTracerConcurrent(t *testing.T) {
 				tc.Phase("run")
 				tr.Record("store", "put", time.Now(), time.Microsecond, nil)
 				tc.Finish()
-				if s, ok := tr.Get(id); ok {
+				if s := tc.Snapshot(); s.ID == id {
 					checkContiguous(t, s)
+				} else {
+					t.Errorf("trace id = %q, want %q", s.ID, id)
 				}
 				tr.Recent("job", 10)
 			}

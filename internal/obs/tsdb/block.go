@@ -86,9 +86,9 @@ func (db *DB) flushLocked(now int64) {
 	name := blockName(minT, db.blockSeq)
 	path := filepath.Join(db.cfg.Dir, name)
 	framed := vfs.Frame(blockMagic, payload)
-	if _, err := vfs.WriteAtomic(db.cfg.FS, path, framed); err != nil {
+	if _, err := vfs.WriteAtomic(db.cfg.fs, path, framed); err != nil {
 		db.nFlushFail.Add(1)
-		db.cfg.Logger.Warn("tsdb: block flush failed", "block", name, "err", err)
+		db.logger.Warn("tsdb: block flush failed", "block", name, "err", err)
 		return
 	}
 	for i, s := range flushed {
@@ -115,11 +115,11 @@ func (db *DB) enforceLimits(now int64) {
 	cutoff := now - db.cfg.Retention.Milliseconds()
 	for len(db.blocks) > 1 && db.blocks[0].maxT < cutoff {
 		oldest := db.blocks[0]
-		if err := db.cfg.FS.Remove(filepath.Join(db.cfg.Dir, oldest.name)); err != nil {
-			db.cfg.Logger.Warn("tsdb: block delete failed", "block", oldest.name, "err", err)
+		if err := db.cfg.fs.Remove(filepath.Join(db.cfg.Dir, oldest.name)); err != nil {
+			db.logger.Warn("tsdb: block delete failed", "block", oldest.name, "err", err)
 			break
 		}
-		db.cfg.FS.SyncDir(db.cfg.Dir)
+		db.cfg.fs.SyncDir(db.cfg.Dir)
 		db.blocks = db.blocks[1:]
 		db.nDeleted.Add(1)
 	}
@@ -141,7 +141,7 @@ func (db *DB) updateBlockGauges() {
 // retention. After it returns, rings and tiers match a process that
 // never restarted.
 func (db *DB) loadBlocks() error {
-	fsys := db.cfg.FS
+	fsys := db.cfg.fs
 	if err := fsys.MkdirAll(db.cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("tsdb: create dir: %w", err)
 	}
@@ -178,13 +178,13 @@ func (db *DB) loadBlocks() error {
 		}
 	}
 	db.updateBlockGauges()
-	db.enforceLimits(db.cfg.Clock().UnixMilli())
+	db.enforceLimits(db.cfg.clock().UnixMilli())
 	return nil
 }
 
 // loadOneBlock parses and replays one block file.
 func (db *DB) loadOneBlock(path string) (blockInfo, error) {
-	data, err := db.cfg.FS.ReadFile(path)
+	data, err := db.cfg.fs.ReadFile(path)
 	if err != nil {
 		return blockInfo{}, err
 	}
@@ -241,12 +241,12 @@ func (db *DB) loadOneBlock(path string) (blockInfo, error) {
 // but stays available for forensics.
 func (db *DB) quarantine(path string, cause error) {
 	db.nQuarantined.Add(1)
-	db.cfg.Logger.Warn("tsdb: quarantining corrupt block", "block", filepath.Base(path), "err", cause)
-	if err := db.cfg.FS.Rename(path, path+quarantineSx); err != nil {
-		db.cfg.Logger.Warn("tsdb: quarantine rename failed", "block", filepath.Base(path), "err", err)
+	db.logger.Warn("tsdb: quarantining corrupt block", "block", filepath.Base(path), "err", cause)
+	if err := db.cfg.fs.Rename(path, path+quarantineSx); err != nil {
+		db.logger.Warn("tsdb: quarantine rename failed", "block", filepath.Base(path), "err", err)
 		return
 	}
-	db.cfg.FS.SyncDir(db.cfg.Dir)
+	db.cfg.fs.SyncDir(db.cfg.Dir)
 }
 
 // scrubLocked re-reads and re-verifies every tracked block, moving any
@@ -255,7 +255,7 @@ func (db *DB) scrubLocked() {
 	kept := db.blocks[:0]
 	for _, b := range db.blocks {
 		path := filepath.Join(db.cfg.Dir, b.name)
-		if _, err := vfs.ReadFrame(db.cfg.FS, path, blockMagic); err != nil {
+		if _, err := vfs.ReadFrame(db.cfg.fs, path, blockMagic); err != nil {
 			db.quarantine(path, err)
 			continue
 		}

@@ -28,8 +28,8 @@ func TestCrashMatrixBlockFlush(t *testing.T) {
 		c := reg.Counter("crash_total", "")
 		db, err := Open(Config{
 			Registry: reg, Interval: time.Second,
-			Dir: dir, FS: fsys, FlushEvery: 3,
-			Clock: func() time.Time { return t0 },
+			Dir: dir, fs: fsys, flushEvery: 3,
+			clock: func() time.Time { return t0 },
 		})
 		if err != nil {
 			t.Fatalf("open: %v", err)
@@ -88,7 +88,7 @@ func TestCrashMatrixBlockFlush(t *testing.T) {
 
 			re, err := Open(Config{
 				Registry: obs.NewRegistry(), Interval: time.Second,
-				Dir: dir, Clock: func() time.Time { return t0 },
+				Dir: dir, clock: func() time.Time { return t0 },
 			})
 			if err != nil {
 				t.Fatalf("%s: reboot failed: %v", label, err)
@@ -134,8 +134,8 @@ func TestFlushFailureRetries(t *testing.T) {
 	f := vfs.NewFaultFS(vfs.OS{})
 	reg := obs.NewRegistry()
 	c := reg.Counter("retry_total", "")
-	db, err := Open(Config{Registry: reg, Interval: time.Second, Dir: dir, FS: f, FlushEvery: 2,
-		Clock: func() time.Time { return t0 }})
+	db, err := Open(Config{Registry: reg, Interval: time.Second, Dir: dir, fs: f, flushEvery: 2,
+		clock: func() time.Time { return t0 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFlushFailureRetries(t *testing.T) {
 	db.Close()
 
 	re, err := Open(Config{Registry: obs.NewRegistry(), Interval: time.Second, Dir: dir,
-		Clock: func() time.Time { return t0 }})
+		clock: func() time.Time { return t0 }})
 	if err != nil {
 		t.Fatal(err)
 	}

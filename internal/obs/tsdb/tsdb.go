@@ -40,29 +40,25 @@ type Config struct {
 	// Retention bounds how far back persisted blocks are kept; older
 	// blocks are deleted at boot and after each flush (default 168h).
 	Retention time.Duration
-	// RawPoints sizes the raw ring per series; the 10x tier holds the
-	// same count and the 100x tier twice that, so coverage stretches
-	// RawPoints*200 intervals (default 360 — at a 10s interval that is
-	// 1h raw, 10h mid, 200h coarse).
-	RawPoints int
-
 	// Dir enables persistence: immutable blocks land here through
 	// vfs.WriteAtomic. Empty keeps the history memory-only.
 	Dir string
-	// FS is the filesystem blocks are written through (default vfs.OS).
-	FS vfs.FS
-	// FlushEvery is the number of samples between block flushes
-	// (default 30). Close always flushes the tail.
-	FlushEvery int
 	// ScrubInterval re-verifies every block checksum in the background
 	// of the sampling loop, quarantining bit rot (0 disables).
 	ScrubInterval time.Duration
-	// Clock injects time for retention decisions at boot (tests);
-	// sampling itself is driven by the caller's Sample(now).
-	Clock func() time.Time
-	// Logger receives flush/quarantine warnings. Nil discards.
-	Logger *slog.Logger
+
+	// In-package test seams; a zero value takes the production default.
+	rawPoints  int              // raw ring per series (defaultRawPoints)
+	flushEvery int              // samples between block flushes (30); Close always flushes the tail
+	fs         vfs.FS           // filesystem blocks are written through (vfs.OS)
+	clock      func() time.Time // time for retention decisions at boot; sampling is driven by Sample(now)
 }
+
+// defaultRawPoints sizes the raw ring per series; the 10x tier holds
+// the same count and the 100x tier twice that, so coverage stretches
+// 200 × 360 intervals: at a 10s interval, 1h raw, 10h mid and 200h
+// coarse.
+const defaultRawPoints = 360
 
 // point is one raw sample.
 type point struct {
@@ -151,6 +147,7 @@ type Stats struct {
 // DB is the embedded time-series store.
 type DB struct {
 	cfg        Config
+	logger     *slog.Logger
 	intervalMs int64
 	win1Ms     int64
 	win2Ms     int64
@@ -201,30 +198,28 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.Retention <= 0 {
 		cfg.Retention = 168 * time.Hour
 	}
-	if cfg.RawPoints <= 0 {
-		cfg.RawPoints = 360
+	if cfg.rawPoints <= 0 {
+		cfg.rawPoints = defaultRawPoints
 	}
-	if cfg.FlushEvery <= 0 {
-		cfg.FlushEvery = 30
+	if cfg.flushEvery <= 0 {
+		cfg.flushEvery = 30
 	}
-	if cfg.FS == nil {
-		cfg.FS = vfs.OS{}
+	if cfg.fs == nil {
+		cfg.fs = vfs.OS{}
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.DiscardHandler)
+	if cfg.clock == nil {
+		cfg.clock = time.Now
 	}
 	db := &DB{
 		cfg:        cfg,
+		logger:     obs.Logger("tsdb"),
 		intervalMs: cfg.Interval.Milliseconds(),
-		rawN:       cfg.RawPoints,
-		flushEvery: cfg.FlushEvery,
+		rawN:       cfg.rawPoints,
+		flushEvery: cfg.flushEvery,
 		series:     make(map[string]*series),
 		meta:       make(map[string]*FamilyMeta),
-		ticksToGo:  cfg.FlushEvery,
-		lastScrub:  cfg.Clock(),
+		ticksToGo:  cfg.flushEvery,
+		lastScrub:  cfg.clock(),
 	}
 	if db.intervalMs <= 0 {
 		db.intervalMs = 1
@@ -366,7 +361,7 @@ func itoa(i int) string {
 
 // Sample takes one registry sweep at time now: every bound family
 // appends one point per flat series. When persistence is on it also
-// flushes a block every FlushEvery samples and runs the periodic scrub.
+// flushes a block every flushEvery samples and runs the periodic scrub.
 // The steady state (no new families, no flush due) performs zero heap
 // allocations.
 func (db *DB) Sample(now time.Time) {

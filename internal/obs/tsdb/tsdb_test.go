@@ -195,7 +195,7 @@ func TestDownsampleTiersBracket(t *testing.T) {
 func TestTierFallback(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("old", "")
-	db, err := Open(Config{Registry: reg, Interval: time.Second, RawPoints: 32})
+	db, err := Open(Config{Registry: reg, Interval: time.Second, rawPoints: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestPersistRestartByteIdentical(t *testing.T) {
 		return reg, reg.Counter("jobs_total", "jobs"), reg.Histogram("lat_seconds", "", []float64{0.1, 1, 10})
 	}
 	reg, c, h := mkReg()
-	db, err := Open(Config{Registry: reg, Interval: time.Second, Dir: dir, FlushEvery: 7, Clock: clock})
+	db, err := Open(Config{Registry: reg, Interval: time.Second, Dir: dir, flushEvery: 7, clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,14 +346,14 @@ func TestPersistRestartByteIdentical(t *testing.T) {
 	// Reopen over the same directory with a fresh (zeroed) registry: the
 	// answers must come from the loaded blocks alone.
 	reg2, _, _ := mkReg()
-	db2, err := Open(Config{Registry: reg2, Interval: time.Second, Dir: dir, Clock: clock})
+	db2, err := Open(Config{Registry: reg2, Interval: time.Second, Dir: dir, clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
 
 	reg3, c3, h3 := mkReg()
-	db3, err := Open(Config{Registry: reg3, Interval: time.Second, Dir: t.TempDir(), FlushEvery: 7, Clock: clock})
+	db3, err := Open(Config{Registry: reg3, Interval: time.Second, Dir: t.TempDir(), flushEvery: 7, clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestQuarantineCorruptBlock(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	c := reg.Counter("x_total", "")
-	db, err := Open(Config{Registry: reg, Interval: time.Second, Dir: dir, FlushEvery: 5, Clock: func() time.Time { return t0 }})
+	db, err := Open(Config{Registry: reg, Interval: time.Second, Dir: dir, flushEvery: 5, clock: func() time.Time { return t0 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestQuarantineCorruptBlock(t *testing.T) {
 	if err := os.WriteFile(victim, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(Config{Registry: obs.NewRegistry(), Interval: time.Second, Dir: dir, Clock: func() time.Time { return t0 }})
+	db2, err := Open(Config{Registry: obs.NewRegistry(), Interval: time.Second, Dir: dir, clock: func() time.Time { return t0 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestRetentionExpiresAtBoot(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	c := reg.Counter("x_total", "")
-	db, err := Open(Config{Registry: reg, Interval: time.Second, Dir: dir, FlushEvery: 5, Clock: func() time.Time { return t0 }})
+	db, err := Open(Config{Registry: reg, Interval: time.Second, Dir: dir, flushEvery: 5, clock: func() time.Time { return t0 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestRetentionExpiresAtBoot(t *testing.T) {
 	db.Close()
 	// Reboot far past retention: everything but the newest block expires.
 	future := t0.Add(400 * time.Hour)
-	db2, err := Open(Config{Registry: obs.NewRegistry(), Interval: time.Second, Dir: dir, Retention: time.Hour, Clock: func() time.Time { return future }})
+	db2, err := Open(Config{Registry: obs.NewRegistry(), Interval: time.Second, Dir: dir, Retention: time.Hour, clock: func() time.Time { return future }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestScrubQuarantinesBitRot(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	c := reg.Counter("x_total", "")
-	db, err := Open(Config{Registry: reg, Interval: time.Second, Dir: dir, FlushEvery: 3, ScrubInterval: time.Minute, Clock: func() time.Time { return t0 }})
+	db, err := Open(Config{Registry: reg, Interval: time.Second, Dir: dir, flushEvery: 3, ScrubInterval: time.Minute, clock: func() time.Time { return t0 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestHistoryReductions(t *testing.T) {
 
 // TestSampleSteadyStateAllocs pins the sampler's hot path at zero heap
 // allocations once bindings are resolved and every tier is full. A
-// small RawPoints fills the 100x tier after 200×RawPoints samples; the
+// small rawPoints fills the 100x tier after 200×rawPoints samples; the
 // count is then taken over 200 samples in one run, so a single
 // allocation shows instead of rounding away.
 func TestSampleSteadyStateAllocs(t *testing.T) {
@@ -529,7 +529,7 @@ func TestSampleSteadyStateAllocs(t *testing.T) {
 	v.With("/x").Observe(0.5)
 	v.With("/y").Observe(2)
 	const rawPoints = 4
-	db, err := Open(Config{Registry: reg, Interval: time.Second, RawPoints: rawPoints})
+	db, err := Open(Config{Registry: reg, Interval: time.Second, rawPoints: rawPoints})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +563,7 @@ func TestSampleSteadyStateAllocs(t *testing.T) {
 // TestFreshHistoryHoldsWhatItSampled samples a registry of over a
 // thousand flat series once and requires the history to cost what it
 // holds: under 2 MB of live heap, where rings allocated at full
-// capacity (57.6 KB per series at the default RawPoints) would hold
+// capacity (57.6 KB per series at the default rawPoints) would hold
 // about 60 MB.
 func TestFreshHistoryHoldsWhatItSampled(t *testing.T) {
 	reg := obs.NewRegistry()

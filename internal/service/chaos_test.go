@@ -1,11 +1,13 @@
-package service_test
+package service
 
 // The chaos suite runs the server against a seeded fault-injecting
-// runner and through simulated crash/restart cycles. It lives in an external
-// test package so it exercises only the exported surface — the same
-// contract cmd/penelope and real clients get — and it is written to be
-// deterministic: faults come from a seeded schedule, and interruptions
-// are driven by counted context polls, not wall-clock timing.
+// runner and through simulated crash/restart cycles. It is an in-package
+// suite: it injects that runner and a fleet builder through the Config
+// test seams, and reads the store and fleet status from the server
+// itself, while every request still goes through the HTTP API. It is
+// written to be deterministic: faults come from a seeded schedule, and
+// interruptions are driven by counted context polls, not wall-clock
+// timing.
 
 import (
 	"bytes"
@@ -26,7 +28,6 @@ import (
 	"penelope/internal/fleetops"
 	"penelope/internal/lifetime"
 	"penelope/internal/mix"
-	"penelope/internal/service"
 	"penelope/internal/store"
 )
 
@@ -66,7 +67,7 @@ func (f *faults) runner(ctx context.Context, experiment string, o experiments.Op
 	return baseRunner(ctx, experiment, o)
 }
 
-func pollTerminal(t *testing.T, base, id string) service.Job {
+func pollTerminal(t *testing.T, base, id string) Job {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -74,12 +75,12 @@ func pollTerminal(t *testing.T, base, id string) service.Job {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var job service.Job
+		var job Job
 		err = jsonDecode(resp, &job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if job.State == service.StateDone || job.State == service.StateFailed {
+		if job.State == StateDone || job.State == StateFailed {
 			return job
 		}
 		if time.Now().After(deadline) {
@@ -100,10 +101,10 @@ func jsonDecode(resp *http.Response, v any) error {
 // the storm instead of deadlocking, leaking jobs, or crashing.
 func TestChaosFaultStorm(t *testing.T) {
 	inj := &faults{seed: 42, errRate: 0.25, panicRate: 0.10}
-	srv, err := service.New(service.Config{
+	srv, err := New(Config{
 		Workers:    4,
 		QueueDepth: 128,
-		Runner:     inj.runner,
+		runner:     inj.runner,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +123,7 @@ func TestChaosFaultStorm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var job service.Job
+		var job Job
 		if err := jsonDecode(resp, &job); err != nil {
 			t.Fatal(err)
 		}
@@ -135,9 +136,9 @@ func TestChaosFaultStorm(t *testing.T) {
 	done, failed := 0, 0
 	for _, id := range ids {
 		switch job := pollTerminal(t, ts.URL, id); job.State {
-		case service.StateDone:
+		case StateDone:
 			done++
-		case service.StateFailed:
+		case StateFailed:
 			failed++
 			if job.Error == "" {
 				t.Errorf("failed job %s carries no error", id)
@@ -163,7 +164,7 @@ func TestChaosFaultStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m service.Metrics
+	var m Metrics
 	if err := jsonDecode(resp, &m); err != nil {
 		t.Fatal(err)
 	}
@@ -186,20 +187,20 @@ func TestChaosFaultStorm(t *testing.T) {
 func TestChaosKillRestartServesFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	inj := &faults{seed: 7, errRate: 0.3}
-	s1, err := service.New(service.Config{Workers: 2, DataDir: dir, Runner: inj.runner})
+	s1, err := New(Config{Workers: 2, DataDir: dir, runner: inj.runner})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
 
 	const n = 8
-	submit := func(base string, i int) service.Job {
+	submit := func(base string, i int) Job {
 		body := fmt.Sprintf(`{"experiment":"fig6","options":{"trace_length":%d}}`, 5000+i)
 		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var job service.Job
+		var job Job
 		if err := jsonDecode(resp, &job); err != nil {
 			t.Fatal(err)
 		}
@@ -210,9 +211,9 @@ func TestChaosKillRestartServesFromDisk(t *testing.T) {
 	for i := 0; i < n; i++ {
 		job := submit(ts1.URL, i)
 		switch done := pollTerminal(t, ts1.URL, job.ID); {
-		case done.State == service.StateDone:
+		case done.State == StateDone:
 			payloads[job.ResultKey] = fetch(t, ts1.URL+"/v1/results/"+job.ResultKey)
-		case s1.Store().Has(job.ResultKey):
+		case s1.store.Has(job.ResultKey):
 			t.Fatalf("failed job %d left a stored result", i)
 		default:
 			failed[5000+i] = true
@@ -224,9 +225,9 @@ func TestChaosKillRestartServesFromDisk(t *testing.T) {
 	ts1.Close() // abandon s1 without Close: kill -9
 
 	var reruns atomic.Int64
-	s2, err := service.New(service.Config{
+	s2, err := New(Config{
 		Workers: 2, DataDir: dir,
-		Runner: func(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		runner: func(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			if !failed[o.TraceLength] {
 				t.Errorf("restarted server re-simulated %s/%d", experiment, o.TraceLength)
 			}
@@ -246,12 +247,12 @@ func TestChaosKillRestartServesFromDisk(t *testing.T) {
 	for i := 0; i < n; i++ {
 		job := submit(ts2.URL, i)
 		if failed[5000+i] {
-			if done := pollTerminal(t, ts2.URL, job.ID); job.CacheHit || done.State != service.StateDone {
+			if done := pollTerminal(t, ts2.URL, job.ID); job.CacheHit || done.State != StateDone {
 				t.Fatalf("restart did not re-run failed job %d: %+v", i, done)
 			}
 			continue
 		}
-		if job.State != service.StateDone || !job.CacheHit {
+		if job.State != StateDone || !job.CacheHit {
 			t.Fatalf("restart did not serve job %d from disk: %+v", i, job)
 		}
 		if got := fetch(t, ts2.URL+"/v1/results/"+job.ResultKey); !bytes.Equal(got, payloads[job.ResultKey]) {
@@ -294,15 +295,15 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 	}
 	spec, _ := experiments.Lookup("lifetime")
 	canon := spec.CanonicalOptions(o)
-	key := service.ResultKey("lifetime", canon)
+	key := ResultKey("lifetime", canon)
 
 	// Phase 1: the runner mimics a process dying mid-run — the engine
 	// advances a handful of epochs under a counted context, and the job
 	// fails as interrupted. Because it never completes, the resumable
 	// job record stays on disk, exactly as kill -9 would leave things.
-	s1, err := service.New(service.Config{
+	s1, err := New(Config{
 		Workers: 1, DataDir: dir,
-		Runner: func(_ context.Context, experiment string, opts experiments.Options) (experiments.Result, error) {
+		runner: func(_ context.Context, experiment string, opts experiments.Options) (experiments.Result, error) {
 			limited := &pollCtx{Context: context.Background(), limit: 4}
 			return experiments.LifetimeContext(limited, opts)
 		},
@@ -317,25 +318,25 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var job service.Job
+	var job Job
 	if err := jsonDecode(resp, &job); err != nil {
 		t.Fatal(err)
 	}
 	if job.ResultKey != key {
 		t.Fatalf("submitted key %s != computed %s", job.ResultKey, key)
 	}
-	if done := pollTerminal(t, ts1.URL, job.ID); done.State != service.StateFailed ||
+	if done := pollTerminal(t, ts1.URL, job.ID); done.State != StateFailed ||
 		!strings.Contains(done.Error, "interrupted") {
 		t.Fatalf("phase 1 job = %+v, want interrupted failure", done)
 	}
-	if len(s1.Store().Records(store.KindJob, nil)) != 1 {
+	if len(s1.store.Records(store.KindJob, nil)) != 1 {
 		t.Fatal("no resumable job record left behind")
 	}
 	ts1.Close() // kill -9: no graceful Close
 
 	// Phase 2: a fresh boot over the same data dir resumes the job with
-	// the real registry runner (nil Runner) and completes it.
-	s2, err := service.New(service.Config{Workers: 1, DataDir: dir})
+	// the real registry runner (nil runner) and completes it.
+	s2, err := New(Config{Workers: 1, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 		s2.Close()
 	}()
 	deadline := time.Now().Add(120 * time.Second)
-	for !s2.Store().Has(key) {
+	for !s2.store.Has(key) {
 		if time.Now().After(deadline) {
 			t.Fatal("resumed lifetime job never completed")
 		}
@@ -372,14 +373,14 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m service.Metrics
+	var m Metrics
 	if err := jsonDecode(resp, &m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Jobs.Resumed != 1 {
 		t.Errorf("resumed = %d, want 1", m.Jobs.Resumed)
 	}
-	if recs := s2.Store().Records(store.KindJob, nil); len(recs) != 0 {
+	if recs := s2.store.Records(store.KindJob, nil); len(recs) != 0 {
 		t.Errorf("job record survived completion: %+v", recs)
 	}
 }
@@ -394,9 +395,9 @@ func TestChaosQueuedLifetimeSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
 	started, release := make(chan struct{}), make(chan struct{})
 	var calls atomic.Int64
-	s1, err := service.New(service.Config{
+	s1, err := New(Config{
 		Workers: 1, DataDir: dir,
-		Runner: func(context.Context, string, experiments.Options) (experiments.Result, error) {
+		runner: func(context.Context, string, experiments.Options) (experiments.Result, error) {
 			if calls.Add(1) == 1 {
 				close(started)
 			}
@@ -410,12 +411,12 @@ func TestChaosQueuedLifetimeSurvivesCrash(t *testing.T) {
 	ts1 := httptest.NewServer(s1.Handler())
 	defer close(release) // let the abandoned worker return once the test is done
 
-	post := func(base, body string) service.Job {
+	post := func(base, body string) Job {
 		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var job service.Job
+		var job Job
 		if err := jsonDecode(resp, &job); err != nil {
 			t.Fatal(err)
 		}
@@ -429,10 +430,10 @@ func TestChaosQueuedLifetimeSurvivesCrash(t *testing.T) {
 	canon := spec.CanonicalOptions(o)
 	optJSON, _ := json.Marshal(canon)
 	queued := post(ts1.URL, fmt.Sprintf(`{"experiment":"lifetime","options":%s}`, optJSON))
-	if queued.State != service.StateQueued {
+	if queued.State != StateQueued {
 		t.Fatalf("lifetime job behind a busy worker is %s, want queued", queued.State)
 	}
-	if recs := s1.Store().Records(store.KindJob, nil); len(recs) != 1 || recs[0].Name != queued.ResultKey {
+	if recs := s1.store.Records(store.KindJob, nil); len(recs) != 1 || recs[0].Name != queued.ResultKey {
 		t.Fatalf("admission wrote job records %+v, want one for %s", recs, queued.ResultKey)
 	}
 	ts1.Close() // kill -9: no graceful Close, the queued job never ran
@@ -440,7 +441,7 @@ func TestChaosQueuedLifetimeSurvivesCrash(t *testing.T) {
 		t.Fatalf("first server ran %d jobs, want only the one holding the worker", n)
 	}
 
-	s2, err := service.New(service.Config{Workers: 1, DataDir: dir})
+	s2, err := New(Config{Workers: 1, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +451,7 @@ func TestChaosQueuedLifetimeSurvivesCrash(t *testing.T) {
 		s2.Close()
 	}()
 	deadline := time.Now().Add(60 * time.Second)
-	for !s2.Store().Has(queued.ResultKey) {
+	for !s2.store.Has(queued.ResultKey) {
 		if time.Now().After(deadline) {
 			t.Fatal("queued lifetime job never resumed")
 		}
@@ -472,7 +473,7 @@ func TestChaosQueuedLifetimeSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m service.Metrics
+	var m Metrics
 	if err := jsonDecode(resp, &m); err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +497,7 @@ func TestChaosGracefulCloseKeepsJobRecord(t *testing.T) {
 		Population: 20000, Years: 7, EpochDays: 30,
 		VariationSigma: 0.1, FleetSeed: 5,
 	}
-	s, err := service.New(service.Config{Workers: 1, DataDir: dir})
+	s, err := New(Config{Workers: 1, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,14 +506,14 @@ func TestChaosGracefulCloseKeepsJobRecord(t *testing.T) {
 
 	spec, _ := experiments.Lookup("lifetime")
 	canon := spec.CanonicalOptions(o)
-	key := service.ResultKey("lifetime", canon)
+	key := ResultKey("lifetime", canon)
 	optJSON, _ := json.Marshal(canon)
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
 		strings.NewReader(fmt.Sprintf(`{"experiment":"lifetime","options":%s}`, optJSON)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var job service.Job
+	var job Job
 	if err := jsonDecode(resp, &job); err != nil {
 		t.Fatal(err)
 	}
@@ -527,10 +528,10 @@ func TestChaosGracefulCloseKeepsJobRecord(t *testing.T) {
 		if err := jsonDecode(resp, &job); err != nil {
 			t.Fatal(err)
 		}
-		if job.State == service.StateRunning {
+		if job.State == StateRunning {
 			break
 		}
-		if job.State != service.StateQueued {
+		if job.State != StateQueued {
 			t.Skipf("run ended (%s) before the shutdown raced it; nothing to drain", job.State)
 		}
 		if time.Now().After(deadline) {
@@ -543,7 +544,7 @@ func TestChaosGracefulCloseKeepsJobRecord(t *testing.T) {
 	if took := time.Since(start); took > 30*time.Second {
 		t.Fatalf("graceful close took %v", took)
 	}
-	if !s.Store().Has(key) && len(s.Store().Records(store.KindJob, nil)) != 1 {
+	if !s.store.Has(key) && len(s.store.Records(store.KindJob, nil)) != 1 {
 		t.Error("interrupted run left neither a result nor a resumable job record")
 	}
 }
@@ -596,11 +597,11 @@ func chaosFleetConfig() lifetime.Config {
 func TestChaosFleetSIGTERMMidTickResumes(t *testing.T) {
 	dir := t.TempDir()
 	cfg := chaosFleetConfig()
-	mk := func() (*service.Server, *httptest.Server) {
-		s, err := service.New(service.Config{
+	mk := func() (*Server, *httptest.Server) {
+		s, err := New(Config{
 			Workers: 2, DataDir: dir,
 			FleetTick: time.Millisecond,
-			FleetBuilder: func(fleetops.Registration) (lifetime.Config, error) {
+			fleetBuilder: func(fleetops.Registration) (lifetime.Config, error) {
 				return cfg, nil
 			},
 		})
@@ -638,7 +639,7 @@ func TestChaosFleetSIGTERMMidTickResumes(t *testing.T) {
 				ready++
 				continue
 			}
-			if st, ok := s1.FleetStatus(name); ok && st.Epoch >= 2 && st.State == fleetops.StateActive {
+			if st, ok := s1.sched.Get(name); ok && st.Epoch >= 2 && st.State == fleetops.StateActive {
 				preKill[name] = st.Epoch
 				ready++
 			}
@@ -671,12 +672,12 @@ func TestChaosFleetSIGTERMMidTickResumes(t *testing.T) {
 	// must come back flagged resumed, continuing past its pre-kill epoch
 	// rather than restarting from zero.
 	for _, name := range names {
-		if _, ok := s2.FleetStatus(name); !ok {
+		if _, ok := s2.sched.Get(name); !ok {
 			t.Fatalf("restart lost fleet %s", name)
 		}
 		deadline := time.Now().Add(30 * time.Second)
 		for {
-			st, _ := s2.FleetStatus(name)
+			st, _ := s2.sched.Get(name)
 			if st.Ticks >= 1 {
 				if !st.Resumed {
 					t.Fatalf("fleet %s ticked without resuming its checkpoint: %+v", name, st)
@@ -695,7 +696,7 @@ func TestChaosFleetSIGTERMMidTickResumes(t *testing.T) {
 	for _, name := range names {
 		deadline := time.Now().Add(60 * time.Second)
 		for {
-			st, ok := s2.FleetStatus(name)
+			st, ok := s2.sched.Get(name)
 			if ok && st.State == fleetops.StateDone {
 				if !st.Resumed {
 					t.Errorf("fleet %s finished without the resumed flag", name)
@@ -720,7 +721,7 @@ func TestChaosFleetSIGTERMMidTickResumes(t *testing.T) {
 	}
 	want := ref.Stats()[len(ref.Stats())-1]
 	for _, name := range names {
-		st, _ := s2.FleetStatus(name)
+		st, _ := s2.sched.Get(name)
 		if st.Last == nil {
 			t.Fatalf("fleet %s has no final stats", name)
 		}
@@ -734,7 +735,7 @@ func TestChaosFleetSIGTERMMidTickResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m service.Metrics
+	var m Metrics
 	if err := jsonDecode(resp, &m); err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,6 @@ func (s *Server) RegisterFleet(reg fleetops.Registration) (fleetops.Status, erro
 	return s.sched.Register(reg)
 }
 
-// FleetStatus returns one scheduled population's status.
-func (s *Server) FleetStatus(name string) (fleetops.Status, bool) {
-	return s.sched.Get(name)
-}
-
 // handleFleetRegister admits POST /v1/fleets: one registration, charged
 // one admission token like a job submission.
 func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {

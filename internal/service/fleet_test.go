@@ -43,7 +43,7 @@ func fastFleetConfig(builder fleetops.ConfigBuilder) Config {
 	return Config{
 		Workers:      2,
 		FleetTick:    2 * time.Millisecond,
-		FleetBuilder: builder,
+		fleetBuilder: builder,
 	}
 }
 
@@ -264,7 +264,7 @@ func TestFleetEventStreamSSE(t *testing.T) {
 func TestSweepEventStream(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers: 2,
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			return fakeResult{Name: experiment, N: o.TraceLength}, nil
 		},
 	})
@@ -323,13 +323,14 @@ func TestSweepEventStream(t *testing.T) {
 }
 
 // TestSweepTopicExpiresAfterRetention checks a finished sweep's bus
-// topic is dropped once SweepRetention passes, so a long-lived server
-// does not accumulate one topic (and history ring) per sweep forever.
+// topic is dropped once its retention (shortened here through the
+// sweepRetention seam) passes, so a long-lived server does not
+// accumulate one topic (and history ring) per sweep forever.
 func TestSweepTopicExpiresAfterRetention(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers:        2,
-		SweepRetention: 30 * time.Millisecond,
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		sweepRetention: 30 * time.Millisecond,
+		runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			return fakeResult{Name: experiment, N: o.TraceLength}, nil
 		},
 	})
@@ -358,7 +359,7 @@ func TestJobsListing(t *testing.T) {
 	gate := make(chan struct{})
 	_, ts := newTestServer(t, Config{
 		Workers: 1,
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			if o.TraceLength >= 9000 {
 				<-gate // hold late jobs in queued/running
 			}
@@ -449,7 +450,7 @@ func TestRetryAfterNeverZero(t *testing.T) {
 	// End to end: a rate-limited submission carries the clamped header.
 	_, ts := newTestServer(t, Config{
 		Workers: 1, Rate: 0.0001, Burst: 1,
-		Runner: func(context.Context, string, experiments.Options) (experiments.Result, error) {
+		runner: func(context.Context, string, experiments.Options) (experiments.Result, error) {
 			return fakeResult{Name: "fig6"}, nil
 		},
 	})
@@ -557,7 +558,7 @@ func (s *testSink) Delivered() []fleetops.Alert {
 func TestFleetAlertsDeliveredDeterministically(t *testing.T) {
 	sink := &testSink{failFirst: 1}
 	cfg := fastFleetConfig(testFleetBuilder(1))
-	cfg.AlertSink = sink
+	cfg.alertSink = sink
 	_, ts := newTestServer(t, cfg)
 
 	// A threshold low enough that aging crosses it quickly.

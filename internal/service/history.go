@@ -38,7 +38,6 @@ func (s *Server) initHistory() error {
 		Registry:  s.obs.reg,
 		Interval:  s.cfg.HistoryInterval,
 		Retention: s.cfg.HistoryRetention,
-		Logger:    s.logger,
 	}
 	if s.cfg.DataDir != "" {
 		cfg.Dir = filepath.Join(s.cfg.DataDir, "metrics")

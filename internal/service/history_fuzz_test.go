@@ -17,7 +17,7 @@ func FuzzMetricsQuery(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(s.Close)
-	reg := s.Registry()
+	reg := s.obs.reg
 	ctr := reg.Counter("fuzz_events_total", "fuzz counter")
 	hist := reg.HistogramVec("fuzz_latency_seconds", "fuzz histogram", "route", []float64{0.1, 1})
 	feedHistory(s, time.Now().Add(-5*time.Minute), 30, 10*time.Second, func(i int) {

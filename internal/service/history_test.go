@@ -32,7 +32,7 @@ func feedHistory(s *Server, start time.Time, n int, step time.Duration, tick fun
 func TestHistoryQueryEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 
-	reg := s.Registry()
+	reg := s.obs.reg
 	ctr := reg.Counter("test_events_total", "test counter")
 	hist := reg.Histogram("test_latency_seconds", "test histogram", []float64{0.1, 1, 10})
 
@@ -140,7 +140,7 @@ func TestHistoryRestartServesPrerestartSamples(t *testing.T) {
 	cfg := Config{Workers: 1, DataDir: dir}
 	s1, ts1 := newTestServer(t, cfg)
 
-	ctr := s1.Registry().Counter("test_restart_total", "survives restarts")
+	ctr := s1.obs.reg.Counter("test_restart_total", "survives restarts")
 	start := time.Now().Add(-20 * time.Minute)
 	end := feedHistory(s1, start, 12, 10*time.Second, func(i int) { ctr.Add(3) })
 	s1.history.Flush()
@@ -157,7 +157,7 @@ func TestHistoryRestartServesPrerestartSamples(t *testing.T) {
 	s2, ts2 := newTestServer(t, cfg)
 	// The restarted process registers the same family (fresh at zero, as
 	// any counter is after a reboot); history for it comes from blocks.
-	s2.Registry().Counter("test_restart_total", "survives restarts")
+	s2.obs.reg.Counter("test_restart_total", "survives restarts")
 	if st := s2.history.Stats(); st.BlocksLoaded == 0 || st.BlocksQuarantined != 0 {
 		t.Fatalf("restart loaded %d blocks, quarantined %d", st.BlocksLoaded, st.BlocksQuarantined)
 	}
@@ -180,7 +180,7 @@ func TestSLOThroughServer(t *testing.T) {
 	sink := &testSink{}
 	s, ts := newTestServer(t, Config{
 		Workers:   1,
-		AlertSink: sink,
+		alertSink: sink,
 		SLORules: []fleetops.SLORule{{
 			Name: "bad-ratio", Numerator: "test_bad_total", Denominator: "test_all_total",
 			Objective:   0.01,
@@ -190,7 +190,7 @@ func TestSLOThroughServer(t *testing.T) {
 		}},
 	})
 
-	reg := s.Registry()
+	reg := s.obs.reg
 	bad := reg.Counter("test_bad_total", "failing events")
 	all := reg.Counter("test_all_total", "all events")
 

@@ -14,11 +14,11 @@ import (
 
 // This file is the server's observability surface: the per-server
 // metrics registry (Prometheus text on GET /metrics, the original JSON
-// payload on /metrics.json or Accept: application/json), the job
-// lifecycle tracer behind /v1/jobs/{id}/trace and /v1/debug/traces,
-// and the histograms the hot paths feed. Every server owns its own
-// Registry and Tracer — nothing is global — so tests and multi-server
-// processes never collide.
+// payload on /metrics.json or Accept: application/json), the tracer
+// whose component rings back /v1/debug/traces (a job's own trace, held
+// by the job, backs /v1/jobs/{id}/trace), and the histograms the hot
+// paths feed. Every server owns its own Registry and Tracer — nothing
+// is global — so tests and multi-server processes never collide.
 
 // httpLatencyFamily is the per-route request histogram's family name,
 // named once because the JSON payload excludes it (scrapes observe
@@ -99,7 +99,7 @@ func (s *Server) initObs() {
 	reg.GaugeFunc("penelope_jobs_running", "Jobs currently running.",
 		jobCount(func() int { return s.running }))
 
-	obs.RegisterBuildInfo(reg, *s.cfg.BuildInfo)
+	obs.RegisterBuildInfo(reg, *s.cfg.buildInfo)
 	reg.CounterFunc("penelope_uptime_seconds", "Whole seconds since the server started.",
 		func() uint64 { return uint64(time.Since(s.started).Seconds()) })
 	reg.GaugeFunc("penelope_shed_retry_after_seconds",
@@ -242,15 +242,16 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobTrace serves one job's lifecycle trace: spans from admission
-// through queue wait, run, store write, to done.
+// through queue wait, run, store write, to done. The trace lives with
+// its job, so it answers exactly while /v1/jobs/{id} does.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	snap, ok := s.obs.tracer.Get(id)
+	job, ok := s.job(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no trace for job %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, snap)
+	writeJSON(w, http.StatusOK, job.trace.Snapshot())
 }
 
 // handleDebugTraces serves recent traces by component
@@ -277,12 +278,6 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"component": component, "traces": traces})
 }
-
-// Registry exposes the server's metrics registry (CLI wiring, tests).
-func (s *Server) Registry() *obs.Registry { return s.obs.reg }
-
-// Tracer exposes the server's span tracer (CLI wiring, tests).
-func (s *Server) Tracer() *obs.Tracer { return s.obs.tracer }
 
 // storeInstruments builds the disk store's instrument bundle on the
 // server's registry.

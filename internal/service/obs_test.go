@@ -133,7 +133,7 @@ func TestJobTraceLifecycle(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		return fakeResult{Name: experiment, N: 1}, nil
 	}
-	_, ts := newTestServer(t, Config{Workers: 1, Runner: runner})
+	_, ts := newTestServer(t, Config{Workers: 1, runner: runner})
 
 	var job Job
 	if code := postJSON(t, ts.URL+"/v1/jobs", `{"experiment":"fig1"}`, &job); code != http.StatusAccepted {
@@ -237,7 +237,7 @@ func TestUntrackedClients(t *testing.T) {
 	runner := func(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 		return fakeResult{Name: experiment, N: 1}, nil
 	}
-	_, ts := newTestServer(t, Config{Workers: 2, Runner: runner})
+	_, ts := newTestServer(t, Config{Workers: 2, runner: runner})
 
 	const extra = 7
 	for i := 0; i < maxTrackedClients+extra; i++ {
@@ -288,7 +288,7 @@ func TestStoreInstrumentsObserve(t *testing.T) {
 	runner := func(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 		return fakeResult{Name: experiment, N: 1}, nil
 	}
-	_, ts := newTestServer(t, Config{Workers: 1, Runner: runner, DataDir: t.TempDir()})
+	_, ts := newTestServer(t, Config{Workers: 1, runner: runner, DataDir: t.TempDir()})
 
 	var job Job
 	if code := postJSON(t, ts.URL+"/v1/jobs", `{"experiment":"fig1"}`, &job); code != http.StatusAccepted {

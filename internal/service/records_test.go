@@ -87,7 +87,7 @@ func TestBootResumesEarlierLayout(t *testing.T) {
 	fleetCfg.DataDir = dir
 	s, ts := newTestServer(t, fleetCfg)
 
-	waitFor(t, func() bool { return s.Store().Has(key) })
+	waitFor(t, func() bool { return s.store.Has(key) })
 	var got json.RawMessage
 	if code := getJSON(t, ts.URL+"/v1/results/"+key, &got); code != http.StatusOK {
 		t.Fatalf("resumed result: status %d", code)
@@ -211,7 +211,7 @@ func TestStaleJobCheckpointIgnored(t *testing.T) {
 			if _, err := os.Stat(filepath.Join(dir, "checkpoints", key+".job")); !os.IsNotExist(err) {
 				t.Errorf("job record survived the finished job (%v)", err)
 			}
-			if q := s.Store().Stats().Quarantined; q != 0 {
+			if q := s.store.Stats().Quarantined; q != 0 {
 				t.Errorf("store quarantined %d files, want 0", q)
 			}
 		})

@@ -41,7 +41,7 @@ func okRunner(_ context.Context, experiment string, o experiments.Options) (expe
 // process down. Now the submission fails cleanly with a shutting-down
 // error, and Close is idempotent.
 func TestSubmitAfterClose(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, Runner: okRunner})
+	s, ts := newTestServer(t, Config{Workers: 1, runner: okRunner})
 	s.Close()
 	s.Close() // idempotent
 
@@ -70,7 +70,7 @@ func TestSubmitAfterClose(t *testing.T) {
 func TestPanicRecovered(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers: 1,
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			if o.TraceLength == 666 {
 				panic("simulated driver bug")
 			}
@@ -103,7 +103,7 @@ func TestNonTransientNotRetried(t *testing.T) {
 	var calls atomic.Int64
 	_, ts := newTestServer(t, Config{
 		Workers: 1,
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			calls.Add(1)
 			return nil, fmt.Errorf("deterministic failure")
 		},
@@ -125,7 +125,7 @@ func TestJobTimeout(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers:    2,
 		JobTimeout: 30 * time.Millisecond,
-		Runner: func(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		runner: func(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			if o.TraceLength == 4242 {
 				<-ctx.Done() // hang until the timeout fires
 				return nil, ctx.Err()
@@ -157,7 +157,7 @@ func TestReadinessDegrades(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers:    1,
 		QueueDepth: 4, // high water at 3
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			<-gate
 			return fakeResult{Name: experiment, N: o.TraceLength}, nil
 		},
@@ -211,7 +211,7 @@ func TestSaturationRetryAfter(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers:    1,
 		QueueDepth: 2,
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			<-gate
 			return fakeResult{Name: experiment, N: o.TraceLength}, nil
 		},
@@ -252,7 +252,7 @@ func TestSaturationRetryAfter(t *testing.T) {
 // admission: a flooding client exhausts its own rate budget and gets
 // 429s, while a well-behaved client's submissions keep flowing.
 func TestTwoClientFairness(t *testing.T) {
-	s, err := New(Config{Workers: 2, Rate: 1, Burst: 2, Runner: okRunner})
+	s, err := New(Config{Workers: 2, Rate: 1, Burst: 2, runner: okRunner})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestCrashRecoveryStoreHits(t *testing.T) {
 	}
 
 	var runs atomic.Int64
-	s1, err := New(Config{Workers: 2, DataDir: dir, Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+	s1, err := New(Config{Workers: 2, DataDir: dir, runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 		runs.Add(1)
 		return fakeResult{Name: experiment, N: o.TraceLength}, nil
 	}})
@@ -358,7 +358,7 @@ func TestCrashRecoveryStoreHits(t *testing.T) {
 	// Kill -9 semantics: the first process is abandoned, never Closed.
 	ts1.Close()
 
-	s2, ts2 := newTestServer(t, Config{Workers: 2, DataDir: dir, Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+	s2, ts2 := newTestServer(t, Config{Workers: 2, DataDir: dir, runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 		t.Errorf("restart re-simulated %s despite a persisted result", experiment)
 		return fakeResult{Name: experiment}, nil
 	}})
@@ -412,7 +412,7 @@ func TestCorruptedStoreEntryQuarantined(t *testing.T) {
 		runs.Add(1)
 		return fakeResult{Name: experiment, N: o.TraceLength}, nil
 	}
-	s1, err := New(Config{Workers: 1, DataDir: dir, Runner: counting})
+	s1, err := New(Config{Workers: 1, DataDir: dir, runner: counting})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestCorruptedStoreEntryQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, ts2 := newTestServer(t, Config{Workers: 1, DataDir: dir, Runner: counting})
+	s2, ts2 := newTestServer(t, Config{Workers: 1, DataDir: dir, runner: counting})
 	var job Job
 	postJSON(t, ts2.URL+"/v1/jobs", `{"experiment":"fig6","options":{"trace_length":2000}}`, &job)
 	if job.State != StateDone || !job.CacheHit {
@@ -474,19 +474,19 @@ func TestBootResumesInterruptedJob(t *testing.T) {
 	}
 
 	var runs atomic.Int64
-	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir, Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir, runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 		runs.Add(1)
 		return fakeResult{Name: experiment, N: 1}, nil
 	}})
 
-	waitFor(t, func() bool { return s.Store().Has(key) })
+	waitFor(t, func() bool { return s.store.Has(key) })
 	if got := runs.Load(); got != 1 {
 		t.Errorf("recovery ran %d simulations, want 1", got)
 	}
 	if m := s.metrics(); m.Jobs.Resumed != 1 {
 		t.Errorf("resumed = %d, want 1", m.Jobs.Resumed)
 	}
-	if recs := s.Store().Records(store.KindJob, nil); len(recs) != 0 {
+	if recs := s.store.Records(store.KindJob, nil); len(recs) != 0 {
 		t.Errorf("job record not cleaned up after completion: %+v", recs)
 	}
 	// The recovered result is served.

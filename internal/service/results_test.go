@@ -74,7 +74,7 @@ func floodResults(t *testing.T, s *Server, base string) {
 }
 
 // countingBlobRunner is blobRunner with a per-key run count.
-func countingBlobRunner(runs map[string]int) Runner {
+func countingBlobRunner(runs map[string]int) runFunc {
 	return func(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 		runs[ResultKey(experiment, o)]++
 		return blobRunner(ctx, experiment, o)
@@ -87,7 +87,7 @@ func countingBlobRunner(runs map[string]int) Runner {
 // server answers 404 until a resubmission recomputes it.
 func TestResultMemoStaysWithinBudget(t *testing.T) {
 	runs := map[string]int{} // written by the single worker only
-	s, ts := newTestServer(t, Config{Workers: 1, Runner: countingBlobRunner(runs)})
+	s, ts := newTestServer(t, Config{Workers: 1, runner: countingBlobRunner(runs)})
 	first := submitDone(t, ts.URL, smallJob)
 	floodResults(t, s, ts.URL)
 
@@ -109,7 +109,7 @@ func TestResultMemoStaysWithinBudget(t *testing.T) {
 // re-simulation.
 func TestEvictedResultReadsThroughStore(t *testing.T) {
 	runs := map[string]int{}
-	s, ts := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir(), Runner: countingBlobRunner(runs)})
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir(), runner: countingBlobRunner(runs)})
 	first := submitDone(t, ts.URL, smallJob)
 	_, want := getRaw(t, ts.URL+"/v1/results/"+first.ResultKey)
 	floodResults(t, s, ts.URL)
@@ -142,7 +142,7 @@ func TestEvictedResultReadsThroughStore(t *testing.T) {
 // reads an evicted key through the store once and makes it resident:
 // three fetches cost one store read, and the key stays resident.
 func TestResultFetchMakesKeyResident(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir(), Runner: blobRunner})
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir(), runner: blobRunner})
 	first := submitDone(t, ts.URL, smallJob)
 	_, want := getRaw(t, ts.URL+"/v1/results/"+first.ResultKey)
 	floodResults(t, s, ts.URL)
@@ -170,7 +170,7 @@ func TestResultFetchMakesKeyResident(t *testing.T) {
 // bytes, every job completes without error, and nothing re-simulates.
 func TestResultFetchRacesResubmit(t *testing.T) {
 	runs := map[string]int{} // written by the single worker only
-	s, ts := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir(), Runner: countingBlobRunner(runs)})
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir(), runner: countingBlobRunner(runs)})
 	first := submitDone(t, ts.URL, smallJob)
 	_, want := getRaw(t, ts.URL+"/v1/results/"+first.ResultKey)
 	floodResults(t, s, ts.URL)
@@ -254,7 +254,7 @@ func TestHotKeysStayResident(t *testing.T) {
 // charged bytes as penelope_resident_bytes{holder="results"}, through
 // an insert and the evictions of a flood.
 func TestResidentBytesGauge(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir(), Runner: blobRunner})
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir(), runner: blobRunner})
 	const prefix = `penelope_resident_bytes{holder="results"} `
 	check := func() {
 		t.Helper()
@@ -296,7 +296,7 @@ func TestInMemoryLifetimeHonorsContext(t *testing.T) {
 // every entry point that admits Options: each is a 400, and nothing is
 // enqueued or scheduled.
 func TestOversizeRequestsRefused(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, Runner: blobRunner})
+	s, ts := newTestServer(t, Config{Workers: 1, runner: blobRunner})
 	cases := []struct{ name, url, body string }{
 		{"job bank", "/v1/jobs", `{"experiment":"fig6","options":{"trace_length":1099511627776}}`},
 		{"job population", "/v1/jobs", `{"experiment":"lifetime","options":{"population":100000000000}}`},
@@ -349,7 +349,7 @@ func TestBootQuarantinesOversizeRecords(t *testing.T) {
 	writeFile(t, filepath.Join(dir, "fleets", "huge.fleet"),
 		[]byte(`{"name":"huge","options":{"population":100000000000}}`))
 
-	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir, Runner: blobRunner})
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir, runner: blobRunner})
 	m := s.metrics()
 	if m.Jobs.Submitted != 0 || m.Jobs.Resumed != 0 || m.Fleet.ResumedBoot != 0 {
 		t.Fatalf("oversize records replayed: %d jobs, %d fleets", m.Jobs.Submitted, m.Fleet.ResumedBoot)
@@ -391,7 +391,7 @@ func TestBootQuarantinesOverWorkRecords(t *testing.T) {
 	writeFile(t, filepath.Join(dir, "fleets", "forever.fleet"),
 		[]byte(`{"name":"forever","options":{"population":1000000,"years":2800,"epoch_days":1},"cursor":0}`))
 
-	s, _ := newTestServer(t, Config{Workers: 1, DataDir: dir, Runner: blobRunner})
+	s, _ := newTestServer(t, Config{Workers: 1, DataDir: dir, runner: blobRunner})
 	m := s.metrics()
 	if m.Jobs.Submitted != 0 || m.Jobs.Resumed != 0 || m.Fleet.ResumedBoot != 0 {
 		t.Fatalf("over-work records replayed: %d jobs, %d fleets", m.Jobs.Submitted, m.Fleet.ResumedBoot)

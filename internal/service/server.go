@@ -23,13 +23,13 @@ import (
 	"penelope/internal/store"
 )
 
-// Runner executes one experiment. The default runs the registry driver,
-// routing lifetime jobs through the cancellable path; tests substitute
-// instrumented runners to count, gate and fail simulations. The context
-// is cancelled on job timeout and on server shutdown; cooperative
-// runners should return promptly. An interrupted job keeps nothing but
-// its job record: the next boot recomputes it.
-type Runner func(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error)
+// runFunc executes one experiment. The default runs the registry
+// driver, routing lifetime jobs through the cancellable path; tests
+// substitute instrumented runners to count, gate and fail simulations.
+// The context is cancelled on job timeout and on server shutdown;
+// cooperative runners should return promptly. An interrupted job keeps
+// nothing but its job record: the next boot recomputes it.
+type runFunc func(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error)
 
 // Config tunes a Server.
 type Config struct {
@@ -43,15 +43,6 @@ type Config struct {
 	// buffered without bound, and progressive shedding starts at
 	// three quarters of the depth.
 	QueueDepth int
-	// RetainJobs bounds how many finished (done/failed) jobs stay
-	// pollable (default 4096). The oldest are evicted first; their
-	// results stay fetchable by key while resident in the result memo
-	// or stored on disk, so eviction only limits how long
-	// /v1/jobs/{id} answers for a long-finished job.
-	RetainJobs int
-	// Runner overrides experiment execution (tests). Nil runs the
-	// registry.
-	Runner Runner
 
 	// DataDir enables persistence: completed result payloads are
 	// written through the result memo to a content-addressed disk store
@@ -83,29 +74,16 @@ type Config struct {
 	// JobTimeout bounds one runner attempt; a job past it fails with a
 	// timeout error and its context is cancelled. 0 = unbounded.
 	JobTimeout time.Duration
-	// SweepRetention keeps a finished sweep's event topic (and its
-	// resume ring) alive after the "done" event so late subscribers can
-	// still replay it; past that the topic is dropped so a long-lived
-	// server's bus does not grow one topic per sweep forever (default
-	// 5m).
-	SweepRetention time.Duration
 
 	// FleetTick is the default interval between scheduled fleet epoch
 	// ticks for registrations that do not set their own (default 30s).
 	// A failed tick retries after FleetTick/30 (doubling), and a
 	// quarantined fleet parks for 10×FleetTick before its probe.
 	FleetTick time.Duration
-	// FleetBuilder overrides how fleet registrations become engine
-	// configs (tests); nil measures duty profiles from the trace
-	// workload like the lifetime experiment.
-	FleetBuilder fleetops.ConfigBuilder
 	// AlertWebhook POSTs fired fleet alerts to this URL through the
 	// hardened delivery pipeline. Empty disables webhook delivery
 	// (alerts still publish on the event bus).
 	AlertWebhook string
-	// AlertSink overrides the webhook sink (tests inject failing
-	// sinks); takes precedence over AlertWebhook.
-	AlertSink fleetops.Sink
 
 	// HistoryInterval is the metric-history sampling cadence: every
 	// interval the registry is sampled into the embedded time-series
@@ -119,11 +97,27 @@ type Config struct {
 	// history on every sampling tick; breaches fire through the event
 	// bus and the alert delivery pipeline like fleet alerts.
 	SLORules []fleetops.SLORule
-	// BuildInfo overrides the binary identity exposed as
-	// penelope_build_info and in the JSON payload (tests pin it for
-	// golden stability). Nil reads the embedded build metadata.
-	BuildInfo *obs.BuildInfo
+
+	// In-package test seams; a zero value takes the production default.
+	runner         runFunc                // nil runs the registry
+	fleetBuilder   fleetops.ConfigBuilder // nil measures duty profiles like the lifetime experiment
+	alertSink      fleetops.Sink          // takes precedence over AlertWebhook
+	buildInfo      *obs.BuildInfo         // nil reads the embedded build metadata
+	sweepRetention time.Duration          // 0 keeps a finished sweep's topic for sweepTopicRetention
 }
+
+// retainJobs bounds how many finished (done/failed) jobs stay pollable.
+// The oldest are evicted first; their results stay fetchable by key
+// while resident in the result memo or stored on disk, so eviction only
+// limits how long /v1/jobs/{id} and its trace answer for a
+// long-finished job.
+const retainJobs = 4096
+
+// sweepTopicRetention keeps a finished sweep's event topic (and its
+// resume ring) alive after the "done" event so late subscribers can
+// still replay it; past that the topic is dropped so a long-lived
+// server's bus does not grow one topic per sweep forever.
+const sweepTopicRetention = 5 * time.Minute
 
 // resultBudget bounds the payloads the result memo keeps resident on a
 // server without a store, where the memo is their only copy. At a few
@@ -224,11 +218,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
 	}
-	if cfg.RetainJobs <= 0 {
-		cfg.RetainJobs = 4096
-	}
-	if cfg.SweepRetention <= 0 {
-		cfg.SweepRetention = 5 * time.Minute
+	if cfg.sweepRetention <= 0 {
+		cfg.sweepRetention = sweepTopicRetention
 	}
 	if cfg.HistoryInterval == 0 {
 		cfg.HistoryInterval = 10 * time.Second
@@ -236,9 +227,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.HistoryRetention <= 0 {
 		cfg.HistoryRetention = 168 * time.Hour
 	}
-	if cfg.BuildInfo == nil {
+	if cfg.buildInfo == nil {
 		bi := obs.ReadBuildInfo()
-		cfg.BuildInfo = &bi
+		cfg.buildInfo = &bi
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -251,7 +242,7 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:   ctx,
 		cancelCtx: cancel,
 		jobs:      make(map[string]*Job),
-		terminal:  obs.NewRing[string](cfg.RetainJobs),
+		terminal:  obs.NewRing[string](retainJobs),
 		clients:   make(map[string]*ClientCounters),
 		sweeps:    make(map[string]*sweepTrack),
 	}
@@ -273,8 +264,8 @@ func New(cfg Config) (*Server, error) {
 		s.store = st
 		s.registerStoreMetrics()
 	}
-	if s.cfg.Runner == nil {
-		s.cfg.Runner = s.registryRunner
+	if s.cfg.runner == nil {
+		s.cfg.runner = s.registryRunner
 	}
 	s.initFleetops()
 	if err := s.initHistory(); err != nil {
@@ -293,7 +284,7 @@ func (s *Server) initFleetops() {
 	fleetIns := s.fleetInstruments()
 	s.bus = fleetops.NewBus(0)
 	s.bus.SetInstruments(fleetIns)
-	sink := s.cfg.AlertSink
+	sink := s.cfg.alertSink
 	if sink == nil && s.cfg.AlertWebhook != "" {
 		sink = &fleetops.WebhookSink{URL: s.cfg.AlertWebhook}
 	}
@@ -306,7 +297,7 @@ func (s *Server) initFleetops() {
 		storage = s.store
 	}
 	s.sched = fleetops.NewScheduler(fleetops.Config{
-		Builder:         s.cfg.FleetBuilder,
+		Builder:         s.cfg.fleetBuilder,
 		Storage:         storage,
 		Bus:             s.bus,
 		Alerter:         s.alerter,
@@ -317,7 +308,7 @@ func (s *Server) initFleetops() {
 	s.registerFleetMetrics()
 }
 
-// registryRunner is the default Runner: the experiments registry, with
+// registryRunner is the default runFunc: the experiments registry, with
 // lifetime jobs routed through the cancellable driver so a timeout or
 // shutdown stops them mid-fleet.
 func (s *Server) registryRunner(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
@@ -417,9 +408,6 @@ func (s *Server) recoverInterrupted() {
 
 // Workers returns the worker pool size.
 func (s *Server) Workers() int { return s.cfg.Workers }
-
-// Store returns the disk store, or nil when persistence is off.
-func (s *Server) Store() *store.Store { return s.store }
 
 // Close shuts down gracefully: new submissions fail with a
 // shutting-down error, the fleet scheduler stops every registered
@@ -606,7 +594,7 @@ func (s *Server) runOnce(job *Job) ([]byte, error) {
 				ch <- outcome{nil, fmt.Errorf("experiment driver panicked: %v", r)}
 			}
 		}()
-		res, err := s.cfg.Runner(ctx, job.Experiment, job.Options)
+		res, err := s.cfg.runner(ctx, job.Experiment, job.Options)
 		var payload []byte
 		if err == nil {
 			payload, err = experiments.NewPayload(res, job.Options).Marshal()
@@ -696,9 +684,18 @@ func (s *Server) finish(job *Job, err error, cacheHit bool) {
 			// finished sweep forever. Sweep ids are unique per process,
 			// so the delayed drop cannot hit a reused name.
 			topic := sweepTopic(point.SweepID)
-			time.AfterFunc(s.cfg.SweepRetention, func() { s.bus.Drop(topic) })
+			time.AfterFunc(s.cfg.sweepRetention, func() { s.bus.Drop(topic) })
 		}
 	}
+}
+
+// job returns the retained job with id: an in-flight job, or a
+// finished one the retention ring has not yet evicted.
+func (s *Server) job(id string) (*Job, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	job, ok := s.jobs[id]
+	return job, ok
 }
 
 // snapshot copies a job under the lock so handlers can marshal it
@@ -872,7 +869,7 @@ func (s *Server) metrics() Metrics {
 		d := s.deliverer.Stats()
 		m.Fleet.Delivery = &d
 	}
-	m.Build = *s.cfg.BuildInfo
+	m.Build = *s.cfg.buildInfo
 	m.UptimeSeconds = uint64(time.Since(s.started).Seconds())
 	for _, h := range s.obs.reg.HistogramSummaries() {
 		if h.Name == httpLatencyFamily {
@@ -1092,9 +1089,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	job, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
+	job, ok := s.job(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return

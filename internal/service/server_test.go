@@ -33,10 +33,10 @@ func (r fakeResult) Render(w io.Writer) { fmt.Fprintf(w, "%s %d\n", r.Name, r.N)
 // given runner (nil = real registry runner).
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.BuildInfo == nil {
+	if cfg.buildInfo == nil {
 		// Pin the binary identity so golden payloads never depend on the
 		// toolchain that ran the tests.
-		cfg.BuildInfo = &obs.BuildInfo{Version: "(devel)", GoVersion: "gotest", Revision: "0000000"}
+		cfg.buildInfo = &obs.BuildInfo{Version: "(devel)", GoVersion: "gotest", Revision: "0000000"}
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -158,7 +158,7 @@ func TestConcurrentDuplicatesRunOnce(t *testing.T) {
 	gate := make(chan struct{})
 	s, ts := newTestServer(t, Config{
 		Workers: 4,
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			runs.Add(1)
 			<-gate
 			return fakeResult{Name: experiment, N: 1}, nil
@@ -226,7 +226,7 @@ func TestSweepGrid(t *testing.T) {
 	var runs atomic.Int64
 	_, ts := newTestServer(t, Config{
 		Workers: 4,
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			runs.Add(1)
 			return fakeResult{Name: experiment, N: o.TraceLength}, nil
 		},
@@ -281,7 +281,7 @@ func TestOptionsFreeCanonicalized(t *testing.T) {
 	var runs atomic.Int64
 	_, ts := newTestServer(t, Config{
 		Workers: 2,
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			runs.Add(1)
 			return fakeResult{Name: experiment, N: 1}, nil
 		},
@@ -309,26 +309,40 @@ func TestOptionsFreeCanonicalized(t *testing.T) {
 	}
 }
 
+// finishCacheHits submits n resubmissions of an already completed
+// request. Each is a cache hit that finishes inside submit, so n of
+// them push every earlier finished job n places through the retention
+// ring.
+func finishCacheHits(t *testing.T, s *Server, experiment string, o experiments.Options, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		job, err := s.submit("flood", experiment, o, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap := s.snapshot(job); !snap.CacheHit || snap.State != StateDone {
+			t.Fatalf("resubmit %d: cache_hit=%v state=%s, want a finished cache hit", i, snap.CacheHit, snap.State)
+		}
+	}
+}
+
 // TestTerminalJobEviction checks that finished jobs beyond the
 // retention bound stop being pollable while their results stay
 // fetchable from the cache.
 func TestTerminalJobEviction(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		Workers:    1,
-		RetainJobs: 2,
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+	s, ts := newTestServer(t, Config{
+		Workers: 1,
+		runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			return fakeResult{Name: experiment, N: o.TraceLength}, nil
 		},
 	})
 
-	var first Job
+	var first, hot Job
 	postJSON(t, ts.URL+"/v1/jobs", `{"experiment":"fig6","options":{"trace_length":1000}}`, &first)
 	pollJob(t, ts.URL, first.ID)
-	for _, l := range []int{2000, 3000, 4000} {
-		var job Job
-		postJSON(t, ts.URL+"/v1/jobs", fmt.Sprintf(`{"experiment":"fig6","options":{"trace_length":%d}}`, l), &job)
-		pollJob(t, ts.URL, job.ID)
-	}
+	postJSON(t, ts.URL+"/v1/jobs", `{"experiment":"fig6","options":{"trace_length":2000}}`, &hot)
+	pollJob(t, ts.URL, hot.ID)
+	finishCacheHits(t, s, "fig6", hot.Options, retainJobs)
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+first.ID, nil); code != http.StatusNotFound {
 		t.Errorf("evicted job still pollable: status %d", code)
 	}
@@ -337,9 +351,51 @@ func TestTerminalJobEviction(t *testing.T) {
 	}
 }
 
+// TestJobTraceFollowsJob checks that /v1/jobs/{id}/trace answers
+// exactly when /v1/jobs/{id} does: an in-flight job keeps both however
+// many later jobs finish, and once it has finished and aged out of the
+// retention ring, both answer 404.
+func TestJobTraceFollowsJob(t *testing.T) {
+	release := make(chan struct{})
+	s, ts := newTestServer(t, Config{
+		Workers: 2,
+		runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+			if o.TraceLength == 1000 {
+				<-release
+			}
+			return fakeResult{Name: experiment, N: o.TraceLength}, nil
+		},
+	})
+
+	var held, hot Job
+	postJSON(t, ts.URL+"/v1/jobs", `{"experiment":"fig6","options":{"trace_length":1000}}`, &held)
+	postJSON(t, ts.URL+"/v1/jobs", `{"experiment":"fig6","options":{"trace_length":2000}}`, &hot)
+	pollJob(t, ts.URL, hot.ID)
+	finishCacheHits(t, s, "fig6", hot.Options, retainJobs+1)
+
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+held.ID, nil); code != http.StatusOK {
+		t.Errorf("in-flight job: view status %d, want 200", code)
+	}
+	var trace obs.TraceSnapshot
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+held.ID+"/trace", &trace); code != http.StatusOK {
+		t.Errorf("in-flight job: trace status %d, want 200", code)
+	} else if trace.ID != held.ID || trace.Done {
+		t.Errorf("in-flight job's trace: id %q done %v, want %q still open", trace.ID, trace.Done, held.ID)
+	}
+
+	close(release)
+	pollJob(t, ts.URL, held.ID)
+	finishCacheHits(t, s, "fig6", hot.Options, retainJobs)
+	for _, path := range []string{"/v1/jobs/" + held.ID, "/v1/jobs/" + held.ID + "/trace"} {
+		if code := getJSON(t, ts.URL+path, nil); code != http.StatusNotFound {
+			t.Errorf("evicted job: GET %s = %d, want 404", path, code)
+		}
+	}
+}
+
 // TestBadRequests exercises the 400/404 paths.
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Runner: func(context.Context, string, experiments.Options) (experiments.Result, error) {
+	_, ts := newTestServer(t, Config{Workers: 1, runner: func(context.Context, string, experiments.Options) (experiments.Result, error) {
 		return fakeResult{Name: "fig4"}, nil
 	}})
 
@@ -391,7 +447,7 @@ func TestFailedJobsRetry(t *testing.T) {
 	var calls atomic.Int64
 	_, ts := newTestServer(t, Config{
 		Workers: 1,
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			if calls.Add(1) == 1 {
 				return nil, fmt.Errorf("transient failure")
 			}
@@ -419,7 +475,7 @@ func TestFailedJobsRetry(t *testing.T) {
 
 // TestHealthzAndMetrics checks the operational endpoints.
 func TestHealthzAndMetrics(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Runner: func(context.Context, string, experiments.Options) (experiments.Result, error) {
+	_, ts := newTestServer(t, Config{Workers: 1, runner: func(context.Context, string, experiments.Options) (experiments.Result, error) {
 		return fakeResult{Name: "mru"}, nil
 	}})
 
@@ -528,7 +584,7 @@ func TestSweepFleetAxes(t *testing.T) {
 	var runs atomic.Int64
 	_, ts := newTestServer(t, Config{
 		Workers: 4,
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			runs.Add(1)
 			return fakeResult{Name: experiment, N: o.Population}, nil
 		},
@@ -580,7 +636,7 @@ func TestFleetKnobsCanonicalizedForTraceExperiments(t *testing.T) {
 	var runs atomic.Int64
 	_, ts := newTestServer(t, Config{
 		Workers: 2,
-		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+		runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
 			runs.Add(1)
 			return fakeResult{Name: experiment}, nil
 		},
@@ -623,7 +679,7 @@ func TestCloseDoesNotWaitForRunner(t *testing.T) {
 	s, err := New(Config{
 		Workers:         1,
 		HistoryInterval: -1,
-		Runner: func(context.Context, string, experiments.Options) (experiments.Result, error) {
+		runner: func(context.Context, string, experiments.Options) (experiments.Result, error) {
 			close(started)
 			<-release
 			return fakeResult{Name: "fig4"}, nil

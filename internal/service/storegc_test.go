@@ -37,7 +37,7 @@ func TestReadyzStoreDegradedAndRecovers(t *testing.T) {
 		Workers:     1,
 		DataDir:     t.TempDir(),
 		StoreBudget: 4096,
-		Runner:      blobRunner,
+		runner:      blobRunner,
 	})
 
 	submit := func(traceLength int) Job {
@@ -96,7 +96,7 @@ func TestServerCloseStopsScrubber(t *testing.T) {
 		Workers:       1,
 		DataDir:       t.TempDir(),
 		ScrubInterval: time.Millisecond,
-		Runner:        blobRunner,
+		runner:        blobRunner,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -42,7 +42,7 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 	waitForStatus(t, ts.URL, "pop-a", func(st fleetops.Status) bool { return st.Epoch >= 1 })
 	fleet, _ := s.sched.Get("pop-a")
 
-	hist := s.Registry().Histogram("test_latency_seconds", "test histogram", []float64{0.1, 1, 10})
+	hist := s.obs.reg.Histogram("test_latency_seconds", "test histogram", []float64{0.1, 1, 10})
 	start := time.Now().Add(-10 * time.Minute)
 	end := feedHistory(s, start, 12, 10*time.Second, func(i int) { hist.Observe(0.05 * float64(i+1)) })
 	query, err := s.history.Query(tsdb.Query{Name: "test_latency_seconds", From: start, To: end, Step: 30 * time.Second, Quantile: 0.9})

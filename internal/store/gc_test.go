@@ -149,7 +149,7 @@ func TestBootEnforcesBudgetByMtime(t *testing.T) {
 func TestRetentionExpiresIdleResults(t *testing.T) {
 	now := time.Unix(1700000000, 0)
 	clock := func() time.Time { return now }
-	s, err := OpenConfig(Config{Dir: t.TempDir(), Retention: time.Hour, Clock: clock})
+	s, err := OpenConfig(Config{Dir: t.TempDir(), Retention: time.Hour, clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,14 +118,12 @@ type Config struct {
 	// Retention evicts results unused for longer than this (checked at
 	// boot and on every scrub pass). 0 keeps results forever.
 	Retention time.Duration
-	// Clock overrides time.Now for retention tests.
-	Clock func() time.Time
 	// Instruments, when set, records operation latency/size histograms
 	// and I/O spans. Nil costs nothing.
 	Instruments *Instruments
-	// Logger receives the store's structured log records; nil uses the
-	// process default tagged with component=store.
-	Logger *slog.Logger
+
+	// clock overrides time.Now for in-package retention tests.
+	clock func() time.Time
 }
 
 // entry is one LRU-tracked resident result.
@@ -205,9 +203,9 @@ func OpenConfig(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:     cfg,
 		fs:      cfg.FS,
-		now:     cfg.Clock,
+		now:     cfg.clock,
 		ins:     cfg.Instruments,
-		logger:  cfg.Logger,
+		logger:  obs.Logger("store"),
 		dir:     cfg.Dir,
 		results: filepath.Join(cfg.Dir, "results"),
 		index:   make(map[string]*list.Element),
@@ -218,9 +216,6 @@ func OpenConfig(cfg Config) (*Store, error) {
 	}
 	if s.now == nil {
 		s.now = time.Now
-	}
-	if s.logger == nil {
-		s.logger = obs.Logger("store")
 	}
 	for k := range s.names {
 		s.names[k] = make(map[string]struct{})
