@@ -212,6 +212,11 @@ func newRecordings(budget int64) *memo.Memo[traceID, *trace.Recording] {
 	return memo.New[traceID](budget, func(r *trace.Recording) int64 { return int64(r.Bytes()) })
 }
 
+// RecordingBytes reports what the process's recordings memo charges
+// against its budget: the packed bytes of the trace recordings resident
+// for replay.
+func RecordingBytes() int64 { return recordings.Stats().Bytes }
+
 // record returns a recording of trace (id, idx) at least length uops
 // long. Each trace keeps one recording, at the longest length asked of
 // it so far: a longer request records the trace again and replaces it,
@@ -244,10 +249,11 @@ func (o Options) sources() []trace.Source {
 
 // sampleSources returns cursors for every (TraceStride·mul)-th trace of
 // the workload — the subsets the lighter studies (Fig 5, MRU, the
-// extensions) run on.
+// extensions) run on. Only the sampled traces are recorded; they share
+// the memo's recordings with the full bank, which holds the same traces.
 func (o Options) sampleSources(mul int) []trace.Source {
 	o = o.normalized()
-	return o.bank().SampleSources(o.TraceStride * mul)
+	return trace.NewBankFrom(o.TraceLength, o.TraceStride*mul, record).Sources()
 }
 
 // runTiming runs sources through cfg with no structure's bias accounted,

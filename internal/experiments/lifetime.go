@@ -44,8 +44,22 @@ func (o Options) fleetDuties() []StructureDuty {
 // bias of the aged adder with idle inputs held (baseline) versus the
 // 1+8 synthetic pair injected at the measured utilization (Penelope,
 // §4.3). Duties feed lifetime.Phase directly.
+//
+// The traces stream from their generators instead of the recordings
+// memo: the profile replays each trace at most twice and is itself
+// memoized, so recording would cost as much and pin the whole bank for
+// nothing.
 func measureFleetDuties(o Options) []StructureDuty {
-	traces := o.sources()
+	generated := func(stride int) []trace.Source {
+		return trace.Sources(trace.SampleTraces(o.TraceLength, stride))
+	}
+	return measureDuties(generated(o.TraceStride), generated(o.TraceStride*4))
+}
+
+// measureDuties distills the duty profile from the workload's traces and
+// the slice of them the adder draws its operands from (every fourth, as
+// in Fig 5).
+func measureDuties(traces, operands []trace.Source) []StructureDuty {
 	cfg := pipeline.DefaultConfig()
 
 	// The scheduler plan is profiled on the first fifth of the
@@ -70,10 +84,10 @@ func measureFleetDuties(o Options) []StructureDuty {
 		return sum / float64(len(res))
 	}
 
-	// Adder: operand streams replay the same recorded slice Fig 5 uses.
+	// Adder: operand streams draw from the same slice of traces Fig 5 uses.
 	ad := adder32()
 	params := nbti.DefaultParams()
-	src := trace.NewOperandStream(o.sampleSources(4))
+	src := trace.NewOperandStream(operands)
 	baseSc := ad.GuardbandScenario(src, 1.0, 1, 8, fleetAdderSamples, params)
 	util := mean(penRes, func(r pipeline.Result) float64 { return r.AdderUtilMean })
 	penSc := ad.GuardbandScenario(src, util, 1, 8, fleetAdderSamples, params)

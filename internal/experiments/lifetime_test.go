@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"penelope/internal/lifetime"
+	"penelope/internal/memo"
 )
 
 // fleetOptions is a light workload and small fleet for the lifetime
@@ -198,6 +200,50 @@ func TestFleetDutiesMemoized(t *testing.T) {
 	b := Options{TraceLength: 900, TraceStride: 531, Population: 42}.fleetDuties()
 	if len(a) == 0 || &a[0] != &b[0] {
 		t.Error("same workload re-measured for different fleet knobs")
+	}
+}
+
+// withFleetMemos swaps in empty duty and trajectory memos for the rest
+// of the test, so a lifetime run measures its duty profile afresh.
+func withFleetMemos(t *testing.T) {
+	oldDuties, oldTrajectories := duties, trajectories
+	duties = memo.New[string](dutyBudget, func([]StructureDuty) int64 { return 1 })
+	trajectories = memo.New[string](trajectoryBudget, func(LifetimeResult) int64 { return 1 })
+	t.Cleanup(func() { duties, trajectories = oldDuties, oldTrajectories })
+}
+
+// TestFleetDutiesPinNoRecordings checks that the lifetime path streams
+// its traces: measuring a duty profile for lifetime, yield and a fleet
+// registration's config leaves the recordings memo empty.
+func TestFleetDutiesPinNoRecordings(t *testing.T) {
+	withRecordings(t, recordingBudget)
+	withFleetMemos(t)
+	o := fleetOptions()
+	o.Population, o.Years, o.AttackYears = 200, 1, 0
+	Lifetime(o)
+	Yield(o)
+	FleetConfig(o, true)
+	if st := duties.Stats(); st.Misses != 1 {
+		t.Fatalf("duty profile measured %d times, want once", st.Misses)
+	}
+	if st := recordings.Stats(); st.Entries != 0 || st.Misses != 0 {
+		t.Errorf("recordings memo after a fleet run: %+v, want nothing recorded", st)
+	}
+}
+
+// TestFleetDutiesMatchRecorded checks the generator-fed duty profile
+// against the same measurement over recorded bank cursors, at the replay
+// options (a one-trace profile slice) and at a stride whose profile
+// slice holds two traces.
+func TestFleetDutiesMatchRecorded(t *testing.T) {
+	for _, o := range []Options{replayOptions(), {TraceLength: 1000, TraceStride: 50}} {
+		o = o.normalized()
+		streamed := measureFleetDuties(o)
+		recorded := measureDuties(o.sources(), o.sampleSources(4))
+		if !reflect.DeepEqual(streamed, recorded) {
+			t.Errorf("length %d stride %d: streamed duties %+v, recorded %+v",
+				o.TraceLength, o.TraceStride, streamed, recorded)
+		}
 	}
 }
 

@@ -93,3 +93,48 @@ func TestConcurrentBanksMatchNewBank(t *testing.T) {
 		t.Errorf("%d recordings resident for a %d-trace stride", st.Entries, len(banks[0].Recordings()))
 	}
 }
+
+// TestRecordingBytesSumsResident checks the recordings memo's reported
+// charge against its contents: after inserts, a replacement by a longer
+// recording and evictions past the budget, RecordingBytes equals the
+// sum of Bytes over the recordings still resident.
+func TestRecordingBytesSumsResident(t *testing.T) {
+	const uop = 51
+	withRecordings(t, 4*500*uop)
+	var ids []traceID
+	for i := 0; i < 6; i++ {
+		ids = append(ids, traceID{trace.Office, i})
+		record(trace.Office, i, 300+20*i)
+	}
+	record(trace.Office, 5, 500)
+	if st := recordings.Stats(); st.Evictions == 0 {
+		t.Fatalf("stats %+v: no eviction past the budget", st)
+	}
+	sum, resident := 0, 0
+	for _, id := range ids {
+		if r, ok := recordings.Get(id); ok {
+			sum += r.Bytes()
+			resident++
+		}
+	}
+	if got := RecordingBytes(); got != int64(sum) || resident != recordings.Stats().Entries {
+		t.Errorf("RecordingBytes %d over %d entries, want %d over %d resident", got, recordings.Stats().Entries, sum, resident)
+	}
+}
+
+// TestSampleSourcesRecordOnlySample checks a lighter study's sample
+// records only the traces it replays, not the whole bank.
+func TestSampleSourcesRecordOnlySample(t *testing.T) {
+	withRecordings(t, recordingBudget)
+	o := replayOptions()
+	src := o.sampleSources(4)
+	want := trace.SampleTraces(o.TraceLength, o.TraceStride*4)
+	if len(src) != len(want) || recordings.Stats().Entries != len(want) {
+		t.Fatalf("%d sources, %d recordings, want %d of each", len(src), recordings.Stats().Entries, len(want))
+	}
+	for i, s := range src {
+		if s.Name() != want[i].Name() {
+			t.Errorf("source %d = %s, want %s", i, s.Name(), want[i].Name())
+		}
+	}
+}

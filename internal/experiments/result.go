@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"sync"
 )
 
 // Result is the structured outcome of one experiment driver. Every
@@ -39,19 +41,40 @@ func NewPayload(r Result, o Options) Payload {
 	return Payload{Schema: SchemaVersion, Experiment: r.ID(), Options: o.normalized(), Data: r}
 }
 
+// marshalScratch is the pair of buffers Marshal reuses across calls:
+// the compact encoding and its indented form.
+type marshalScratch struct {
+	compact bytes.Buffer
+	enc     *json.Encoder // writes into compact
+	indent  []byte
+}
+
+var marshalScratches = sync.Pool{New: func() any {
+	s := new(marshalScratch)
+	s.enc = json.NewEncoder(&s.compact)
+	return s
+}}
+
 // Marshal renders the payload as stable, indented JSON, byte-identical
 // to json.MarshalIndent(p, "", "  ") but indented in one pass without
 // the standard library's validating scanner. The output is
 // deterministic: marshaling the same result twice yields identical
 // bytes. Its capacity equals its length, so a cache that charges
-// cap(payload) counts only the bytes it serves.
+// cap(payload) counts only the bytes it serves; the encoding and
+// indenting run in pooled buffers, so that copy is the only one each
+// call allocates.
 func (p Payload) Marshal() ([]byte, error) {
-	b, err := json.Marshal(p)
-	if err != nil {
+	s := marshalScratches.Get().(*marshalScratch)
+	defer marshalScratches.Put(s)
+	s.compact.Reset()
+	// An Encoder escapes HTML like json.Marshal and ends the value with
+	// a newline, which the indenting pass drops.
+	if err := s.enc.Encode(p); err != nil {
 		return nil, err
 	}
-	indented := AppendIndent(make([]byte, 0, 2*len(b)), b)
-	return append(make([]byte, 0, len(indented)), indented...), nil
+	compact := s.compact.Bytes()
+	s.indent = AppendIndent(s.indent[:0], compact[:len(compact)-1])
+	return append(make([]byte, 0, len(s.indent)), s.indent...), nil
 }
 
 // AppendIndent appends src, compact JSON as json.Marshal writes it, to

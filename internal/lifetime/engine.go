@@ -96,6 +96,10 @@ type Engine struct {
 	aggs []shardAgg
 }
 
+// maxStatsRoom caps the stats rows New reserves: a 7-year schedule of
+// 30-day epochs is 85 rows, and 1024 rows cost ~100 KB.
+const maxStatsRoom = 1024
+
 // New builds a fleet engine at epoch zero. Chip parameters are sampled
 // here; the population starts unstressed.
 func New(cfg Config) (*Engine, error) {
@@ -113,6 +117,9 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	e.epochTotal = len(e.phaseOf)
+	// Room for a job-length schedule's rows up front, so stepping does
+	// not regrow the slice; a long-lived fleet grows past it as it ages.
+	e.stats = make([]EpochStats, 0, min(e.epochTotal, maxStatsRoom))
 	pop, S := cfg.Population, len(cfg.Structures)
 	e.nit = make([]float64, pop*S)
 	e.violated = make([]uint64, (pop+63)/64)

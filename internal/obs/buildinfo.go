@@ -17,7 +17,13 @@ type Label struct {
 // Labels render on the sample line with full exposition escaping, so
 // values may contain backslashes, quotes and newlines.
 func (r *Registry) GaugeConst(name, help string, labels []Label, v float64) {
-	r.GaugeFunc(name, help, func() float64 { return v }, labels...)
+	for _, l := range labels {
+		if !validName(l.Name) {
+			panic("obs: invalid label name " + l.Name)
+		}
+	}
+	r.register(&family{name: name, help: help, kind: kindGauge,
+		labels: append([]Label(nil), labels...), gaugeFn: func() float64 { return v }})
 }
 
 // BuildInfo identifies the running binary.

@@ -11,7 +11,8 @@ const (
 
 // FamilyInfo describes one registered family to a Families visitor.
 // Exactly one of the value accessors is set per kind: ReadCounter for
-// counters, ReadGauge for gauges, Hist or Vec for histograms.
+// counters, ReadGauge or GaugeCells for gauges, Hist or Vec for
+// histograms. VecLabel names the label of a Vec or GaugeCells family.
 type FamilyInfo struct {
 	Name string
 	Help string
@@ -19,6 +20,7 @@ type FamilyInfo struct {
 
 	ReadCounter func() uint64
 	ReadGauge   func() float64
+	GaugeCells  []GaugeCell // shared; callers must not modify it
 	Hist        *Histogram
 	VecLabel    string
 	Vec         *HistogramVec
@@ -41,9 +43,13 @@ func (r *Registry) Families(fn func(FamilyInfo)) {
 			}
 		case kindGauge:
 			info.Kind = KindGauge
-			if f.gauge != nil {
+			switch {
+			case f.cells != nil:
+				info.VecLabel = f.cellLabel
+				info.GaugeCells = f.cells
+			case f.gauge != nil:
 				info.ReadGauge = f.gauge.Value
-			} else {
+			default:
 				info.ReadGauge = f.gaugeFn
 			}
 		case kindHistogram:

@@ -296,12 +296,14 @@ const (
 type family struct {
 	name, help string
 	kind       kind
-	labels     []Label // constant labels (GaugeConst, labelled GaugeFunc); nil for everything else
+	labels     []Label // constant labels (GaugeConst); nil for everything else
 
 	counter   *Counter
 	counterFn func() uint64
 	gauge     *Gauge
 	gaugeFn   func() float64
+	cellLabel string      // GaugeFuncVec's label
+	cells     []GaugeCell // GaugeFuncVec's sample lines, by label value
 	hist      *Histogram
 	vec       *HistogramVec
 }
@@ -381,16 +383,37 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// GaugeFunc registers a gauge read from fn at exposition time. Labels,
-// if any, are constant and render on its one sample line.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	for _, l := range labels {
-		if !validName(l.Name) {
-			panic("obs: invalid label name " + l.Name)
+// GaugeFunc registers a gauge read from fn at exposition time.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	r.register(&family{name: name, help: help, kind: kindGauge, gaugeFn: fn})
+}
+
+// GaugeCell is one sample line of a GaugeFuncVec family: its value of
+// the family's label, and the function read for it at exposition time.
+type GaugeCell struct {
+	Value string
+	Read  func() float64
+}
+
+// GaugeFuncVec registers a gauge family whose sample lines differ in one
+// label, each read from its cell's function at exposition time: one name
+// for a quantity several holders report, say. The cells are fixed at
+// registration and render in label-value order.
+func (r *Registry) GaugeFuncVec(name, help, label string, cells ...GaugeCell) {
+	if !validName(label) {
+		panic("obs: invalid label name " + label)
+	}
+	if len(cells) == 0 {
+		panic("obs: gauge vec " + name + " has no cells")
+	}
+	cells = append([]GaugeCell(nil), cells...)
+	sort.Slice(cells, func(i, j int) bool { return cells[i].Value < cells[j].Value })
+	for i := 1; i < len(cells); i++ {
+		if cells[i].Value == cells[i-1].Value {
+			panic("obs: duplicate label value " + cells[i].Value + " in " + name)
 		}
 	}
-	r.register(&family{name: name, help: help, kind: kindGauge,
-		labels: append([]Label(nil), labels...), gaugeFn: fn})
+	r.register(&family{name: name, help: help, kind: kindGauge, cellLabel: label, cells: cells})
 }
 
 // Histogram registers and returns a new histogram over bounds (nil

@@ -31,6 +31,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			bw.WriteString(strconv.FormatUint(v, 10))
 			bw.WriteByte('\n')
 		case kindGauge:
+			if f.cells != nil {
+				for _, c := range f.cells {
+					bw.WriteString(f.name)
+					writeLabels(bw, f.cellLabel, c.Value, "")
+					bw.WriteByte(' ')
+					bw.WriteString(formatFloat(c.Read()))
+					bw.WriteByte('\n')
+				}
+				continue
+			}
 			v := 0.0
 			if f.gauge != nil {
 				v = f.gauge.Value()

@@ -68,6 +68,52 @@ func TestWritePrometheusVecLabels(t *testing.T) {
 	}
 }
 
+// TestGaugeFuncVec checks a gauge vec renders one line per cell in
+// label-value order, each read at exposition time, and that Families
+// hands a sampler the same cells.
+func TestGaugeFuncVec(t *testing.T) {
+	r := NewRegistry()
+	held := 3.0
+	r.GaugeFuncVec("penelope_resident_bytes", "Held bytes.", "holder",
+		GaugeCell{Value: "results", Read: func() float64 { return held }},
+		GaugeCell{Value: "recordings", Read: func() float64 { return 2 * held }})
+	held = 5
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP penelope_resident_bytes Held bytes.
+# TYPE penelope_resident_bytes gauge
+penelope_resident_bytes{holder="recordings"} 10
+penelope_resident_bytes{holder="results"} 5
+`
+	if got := sb.String(); got != want {
+		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	r.Families(func(f FamilyInfo) {
+		if f.Kind != KindGauge || f.VecLabel != "holder" || f.ReadGauge != nil || len(f.GaugeCells) != 2 ||
+			f.GaugeCells[0].Value != "recordings" || f.GaugeCells[1].Read() != 5 {
+			t.Fatalf("gauge vec family = %+v", f)
+		}
+	})
+	for name, register := range map[string]func(){
+		"no cells": func() { r.GaugeFuncVec("a_bytes", "", "holder") },
+		"bad label": func() {
+			r.GaugeFuncVec("b_bytes", "", "bad-label", GaugeCell{Value: "x", Read: func() float64 { return 0 }})
+		},
+		"duplicate value": func() { r.GaugeFuncVec("c_bytes", "", "holder", GaugeCell{Value: "x"}, GaugeCell{Value: "x"}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: registration did not panic", name)
+				}
+			}()
+			register()
+		}()
+	}
+}
+
 // expositionLine matches the subset of the text format this package
 // emits: metric lines with optional labels and a numeric value.
 var expositionLine = regexp.MustCompile(

@@ -136,8 +136,10 @@ func (db *DB) Query(q Query) (*Result, error) {
 			if res.Agg == "" {
 				res.Agg = "last"
 			}
-			st := db.collect(q.Name, fromMs, toMs)
-			res.Series = []SeriesData{{Points: evalGauge(st, bounds, res.Agg)}}
+			for _, cell := range m.cells(q.Label) {
+				st := db.collect(m.series(cell), fromMs, toMs)
+				res.Series = append(res.Series, SeriesData{Value: cell, Points: evalGauge(st, bounds, res.Agg)})
+			}
 			return res, nil
 		case "histogram":
 			if res.Agg == "" {
@@ -149,15 +151,7 @@ func (db *DB) Query(q Query) (*Result, error) {
 				}
 				res.Quantile = q.Quantile
 			}
-			cells := []string{""}
-			if m.Label != "" {
-				if q.Label != "" {
-					cells = []string{q.Label}
-				} else {
-					cells = m.Values
-				}
-			}
-			for _, cell := range cells {
+			for _, cell := range m.cells(q.Label) {
 				pts, err := db.evalHistogram(m, cell, bounds, res.Agg, q.Quantile, stepMs)
 				if err != nil {
 					return nil, err
@@ -180,6 +174,27 @@ func (db *DB) Query(q Query) (*Result, error) {
 	}
 	res.Series = []SeriesData{{Points: evalGauge(db.collect(q.Name, fromMs, toMs), bounds, res.Agg)}}
 	return res, nil
+}
+
+// cells lists the label values a query over the family reads: the one
+// it names, every value of a vec family, or the one unlabelled series.
+func (m *FamilyMeta) cells(label string) []string {
+	switch {
+	case m.Label == "":
+		return []string{""}
+	case label != "":
+		return []string{label}
+	}
+	return m.Values
+}
+
+// series names the flat series a cell of the family samples into: the
+// family's own name, or name{value} for a cell of a vec.
+func (m *FamilyMeta) series(cell string) string {
+	if m.Label == "" {
+		return m.Name
+	}
+	return m.Name + "{" + cell + "}"
 }
 
 // collect gathers a series' points overlapping [fromMs, toMs] from the
@@ -350,10 +365,7 @@ func evalGauge(st []statPoint, bounds []int64, agg string) []Point {
 // windowed bucket increments, "avg" is Δsum/Δcount, "rate" Δcount/s.
 // Callers hold db.mu.
 func (db *DB) evalHistogram(m *FamilyMeta, cell string, bounds []int64, agg string, q float64, stepMs int64) ([]Point, error) {
-	base := m.Name
-	if m.Label != "" {
-		base = m.Name + "{" + cell + "}"
-	}
+	base := m.series(cell)
 	fromMs, toMs := bounds[0], bounds[len(bounds)-1]
 	count := lastAt(db.collect(base+"#count", fromMs, toMs), bounds)
 	switch agg {

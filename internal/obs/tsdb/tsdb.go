@@ -305,8 +305,15 @@ func (db *DB) rebind() {
 			db.meta[f.Name] = &FamilyMeta{Name: f.Name, Kind: "counter", Help: f.Help}
 			db.bindings = append(db.bindings, binding{readCounter: f.ReadCounter, ser: db.getSeries(f.Name)})
 		case obs.KindGauge:
-			db.meta[f.Name] = &FamilyMeta{Name: f.Name, Kind: "gauge", Help: f.Help}
-			db.bindings = append(db.bindings, binding{readGauge: f.ReadGauge, ser: db.getSeries(f.Name)})
+			m := &FamilyMeta{Name: f.Name, Kind: "gauge", Help: f.Help, Label: f.VecLabel}
+			db.meta[f.Name] = m
+			if f.GaugeCells == nil {
+				db.bindings = append(db.bindings, binding{readGauge: f.ReadGauge, ser: db.getSeries(f.Name)})
+			}
+			for _, c := range f.GaugeCells {
+				m.Values = append(m.Values, c.Value)
+				db.bindings = append(db.bindings, binding{readGauge: c.Read, ser: db.getSeries(m.series(c.Value))})
+			}
 		case obs.KindHistogram:
 			m := &FamilyMeta{Name: f.Name, Kind: "histogram", Help: f.Help, Label: f.VecLabel}
 			db.meta[f.Name] = m
@@ -315,10 +322,7 @@ func (db *DB) rebind() {
 				if n := len(m.Bounds) + 1; n > maxBuckets {
 					maxBuckets = n
 				}
-				base := f.Name
-				if f.VecLabel != "" {
-					base = f.Name + "{" + cell + "}"
-				}
+				base := m.series(cell)
 				b := binding{hist: h}
 				b.hser = append(b.hser, db.getSeries(base+"#count"), db.getSeries(base+"#sum"))
 				for i := range m.Bounds {

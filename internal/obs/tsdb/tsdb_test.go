@@ -283,6 +283,48 @@ func TestHistogramVecCells(t *testing.T) {
 	}
 }
 
+// TestGaugeVecCells checks each cell of a gauge vec samples into its
+// own series and queries like a histogram vec's cells: all of them, or
+// the one a label names.
+func TestGaugeVecCells(t *testing.T) {
+	reg := obs.NewRegistry()
+	a, b := 0.0, 0.0
+	reg.GaugeFuncVec("held_bytes", "", "holder",
+		obs.GaugeCell{Value: "a", Read: func() float64 { return a }},
+		obs.GaugeCell{Value: "b", Read: func() float64 { return b }})
+	db := memDB(t, reg, time.Second)
+	for i := 0; i < 5; i++ {
+		a, b = float64(i), float64(10*i)
+		db.Sample(t0.Add(time.Duration(i) * time.Second))
+	}
+	q := Query{Name: "held_bytes", From: t0, To: t0.Add(4 * time.Second), Step: 2 * time.Second}
+	res, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Kind != "gauge" || len(res.Series) != 2 || res.Series[0].Value != "a" || res.Series[1].Value != "b" {
+		t.Fatalf("gauge vec query returned %+v, want cells a and b", res)
+	}
+	for i, s := range res.Series {
+		last := s.Points[len(s.Points)-1]
+		if want := []float64{4, 40}[i]; last.V != want {
+			t.Errorf("cell %s: last point %v, want %v", s.Value, last.V, want)
+		}
+	}
+	q.Label = "b"
+	one, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one.Series) != 1 || one.Series[0].Value != "b" {
+		t.Fatalf("label-filtered query returned %+v", one.Series)
+	}
+	names := db.Names()
+	if len(names) != 1 || names[0].Label != "holder" || len(names[0].Values) != 2 {
+		t.Fatalf("Names = %+v", names)
+	}
+}
+
 func TestNamesListing(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("b_total", "help b")
@@ -528,6 +570,8 @@ func TestSampleSteadyStateAllocs(t *testing.T) {
 	v := reg.HistogramVec("d_seconds", "", "route", []float64{0.1, 1})
 	v.With("/x").Observe(0.5)
 	v.With("/y").Observe(2)
+	reg.GaugeFuncVec("e_bytes", "", "holder",
+		obs.GaugeCell{Value: "p", Read: g.Value}, obs.GaugeCell{Value: "q", Read: g.Value})
 	const rawPoints = 4
 	db, err := Open(Config{Registry: reg, Interval: time.Second, rawPoints: rawPoints})
 	if err != nil {

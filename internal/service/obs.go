@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"penelope/internal/experiments"
 	"penelope/internal/fleetops"
 	"penelope/internal/obs"
 	"penelope/internal/store"
@@ -115,8 +116,9 @@ func (s *Server) initObs() {
 
 	reg.GaugeFunc("penelope_cache_entries", "Completed results resident in the in-memory result memo.",
 		func() float64 { return float64(s.results.Stats().Entries) })
-	reg.GaugeFunc("penelope_resident_bytes", "Bytes a bounded in-memory holder charges against its budget.",
-		func() float64 { return float64(s.results.Stats().Bytes) }, obs.Label{Name: "holder", Value: "results"})
+	reg.GaugeFuncVec("penelope_resident_bytes", "Bytes a bounded in-memory holder charges against its budget.", "holder",
+		obs.GaugeCell{Value: "recordings", Read: func() float64 { return float64(experiments.RecordingBytes()) }},
+		obs.GaugeCell{Value: "results", Read: func() float64 { return float64(s.results.Stats().Bytes) }})
 	reg.CounterFunc("penelope_cache_hits_total", "Requests served from a completed cache entry.",
 		func() uint64 { return s.results.Stats().Hits })
 	reg.CounterFunc("penelope_cache_misses_total", "Requests that had to run the simulation.",

@@ -252,27 +252,37 @@ func TestHotKeysStayResident(t *testing.T) {
 
 // TestResidentBytesGauge checks that /metrics reports the result memo's
 // charged bytes as penelope_resident_bytes{holder="results"}, through
-// an insert and the evictions of a flood.
+// an insert and the evictions of a flood, and the recordings memo's as
+// {holder="recordings"}.
 func TestResidentBytesGauge(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir(), runner: blobRunner})
-	const prefix = `penelope_resident_bytes{holder="results"} `
 	check := func() {
 		t.Helper()
 		_, text, _ := get(t, ts.URL+"/metrics", nil)
-		for _, line := range strings.Split(string(text), "\n") {
-			if v, ok := strings.CutPrefix(line, prefix); ok {
-				got, err := strconv.ParseFloat(v, 64)
-				if want := s.results.Stats().Bytes; err != nil || got != float64(want) {
-					t.Fatalf("%s%s, want %d", prefix, v, want)
-				}
-				return
+		for holder, want := range map[string]int64{
+			"results":    s.results.Stats().Bytes,
+			"recordings": experiments.RecordingBytes(),
+		} {
+			prefix := `penelope_resident_bytes{holder="` + holder + `"} `
+			i := strings.Index(string(text), "\n"+prefix)
+			if i < 0 {
+				t.Fatalf("exposition lacks %s", prefix)
+			}
+			v, _, _ := strings.Cut(string(text[i+1+len(prefix):]), "\n")
+			if got, err := strconv.ParseFloat(v, 64); err != nil || got != float64(want) {
+				t.Fatalf("%s%s, want %d", prefix, v, want)
 			}
 		}
-		t.Fatalf("exposition lacks %s", prefix)
 	}
 	submitDone(t, ts.URL, smallJob)
 	if s.results.Stats().Bytes == 0 {
 		t.Fatal("a completed result charges no bytes")
+	}
+	if _, err := experiments.Run("fig6", experiments.Options{TraceLength: 300, TraceStride: 531}); err != nil {
+		t.Fatal(err)
+	}
+	if experiments.RecordingBytes() == 0 {
+		t.Fatal("a fig6 run left no recording resident")
 	}
 	check()
 	floodResults(t, s, ts.URL)

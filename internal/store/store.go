@@ -318,6 +318,10 @@ func ValidKey(key string) bool {
 	return len(key) >= 8 && len(key) <= 64 && strings.Trim(key, "0123456789abcdef") == ""
 }
 
+// frames holds the buffers Put frames payloads in: a frame lives only
+// until its file is written, so one buffer serves write after write.
+var frames = sync.Pool{New: func() any { return new([]byte) }}
+
 // Put durably persists payload under key: checksum-framed temp file,
 // fsync, rename, directory fsync. After Put returns, a crash at any
 // point leaves either the previous state or the complete new entry —
@@ -355,9 +359,11 @@ func (s *Store) Put(key string, payload []byte) (err error) {
 	}
 	s.mu.Unlock()
 
-	frame := vfs.Frame(resultMagic, payload)
+	frame := frames.Get().(*[]byte)
+	*frame = vfs.AppendFrame((*frame)[:0], resultMagic, payload)
 	final := filepath.Join(s.results, key+resultExt)
-	synced, err := vfs.WriteAtomic(s.fs, final, frame)
+	synced, err := vfs.WriteAtomic(s.fs, final, *frame)
+	frames.Put(frame)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.noteDirsyncLocked(synced, err)

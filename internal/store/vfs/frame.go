@@ -17,12 +17,17 @@ import (
 // Each format keeps its own magic, so bumping one never invalidates
 // another and a file of one kind never parses as the other.
 func Frame(magic string, payload []byte) []byte {
-	out := make([]byte, 0, len(magic)+8+len(payload)+sha256.Size)
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
+	return AppendFrame(make([]byte, 0, len(magic)+8+len(payload)+sha256.Size), magic, payload)
+}
+
+// AppendFrame appends the frame of payload to dst, for a caller that
+// reuses one buffer across writes.
+func AppendFrame(dst []byte, magic string, payload []byte) []byte {
+	dst = append(dst, magic...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
 	sum := sha256.Sum256(payload)
-	return append(out, sum[:]...)
+	return append(dst, sum[:]...)
 }
 
 // Unframe fully verifies a frame — magic, exact length, checksum, no

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -20,7 +19,6 @@ type Bank struct {
 	Stride int // workload subsampling stride the bank was built with
 
 	recs []*Recording
-	ord  []int // workload ordinal (0..530) of each recording
 }
 
 // NewBank records every stride-th trace of the workload at the given
@@ -40,19 +38,18 @@ func NewBankFrom(length, stride int, record func(id SuiteID, idx, length int) *R
 	type slot struct {
 		id  SuiteID
 		idx int
-		ord int
 	}
 	var slots []slot
 	k := 0
 	for _, s := range suites {
 		for i := 0; i < s.Count; i++ {
 			if k%stride == 0 {
-				slots = append(slots, slot{id: s.ID, idx: i, ord: k})
+				slots = append(slots, slot{id: s.ID, idx: i})
 			}
 			k++
 		}
 	}
-	b := &Bank{Length: length, Stride: stride, recs: make([]*Recording, len(slots)), ord: make([]int, len(slots))}
+	b := &Bank{Length: length, Stride: stride, recs: make([]*Recording, len(slots))}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(slots) {
 		workers = len(slots)
@@ -69,7 +66,6 @@ func NewBankFrom(length, stride int, record func(id SuiteID, idx, length int) *R
 					return
 				}
 				b.recs[i] = record(slots[i].id, slots[i].idx, length).Prefix(length)
-				b.ord[i] = slots[i].ord
 			}
 		}()
 	}
@@ -87,23 +83,6 @@ func (b *Bank) Sources() []Source {
 	out := make([]Source, len(b.recs))
 	for i, r := range b.recs {
 		out[i] = r.Cursor()
-	}
-	return out
-}
-
-// SampleSources returns cursors for every stride-th trace of the full
-// workload — the subset SampleTraces(length, stride) would synthesize.
-// stride must be a positive multiple of the bank's own stride so the
-// requested traces are actually in the bank.
-func (b *Bank) SampleSources(stride int) []Source {
-	if stride <= 0 || stride%b.Stride != 0 {
-		panic(fmt.Sprintf("trace: bank stride %d cannot sample stride %d (need a positive multiple)", b.Stride, stride))
-	}
-	var out []Source
-	for i, r := range b.recs {
-		if b.ord[i]%stride == 0 {
-			out = append(out, r.Cursor())
-		}
 	}
 	return out
 }

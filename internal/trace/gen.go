@@ -1,8 +1,8 @@
 package trace
 
 // generate synthesizes the next uop according to the suite profile.
-func (t *Trace) generate() Uop {
-	p := t.profile
+func (t *Trace) generate(u *Uop) {
+	p := &t.profile
 	r := t.rng.Float64()
 	var class Class
 	switch {
@@ -24,7 +24,10 @@ func (t *Trace) generate() Uop {
 		class = ClassALU
 	}
 
-	u := Uop{Class: class, Dst: -1, Src1: -1, Src2: -1, TOS: t.tos}
+	// Zeroed and then set field by field: assigning a composite literal
+	// through the pointer would build it on the stack and copy it.
+	*u = Uop{}
+	u.Class, u.Dst, u.Src1, u.Src2, u.TOS = class, -1, -1, -1, t.tos
 	u.Opcode = t.opcode(class)
 	if t.rng.Float64() < p.ICacheMissFrac {
 		u.FetchBubble = uint8(6 + t.rng.Intn(10))
@@ -35,8 +38,8 @@ func (t *Trace) generate() Uop {
 	u.MOBid = t.mob
 
 	if class.IsFP() {
-		t.genFP(&u)
-		return u
+		t.genFP(u)
+		return
 	}
 
 	// Integer sources: bias towards recently written registers with the
@@ -77,7 +80,6 @@ func (t *Trace) generate() Uop {
 		t.writeInt(u.Dst, u.DstVal)
 		u.Flags = t.flags(u.DstVal)
 	}
-	return u
 }
 
 // genFP fills in an FP uop: x87-style stack operands with 80-bit
@@ -101,22 +103,23 @@ func (t *Trace) genFP(u *Uop) {
 // most recent destinations (dependency distance), falling back to a
 // uniform pick.
 func (t *Trace) pickSrc() int {
-	if len(t.lastDst) > 0 && t.rng.Float64() < 0.7 {
+	if t.nDst > 0 && t.rng.Float64() < 0.7 {
 		d := t.rng.Intn(t.profile.DepDistance)
-		if d < len(t.lastDst) {
-			return t.lastDst[len(t.lastDst)-1-d]
+		if d < t.nDst {
+			return t.lastDst[(t.dstHead+len(t.lastDst)-1-d)%len(t.lastDst)]
 		}
 	}
 	return t.rng.Intn(NumIntRegs)
 }
 
 // pickDst chooses a destination register and records it for dependency
-// tracking.
+// tracking, in place of the oldest once the ring is full.
 func (t *Trace) pickDst() int {
 	d := t.rng.Intn(NumIntRegs)
-	t.lastDst = append(t.lastDst, d)
-	if len(t.lastDst) > 32 {
-		t.lastDst = t.lastDst[1:]
+	t.lastDst[t.dstHead] = d
+	t.dstHead = (t.dstHead + 1) % len(t.lastDst)
+	if t.nDst < len(t.lastDst) {
+		t.nDst++
 	}
 	return d
 }
@@ -128,7 +131,7 @@ func (t *Trace) writeInt(reg int, v uint64) { t.intRegs[reg] = v }
 // uniform residue. The mixture is what produces the 65–90% per-bit zero
 // bias of §1.1 / Figure 6.
 func (t *Trace) value() uint64 {
-	p := t.profile
+	p := &t.profile
 	r := t.rng.Float64()
 	switch {
 	case r < p.ZeroValFrac:
@@ -220,7 +223,7 @@ func (t *Trace) immediate() uint64 {
 // accesses and are what puts ~90% of DL0 hits at the MRU position
 // (§3.2.1).
 func (t *Trace) address() uint64 {
-	p := t.profile
+	p := &t.profile
 	r := t.rng.Float64()
 	var addr uint64
 	switch {

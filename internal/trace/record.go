@@ -76,12 +76,8 @@ type Recording struct {
 func Record(id SuiteID, idx, length int) *Recording {
 	t := NewTrace(id, idx, length)
 	r := newRecording(id, idx, t.Name(), length)
-	for {
-		u, ok := t.Next()
-		if !ok {
-			break
-		}
-		r.append(&u)
+	for u, ok := t.NextUop(); ok; u, ok = t.NextUop() {
+		r.append(u)
 	}
 	return r
 }

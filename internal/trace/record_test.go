@@ -288,7 +288,9 @@ func TestNewBankFromViews(t *testing.T) {
 }
 
 // TestBankMatchesSampleTraces: the bank must hold exactly the traces
-// SampleTraces selects, and SampleSources must pick the matching subsets.
+// SampleTraces selects, and a bank at a multiple of the stride (the
+// subsets the lighter studies sample) must hold the matching subset,
+// each recording identical to the full bank's.
 func TestBankMatchesSampleTraces(t *testing.T) {
 	const length, stride = 200, 60
 	b := NewBank(length, stride)
@@ -296,30 +298,29 @@ func TestBankMatchesSampleTraces(t *testing.T) {
 	if len(b.Recordings()) != len(want) {
 		t.Fatalf("bank holds %d recordings, SampleTraces gives %d", len(b.Recordings()), len(want))
 	}
+	byName := make(map[string]*Recording)
 	for i, rec := range b.Recordings() {
 		if rec.Name() != want[i].Name() {
 			t.Errorf("recording %d = %s, want %s", i, rec.Name(), want[i].Name())
 		}
+		byName[rec.Name()] = rec
 	}
-	sub := b.SampleSources(stride * 4)
+	sub := NewBankFrom(length, stride*4, Record).Sources()
 	wantSub := SampleTraces(length, stride*4)
 	if len(sub) != len(wantSub) {
-		t.Fatalf("SampleSources(%d) gives %d sources, want %d", stride*4, len(sub), len(wantSub))
+		t.Fatalf("bank at stride %d gives %d sources, want %d", stride*4, len(sub), len(wantSub))
 	}
 	for i, s := range sub {
 		if s.Name() != wantSub[i].Name() {
 			t.Errorf("sampled source %d = %s, want %s", i, s.Name(), wantSub[i].Name())
 		}
+		if !reflect.DeepEqual(s.(*Cursor).Recording(), byName[s.Name()]) {
+			t.Errorf("sampled source %d does not replay the full bank's recording of %s", i, s.Name())
+		}
 	}
 	if b.Bytes() != len(want)*length*51 {
 		t.Errorf("bank Bytes = %d, want %d", b.Bytes(), len(want)*length*51)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("non-multiple sample stride did not panic")
-		}
-	}()
-	b.SampleSources(stride + 1)
 }
 
 // TestBankBytesMatchesBank checks the size a caller can compute before

@@ -168,7 +168,9 @@ type Trace struct {
 	fpExts   [NumFPRegs]uint16
 	tos      int
 	mob      int
-	lastDst  []int // recent integer destinations for dependency distance
+	lastDst  [32]int // ring of the latest integer destinations, for dependency distance
+	nDst     int     // destinations held in lastDst
+	dstHead  int     // lastDst slot of the next destination
 	curPos   uint64
 	lastAddr uint64
 	hot      []uint64
@@ -212,7 +214,7 @@ func (t *Trace) Reset() {
 	t.pos = 0
 	t.tos = 0
 	t.mob = 0
-	t.lastDst = t.lastDst[:0]
+	t.nDst, t.dstHead = 0, 0
 	for i := range t.intRegs {
 		t.intRegs[i] = 0
 	}
@@ -255,7 +257,9 @@ func (t *Trace) Next() (Uop, bool) {
 		return Uop{}, false
 	}
 	t.pos++
-	return t.generate(), true
+	var u Uop
+	t.generate(&u)
+	return u, true
 }
 
 // NextUop synthesizes the next uop into an internal scratch buffer and
@@ -266,7 +270,7 @@ func (t *Trace) NextUop() (*Uop, bool) {
 		return nil, false
 	}
 	t.pos++
-	t.scratch = t.generate()
+	t.generate(&t.scratch)
 	return &t.scratch, true
 }
 
