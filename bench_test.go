@@ -333,9 +333,11 @@ func BenchmarkPayloadMarshal(b *testing.B) {
 // pays per epoch. Delivery is non-blocking by design, so the cost is
 // one JSON marshal plus bounded channel sends.
 func BenchmarkBusPublish(b *testing.B) {
-	bus := fleetops.NewBus(0)
+	bus := fleetops.NewBus()
+	bus.Touch("fleet/bench")
 	for i := 0; i < 4; i++ {
-		defer bus.Subscribe("fleet/bench", 0, 8).Close()
+		sub, _ := bus.SubscribeExisting("fleet/bench", 0, 8)
+		defer sub.Close()
 	}
 	row := lifetime.EpochStats{Epoch: 1, Years: 0.1, Phase: "service", MeanVTHShift: []float64{0.01, 0.02}}
 	ev := fleetops.EpochEvent{Fleet: "bench", EpochStats: row}

@@ -18,7 +18,7 @@
 // 531-trace workload (1 = full workload, as in the paper — slow). The
 // fleet flags parameterize the lifetime/yield experiments. With
 // -data-dir the server persists results to a content-addressed store
-// and recomputes interrupted lifetime jobs after a restart;
+// and recomputes interrupted lifetime and yield jobs after a restart;
 // -rate/-burst enable per-client rate limiting and -job-timeout bounds
 // each attempt. -store-budget and -store-retention bound the on-disk
 // result cache (LRU results are evicted first, then oversized cache
@@ -256,10 +256,10 @@ func serveCmd(args []string) {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
-		logger.Info("draining (in-flight lifetime jobs recompute at the next boot)")
+		logger.Info("draining (in-flight lifetime and yield jobs recompute at the next boot)")
 		// Stop accepting connections, then drain the pool: in-flight
-		// jobs see their context cancelled, and an interrupted lifetime
-		// job's record resubmits it at the next boot.
+		// jobs see their context cancelled, and an interrupted lifetime or
+		// yield job's record resubmits it at the next boot.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		httpSrv.Shutdown(ctx)
 		cancel()

@@ -108,9 +108,7 @@ func New(width, wideFanout int) *Adder {
 	ad.sum = make([]circuit.Signal, width)
 	for i := 0; i < width; i++ {
 		ad.sum[i] = n.XOR3(ad.a[i], ad.b[i], carries[i], fmt.Sprintf("s%d", i))
-		n.MarkOutput(ad.sum[i])
 	}
-	n.MarkOutput(ad.cout)
 
 	// ALU flags. The zero flag is a balanced OR tree over the sum bits
 	// followed by an inverter; it is the one place a signal that is "0"
@@ -130,13 +128,10 @@ func New(width, wideFanout int) *Adder {
 		or = next
 	}
 	ad.zero = n.INV(or[0], "zero")
-	zbuf := n.BUF(ad.zero, "zero_out") // flag driver: consumes the zero signal
-	n.MarkOutput(zbuf)
+	n.BUF(ad.zero, "zero_out") // flag output buffer: consumes the zero signal
 
 	ad.ovf = n.XOR2(carries[width-1], carries[width], "overflow")
-	n.MarkOutput(ad.ovf)
 	ad.neg = n.BUF(ad.sum[width-1], "negative")
-	n.MarkOutput(ad.neg)
 
 	n.AutoWiden(wideFanout)
 	ad.prog = n.Compile()
@@ -145,9 +140,6 @@ func New(width, wideFanout int) *Adder {
 
 // New32 builds the paper's 32-bit configuration with default widening.
 func New32() *Adder { return New(32, 0) }
-
-// Width returns the operand width in bits.
-func (ad *Adder) Width() int { return ad.width }
 
 // Netlist exposes the underlying netlist.
 func (ad *Adder) Netlist() *circuit.Netlist { return ad.netlist }

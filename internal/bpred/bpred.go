@@ -24,8 +24,7 @@ import (
 // Counter states of the 2-bit saturating counter.
 const (
 	StronglyNotTaken = 0
-	WeaklyNotTaken   = 1
-	WeaklyTaken      = 2
+	WeaklyTaken      = 2 // 1 is weakly not-taken
 	StronglyTaken    = 3
 )
 
@@ -189,13 +188,6 @@ func (p *Predictor) Accuracy() float64 {
 	}
 	return float64(p.hits) / float64(p.predictions)
 }
-
-// Predictions returns the number of branches seen.
-func (p *Predictor) Predictions() uint64 { return p.predictions }
-
-// CellBiases returns the per-bit zero bias of the counter cells
-// (bit 0 = hysteresis, bit 1 = direction).
-func (p *Predictor) CellBiases() []float64 { return p.bias.Biases() }
 
 // WorstCellBias returns the worst cell stress across the two counter
 // bits.

@@ -122,10 +122,10 @@ func TestCellBiasesShape(t *testing.T) {
 	p := New(Config{Entries: 32})
 	p.Predict(0, true)
 	p.Finish()
-	if got := len(p.CellBiases()); got != 2 {
-		t.Errorf("CellBiases length = %d, want 2", got)
+	if got := len(p.bias.Biases()); got != 2 {
+		t.Errorf("cell bias count = %d, want 2", got)
 	}
-	if p.Predictions() != 1 {
+	if p.predictions != 1 {
 		t.Error("prediction count wrong")
 	}
 	if (&Predictor{}).Accuracy() != 0 {

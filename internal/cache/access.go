@@ -177,7 +177,6 @@ func (c *Cache) maintain(_ int) {
 	l.valid = false
 	l.inverted = true
 	c.invCount++
-	c.stats.Maintenance++
 }
 
 // invertCandidate picks the line of a set to invert next: an invalid
@@ -212,9 +211,6 @@ func (c *Cache) advance(cycle uint64) {
 		dt := cycle - c.lastCycle
 		c.stats.InvertedLineTime += uint64(c.invCount) * dt
 		c.stats.ObservedCycles += dt
-		if c.active {
-			c.stats.ActiveCycles += dt
-		}
 		c.lastCycle = cycle
 	}
 	c.rotate(cycle)

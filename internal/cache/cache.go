@@ -110,10 +110,8 @@ type Stats struct {
 	// index 0 is the MRU line. §3.2.1 reports 90% of DL0 hits at MRU.
 	HitWayRank []uint64
 
-	// Maintenance counts successful invert-and-invalidate operations;
-	// MaintenanceDeferred counts attempts deferred for lack of a write
-	// port or a valid victim.
-	Maintenance         uint64
+	// MaintenanceDeferred counts invert-and-invalidate attempts deferred
+	// for lack of a write port or a valid victim.
 	MaintenanceDeferred uint64
 
 	// InvertedLineTime integrates inverted-lines×cycles; divided by
@@ -125,8 +123,6 @@ type Stats struct {
 	MonitorWindows     uint64
 	MonitorDeactivated uint64
 	InducedExtraMisses uint64
-	MonitorAccesses    uint64
-	ActiveCycles       uint64
 }
 
 // MissRate returns misses per access.
@@ -169,7 +165,6 @@ type line struct {
 // Cache is a set-associative cache or TLB with an optional inversion
 // mechanism.
 type Cache struct {
-	name      string
 	sets      int
 	ways      int
 	lineShift uint
@@ -194,7 +189,7 @@ type Cache struct {
 
 // New builds a cache of sizeBytes bytes with lineBytes lines and the
 // given associativity. Sizes must make sets a power of two.
-func New(name string, sizeBytes, lineBytes, ways int, opt Options) *Cache {
+func New(sizeBytes, lineBytes, ways int, opt Options) *Cache {
 	if lineBytes <= 0 || sizeBytes <= 0 || ways <= 0 {
 		panic("cache: sizes must be positive")
 	}
@@ -213,12 +208,12 @@ func New(name string, sizeBytes, lineBytes, ways int, opt Options) *Cache {
 	if 1<<shift != lineBytes {
 		panic("cache: line size must be a power of two")
 	}
-	return newCache(name, sets, ways, shift, opt)
+	return newCache(sets, ways, shift, opt)
 }
 
 // NewTLB builds a TLB with the given entry count and associativity over
 // pageBytes pages.
-func NewTLB(name string, entries, ways, pageBytes int, opt Options) *Cache {
+func NewTLB(entries, ways, pageBytes int, opt Options) *Cache {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		panic("cache: invalid TLB shape")
 	}
@@ -233,10 +228,10 @@ func NewTLB(name string, entries, ways, pageBytes int, opt Options) *Cache {
 	if 1<<shift != pageBytes {
 		panic("cache: page size must be a power of two")
 	}
-	return newCache(name, sets, ways, shift, opt)
+	return newCache(sets, ways, shift, opt)
 }
 
-func newCache(name string, sets, ways int, shift uint, opt Options) *Cache {
+func newCache(sets, ways int, shift uint, opt Options) *Cache {
 	if ways > 255 {
 		panic("cache: too many ways")
 	}
@@ -247,7 +242,6 @@ func newCache(name string, sets, ways int, shift uint, opt Options) *Cache {
 		opt.PortFreeProb = 1
 	}
 	c := &Cache{
-		name:      name,
 		sets:      sets,
 		ways:      ways,
 		lineShift: shift,
@@ -276,7 +270,6 @@ func (c *Cache) Reset() {
 	hits := c.stats.HitWayRank
 	clear(hits)
 	*c = Cache{
-		name:      c.name,
 		sets:      c.sets,
 		ways:      c.ways,
 		lineShift: c.lineShift,
@@ -306,27 +299,11 @@ func (c *Cache) start() {
 	c.configureScheme()
 }
 
-// Name returns the cache's label.
-func (c *Cache) Name() string { return c.name }
-
-// Sets and Ways describe the geometry.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 // Lines returns the total line count.
 func (c *Cache) Lines() int { return c.sets * c.ways }
 
 // Stats exposes the accumulated statistics.
 func (c *Cache) Stats() *Stats { return &c.stats }
-
-// InvertedLines returns how many lines are currently inverted.
-func (c *Cache) InvertedLines() int { return c.invCount }
-
-// Active reports whether the inversion mechanism is currently engaged
-// (always true for fixed schemes; toggled by the monitor for dynamic).
-func (c *Cache) Active() bool { return c.active }
 
 func (c *Cache) configureScheme() {
 	switch c.opt.Scheme {

@@ -7,7 +7,7 @@ import (
 )
 
 func baseline(size, line, ways int) *Cache {
-	return New("t", size, line, ways, Options{Scheme: SchemeNone})
+	return New(size, line, ways, Options{Scheme: SchemeNone})
 }
 
 func TestBasicHitMiss(t *testing.T) {
@@ -29,29 +29,26 @@ func TestBasicHitMiss(t *testing.T) {
 
 func TestGeometry(t *testing.T) {
 	c := baseline(32*1024, 64, 8)
-	if c.Sets() != 64 || c.Ways() != 8 || c.Lines() != 512 {
-		t.Fatalf("32KB 8-way: sets=%d ways=%d lines=%d", c.Sets(), c.Ways(), c.Lines())
+	if c.sets != 64 || c.ways != 8 || c.Lines() != 512 {
+		t.Fatalf("32KB 8-way: sets=%d ways=%d lines=%d", c.sets, c.ways, c.Lines())
 	}
-	tlb := NewTLB("dtlb", 128, 8, 4096, Options{Scheme: SchemeNone})
-	if tlb.Sets() != 16 || tlb.Ways() != 8 {
-		t.Fatalf("128-entry 8-way TLB: sets=%d ways=%d", tlb.Sets(), tlb.Ways())
-	}
-	if c.Name() != "t" {
-		t.Error("name mismatch")
+	tlb := NewTLB(128, 8, 4096, Options{Scheme: SchemeNone})
+	if tlb.sets != 16 || tlb.ways != 8 {
+		t.Fatalf("128-entry 8-way TLB: sets=%d ways=%d", tlb.sets, tlb.ways)
 	}
 }
 
 func TestConstructorPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { New("x", 0, 64, 8, Options{}) },
-		func() { New("x", 1000, 64, 8, Options{}) },     // 15 lines, not divisible
-		func() { New("x", 3*1024, 64, 8, Options{}) },   // 48 lines -> 6 sets, not pow2
-		func() { New("x", 1024, 60, 2, Options{}) },     // line not pow2
-		func() { NewTLB("x", 100, 8, 4096, Options{}) }, // 100 not divisible by 8
-		func() { NewTLB("x", 96, 8, 4096, Options{}) },  // 12 sets, not pow2
-		func() { NewTLB("x", 128, 8, 1000, Options{}) }, // page not pow2
-		func() { New("x", 1024, 64, 2, Options{InvertRatio: 1.5}) },
-		func() { New("x", 1024, 64, 2, Options{Scheme: SchemeLineDynamic}) },
+		func() { New(0, 64, 8, Options{}) },
+		func() { New(1000, 64, 8, Options{}) },     // 15 lines, not divisible
+		func() { New(3*1024, 64, 8, Options{}) },   // 48 lines -> 6 sets, not pow2
+		func() { New(1024, 60, 2, Options{}) },     // line not pow2
+		func() { NewTLB(100, 8, 4096, Options{}) }, // 100 not divisible by 8
+		func() { NewTLB(96, 8, 4096, Options{}) },  // 12 sets, not pow2
+		func() { NewTLB(128, 8, 1000, Options{}) }, // page not pow2
+		func() { New(1024, 64, 2, Options{InvertRatio: 1.5}) },
+		func() { New(1024, 64, 2, Options{Scheme: SchemeLineDynamic}) },
 	} {
 		func() {
 			defer func() {
@@ -108,8 +105,8 @@ func TestStatsHelpers(t *testing.T) {
 
 func TestSetFixedHalvesCapacity(t *testing.T) {
 	opt := Options{Scheme: SchemeSetFixed, InvertRatio: 0.5}
-	c := New("sf", 1024, 64, 2, opt) // 8 sets, 2 ways; 4 live sets
-	if got := c.InvertedLines(); got != 8 {
+	c := New(1024, 64, 2, opt) // 8 sets, 2 ways; 4 live sets
+	if got := c.invCount; got != 8 {
 		t.Fatalf("inverted lines = %d, want 8 (half the cache)", got)
 	}
 	// A working set equal to the full cache no longer fits: with 8
@@ -142,9 +139,9 @@ func TestSetFixedHalvesCapacity(t *testing.T) {
 
 func TestWayFixedReducesAssociativity(t *testing.T) {
 	opt := Options{Scheme: SchemeWayFixed, InvertRatio: 0.5}
-	c := New("wf", 512, 64, 8, opt) // 1 set, 8 ways; 4 live
-	if c.InvertedLines() != 4 {
-		t.Fatalf("inverted lines = %d, want 4", c.InvertedLines())
+	c := New(512, 64, 8, opt) // 1 set, 8 ways; 4 live
+	if c.invCount != 4 {
+		t.Fatalf("inverted lines = %d, want 4", c.invCount)
 	}
 	// 8 distinct lines cycle: with only 4 live ways everything thrashes.
 	misses := 0
@@ -162,15 +159,15 @@ func TestWayFixedReducesAssociativity(t *testing.T) {
 
 func TestLineFixedMaintainsRatio(t *testing.T) {
 	opt := Options{Scheme: SchemeLineFixed, InvertRatio: 0.5, Seed: 42}
-	c := New("lf", 32*1024, 64, 8, opt)
-	if got, want := c.InvertedLines(), c.targetInverted(); got != want {
+	c := New(32*1024, 64, 8, opt)
+	if got, want := c.invCount, c.targetInverted(); got != want {
 		t.Fatalf("initial inverted = %d, want %d", got, want)
 	}
 	rng := rand.New(rand.NewSource(9))
 	for cyc := uint64(0); cyc < 30000; cyc++ {
 		c.Access(uint64(rng.Intn(1024))*64, cyc)
 	}
-	got := c.InvertedLines()
+	got := c.invCount
 	want := c.targetInverted()
 	if got < want-16 || got > want {
 		t.Errorf("inverted lines drifted to %d, target %d", got, want)
@@ -185,7 +182,7 @@ func TestLineFixedVictimsAreLRU(t *testing.T) {
 	// should bite cold lines, not hot ones: hit rate on the hot set
 	// stays high.
 	opt := Options{Scheme: SchemeLineFixed, InvertRatio: 0.5, Seed: 1}
-	c := New("lf", 32*1024, 64, 8, opt)
+	c := New(32*1024, 64, 8, opt)
 	rng := rand.New(rand.NewSource(2))
 	var hits, accesses int
 	for cyc := uint64(0); cyc < 40000; cyc++ {
@@ -202,7 +199,7 @@ func TestLineFixedVictimsAreLRU(t *testing.T) {
 
 func TestPortPressureDefersMaintenance(t *testing.T) {
 	opt := Options{Scheme: SchemeLineFixed, InvertRatio: 0.5, Seed: 3, PortFreeProb: 0.2}
-	c := New("lf", 4096, 64, 4, opt)
+	c := New(4096, 64, 4, opt)
 	rng := rand.New(rand.NewSource(5))
 	for cyc := uint64(0); cyc < 5000; cyc++ {
 		c.Access(uint64(rng.Intn(256))*64, cyc)
@@ -214,19 +211,19 @@ func TestPortPressureDefersMaintenance(t *testing.T) {
 
 func TestRotationRefreshesSets(t *testing.T) {
 	opt := Options{Scheme: SchemeSetFixed, InvertRatio: 0.5, RotatePeriod: 1000}
-	c := New("sf", 1024, 64, 2, opt)
+	c := New(1024, 64, 2, opt)
 	before := c.setRot
 	c.Access(0, 1)
 	c.Access(0, 2500) // crosses at least one rotation boundary
 	if c.setRot == before {
 		t.Error("set rotation did not advance")
 	}
-	if c.InvertedLines() != 8 {
-		t.Errorf("rotation must preserve the inverted count, got %d", c.InvertedLines())
+	if c.invCount != 8 {
+		t.Errorf("rotation must preserve the inverted count, got %d", c.invCount)
 	}
 	// WayFixed rotation too.
 	wopt := Options{Scheme: SchemeWayFixed, InvertRatio: 0.5, RotatePeriod: 500}
-	wc := New("wf", 512, 64, 8, wopt)
+	wc := New(512, 64, 8, wopt)
 	wBefore := wc.wayRot
 	wc.Access(0, 1)
 	wc.Access(0, 1600)
@@ -243,7 +240,7 @@ func TestSchemeString(t *testing.T) {
 
 func TestAccessDeterminism(t *testing.T) {
 	mk := func() *Cache {
-		return New("d", 8192, 64, 4, Options{Scheme: SchemeLineFixed, InvertRatio: 0.5, Seed: 7})
+		return New(8192, 64, 4, Options{Scheme: SchemeLineFixed, InvertRatio: 0.5, Seed: 7})
 	}
 	a, b := mk(), mk()
 	rngA := rand.New(rand.NewSource(11))
@@ -273,7 +270,7 @@ func TestResetMatchesFresh(t *testing.T) {
 		dynOptions(0.6, 0.5, 3),
 	}
 	for _, opt := range schemes {
-		c := New("r", 4096, 64, 4, opt)
+		c := New(4096, 64, 4, opt)
 		replay := func() ([]bool, Stats, int) {
 			rng := rand.New(rand.NewSource(5))
 			hits := make([]bool, 0, 30000)
@@ -282,7 +279,7 @@ func TestResetMatchesFresh(t *testing.T) {
 			}
 			st := *c.Stats()
 			st.HitWayRank = append([]uint64(nil), st.HitWayRank...)
-			return hits, st, c.InvertedLines()
+			return hits, st, c.invCount
 		}
 		h1, s1, inv1 := replay()
 		c.Reset()

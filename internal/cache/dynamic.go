@@ -59,7 +59,6 @@ func (c *Cache) stepMonitor(cycle uint64) {
 		if cycle-m.phaseStart >= opt.TestCycles {
 			accesses := c.stats.Accesses - m.windowBase
 			extra := c.stats.InducedExtraMisses - m.extraBase
-			c.stats.MonitorAccesses += accesses
 			rate := 0.0
 			if accesses > 0 {
 				rate = float64(extra) / float64(accesses)

@@ -21,16 +21,16 @@ func dynOptions(ratio, threshold float64, seed int64) Options {
 }
 
 func TestDynamicActivatesForSmallWorkingSet(t *testing.T) {
-	c := New("dyn", 32*1024, 64, 8, dynOptions(0.6, 0.02, 1))
+	c := New(32*1024, 64, 8, dynOptions(0.6, 0.02, 1))
 	rng := rand.New(rand.NewSource(4))
 	// 4KB working set: inversion is harmless, monitor must engage it.
 	for cyc := uint64(0); cyc < 100_000; cyc++ {
 		c.Access(uint64(rng.Intn(64))*64, cyc)
 	}
-	if !c.Active() {
+	if !c.active {
 		t.Error("mechanism should be active for a cache-friendly program")
 	}
-	if c.InvertedLines() == 0 {
+	if c.invCount == 0 {
 		t.Error("active mechanism should hold inverted lines")
 	}
 	if c.Stats().MonitorWindows == 0 {
@@ -39,7 +39,7 @@ func TestDynamicActivatesForSmallWorkingSet(t *testing.T) {
 }
 
 func TestDynamicDeactivatesForFullCacheUse(t *testing.T) {
-	c := New("dyn", 8*1024, 64, 8, dynOptions(0.6, 0.02, 2))
+	c := New(8*1024, 64, 8, dynOptions(0.6, 0.02, 2))
 	rng := rand.New(rand.NewSource(6))
 	// Working set equals the full cache: inverting 60% would hurt, the
 	// monitor must see induced extra misses and deactivate.
@@ -59,7 +59,7 @@ func TestDynamicBeatsFixedOnHostileWorkload(t *testing.T) {
 	// LineFixed50% on average because it backs off when a program uses
 	// the whole cache.
 	run := func(opt Options) float64 {
-		c := New("c", 8*1024, 64, 8, opt)
+		c := New(8*1024, 64, 8, opt)
 		rng := rand.New(rand.NewSource(13))
 		lines := c.Lines()
 		var misses int
@@ -88,7 +88,7 @@ func TestDynamicInvertedFractionNearTarget(t *testing.T) {
 	// §4.6: "on average the number of cache lines inverted is slightly
 	// above the desired 50%" with K=60% — for friendly programs the
 	// mechanism is active nearly all the time.
-	c := New("dyn", 32*1024, 64, 8, dynOptions(0.6, 0.02, 3))
+	c := New(32*1024, 64, 8, dynOptions(0.6, 0.02, 3))
 	rng := rand.New(rand.NewSource(8))
 	for cyc := uint64(0); cyc < 300_000; cyc++ {
 		c.Access(uint64(rng.Intn(64))*64, cyc)
@@ -100,7 +100,7 @@ func TestDynamicInvertedFractionNearTarget(t *testing.T) {
 }
 
 func TestShadowBitsCountExtraMisses(t *testing.T) {
-	c := New("dyn", 4096, 64, 4, dynOptions(0.6, 0.0, 5)) // threshold 0: always deactivate on any extra miss
+	c := New(4096, 64, 4, dynOptions(0.6, 0.0, 5)) // threshold 0: always deactivate on any extra miss
 	rng := rand.New(rand.NewSource(10))
 	lines := c.Lines()
 	for cyc := uint64(0); cyc < 100_000; cyc++ {
@@ -109,13 +109,13 @@ func TestShadowBitsCountExtraMisses(t *testing.T) {
 	if c.Stats().InducedExtraMisses == 0 {
 		t.Error("shadow bits should have recorded induced extra misses")
 	}
-	if c.Active() {
+	if c.active {
 		t.Error("zero threshold must leave the mechanism off")
 	}
 }
 
 func TestMonitorWindowsAdvance(t *testing.T) {
-	c := New("dyn", 4096, 64, 4, dynOptions(0.6, 0.02, 5))
+	c := New(4096, 64, 4, dynOptions(0.6, 0.02, 5))
 	for cyc := uint64(0); cyc < 100_000; cyc += 10 {
 		c.Access(uint64(cyc%64)*64, cyc)
 	}

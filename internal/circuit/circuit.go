@@ -83,7 +83,6 @@ type Netlist struct {
 	gates   []Gate
 	drivers []int // signal -> index of driving gate
 	inputs  []Signal
-	outputs []Signal
 	fanout  []int // signal -> number of gate inputs it feeds
 }
 
@@ -99,17 +98,11 @@ func (n *Netlist) NumGates() int { return len(n.gates) }
 // Inputs returns the primary input signals in creation order.
 func (n *Netlist) Inputs() []Signal { return n.inputs }
 
-// Outputs returns the signals marked as primary outputs.
-func (n *Netlist) Outputs() []Signal { return n.outputs }
-
 // Gate returns the gate driving signal s.
 func (n *Netlist) Gate(s Signal) Gate { return n.gates[n.drivers[s]] }
 
 // Gates returns all gates in topological order.
 func (n *Netlist) Gates() []Gate { return n.gates }
-
-// Fanout returns how many gate inputs signal s feeds.
-func (n *Netlist) Fanout(s Signal) int { return n.fanout[s] }
 
 func (n *Netlist) newSignal(g Gate) Signal {
 	s := Signal(len(n.drivers))
@@ -190,20 +183,6 @@ func (n *Netlist) XOR3(a, b, c Signal, name string) Signal {
 	return n.addGate(KindXOR3, name, a, b, c)
 }
 
-// MarkOutput declares s a primary output.
-func (n *Netlist) MarkOutput(s Signal) {
-	n.checkSignals(s)
-	n.outputs = append(n.outputs, s)
-}
-
-// SetWide marks the gate driving s as using wide PMOS transistors.
-// Wide transistors resist NBTI (paper §2.1 "Geometry", §4.3); builders
-// typically widen high-fanout gates.
-func (n *Netlist) SetWide(s Signal, wide bool) {
-	n.checkSignals(s)
-	n.gates[n.drivers[s]].Wide = wide
-}
-
 // AutoWiden marks every gate whose output fanout is at least minFanout as
 // wide. It returns the number of gates widened. Call after construction.
 func (n *Netlist) AutoWiden(minFanout int) int {
@@ -280,14 +259,4 @@ func (n *Netlist) EvalInto(inputs []bool, vals []bool) {
 		}
 		vals[g.Out] = v
 	}
-}
-
-// OutputValues extracts the primary output values from a full value
-// assignment produced by Eval.
-func (n *Netlist) OutputValues(vals []bool) []bool {
-	out := make([]bool, len(n.outputs))
-	for i, s := range n.outputs {
-		out[i] = vals[s]
-	}
-	return out
 }

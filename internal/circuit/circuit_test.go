@@ -17,10 +17,20 @@ func buildFullAdder() (*Netlist, []Signal, Signal, Signal) {
 	ab := n.AND2(a, b, "ab")
 	pc := n.AND2(axb, cin, "pc")
 	cout := n.OR2(ab, pc, "cout")
-	n.MarkOutput(sum)
-	n.MarkOutput(cout)
 	return n, []Signal{a, b, cin}, sum, cout
 }
+
+// bitsOf converts the low n bits of v into a bool slice, LSB first.
+func bitsOf(v uint64, n int) []bool {
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = v&(1<<uint(i)) != 0
+	}
+	return out
+}
+
+// setWide marks the gate driving s as using wide PMOS transistors.
+func setWide(n *Netlist, s Signal) { n.gates[n.drivers[s]].Wide = true }
 
 func TestFullAdderTruthTable(t *testing.T) {
 	n, _, sum, cout := buildFullAdder()
@@ -85,7 +95,7 @@ func TestGateTruthTables(t *testing.T) {
 			}
 			out := tc.build(n, ins)
 			for v := 0; v < 1<<tc.arity; v++ {
-				in := Uint64ToBits(uint64(v), tc.arity)
+				in := bitsOf(uint64(v), tc.arity)
 				vals := n.Eval(in)
 				if got, want := vals[out], tc.fn(in); got != want {
 					t.Errorf("inputs %v: got %v, want %v", in, got, want)
@@ -112,11 +122,11 @@ func TestFanoutTracking(t *testing.T) {
 	n.INV(a, "x")
 	n.INV(a, "y")
 	b := n.BUF(a, "z")
-	if got := n.Fanout(a); got != 3 {
-		t.Errorf("Fanout(a) = %d, want 3", got)
+	if got := n.fanout[a]; got != 3 {
+		t.Errorf("fanout(a) = %d, want 3", got)
 	}
-	if got := n.Fanout(b); got != 0 {
-		t.Errorf("Fanout(b) = %d, want 0", got)
+	if got := n.fanout[b]; got != 0 {
+		t.Errorf("fanout(b) = %d, want 0", got)
 	}
 }
 
@@ -145,25 +155,6 @@ func TestAutoWiden(t *testing.T) {
 	}
 }
 
-func TestSetWideAndMarkOutput(t *testing.T) {
-	n := New()
-	a := n.Input("a")
-	x := n.INV(a, "x")
-	n.SetWide(x, true)
-	if !n.Gate(x).Wide {
-		t.Error("SetWide did not stick")
-	}
-	n.MarkOutput(x)
-	if len(n.Outputs()) != 1 || n.Outputs()[0] != x {
-		t.Error("MarkOutput did not record the signal")
-	}
-	vals := n.Eval([]bool{true})
-	outs := n.OutputValues(vals)
-	if len(outs) != 1 || outs[0] != false {
-		t.Error("OutputValues mismatch")
-	}
-}
-
 func TestEvalPanics(t *testing.T) {
 	n := New()
 	n.Input("a")
@@ -172,7 +163,7 @@ func TestEvalPanics(t *testing.T) {
 		func() { n.EvalInto([]bool{true}, nil) },  // wrong buffer
 		func() { n.INV(Signal(99), "bad") },       // unknown signal
 		func() { n.addGate(KindNAND2, "bad", 0) }, // wrong arity
-		func() { n.MarkOutput(Signal(-1)) },       // bad signal
+		func() { n.BUF(Signal(-1), "bad") },       // bad signal
 	} {
 		func() {
 			defer func() {
@@ -192,21 +183,6 @@ func TestKindString(t *testing.T) {
 	if Kind(999).String() == "" {
 		t.Error("unknown kind should still render")
 	}
-}
-
-func TestBitsRoundTrip(t *testing.T) {
-	f := func(v uint64) bool {
-		return BitsToUint64(Uint64ToBits(v, 64)) == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("BitsToUint64 with >64 bits should panic")
-		}
-	}()
-	BitsToUint64(make([]bool, 65))
 }
 
 func TestEvalIntoMatchesEval(t *testing.T) {

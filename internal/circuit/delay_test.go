@@ -15,9 +15,9 @@ func TestCriticalPathChain(t *testing.T) {
 	x = n.INV(x, "x2")
 	x = n.INV(x, "x3")
 	wide := n.INV(x, "x4w")
-	n.SetWide(wide, true)
+	setWide(n, wide)
 	side := n.AND2(a, b, "side") // depth 1, off the critical path
-	n.MarkOutput(n.OR2(wide, side, "out"))
+	n.OR2(wide, side, "out")
 
 	path := n.CriticalPath()
 	if path.Depth != 5 {

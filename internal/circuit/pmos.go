@@ -53,10 +53,7 @@ var pmosTemplates = map[Kind][]tap{
 // Transistor identifies one PMOS device in an elaborated netlist and
 // carries its accumulated stress statistics.
 type Transistor struct {
-	GateIndex int    // index into Netlist.Gates()
-	GateName  string // name of the owning gate
-	Tap       int    // index within the gate's PMOS template
-	Wide      bool   // width class, inherited from the gate
+	Wide bool // width class, inherited from the gate
 
 	zeroTime  uint64 // time observed at logic "0" (under stress)
 	totalTime uint64
@@ -123,15 +120,9 @@ func NewStressSimCompiled(n *Netlist, prog *Program) *StressSim {
 	}
 	s.transistors = make([]Transistor, 0, count)
 	s.taps = make([]tapSite, 0, count)
-	for gi, g := range n.Gates() {
-		taps, ok := pmosTemplates[g.Kind]
-		if !ok {
-			continue
-		}
-		for ti, tp := range taps {
-			s.transistors = append(s.transistors, Transistor{
-				GateIndex: gi, GateName: g.Name, Tap: ti, Wide: g.Wide,
-			})
+	for _, g := range n.Gates() {
+		for _, tp := range pmosTemplates[g.Kind] {
+			s.transistors = append(s.transistors, Transistor{Wide: g.Wide})
 			switch tp.Kind {
 			case tapIn:
 				s.taps = append(s.taps, tapSite{sig: int32(g.In[tp.Pin])})
@@ -144,16 +135,6 @@ func NewStressSimCompiled(n *Netlist, prog *Program) *StressSim {
 	}
 	return s
 }
-
-// Netlist returns the simulated netlist.
-func (s *StressSim) Netlist() *Netlist { return s.netlist }
-
-// NumTransistors returns the number of PMOS devices elaborated.
-func (s *StressSim) NumTransistors() int { return len(s.transistors) }
-
-// Transistors returns the transistor table. The slice is owned by the
-// simulator; callers must not modify it.
-func (s *StressSim) Transistors() []Transistor { return s.transistors }
 
 // Apply evaluates the netlist under inputs and accounts dt time units of
 // stress on every PMOS whose gate terminal observes a "0". This is the
@@ -220,8 +201,8 @@ func (s *StressSim) Levels(inputs []uint64) []uint64 {
 	return out
 }
 
-// LevelsInto is Levels filling a caller-provided slice of length
-// NumTransistors.
+// LevelsInto is Levels filling a caller-provided slice with one word
+// per transistor.
 func (s *StressSim) LevelsInto(inputs []uint64, out []uint64) {
 	if len(out) != len(s.taps) {
 		panic("circuit: LevelsInto slice has wrong length")
@@ -234,15 +215,6 @@ func (s *StressSim) LevelsInto(inputs []uint64, out []uint64) {
 		}
 		out[i] = w
 	}
-}
-
-// TotalTime returns the stress time applied so far (identical for all
-// transistors).
-func (s *StressSim) TotalTime() uint64 {
-	if len(s.transistors) == 0 {
-		return 0
-	}
-	return s.transistors[0].totalTime
 }
 
 // Reset clears all accumulated stress.
@@ -373,28 +345,4 @@ func (r Report) String() string {
 		"pmos=%d (narrow=%d wide=%d) worstNarrowZero=%.3f worstEffBias=%.3f narrow100%%=%.2f%% guardband=%.1f%%",
 		r.Transistors, r.Narrow, r.Wide, r.WorstNarrowZeroProb,
 		r.WorstEffectiveBias, r.NarrowFullyStressed*100, r.Guardband*100)
-}
-
-// Uint64ToBits converts the low n bits of v into a bool slice, LSB first.
-func Uint64ToBits(v uint64, n int) []bool {
-	out := make([]bool, n)
-	for i := 0; i < n; i++ {
-		out[i] = v&(1<<uint(i)) != 0
-	}
-	return out
-}
-
-// BitsToUint64 packs a bool slice (LSB first, at most 64 long) into a
-// uint64.
-func BitsToUint64(bits []bool) uint64 {
-	if len(bits) > 64 {
-		panic("circuit: more than 64 bits")
-	}
-	var v uint64
-	for i, b := range bits {
-		if b {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
 }

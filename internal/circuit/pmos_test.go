@@ -10,22 +10,31 @@ import (
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
+// totalTime returns the stress time applied so far, identical for every
+// transistor.
+func totalTime(s *StressSim) uint64 {
+	if len(s.transistors) == 0 {
+		return 0
+	}
+	return s.transistors[0].totalTime
+}
+
 func TestInverterStress(t *testing.T) {
 	n := New()
 	a := n.Input("a")
 	n.INV(a, "inv")
 	sim := NewStressSim(n)
-	if sim.NumTransistors() != 1 {
-		t.Fatalf("inverter has %d PMOS, want 1", sim.NumTransistors())
+	if len(sim.transistors) != 1 {
+		t.Fatalf("inverter has %d PMOS, want 1", len(sim.transistors))
 	}
 	sim.Apply([]bool{false}, 3) // gate sees "0": stress
 	sim.Apply([]bool{true}, 1)  // gate sees "1": relax
-	tr := sim.Transistors()[0]
+	tr := sim.transistors[0]
 	if got := tr.ZeroProb(); !almostEqual(got, 0.75, 1e-12) {
 		t.Errorf("ZeroProb = %v, want 0.75", got)
 	}
-	if sim.TotalTime() != 4 {
-		t.Errorf("TotalTime = %d, want 4", sim.TotalTime())
+	if tr.totalTime != 4 {
+		t.Errorf("totalTime = %d, want 4", tr.totalTime)
 	}
 }
 
@@ -47,7 +56,7 @@ func TestTransistorCounts(t *testing.T) {
 		case 3:
 			n.addGate(kind, "g", ins[0], ins[1], ins[2])
 		}
-		if got := NewStressSim(n).NumTransistors(); got != want {
+		if got := len(NewStressSim(n).transistors); got != want {
 			t.Errorf("%v: %d PMOS, want %d", kind, got, want)
 		}
 	}
@@ -57,29 +66,25 @@ func TestInputsHaveNoTransistors(t *testing.T) {
 	n := New()
 	n.Input("a")
 	n.Const(true, "one")
-	if got := NewStressSim(n).NumTransistors(); got != 0 {
+	if got := len(NewStressSim(n).transistors); got != 0 {
 		t.Errorf("inputs/constants have %d PMOS, want 0", got)
 	}
 }
 
 func TestAND2InternalNodeStress(t *testing.T) {
-	// AND2 = NAND2 + INV; the inverter PMOS sees the complement of the
-	// AND output, so it is stressed when the AND output is 1.
+	// AND2 = NAND2 + INV; the inverter PMOS (template tap 2) sees the
+	// complement of the AND output, so it is stressed when the AND output
+	// is 1.
 	n := New()
 	a := n.Input("a")
 	b := n.Input("b")
 	n.AND2(a, b, "and")
 	sim := NewStressSim(n)
 	sim.Apply([]bool{true, true}, 1) // out=1 -> internal node 0 -> stressed
-	var internal *Transistor
-	for i := range sim.Transistors() {
-		if sim.Transistors()[i].Tap == 2 {
-			internal = &sim.Transistors()[i]
-		}
-	}
-	if internal == nil {
+	if len(sim.transistors) != 3 {
 		t.Fatal("AND2 lacks internal-node transistor")
 	}
+	internal := &sim.transistors[2]
 	if got := internal.ZeroProb(); got != 1 {
 		t.Errorf("internal PMOS zero prob = %v, want 1", got)
 	}
@@ -99,7 +104,7 @@ func TestXORComplementTaps(t *testing.T) {
 	sim := NewStressSim(n)
 	sim.Apply([]bool{false, false}, 1)
 	sim.Apply([]bool{true, true}, 1)
-	for i, tr := range sim.Transistors() {
+	for i, tr := range sim.transistors {
 		if got := tr.ZeroProb(); !almostEqual(got, 0.5, 1e-12) {
 			t.Errorf("tap %d zero prob = %v, want 0.5", i, got)
 		}
@@ -113,11 +118,11 @@ func TestStressSimReset(t *testing.T) {
 	sim := NewStressSim(n)
 	sim.Apply([]bool{false}, 5)
 	sim.Reset()
-	if sim.TotalTime() != 0 || sim.Transistors()[0].ZeroProb() != 0 {
+	if totalTime(sim) != 0 || sim.transistors[0].ZeroProb() != 0 {
 		t.Error("Reset did not clear stress")
 	}
 	sim.Apply([]bool{false}, 0) // zero dt is a no-op
-	if sim.TotalTime() != 0 {
+	if totalTime(sim) != 0 {
 		t.Error("zero-dt Apply must not accumulate")
 	}
 }
@@ -127,7 +132,7 @@ func TestAnalyzeReport(t *testing.T) {
 	n := New()
 	a := n.Input("a")
 	x := n.INV(a, "narrow") // stressed 100%
-	n.SetWide(n.INV(x, "wide"), true)
+	setWide(n, n.INV(x, "wide"))
 	sim := NewStressSim(n)
 	sim.Apply([]bool{false}, 10) // a=0: narrow stressed; x=1: wide relaxed
 	rep := sim.Analyze(p)
@@ -154,7 +159,7 @@ func TestAnalyzeWideDiscount(t *testing.T) {
 	p := nbti.DefaultParams()
 	n := New()
 	a := n.Input("a")
-	n.SetWide(n.INV(a, "wide"), true)
+	setWide(n, n.INV(a, "wide"))
 	sim := NewStressSim(n)
 	sim.Apply([]bool{false}, 10)
 	rep := sim.Analyze(p)
@@ -173,7 +178,7 @@ func TestStressPropertyZeroProbBounded(t *testing.T) {
 		for _, v := range vs {
 			sim.Apply([]bool{v&1 != 0, v&2 != 0, v&4 != 0}, uint64(v%5)+1)
 		}
-		for _, tr := range sim.Transistors() {
+		for _, tr := range sim.transistors {
 			zp := tr.ZeroProb()
 			if zp < 0 || zp > 1 {
 				return false

@@ -156,24 +156,3 @@ func (p *Program) EvalVecInto(inputs []uint64, vals []uint64) {
 		vals[op.out] = v
 	}
 }
-
-// PackBools packs per-lane scalar input vectors into the word layout
-// EvalVec consumes: word i holds input i of every lane, bit l coming
-// from vectors[l][i]. At most 64 vectors fit one pack.
-func PackBools(vectors [][]bool, numInputs int) []uint64 {
-	if len(vectors) > 64 {
-		panic("circuit: more than 64 lanes")
-	}
-	words := make([]uint64, numInputs)
-	for l, vec := range vectors {
-		if len(vec) != numInputs {
-			panic(fmt.Sprintf("circuit: lane %d has %d inputs, want %d", l, len(vec), numInputs))
-		}
-		for i, b := range vec {
-			if b {
-				words[i] |= 1 << uint(l)
-			}
-		}
-	}
-	return words
-}

@@ -33,7 +33,7 @@ func randomNetlist(rng *rand.Rand, numInputs, numGates int) *Netlist {
 			s = n.addGate(k, "g", pick(), pick(), pick())
 		}
 		if rng.Intn(4) == 0 {
-			n.SetWide(s, true)
+			setWide(n, s)
 		}
 		sigs = append(sigs, s)
 	}
@@ -51,7 +51,22 @@ func randomLaneInputs(rng *rand.Rand, numInputs, lanes int) ([][]bool, []uint64)
 		}
 		vectors[l] = vec
 	}
-	return vectors, PackBools(vectors, numInputs)
+	return vectors, packLanes(vectors, numInputs)
+}
+
+// packLanes packs per-lane scalar input vectors into the word layout
+// EvalVec consumes: word i holds input i of every lane, bit l coming
+// from vectors[l][i].
+func packLanes(vectors [][]bool, numInputs int) []uint64 {
+	words := make([]uint64, numInputs)
+	for l, vec := range vectors {
+		for i, b := range vec {
+			if b {
+				words[i] |= 1 << uint(l)
+			}
+		}
+	}
+	return words
 }
 
 // TestEvalVecMatchesScalar drives randomized netlists through the
@@ -109,9 +124,9 @@ func TestEvalVecMUX2XOR3Exhaustive(t *testing.T) {
 	xor3 := n.XOR3(a, b, c, "xor3")
 	vectors := make([][]bool, 8)
 	for v := range vectors {
-		vectors[v] = Uint64ToBits(uint64(v), 3)
+		vectors[v] = bitsOf(uint64(v), 3)
 	}
-	vals := n.Compile().EvalVec(PackBools(vectors, 3))
+	vals := n.Compile().EvalVec(packLanes(vectors, 3))
 	for v := 0; v < 8; v++ {
 		in := vectors[v]
 		wantMux := in[1]
@@ -147,8 +162,8 @@ func TestApplyVecMatchesApply(t *testing.T) {
 				ref.Apply(v, dt)
 			}
 		}
-		if vec.TotalTime() != ref.TotalTime() {
-			t.Fatalf("trial %d: total time %d != %d", trial, vec.TotalTime(), ref.TotalTime())
+		if totalTime(vec) != totalTime(ref) {
+			t.Fatalf("trial %d: total time %d != %d", trial, totalTime(vec), totalTime(ref))
 		}
 		for i := range vec.transistors {
 			v, r := vec.transistors[i], ref.transistors[i]
@@ -192,7 +207,7 @@ func TestAnalyzeLanesMatchesAnalyze(t *testing.T) {
 			t.Fatalf("trial %d mask %#x: AnalyzeLanes %+v != scalar %+v", trial, mask, got, want)
 		}
 		// AnalyzeLanes must not disturb accumulated state.
-		if sim.TotalTime() != 0 {
+		if totalTime(sim) != 0 {
 			t.Fatalf("trial %d: AnalyzeLanes accumulated stress", trial)
 		}
 	}
@@ -206,20 +221,20 @@ func TestStressSimResetAfterApplyVec(t *testing.T) {
 	n.INV(a, "inv")
 	sim := NewStressSim(n)
 	sim.ApplyVec([]uint64{0}, 64, 5) // all 64 lanes at "0": full stress
-	if sim.TotalTime() != 320 || sim.Transistors()[0].ZeroProb() != 1 {
+	if totalTime(sim) != 320 || sim.transistors[0].ZeroProb() != 1 {
 		t.Fatalf("ApplyVec accumulation wrong: total=%d zp=%v",
-			sim.TotalTime(), sim.Transistors()[0].ZeroProb())
+			totalTime(sim), sim.transistors[0].ZeroProb())
 	}
 	sim.Reset()
-	if sim.TotalTime() != 0 || sim.Transistors()[0].ZeroProb() != 0 {
+	if totalTime(sim) != 0 || sim.transistors[0].ZeroProb() != 0 {
 		t.Fatal("Reset did not clear vector-applied stress")
 	}
 	sim.ApplyVec([]uint64{^uint64(0)}, 32, 2) // 32 lanes at "1": relax only
 	sim.Apply([]bool{false}, 4)               // scalar still works after Reset
-	if sim.TotalTime() != 68 {
-		t.Errorf("TotalTime = %d, want 68", sim.TotalTime())
+	if totalTime(sim) != 68 {
+		t.Errorf("totalTime = %d, want 68", totalTime(sim))
 	}
-	if got, want := sim.Transistors()[0].ZeroProb(), float64(4)/68; got != want {
+	if got, want := sim.transistors[0].ZeroProb(), float64(4)/68; got != want {
 		t.Errorf("ZeroProb = %v, want %v", got, want)
 	}
 }
@@ -232,16 +247,14 @@ func TestApplyVecEdgeCases(t *testing.T) {
 	n.INV(a, "inv")
 	sim := NewStressSim(n)
 	sim.ApplyVec([]uint64{0}, 64, 0) // zero dt is a no-op
-	if sim.TotalTime() != 0 {
+	if totalTime(sim) != 0 {
 		t.Error("zero-dt ApplyVec must not accumulate")
 	}
 	for _, f := range []func(){
-		func() { sim.ApplyVec([]uint64{0}, 0, 1) },      // no lanes
-		func() { sim.ApplyVec([]uint64{0}, 65, 1) },     // too many lanes
-		func() { sim.ApplyVec(nil, 1, 1) },              // wrong input count
-		func() { sim.LevelsInto([]uint64{0}, nil) },     // wrong levels length
-		func() { PackBools(make([][]bool, 65), 0) },     // too many vectors
-		func() { PackBools([][]bool{{true, true}}, 1) }, // lane length mismatch
+		func() { sim.ApplyVec([]uint64{0}, 0, 1) },  // no lanes
+		func() { sim.ApplyVec([]uint64{0}, 65, 1) }, // too many lanes
+		func() { sim.ApplyVec(nil, 1, 1) },          // wrong input count
+		func() { sim.LevelsInto([]uint64{0}, nil) }, // wrong levels length
 		func() { n.Compile().EvalVecInto([]uint64{0}, nil) },
 	} {
 		func() {

@@ -68,7 +68,7 @@ func TestBankMemoizationSharesKey(t *testing.T) {
 	if !sameBank((Options{TraceLength: 900, TraceStride: DefaultOptions().TraceStride}).bank(), Options{TraceLength: 900, TraceStride: -3}) {
 		t.Error("normalized-equivalent options must share the memoized recordings")
 	}
-	if b := (Options{TraceLength: 901, TraceStride: 531}).bank(); b.Length != 901 || b.Recordings()[0].Len() != 901 {
+	if b := (Options{TraceLength: 901, TraceStride: 531}).bank(); b.Length != 901 || b.Sources()[0].Len() != 901 {
 		t.Error("distinct options must not share a bank")
 	}
 	// The default bank's recordings live in the same memo, so they must

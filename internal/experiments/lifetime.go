@@ -344,11 +344,10 @@ type YieldResult struct {
 	PenelopeLifetime float64 `json:"penelope_lifetime_years"`
 }
 
-// Yield derives the lifetime-yield curve from the fleet lifetime run:
+// Yield derives the lifetime-yield curve from a fleet lifetime run:
 // survival against the provisioned guardband budget over service time,
 // baseline vs Penelope.
-func Yield(o Options) YieldResult {
-	life := Lifetime(o)
+func Yield(life LifetimeResult) YieldResult {
 	res := YieldResult{
 		GuardbandLimit:   life.GuardbandLimit,
 		YieldTarget:      yieldTarget,

@@ -74,7 +74,7 @@ func TestLifetimeRenderShortRun(t *testing.T) {
 	r := Lifetime(o)
 	var buf bytes.Buffer
 	r.Render(&buf)
-	Yield(o).Render(&buf)
+	Yield(r).Render(&buf)
 	if buf.Len() == 0 {
 		t.Fatal("empty render")
 	}
@@ -220,8 +220,7 @@ func TestFleetDutiesPinNoRecordings(t *testing.T) {
 	withFleetMemos(t)
 	o := fleetOptions()
 	o.Population, o.Years, o.AttackYears = 200, 1, 0
-	Lifetime(o)
-	Yield(o)
+	Yield(Lifetime(o))
 	FleetConfig(o, true)
 	if st := duties.Stats(); st.Misses != 1 {
 		t.Fatalf("duty profile measured %d times, want once", st.Misses)
@@ -252,7 +251,7 @@ func TestFleetDutiesMatchRecorded(t *testing.T) {
 func TestYieldConsistent(t *testing.T) {
 	o := fleetOptions()
 	life := Lifetime(o)
-	y := Yield(o)
+	y := Yield(life)
 	if len(y.Curve) != len(life.Baseline.Epochs) {
 		t.Fatalf("yield curve has %d points for %d epochs", len(y.Curve), len(life.Baseline.Epochs))
 	}

@@ -57,7 +57,7 @@ func TestRecordingsMemo(t *testing.T) {
 	if _, ok := recordings.Get(key); ok {
 		t.Error("the least recently used recording survived past the budget")
 	}
-	if got := b.Recordings()[0]; !reflect.DeepEqual(got, trace.Record(got.SuiteID(), got.Index(), 700)) {
+	if !reflect.DeepEqual(b, trace.NewBank(700, 531)) {
 		t.Error("a bank's view changed when its recording was evicted")
 	}
 }
@@ -89,8 +89,8 @@ func TestConcurrentBanksMatchNewBank(t *testing.T) {
 			t.Errorf("bank at length %d differs from trace.NewBank", n)
 		}
 	}
-	if st := recordings.Stats(); st.Entries != len(banks[0].Recordings()) {
-		t.Errorf("%d recordings resident for a %d-trace stride", st.Entries, len(banks[0].Recordings()))
+	if st := recordings.Stats(); st.Entries != len(banks[0].Sources()) {
+		t.Errorf("%d recordings resident for a %d-trace stride", st.Entries, len(banks[0].Sources()))
 	}
 }
 

@@ -77,7 +77,7 @@ var registry = []ExperimentSpec{
 	{ID: "lifetime", Fleet: true, Description: "fleet lifetime: multi-year guardband trajectory under process variation, baseline vs Penelope",
 		Run: func(o Options) Result { return Lifetime(o) }},
 	{ID: "yield", Fleet: true, Description: "fleet lifetime-yield curve at the provisioned guardband budget",
-		Run: func(o Options) Result { return Yield(o) }},
+		Run: func(o Options) Result { return Yield(Lifetime(o)) }},
 }
 
 // Experiments returns the registry in report order. The slice is

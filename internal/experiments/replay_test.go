@@ -67,7 +67,7 @@ func TestBankReusedAcrossDrivers(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("bank() built two different banks for identical Options")
 	}
-	recs := a.Recordings()
+	recs := a.Sources()
 	if len(recs) == 0 {
 		t.Fatal("bank is empty")
 	}
@@ -77,12 +77,14 @@ func TestBankReusedAcrossDrivers(t *testing.T) {
 		t.Fatalf("source counts %d/%d, want %d", len(srcA), len(srcB), len(recs))
 	}
 	for i := range recs {
-		ca, okA := srcA[i].(*trace.Cursor)
-		cb, okB := srcB[i].(*trace.Cursor)
+		_, okA := srcA[i].(*trace.Cursor)
+		_, okB := srcB[i].(*trace.Cursor)
 		if !okA || !okB {
 			t.Fatalf("source %d is not a replay cursor", i)
 		}
-		if !reflect.DeepEqual(ca.Recording(), recs[i]) || !reflect.DeepEqual(cb.Recording(), recs[i]) {
+		// Fresh cursors deep-equal exactly when they replay equal
+		// recordings.
+		if !reflect.DeepEqual(srcA[i], recs[i]) || !reflect.DeepEqual(srcB[i], recs[i]) {
 			t.Errorf("source %d does not replay the bank's recording", i)
 		}
 	}

@@ -298,11 +298,11 @@ func TestAlerterLatching(t *testing.T) {
 // TestAlerterFansOut: fired alerts land on the fleet's bus topic and in
 // the delivery pipeline.
 func TestAlerterFansOut(t *testing.T) {
-	bus := NewBus(0)
+	bus := NewBus()
 	sink := &FaultSink{}
 	d := newDeliverer(sink, nil, fastPolicy(1, 0))
 	al := NewAlerter(bus, d)
-	sub := bus.Subscribe(FleetTopic("pop"), 0, 8)
+	sub := subscribe(bus, FleetTopic("pop"), 0, 8)
 	defer sub.Close()
 
 	cur := lifetime.EpochStats{Epoch: 3, ViolatedFraction: 0.2, MeanVTHShift: []float64{0, 0}}

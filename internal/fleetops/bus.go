@@ -28,9 +28,8 @@ type Event struct {
 // epoch loop. Each topic keeps a bounded ring of recent events for
 // Last-Event-ID resume.
 type Bus struct {
-	mu      sync.Mutex
-	topics  map[string]*topic
-	history int
+	mu     sync.Mutex
+	topics map[string]*topic
 
 	published atomic.Uint64
 	dropped   atomic.Uint64
@@ -46,19 +45,16 @@ type topic struct {
 // DefaultHistory is the per-topic resume-ring capacity.
 const DefaultHistory = 256
 
-// NewBus builds a bus whose topics retain the last history events for
-// resume (<=0 uses DefaultHistory).
-func NewBus(history int) *Bus {
-	if history <= 0 {
-		history = DefaultHistory
-	}
-	return &Bus{topics: make(map[string]*topic), history: history}
+// NewBus builds a bus whose topics retain the last DefaultHistory events
+// for resume.
+func NewBus() *Bus {
+	return &Bus{topics: make(map[string]*topic)}
 }
 
 func (b *Bus) topicLocked(name string) *topic {
 	t := b.topics[name]
 	if t == nil {
-		t = &topic{ring: obs.NewRing[Event](b.history), subs: make(map[*Subscription]struct{})}
+		t = &topic{ring: obs.NewRing[Event](DefaultHistory), subs: make(map[*Subscription]struct{})}
 		b.topics[name] = t
 	}
 	return t
@@ -126,7 +122,6 @@ func (b *Bus) Publish(topicName, eventType string, data any) (Event, error) {
 		select {
 		case sub.ch <- ev:
 		default:
-			sub.dropped.Add(1)
 			b.dropped.Add(1)
 		}
 	}
@@ -135,42 +130,27 @@ func (b *Bus) Publish(topicName, eventType string, data any) (Event, error) {
 
 // Subscription is one bounded listener on a topic. Read events from C;
 // a closed channel means the topic was dropped or the subscription
-// closed. Dropped counts events lost to a full buffer — the stream is
-// lossy by design, never a brake on the publisher.
+// closed. An event that finds the buffer full is dropped and counted in
+// the bus stats — the stream is lossy by design, never a brake on the
+// publisher.
 type Subscription struct {
-	bus     *Bus
-	topic   string
-	ch      chan Event
-	closed  bool
-	dropped atomic.Uint64
+	bus    *Bus
+	topic  string
+	ch     chan Event
+	closed bool
 }
 
 // C returns the receive channel.
 func (s *Subscription) C() <-chan Event { return s.ch }
 
-// Dropped returns the number of events this subscriber lost to
-// backpressure.
-func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
-
-// Subscribe registers a listener on a topic. Events already in the
-// history ring with Seq > after are replayed into the channel first
-// (the channel is sized to hold them plus buf live events), so a
-// resuming client sees no gap between replay and live delivery. The
-// topic is created if it does not exist.
-func (b *Bus) Subscribe(topicName string, after uint64, buf int) *Subscription {
-	sub, _ := b.subscribe(topicName, after, buf, true)
-	return sub
-}
-
-// SubscribeExisting is Subscribe without topic creation: it returns
-// ok=false when the topic does not exist, instead of resurrecting a
-// ghost topic. Streaming handlers use it so an existence check followed
-// by a subscribe cannot race a concurrent Drop.
+// SubscribeExisting registers a listener on an existing topic (one that
+// was touched or published to). Events already in the history ring with
+// Seq > after are replayed into the channel first (the channel is sized
+// to hold them plus buf live events), so a resuming client sees no gap
+// between replay and live delivery. It returns ok=false when the topic
+// does not exist, instead of resurrecting a ghost topic, so an
+// existence check followed by a subscribe cannot race a concurrent Drop.
 func (b *Bus) SubscribeExisting(topicName string, after uint64, buf int) (*Subscription, bool) {
-	return b.subscribe(topicName, after, buf, false)
-}
-
-func (b *Bus) subscribe(topicName string, after uint64, buf int, create bool) (*Subscription, bool) {
 	if buf <= 0 {
 		buf = 64
 	}
@@ -178,10 +158,7 @@ func (b *Bus) subscribe(topicName string, after uint64, buf int, create bool) (*
 	defer b.mu.Unlock()
 	t := b.topics[topicName]
 	if t == nil {
-		if !create {
-			return nil, false
-		}
-		t = b.topicLocked(topicName)
+		return nil, false
 	}
 	var replay []Event
 	for i := 0; i < t.ring.Len(); i++ {

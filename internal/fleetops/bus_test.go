@@ -5,9 +5,17 @@ import (
 	"testing"
 )
 
+// subscribe touches a topic and subscribes to it, the way a fleet's
+// stream attaches once the scheduler has touched its topic.
+func subscribe(b *Bus, topic string, after uint64, buf int) *Subscription {
+	b.Touch(topic)
+	sub, _ := b.SubscribeExisting(topic, after, buf)
+	return sub
+}
+
 func TestBusPublishSubscribeOrder(t *testing.T) {
-	b := NewBus(0)
-	sub := b.Subscribe("t", 0, 16)
+	b := NewBus()
+	sub := subscribe(b, "t", 0, 16)
 	defer sub.Close()
 	for i := 0; i < 5; i++ {
 		if _, err := b.Publish("t", "n", map[string]int{"i": i}); err != nil {
@@ -32,11 +40,11 @@ func TestBusPublishSubscribeOrder(t *testing.T) {
 // TestBusResume replays the history ring past a Last-Event-ID sequence
 // number with no gap into live delivery.
 func TestBusResume(t *testing.T) {
-	b := NewBus(8)
+	b := NewBus()
 	for i := 0; i < 6; i++ {
 		b.Publish("t", "n", i)
 	}
-	sub := b.Subscribe("t", 4, 16) // saw events 1..4 already
+	sub := subscribe(b, "t", 4, 16) // saw events 1..4 already
 	defer sub.Close()
 	b.Publish("t", "n", 6) // live event while resumed
 
@@ -49,16 +57,18 @@ func TestBusResume(t *testing.T) {
 	}
 }
 
-// TestBusHistoryEviction: the ring keeps only the newest `history`
-// events, so a subscriber resuming from 0 sees just the tail.
+// TestBusHistoryEviction: the ring keeps only the newest
+// DefaultHistory events, so a subscriber resuming from 0 sees just the
+// tail.
 func TestBusHistoryEviction(t *testing.T) {
-	b := NewBus(4)
-	for i := 0; i < 10; i++ {
+	b := NewBus()
+	const published = DefaultHistory + 6
+	for i := 0; i < published; i++ {
 		b.Publish("t", "n", i)
 	}
-	sub := b.Subscribe("t", 0, 16)
+	sub := subscribe(b, "t", 0, 16)
 	defer sub.Close()
-	for _, seq := range []uint64{7, 8, 9, 10} {
+	for seq := uint64(published - DefaultHistory + 1); seq <= published; seq++ {
 		ev := <-sub.C()
 		if ev.Seq != seq {
 			t.Fatalf("got seq %d, want %d", ev.Seq, seq)
@@ -74,14 +84,11 @@ func TestBusHistoryEviction(t *testing.T) {
 // TestBusSlowSubscriberDrops: a full subscriber buffer drops events and
 // counts them instead of blocking the publisher.
 func TestBusSlowSubscriberDrops(t *testing.T) {
-	b := NewBus(0)
-	sub := b.Subscribe("t", 0, 4)
+	b := NewBus()
+	sub := subscribe(b, "t", 0, 4)
 	defer sub.Close()
 	for i := 0; i < 20; i++ {
 		b.Publish("t", "n", i) // never blocks
-	}
-	if got := sub.Dropped(); got != 16 {
-		t.Fatalf("Dropped() = %d, want 16", got)
 	}
 	if st := b.Stats(); st.Dropped != 16 || st.Published != 20 {
 		t.Fatalf("stats = %+v", st)
@@ -96,12 +103,12 @@ func TestBusSlowSubscriberDrops(t *testing.T) {
 }
 
 func TestBusDropClosesSubscribers(t *testing.T) {
-	b := NewBus(0)
+	b := NewBus()
 	b.Touch("t")
 	if !b.HasTopic("t") {
 		t.Fatal("Touch did not create the topic")
 	}
-	sub := b.Subscribe("t", 0, 4)
+	sub := subscribe(b, "t", 0, 4)
 	b.Drop("t")
 	if b.HasTopic("t") {
 		t.Fatal("dropped topic still exists")
@@ -117,7 +124,7 @@ func TestBusDropClosesSubscribers(t *testing.T) {
 // it refuses a missing (or dropped) topic instead of resurrecting a
 // ghost, and still replays history on a live one.
 func TestBusSubscribeExisting(t *testing.T) {
-	b := NewBus(0)
+	b := NewBus()
 	if _, ok := b.SubscribeExisting("t", 0, 4); ok {
 		t.Fatal("SubscribeExisting created a missing topic")
 	}
@@ -140,7 +147,7 @@ func TestBusSubscribeExisting(t *testing.T) {
 }
 
 func TestBusPerTopicSequences(t *testing.T) {
-	b := NewBus(0)
+	b := NewBus()
 	b.Publish("a", "n", 1)
 	b.Publish("a", "n", 2)
 	ev, _ := b.Publish("b", "n", 1)
@@ -150,7 +157,7 @@ func TestBusPerTopicSequences(t *testing.T) {
 }
 
 func TestBusPublishUnmarshalable(t *testing.T) {
-	b := NewBus(0)
+	b := NewBus()
 	if _, err := b.Publish("t", "n", func() {}); err == nil {
 		t.Fatal("publishing an unmarshalable payload succeeded")
 	}
@@ -160,9 +167,9 @@ func TestBusPublishUnmarshalable(t *testing.T) {
 // (deliberately saturated) subscribers — the hot path of the epoch
 // loop's event fan-out.
 func BenchmarkBusPublishFanout(b *testing.B) {
-	bus := NewBus(DefaultHistory)
+	bus := NewBus()
 	for i := 0; i < 4; i++ {
-		defer bus.Subscribe("t", 0, 8).Close()
+		defer subscribe(bus, "t", 0, 8).Close()
 	}
 	payload := EpochEvent{Fleet: "bench"}
 	b.ReportAllocs()

@@ -108,8 +108,8 @@ func TestRecoverMigratesLegacyCheckpoint(t *testing.T) {
 			storage.PutRecord(store.KindFleet, "pop", []byte(`{"name":"pop","options":{},"epochs_per_tick":2}`))
 			storage.PutRecord(store.KindFleetCheckpoint, "pop", tc.ckpt)
 
-			bus := NewBus(0)
-			sub := bus.Subscribe(FleetTopic("pop"), 0, 256)
+			bus := NewBus()
+			sub := subscribe(bus, FleetTopic("pop"), 0, 256)
 			defer sub.Close()
 			bus.Touch(FleetTopic("pop"))
 			scCfg := fastCfg(cfg)
@@ -182,8 +182,8 @@ func TestSchedulerCrashResumesAtCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bus1 := NewBus(0)
-	sub1 := bus1.Subscribe(FleetTopic("pop"), 0, 1024)
+	bus1 := NewBus()
+	sub1 := subscribe(bus1, FleetTopic("pop"), 0, 1024)
 	defer sub1.Close()
 	bus1.Touch(FleetTopic("pop"))
 	scCfg := fastCfg(cfg)
@@ -243,8 +243,8 @@ func TestSchedulerCrashResumesAtCursor(t *testing.T) {
 		next()
 	}
 
-	bus2 := NewBus(0)
-	sub2 := bus2.Subscribe(FleetTopic("pop"), 0, 1024)
+	bus2 := NewBus()
+	sub2 := subscribe(bus2, FleetTopic("pop"), 0, 1024)
 	defer sub2.Close()
 	bus2.Touch(FleetTopic("pop"))
 	scCfg.Storage = st2
@@ -272,8 +272,8 @@ func TestRecoverCursorBounds(t *testing.T) {
 	storage := newMemStorage()
 	storage.PutRecord(store.KindFleet, "neg", []byte(`{"name":"neg","options":{},"cursor":-1}`))
 	storage.PutRecord(store.KindFleet, "past", []byte(`{"name":"past","options":{},"cursor":1000000}`))
-	bus := NewBus(0)
-	sub := bus.Subscribe(FleetTopic("past"), 0, 256)
+	bus := NewBus()
+	sub := subscribe(bus, FleetTopic("past"), 0, 256)
 	defer sub.Close()
 	bus.Touch(FleetTopic("past"))
 	scCfg := fastCfg(cfg)

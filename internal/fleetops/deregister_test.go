@@ -26,7 +26,7 @@ func TestDeregisterStopsInFlightTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bus := NewBus(0)
+	bus := NewBus()
 	var writes atomic.Int64
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -85,7 +85,7 @@ func TestDeregisterStopsInFlightTick(t *testing.T) {
 	}
 	// The re-created topic holds only the new registration's events; its
 	// first epoch row says where the engine started.
-	sub := bus.Subscribe(FleetTopic("pop"), 0, 0)
+	sub := subscribe(bus, FleetTopic("pop"), 0, 0)
 	defer sub.Close()
 	firstEpoch := -1
 	for firstEpoch < 0 {
@@ -126,7 +126,7 @@ func TestRegisterPersistFailure(t *testing.T) {
 	failing := &failRegStorage{memStorage: newMemStorage()}
 	failing.fail.Store(true)
 	scCfg.Storage = failing
-	bus := NewBus(0)
+	bus := NewBus()
 	scCfg.Bus = bus
 	scCfg.Builder = func(Registration) (lifetime.Config, error) { // every tick without an engine calls it
 		ticks.Add(1)

@@ -27,11 +27,11 @@ func fastCfg(cfg lifetime.Config) Config {
 
 func TestSchedulerRunsToDone(t *testing.T) {
 	cfg := testConfig(0.5, 0, 0.05) // ~7 epochs
-	bus := NewBus(0)
+	bus := NewBus()
 	sc := NewScheduler(func() Config { c := fastCfg(cfg); c.Bus = bus; return c }())
 	defer sc.Close(time.Second)
 
-	sub := bus.Subscribe(FleetTopic("pop"), 0, 256)
+	sub := subscribe(bus, FleetTopic("pop"), 0, 256)
 	defer sub.Close()
 	bus.Touch(FleetTopic("pop"))
 
@@ -303,7 +303,7 @@ func TestSchedulerResume(t *testing.T) {
 func TestSchedulerDeregisterAndDuplicates(t *testing.T) {
 	cfg := testConfig(3, 0, 0.05)
 	storage := newMemStorage()
-	bus := NewBus(0)
+	bus := NewBus()
 	scCfg := fastCfg(cfg)
 	scCfg.Storage = storage
 	scCfg.Bus = bus
@@ -323,7 +323,7 @@ func TestSchedulerDeregisterAndDuplicates(t *testing.T) {
 		t.Fatal("unknown fleet accepted")
 	}
 
-	sub := bus.Subscribe(FleetTopic("pop"), 0, 16)
+	sub := subscribe(bus, FleetTopic("pop"), 0, 16)
 	if err := sc.Deregister("pop"); err != nil {
 		t.Fatalf("Deregister: %v", err)
 	}

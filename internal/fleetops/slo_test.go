@@ -198,7 +198,7 @@ func TestSLOFiresThroughDeliveryPipeline(t *testing.T) {
 	pol := deliveryPolicy
 	pol.maxRetries, pol.retry.Base, pol.retry.Seed = 2, time.Millisecond, 42
 	d := newDeliverer(sink, nil, pol)
-	bus := NewBus(16)
+	bus := NewBus()
 	eng, err := NewSLOEngine(h, []SLORule{burnRule()}, bus, d)
 	if err != nil {
 		t.Fatal(err)

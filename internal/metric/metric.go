@@ -36,12 +36,6 @@ func Efficiency(delay, guardband, tdp float64) float64 {
 	return d * d * d * tdp
 }
 
-// FoldedEfficiency is an explicit-name alias of Efficiency, kept so call
-// sites can state that they use the paper's folded-guardband grouping.
-func FoldedEfficiency(delay, guardband, tdp float64) float64 {
-	return Efficiency(delay, guardband, tdp)
-}
-
 // EfficiencyExp generalizes eq. 1 with a configurable delay exponent, for
 // ablating the PD¹/PD²/PD³ choice.
 func EfficiencyExp(delay, guardband, tdp float64, delayExp float64) float64 {

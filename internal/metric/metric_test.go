@@ -36,12 +36,6 @@ func TestPaperEfficiencyNumbers(t *testing.T) {
 	}
 }
 
-func TestFoldedAlias(t *testing.T) {
-	if Efficiency(1.1, 0.05, 1.02) != FoldedEfficiency(1.1, 0.05, 1.02) {
-		t.Error("FoldedEfficiency must equal Efficiency")
-	}
-}
-
 func TestBaselineAndPeriodicInversionBlocks(t *testing.T) {
 	b := Baseline()
 	if got := b.Efficiency(); !almostEqual(got, 1.728, 1e-9) {

@@ -127,32 +127,3 @@ func solveK(occupancy, bias float64) float64 {
 	}
 	return k
 }
-
-// PredictBias returns the overall zero bias a bit will settle at under
-// the plan, given its occupancy and busy-time zero bias. Used by tests
-// and the experiment drivers to check measured results against theory.
-func PredictBias(p BitPlan, occupancy, busyZeroBias float64) float64 {
-	free := 1 - occupancy
-	busy := occupancy * busyZeroBias
-	switch p.Technique {
-	case TechALL1:
-		return busy // free time holds "1": contributes no zero time
-	case TechALL0:
-		return busy + free
-	case TechALL1K:
-		return busy + free*(1-p.K)
-	case TechALL0K:
-		return busy + free*p.K
-	case TechISV:
-		// Half the overall time holds inverted contents: perfect
-		// balance when occupancy ≤ 50%.
-		if occupancy <= 0.5 {
-			return 0.5
-		}
-		return busy + free*(1-busyZeroBias)
-	case TechSelfBalanced, TechUncovered, TechNone:
-		return busyZeroBias
-	default:
-		panic("mitigation: unknown technique")
-	}
-}

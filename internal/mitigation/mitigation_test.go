@@ -8,6 +8,35 @@ import (
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
+// predictBias returns the overall zero bias a bit will settle at under
+// the plan, given its occupancy and busy-time zero bias: the analytic
+// model the plan tests check ClassifyBit against.
+func predictBias(p BitPlan, occupancy, busyZeroBias float64) float64 {
+	free := 1 - occupancy
+	busy := occupancy * busyZeroBias
+	switch p.Technique {
+	case TechALL1:
+		return busy // free time holds "1": contributes no zero time
+	case TechALL0:
+		return busy + free
+	case TechALL1K:
+		return busy + free*(1-p.K)
+	case TechALL0K:
+		return busy + free*p.K
+	case TechISV:
+		// Half the overall time holds inverted contents: perfect
+		// balance when occupancy ≤ 50%.
+		if occupancy <= 0.5 {
+			return 0.5
+		}
+		return busy + free*(1-busyZeroBias)
+	case TechSelfBalanced, TechUncovered, TechNone:
+		return busyZeroBias
+	default:
+		panic("mitigation: unknown technique")
+	}
+}
+
 func TestTechniqueString(t *testing.T) {
 	if TechALL1K.String() != "ALL1-K%" || TechISV.String() != "ISV" {
 		t.Error("technique names wrong")
@@ -67,7 +96,7 @@ func TestClassifyPaperExample(t *testing.T) {
 	if p.K < 0.95 {
 		t.Errorf("K = %v, want ≈ 1 (hold 1 during nearly all idle time)", p.K)
 	}
-	if got := PredictBias(p, 0.75, 0.66); !almostEqual(got, 0.5, 0.01) {
+	if got := predictBias(p, 0.75, 0.66); !almostEqual(got, 0.5, 0.01) {
 		t.Errorf("predicted bias = %v, want 0.5", got)
 	}
 }
@@ -98,7 +127,7 @@ func TestSolveKPerfectBalance(t *testing.T) {
 		if p.Technique != TechALL1K && p.Technique != TechALL0K {
 			return true
 		}
-		return almostEqual(PredictBias(p, occ, bias), 0.5, 1e-9)
+		return almostEqual(predictBias(p, occ, bias), 0.5, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -106,7 +135,7 @@ func TestSolveKPerfectBalance(t *testing.T) {
 }
 
 func TestPredictBiasISV(t *testing.T) {
-	if got := PredictBias(BitPlan{Technique: TechISV}, 0.4, 0.9); got != 0.5 {
+	if got := predictBias(BitPlan{Technique: TechISV}, 0.4, 0.9); got != 0.5 {
 		t.Errorf("ISV predicted bias = %v, want 0.5", got)
 	}
 }
@@ -119,7 +148,7 @@ func TestPredictBiasImprovesWorstCase(t *testing.T) {
 		bias := float64(biasRaw) / 255
 		p := ClassifyBit(occ, bias)
 		before := math.Abs(bias - 0.5)
-		after := math.Abs(PredictBias(p, occ, bias) - 0.5)
+		after := math.Abs(predictBias(p, occ, bias) - 0.5)
 		return after <= before+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -143,12 +172,6 @@ func TestRINVSamplingPeriod(t *testing.T) {
 	}
 	if got := r.Value(); got != 0x00 {
 		t.Fatalf("RINV value = %#x, want 0x00", got)
-	}
-	if r.Samples() != 2 {
-		t.Fatalf("samples = %d, want 2", r.Samples())
-	}
-	if r.Width() != 8 {
-		t.Error("width mismatch")
 	}
 }
 
@@ -186,17 +209,20 @@ func TestDutyCounter(t *testing.T) {
 	if got := float64(high) / 200; !almostEqual(got, 0.75, 1e-9) {
 		t.Errorf("realized duty = %v, want 0.75", got)
 	}
-	if !almostEqual(c.Duty(), 0.75, 1e-9) {
-		t.Errorf("Duty() = %v", c.Duty())
+	if got := duty(c); !almostEqual(got, 0.75, 1e-9) {
+		t.Errorf("high/period = %v", got)
 	}
 }
+
+// duty returns the counter's realized duty cycle (high/period).
+func duty(c *DutyCounter) float64 { return float64(c.high) / float64(c.period) }
 
 func TestDutyCounterPaperKs(t *testing.T) {
 	// §4.5 uses K = 50, 60, 75, 95% with counters of up to 5 bits.
 	for _, k := range []float64{0.50, 0.60, 0.75, 0.95} {
 		c := NewDutyCounter(20, k)
-		if !almostEqual(c.Duty(), k, 0.025) {
-			t.Errorf("K=%v realized as %v", k, c.Duty())
+		if got := duty(c); !almostEqual(got, k, 0.025) {
+			t.Errorf("K=%v realized as %v", k, got)
 		}
 	}
 }
@@ -206,44 +232,6 @@ func TestDutyCounterPanics(t *testing.T) {
 		func() { NewDutyCounter(1, 0.5) },
 		func() { NewDutyCounter(64, 0.5) },
 		func() { NewDutyCounter(8, -0.1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestIdleInjectorRoundRobin(t *testing.T) {
-	a := []bool{false, false}
-	b := []bool{true, true}
-	inj := NewIdleInjector([][]bool{a, b})
-	if inj.NumInputs() != 2 {
-		t.Fatal("NumInputs wrong")
-	}
-	for i := 0; i < 6; i++ {
-		got := inj.NextInput()
-		want := a
-		if i%2 == 1 {
-			want = b
-		}
-		if got[0] != want[0] {
-			t.Fatalf("injection %d = %v, want %v", i, got, want)
-		}
-	}
-	if inj.Injections() != 6 {
-		t.Errorf("Injections = %d, want 6", inj.Injections())
-	}
-}
-
-func TestIdleInjectorPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewIdleInjector(nil) },
-		func() { NewIdleInjector([][]bool{{true}, {true, false}}) },
 	} {
 		func() {
 			defer func() {

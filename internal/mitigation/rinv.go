@@ -6,12 +6,10 @@ package mitigation
 // ALL1/ALL0/ALL1-K% fields its bits are driven constant or by a duty
 // counter.
 type RINV struct {
-	width   int
-	mask    uint64
-	value   uint64
-	samples uint64
-	period  uint64 // refresh period in cycles (0 = refresh on every offer)
-	nextAt  uint64 // next cycle at which a sample is accepted
+	mask   uint64
+	value  uint64
+	period uint64 // refresh period in cycles (0 = refresh on every offer)
+	nextAt uint64 // next cycle at which a sample is accepted
 }
 
 // NewRINV returns a repair register of the given width (1..64 bits)
@@ -26,15 +24,12 @@ func NewRINV(width int, period uint64) *RINV {
 	if width < 64 {
 		mask = 1<<uint(width) - 1
 	}
-	return &RINV{width: width, mask: mask, period: period}
+	return &RINV{mask: mask, period: period}
 }
 
-// Width returns the register width in bits.
-func (r *RINV) Width() int { return r.width }
-
-// Reset returns the register to its built state: zero contents, no
-// samples, the next offer accepted.
-func (r *RINV) Reset() { r.value, r.samples, r.nextAt = 0, 0, 0 }
+// Reset returns the register to its built state: zero contents, the
+// next offer accepted.
+func (r *RINV) Reset() { r.value, r.nextAt = 0, 0 }
 
 // Offer presents a value flowing through a write port at the given cycle.
 // If the refresh period has elapsed, RINV captures the inverted value.
@@ -44,7 +39,6 @@ func (r *RINV) Offer(value uint64, cycle uint64) bool {
 		return false
 	}
 	r.value = ^value & r.mask
-	r.samples++
 	r.nextAt = cycle + r.period
 	return true
 }
@@ -52,9 +46,6 @@ func (r *RINV) Offer(value uint64, cycle uint64) bool {
 // Value returns the current repair value (the inversion of the last
 // sampled data).
 func (r *RINV) Value() uint64 { return r.value }
-
-// Samples returns how many samples have been captured.
-func (r *RINV) Samples() uint64 { return r.samples }
 
 // DutyCounter drives an ALL1-K% (or ALL0-K%) bit: a small free-running
 // counter whose output is high for K% of its period (§4.5 uses four
@@ -94,45 +85,3 @@ func (c *DutyCounter) Tick() bool {
 	}
 	return out
 }
-
-// Duty returns the realized duty cycle (high/period).
-func (c *DutyCounter) Duty() float64 { return float64(c.high) / float64(c.period) }
-
-// IdleInjector cycles a combinational block through a fixed set of
-// synthetic inputs during idle periods (§3.1): "A simple implementation
-// sets one of such inputs in each idle period in a round-robin fashion."
-type IdleInjector struct {
-	inputs [][]bool
-	next   int
-	count  uint64
-}
-
-// NewIdleInjector returns an injector over the given input vectors. At
-// least one input is required; vectors are used round-robin, one per
-// idle period.
-func NewIdleInjector(inputs [][]bool) *IdleInjector {
-	if len(inputs) == 0 {
-		panic("mitigation: idle injector needs at least one input")
-	}
-	for _, in := range inputs[1:] {
-		if len(in) != len(inputs[0]) {
-			panic("mitigation: idle injector inputs must share a width")
-		}
-	}
-	return &IdleInjector{inputs: inputs}
-}
-
-// NextInput returns the synthetic input to drive during the next idle
-// period and advances the rotation.
-func (i *IdleInjector) NextInput() []bool {
-	in := i.inputs[i.next]
-	i.next = (i.next + 1) % len(i.inputs)
-	i.count++
-	return in
-}
-
-// Injections returns how many idle periods have been served.
-func (i *IdleInjector) Injections() uint64 { return i.count }
-
-// NumInputs returns the rotation size.
-func (i *IdleInjector) NumInputs() int { return len(i.inputs) }

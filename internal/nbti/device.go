@@ -13,7 +13,6 @@ type Device struct {
 	params Params
 	nit    float64 // current interface-trap density, in units of N0
 	time   float64 // total simulated time
-	stress float64 // total time spent under stress
 }
 
 // NewDevice returns a fresh (undegraded) device governed by params.
@@ -23,9 +22,6 @@ func NewDevice(params Params) *Device {
 	}
 	return &Device{params: params}
 }
-
-// Params returns the device's model parameters.
-func (d *Device) Params() Params { return d.params }
 
 // NIT returns the current interface-trap density as a fraction of N0.
 func (d *Device) NIT() float64 { return d.nit / d.params.N0 }
@@ -39,14 +35,6 @@ func (d *Device) VTHShift() float64 {
 // Time returns total simulated time.
 func (d *Device) Time() float64 { return d.time }
 
-// StressDuty returns the fraction of simulated time spent under stress.
-func (d *Device) StressDuty() float64 {
-	if d.time == 0 {
-		return 0
-	}
-	return d.stress / d.time
-}
-
 // Stress ages the device for dt time units with the gate at "0".
 // dN/dt = KStress·(N0 - N) integrates to
 // N(t+dt) = N0 - (N0-N)·exp(-KStress·dt): creation slows down as bonds
@@ -58,7 +46,6 @@ func (d *Device) Stress(dt float64) {
 	n0 := d.params.N0
 	d.nit = n0 - (n0-d.nit)*math.Exp(-d.params.KStress*dt)
 	d.time += dt
-	d.stress += dt
 }
 
 // Relax heals the device for dt time units with the gate at "1".
@@ -72,19 +59,6 @@ func (d *Device) Relax(dt float64) {
 	d.nit *= math.Exp(-d.params.KRelax * dt)
 	d.time += dt
 }
-
-// Apply ages the device for dt time units with the gate observing the
-// given logic level: level false ("0") stresses, true ("1") relaxes.
-func (d *Device) Apply(level bool, dt float64) {
-	if level {
-		d.Relax(dt)
-	} else {
-		d.Stress(dt)
-	}
-}
-
-// Reset restores the device to its unstressed state.
-func (d *Device) Reset() { d.nit, d.time, d.stress = 0, 0, 0 }
 
 // TracePoint is one sample of a degradation trace.
 type TracePoint struct {
@@ -113,23 +87,6 @@ func SquareWave(params Params, period, duty float64, periods int) []TracePoint {
 		sample()
 		dev.Relax(period * (1 - duty))
 		sample()
-	}
-	return out
-}
-
-// PeakEnvelope extracts the local maxima (end-of-stress samples) of a
-// SquareWave trace, i.e. the upper envelope of Figure 1.
-func PeakEnvelope(trace []TracePoint) []TracePoint {
-	var out []TracePoint
-	for i := 1; i < len(trace); i++ {
-		prev, cur := trace[i-1], trace[i]
-		next := cur
-		if i+1 < len(trace) {
-			next = trace[i+1]
-		}
-		if cur.NIT >= prev.NIT && cur.NIT >= next.NIT {
-			out = append(out, cur)
-		}
 	}
 	return out
 }

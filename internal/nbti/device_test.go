@@ -81,17 +81,24 @@ func TestDeviceRecoveryFasterWhenMoreTraps(t *testing.T) {
 
 func TestDeviceApplyAndAccounting(t *testing.T) {
 	d := NewDevice(DefaultParams())
-	d.Apply(false, 1) // stress
-	d.Apply(true, 1)  // relax
+	apply(d, false, 1) // stress
+	afterStress := d.NIT()
+	apply(d, true, 1) // relax
 	if d.Time() != 2 {
 		t.Fatalf("Time = %v, want 2", d.Time())
 	}
-	if got := d.StressDuty(); !almostEqual(got, 0.5, 1e-12) {
-		t.Fatalf("StressDuty = %v, want 0.5", got)
+	if afterStress <= 0 || d.NIT() >= afterStress {
+		t.Fatalf("NIT %v after stress, %v after relax: want a rise, then a fall", afterStress, d.NIT())
 	}
-	d.Reset()
-	if d.NIT() != 0 || d.Time() != 0 || d.StressDuty() != 0 {
-		t.Fatal("Reset did not clear device")
+}
+
+// apply ages d for dt time units with the gate observing the given logic
+// level: false ("0") stresses, true ("1") relaxes.
+func apply(d *Device, level bool, dt float64) {
+	if level {
+		d.Relax(dt)
+	} else {
+		d.Stress(dt)
 	}
 }
 
@@ -160,7 +167,15 @@ func TestSquareWaveEquilibriumOrdering(t *testing.T) {
 func TestPeakEnvelope(t *testing.T) {
 	p := DefaultParams()
 	trace := SquareWave(p, 0.2, 0.5, 10)
-	peaks := PeakEnvelope(trace)
+	// The end-of-stress samples (odd indices) are the local maxima of
+	// the saw-tooth: its upper envelope.
+	var peaks []TracePoint
+	for i := 1; i < len(trace); i += 2 {
+		if trace[i].NIT < trace[i-1].NIT || i+1 < len(trace) && trace[i].NIT < trace[i+1].NIT {
+			t.Fatalf("sample %d is not a local maximum", i)
+		}
+		peaks = append(peaks, trace[i])
+	}
 	if len(peaks) != 10 {
 		t.Fatalf("peaks = %d, want 10", len(peaks))
 	}
@@ -198,7 +213,7 @@ func TestDevicePropertyNITBounded(t *testing.T) {
 			n = len(dts)
 		}
 		for i := 0; i < n; i++ {
-			d.Apply(steps[i], float64(dts[i])/64)
+			apply(d, steps[i], float64(dts[i])/64)
 			if d.NIT() < 0 || d.NIT() > 1+1e-12 {
 				return false
 			}

@@ -23,7 +23,7 @@ func TestExactIntegrationSubdivision(t *testing.T) {
 		{"stress", 3.7, 1000, func(d *Device, dt float64) { d.Stress(dt) }},
 		{"stress-long", 250, 64, func(d *Device, dt float64) { d.Stress(dt) }},
 		{"relax-after-stress", 5.0, 777, func(d *Device, dt float64) { d.Relax(dt) }},
-		{"apply-stress", 0.9, 9, func(d *Device, dt float64) { d.Apply(false, dt) }},
+		{"apply-stress", 0.9, 9, func(d *Device, dt float64) { apply(d, false, dt) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			one := NewDevice(params)
@@ -55,10 +55,10 @@ func TestExactIntegrationSubdivision(t *testing.T) {
 	one := NewDevice(params)
 	many := NewDevice(params)
 	for _, ph := range phases {
-		one.Apply(ph.level, ph.dt)
+		apply(one, ph.level, ph.dt)
 		const n = 311
 		for i := 0; i < n; i++ {
-			many.Apply(ph.level, ph.dt/n)
+			apply(many, ph.level, ph.dt/n)
 		}
 	}
 	if diff := math.Abs(one.NIT() - many.NIT()); diff > tol {

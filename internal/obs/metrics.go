@@ -59,21 +59,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add increments the gauge by delta (CAS loop; gauges are not hot-path
-// metrics).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

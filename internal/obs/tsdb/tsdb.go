@@ -416,16 +416,6 @@ func (db *DB) Sample(now time.Time) {
 	}
 }
 
-// Flush forces any unflushed samples into a block (no-op when
-// memory-only or nothing is pending).
-func (db *DB) Flush() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.persistent() && !db.closed {
-		db.flushLocked(db.lastSampleT)
-	}
-}
-
 // Close flushes the tail and stops accepting samples. Idempotent.
 func (db *DB) Close() {
 	db.mu.Lock()

@@ -118,8 +118,8 @@ func NewCore(cfg Config, variants []Mitigation, accounts Accounts) *Core {
 	c := &Core{
 		cfg:       cfg,
 		accounts:  accounts,
-		dl0:       cache.New("DL0", cfg.DL0Bytes, cfg.DL0Line, cfg.DL0Ways, cfg.DL0Options),
-		dtlb:      cache.NewTLB("DTLB", cfg.DTLBEntries, cfg.DTLBWays, cfg.PageBytes, cfg.DTLBOptions),
+		dl0:       cache.New(cfg.DL0Bytes, cfg.DL0Line, cfg.DL0Ways, cfg.DL0Options),
+		dtlb:      cache.NewTLB(cfg.DTLBEntries, cfg.DTLBWays, cfg.PageBytes, cfg.DTLBOptions),
 		intFree:   newFreeList(cfg.IntRegs),
 		fpFree:    newFreeList(cfg.FPRegs),
 		slotFree:  newFreeList(cfg.SchedEntries),

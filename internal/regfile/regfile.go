@@ -81,7 +81,7 @@ type File struct {
 	biasLo  *stats.BitBias
 	biasExt *stats.BitBias
 	occ     *stats.Occupancy
-	ports   *stats.Utilization
+	ports   stats.Utilization
 
 	busyCount    int
 	lastOccCycle uint64
@@ -120,7 +120,6 @@ func New(cfg Config) *File {
 		entries: make([]entry, cfg.Entries),
 		biasLo:  stats.NewBitBias(lo),
 		occ:     stats.NewOccupancy(cfg.Entries),
-		ports:   stats.NewUtilization(cfg.WritePorts),
 		rinvLo:  mitigation.NewRINV(lo, cfg.RINVPeriod),
 	}
 	if ext > 0 {
@@ -164,7 +163,6 @@ func (f *File) accountOccupancy(cycle uint64) {
 	if cycle > f.lastOccCycle {
 		dt := cycle - f.lastOccCycle
 		f.occ.Observe(f.busyCount, dt)
-		f.ports.Tick(dt)
 		f.invertedTime += uint64(f.invertedCells) * dt
 		f.totalCellTime += uint64(f.cfg.Entries) * dt
 		f.lastOccCycle = cycle
@@ -185,7 +183,7 @@ func (f *File) refreshPorts(cycle uint64) {
 func (f *File) takePortDemand(cycle uint64) {
 	f.refreshPorts(cycle)
 	if f.portUsed < f.cfg.WritePorts {
-		f.ports.Use(f.portUsed, 1)
+		f.ports.Use()
 	}
 	f.portUsed++
 }
@@ -200,7 +198,7 @@ func (f *File) takePortRepair(cycle uint64) bool {
 		f.ports.Deny()
 		return false
 	}
-	f.ports.Use(f.portUsed, 1)
+	f.ports.Use()
 	f.portUsed++
 	return true
 }

@@ -177,7 +177,7 @@ type Scheduler struct {
 	// Allocate-port budget per cycle.
 	portCycle uint64
 	portUsed  int
-	portStats *stats.Utilization
+	portStats stats.Utilization
 
 	// ISV machinery: every field has its own RINV (§3.2.2: "independent
 	// RINV registers and strategies are used for each field"); SRC1 and
@@ -210,12 +210,11 @@ func New(cfg Config) *Scheduler {
 		panic(err)
 	}
 	s := &Scheduler{
-		cfg:       cfg,
-		entries:   make([]entry, cfg.Entries),
-		occ:       stats.NewOccupancy(cfg.Entries),
-		dataOcc:   stats.NewOccupancy(cfg.Entries),
-		portStats: stats.NewUtilization(cfg.AllocPorts),
-		duty:      map[int]*mitigation.DutyCounter{},
+		cfg:     cfg,
+		entries: make([]entry, cfg.Entries),
+		occ:     stats.NewOccupancy(cfg.Entries),
+		dataOcc: stats.NewOccupancy(cfg.Entries),
+		duty:    map[int]*mitigation.DutyCounter{},
 	}
 	for f := FieldID(0); f < NumFields; f++ {
 		s.bias[f] = stats.NewBitBias(fieldSpecs[f].Bits)
@@ -252,7 +251,6 @@ func (s *Scheduler) Reset() {
 		valueTime: s.valueTime,
 		occ:       s.occ,
 		dataOcc:   s.dataOcc,
-		portStats: s.portStats,
 		rinv:      s.rinv,
 		isv:       s.isv,
 		clocks:    s.clocks,
@@ -267,7 +265,6 @@ func (s *Scheduler) Reset() {
 	}
 	s.occ.Reset()
 	s.dataOcc.Reset()
-	s.portStats.Reset()
 	for _, c := range s.clocks {
 		*c = isvClock{cells: c.cells}
 	}
@@ -315,7 +312,6 @@ func (s *Scheduler) advance(cycle uint64) {
 		dt := cycle - s.lastCycle
 		s.occ.Observe(s.busyCount, dt)
 		s.dataOcc.Observe(s.dataCount, dt)
-		s.portStats.Tick(dt)
 		for _, c := range s.clocks {
 			c.advance(dt)
 		}
@@ -342,7 +338,7 @@ func (s *Scheduler) takePort(cycle uint64, repair bool) bool {
 		s.portUsed++
 		return true
 	}
-	s.portStats.Use(s.portUsed, 1)
+	s.portStats.Use()
 	s.portUsed++
 	return true
 }

@@ -161,12 +161,12 @@ func driveScheduler(s *Scheduler, tr *trace.Trace, cycles uint64, seed int64) {
 			if rng.Float64() > 0.50 {
 				continue
 			}
-			u, ok := tr.Next()
+			u, ok := tr.NextUop()
 			if !ok {
 				tr.Reset()
-				u, _ = tr.Next()
+				u, _ = tr.NextUop()
 			}
-			d := FromUop(&u, tags%128, (tags+7)%128, (tags+13)%128, rng.Float64() < 0.5, rng.Float64() < 0.5)
+			d := FromUop(u, tags%128, (tags+7)%128, (tags+13)%128, rng.Float64() < 0.5, rng.Float64() < 0.5)
 			tags++
 			slot, ok := free.pop()
 			if !ok {

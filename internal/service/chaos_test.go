@@ -280,9 +280,11 @@ func (c *pollCtx) Err() error {
 }
 
 // TestChaosLifetimeResumeAcrossRestart is the end-to-end resume
-// guarantee: a lifetime job killed mid-run leaves its job record; the
-// next boot resubmits it automatically and recomputes it from epoch 0;
-// and the final payload is byte-identical to an uninterrupted run.
+// guarantee for every fleet experiment (lifetime and yield): a job
+// killed mid-run leaves its job record; the next boot resubmits it
+// automatically and recomputes it from epoch 0 through the registry
+// runner; and the final payload is byte-identical to an uninterrupted
+// experiments.Run.
 func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real fleet lifetime engine")
@@ -293,9 +295,17 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 		Population: 900, Years: 3, EpochDays: 45,
 		VariationSigma: 0.1, FleetSeed: 5,
 	}
-	spec, _ := experiments.Lookup("lifetime")
-	canon := spec.CanonicalOptions(o)
-	key := ResultKey("lifetime", canon)
+	var fleetExps []string
+	canon := make(map[string]experiments.Options)
+	keys := make(map[string]string)
+	for _, spec := range experiments.Experiments() {
+		if !spec.Fleet {
+			continue
+		}
+		fleetExps = append(fleetExps, spec.ID)
+		canon[spec.ID] = spec.CanonicalOptions(o)
+		keys[spec.ID] = ResultKey(spec.ID, canon[spec.ID])
+	}
 
 	// Phase 1: the runner mimics a process dying mid-run — the engine
 	// advances a handful of epochs under a counted context, and the job
@@ -312,30 +322,32 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
-	optJSON, _ := json.Marshal(canon)
-	resp, err := http.Post(ts1.URL+"/v1/jobs", "application/json",
-		strings.NewReader(fmt.Sprintf(`{"experiment":"lifetime","options":%s}`, optJSON)))
-	if err != nil {
-		t.Fatal(err)
+	for _, exp := range fleetExps {
+		optJSON, _ := json.Marshal(canon[exp])
+		resp, err := http.Post(ts1.URL+"/v1/jobs", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"experiment":%q,"options":%s}`, exp, optJSON)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var job Job
+		if err := jsonDecode(resp, &job); err != nil {
+			t.Fatal(err)
+		}
+		if job.ResultKey != keys[exp] {
+			t.Fatalf("%s: submitted key %s != computed %s", exp, job.ResultKey, keys[exp])
+		}
+		if done := pollTerminal(t, ts1.URL, job.ID); done.State != StateFailed ||
+			!strings.Contains(done.Error, "interrupted") {
+			t.Fatalf("%s: phase 1 job = %+v, want interrupted failure", exp, done)
+		}
 	}
-	var job Job
-	if err := jsonDecode(resp, &job); err != nil {
-		t.Fatal(err)
-	}
-	if job.ResultKey != key {
-		t.Fatalf("submitted key %s != computed %s", job.ResultKey, key)
-	}
-	if done := pollTerminal(t, ts1.URL, job.ID); done.State != StateFailed ||
-		!strings.Contains(done.Error, "interrupted") {
-		t.Fatalf("phase 1 job = %+v, want interrupted failure", done)
-	}
-	if len(s1.store.Records(store.KindJob, nil)) != 1 {
-		t.Fatal("no resumable job record left behind")
+	if n := len(s1.store.Records(store.KindJob, nil)); n != len(fleetExps) {
+		t.Fatalf("%d resumable job records left behind, want %d", n, len(fleetExps))
 	}
 	ts1.Close() // kill -9: no graceful Close
 
-	// Phase 2: a fresh boot over the same data dir resumes the job with
-	// the real registry runner (nil runner) and completes it.
+	// Phase 2: a fresh boot over the same data dir resumes the jobs with
+	// the real registry runner (nil runner) and completes them.
 	s2, err := New(Config{Workers: 1, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -345,31 +357,34 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 		ts2.Close()
 		s2.Close()
 	}()
-	deadline := time.Now().Add(120 * time.Second)
-	for !s2.store.Has(key) {
-		if time.Now().After(deadline) {
-			t.Fatal("resumed lifetime job never completed")
+	for _, exp := range fleetExps {
+		key := keys[exp]
+		deadline := time.Now().Add(120 * time.Second)
+		for !s2.store.Has(key) {
+			if time.Now().After(deadline) {
+				t.Fatalf("resumed %s job never completed", exp)
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	got := fetch(t, ts2.URL+"/v1/results/"+key)
+		got := fetch(t, ts2.URL+"/v1/results/"+key)
 
-	// Reference: an uninterrupted in-process run under the same
-	// canonical options.
-	res, err := experiments.Run("lifetime", canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := experiments.NewPayload(res, canon).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("recomputed lifetime payload not byte-identical to an uninterrupted run")
+		// Reference: an uninterrupted in-process run under the same
+		// canonical options.
+		res, err := experiments.Run(exp, canon[exp])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := experiments.NewPayload(res, canon[exp]).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("recomputed %s payload not byte-identical to an uninterrupted run", exp)
+		}
 	}
 
-	// The resume bookkeeping: counted, and the sidecar cleaned up.
-	resp, err = http.Get(ts2.URL + "/metrics.json")
+	// The resume bookkeeping: counted, and the sidecars cleaned up.
+	resp, err := http.Get(ts2.URL + "/metrics.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,8 +392,8 @@ func TestChaosLifetimeResumeAcrossRestart(t *testing.T) {
 	if err := jsonDecode(resp, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Jobs.Resumed != 1 {
-		t.Errorf("resumed = %d, want 1", m.Jobs.Resumed)
+	if m.Jobs.Resumed != uint64(len(fleetExps)) {
+		t.Errorf("resumed = %d, want %d", m.Jobs.Resumed, len(fleetExps))
 	}
 	if recs := s2.store.Records(store.KindJob, nil); len(recs) != 0 {
 		t.Errorf("job record survived completion: %+v", recs)

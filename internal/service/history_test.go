@@ -133,8 +133,9 @@ func TestHistoryDisabled(t *testing.T) {
 }
 
 // TestHistoryRestartServesPrerestartSamples is the service-level
-// restart criterion: flush, restart over the same data dir, and the
-// same range query answers byte-identically from the reloaded blocks.
+// restart criterion: close (which flushes), restart over the same data
+// dir, and the same range query answers byte-identically from the
+// reloaded blocks.
 func TestHistoryRestartServesPrerestartSamples(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 1, DataDir: dir}
@@ -143,7 +144,6 @@ func TestHistoryRestartServesPrerestartSamples(t *testing.T) {
 	ctr := s1.obs.reg.Counter("test_restart_total", "survives restarts")
 	start := time.Now().Add(-20 * time.Minute)
 	end := feedHistory(s1, start, 12, 10*time.Second, func(i int) { ctr.Add(3) })
-	s1.history.Flush()
 
 	query := fmt.Sprintf("/v1/metrics/query?name=test_restart_total&agg=increase&from=%d&to=%d&step=30s",
 		start.Unix(), end.Unix())

@@ -302,6 +302,22 @@ func TestInMemoryLifetimeHonorsContext(t *testing.T) {
 	}
 }
 
+// TestYieldHonorsContext checks that a yield job stops with the fleet
+// lifetime run it derives from: a context cancelled from its first poll
+// interrupts the run at the first epoch instead of aging the fleets to
+// the end of the horizon.
+func TestYieldHonorsContext(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	ctx := &pollCtx{Context: context.Background()} // limit 0: every poll reports cancelled
+	o := experiments.Options{TraceLength: 900, TraceStride: 531, Population: 200, Years: 0.5, FleetSeed: 9}
+	if _, err := s.registryRunner(ctx, "yield", o); !errors.Is(err, experiments.ErrLifetimeInterrupted) {
+		t.Fatalf("cancelled yield run: %v, want ErrLifetimeInterrupted", err)
+	}
+	if ctx.polls != 1 {
+		t.Errorf("yield run polled its context %d times, want 1 (stop at the first epoch)", ctx.polls)
+	}
+}
+
 // TestOversizeRequestsRefused sends requests past the request limits to
 // every entry point that admits Options: each is a 400, and nothing is
 // enqueued or scheduled.

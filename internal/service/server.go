@@ -23,8 +23,8 @@ import (
 	"penelope/internal/store"
 )
 
-// runFunc executes one experiment. The default runs the registry
-// driver, routing lifetime jobs through the cancellable path; tests
+// runFunc executes one experiment. The default runs the experiment
+// registry, routing fleet jobs through the cancellable path; tests
 // substitute instrumented runners to count, gate and fail simulations.
 // The context is cancelled on job timeout and on server shutdown;
 // cooperative runners should return promptly. An interrupted job keeps
@@ -282,7 +282,7 @@ func New(cfg Config) (*Server, error) {
 // fleet scheduler backed by the disk store's fleet records.
 func (s *Server) initFleetops() {
 	fleetIns := s.fleetInstruments()
-	s.bus = fleetops.NewBus(0)
+	s.bus = fleetops.NewBus()
 	s.bus.SetInstruments(fleetIns)
 	sink := s.cfg.alertSink
 	if sink == nil && s.cfg.AlertWebhook != "" {
@@ -309,13 +309,18 @@ func (s *Server) initFleetops() {
 }
 
 // registryRunner is the default runFunc: the experiments registry, with
-// lifetime jobs routed through the cancellable driver so a timeout or
-// shutdown stops them mid-fleet.
+// fleet jobs (lifetime, and yield derived from it) routed through
+// experiments.LifetimeContext so a timeout or shutdown stops them
+// mid-fleet.
 func (s *Server) registryRunner(ctx context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
-	if experiment != "lifetime" {
+	if spec, _ := experiments.Lookup(experiment); !spec.Fleet {
 		return experiments.Run(experiment, o)
 	}
-	return experiments.LifetimeContext(ctx, o)
+	life, err := experiments.LifetimeContext(ctx, o)
+	if err != nil || experiment != "yield" {
+		return life, err
+	}
+	return experiments.Yield(life), nil
 }
 
 // jobRecord is the record (store.KindJob, named by result key) written
@@ -412,7 +417,7 @@ func (s *Server) Workers() int { return s.cfg.Workers }
 // Close shuts down gracefully: new submissions fail with a
 // shutting-down error, the fleet scheduler stops every registered
 // population at its last persisted cursor (bounded by drainGrace),
-// in-flight jobs fail at once with their contexts cancelled (a lifetime
+// in-flight jobs fail at once with their contexts cancelled (a fleet
 // job keeps its record, so the next boot recomputes it), queued jobs
 // drain as fast failures, and pending alerts flush through the delivery
 // pipeline. Idempotent.
@@ -505,7 +510,7 @@ func (s *Server) submit(client, experiment string, o experiments.Options, sweepI
 			s.finish(job, nil, true)
 			return job, nil
 		}
-		if s.store != nil && experiment == "lifetime" {
+		if spec, _ := experiments.Lookup(experiment); s.store != nil && spec.Fleet {
 			// Record the job before it runs so a crash mid-run (or while
 			// queued) leaves enough on disk to resume at boot.
 			rec, err := encodeJobRecord(key, experiment, o, client)
@@ -608,7 +613,7 @@ func (s *Server) runOnce(job *Job) ([]byte, error) {
 		// The runner goroutine may outlive the attempt (it is leaked
 		// until it returns); ctx cancellation asks cooperative drivers
 		// to stop early. Shutdown waits for nothing: an interrupted
-		// lifetime job's record resubmits it at the next boot.
+		// fleet job's record resubmits it at the next boot.
 		if s.closed.Load() {
 			return nil, errShuttingDown
 		}

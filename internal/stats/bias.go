@@ -29,7 +29,6 @@ type BitBias struct {
 	oneFree   []uint64 // cycles each bit held "1" while free, minus denseFree
 	denseBusy uint64   // busy cycles credited to every bit at read time
 	denseFree uint64   // free cycles credited to every bit at read time
-	intervals uint64   // number of Observe calls, for diagnostics
 }
 
 // NewBitBias returns a tracker for values of the given width in bits.
@@ -45,9 +44,6 @@ func NewBitBias(bits int) *BitBias {
 		oneFree: make([]uint64, bits),
 	}
 }
-
-// Bits returns the tracked width.
-func (b *BitBias) Bits() int { return b.bits }
 
 // addOnes credits dt to the one-time of every set bit of value, choosing
 // the shorter walk: set bits directly when they are the minority, or the
@@ -73,7 +69,6 @@ func (b *BitBias) Observe(value uint64, dt uint64) {
 		return
 	}
 	b.busyTime += dt
-	b.intervals++
 	b.denseBusy += addOnes(b.oneBusy, value, b.mask, dt, b.bits)
 }
 
@@ -91,9 +86,6 @@ func (b *BitBias) ObserveFree(value uint64, dt uint64) {
 
 // BusyTime returns the total busy cycles observed.
 func (b *BitBias) BusyTime() uint64 { return b.busyTime }
-
-// FreeTime returns the total free cycles observed.
-func (b *BitBias) FreeTime() uint64 { return b.freeTime }
 
 // TotalTime returns busy plus free cycles.
 func (b *BitBias) TotalTime() uint64 { return b.busyTime + b.freeTime }
@@ -134,24 +126,6 @@ func (b *BitBias) AppendBiases(dst []float64) []float64 {
 	return dst
 }
 
-// WorstImbalance returns the maximum over bits of |bias-0.5|·2, i.e. how
-// far the worst bit is from perfect balance on a 0..1 scale, and the index
-// of that bit. A memory cell is stressed by max(bias, 1-bias), so the
-// imbalance is symmetric in zeros and ones.
-func (b *BitBias) WorstImbalance() (imbalance float64, bit int) {
-	for i := 0; i < b.bits; i++ {
-		d := b.ZeroBias(i) - 0.5
-		if d < 0 {
-			d = -d
-		}
-		if d*2 > imbalance {
-			imbalance = d * 2
-			bit = i
-		}
-	}
-	return imbalance, bit
-}
-
 // WorstCellBias returns the highest per-cell stress bias across bits:
 // max over bits of max(zeroBias, 1-zeroBias). This is the bias that sets
 // the guardband for the structure (paper §3.2: one of the two PMOS in the
@@ -171,26 +145,9 @@ func (b *BitBias) WorstCellBias() float64 {
 	return worst
 }
 
-// Merge adds the accumulated time of other into b. Both trackers must have
-// the same width.
-func (b *BitBias) Merge(other *BitBias) {
-	if other.bits != b.bits {
-		panic("stats: merging BitBias trackers of different widths")
-	}
-	b.busyTime += other.busyTime
-	b.freeTime += other.freeTime
-	b.denseBusy += other.denseBusy
-	b.denseFree += other.denseFree
-	b.intervals += other.intervals
-	for i := 0; i < b.bits; i++ {
-		b.oneBusy[i] += other.oneBusy[i]
-		b.oneFree[i] += other.oneFree[i]
-	}
-}
-
 // Reset clears all accumulated time.
 func (b *BitBias) Reset() {
-	b.busyTime, b.freeTime, b.intervals = 0, 0, 0
+	b.busyTime, b.freeTime = 0, 0
 	b.denseBusy, b.denseFree = 0, 0
 	for i := range b.oneBusy {
 		b.oneBusy[i] = 0

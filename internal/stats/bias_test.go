@@ -16,8 +16,8 @@ func TestBitBiasWidth(t *testing.T) {
 			NewBitBias(bad)
 		}()
 	}
-	if b := NewBitBias(64); b.Bits() != 64 {
-		t.Error("Bits() mismatch")
+	if got := len(NewBitBias(64).Biases()); got != 64 {
+		t.Errorf("64-bit tracker reports %d biases", got)
 	}
 }
 
@@ -49,7 +49,7 @@ func TestBitBiasFreeTime(t *testing.T) {
 			t.Errorf("BusyZeroBias(%d) = %v, want 0", i, got)
 		}
 	}
-	if b.FreeTime() != 50 || b.TotalTime() != 100 {
+	if b.BusyTime() != 50 || b.TotalTime() != 100 {
 		t.Error("free/total time mismatch")
 	}
 }
@@ -62,8 +62,8 @@ func TestBitBiasNeutralWhenEmpty(t *testing.T) {
 	if got := b.BusyZeroBias(1); got != 0.5 {
 		t.Errorf("BusyZeroBias on empty tracker = %v, want 0.5", got)
 	}
-	if im, _ := b.WorstImbalance(); im != 0 {
-		t.Errorf("WorstImbalance on empty tracker = %v, want 0", im)
+	if got := b.WorstCellBias(); got != 0.5 {
+		t.Errorf("WorstCellBias on empty tracker = %v, want 0.5", got)
 	}
 }
 
@@ -72,12 +72,8 @@ func TestBitBiasWorstImbalance(t *testing.T) {
 	b.Observe(0b00, 50) // bit0 zero half the time -> balanced
 	b.Observe(0b01, 40) // bit1 zero 90 cycles total
 	b.Observe(0b11, 10)
-	im, bit := b.WorstImbalance()
-	if bit != 1 {
-		t.Errorf("worst bit = %d, want 1", bit)
-	}
-	if !almostEqual(im, 0.8, 1e-12) { // bias 0.9 → |0.9-0.5|*2
-		t.Errorf("imbalance = %v, want 0.8", im)
+	if got := b.ZeroBias(1); !almostEqual(got, 0.9, 1e-12) {
+		t.Errorf("ZeroBias(1) = %v, want 0.9", got)
 	}
 	if got := b.WorstCellBias(); !almostEqual(got, 0.9, 1e-12) {
 		t.Errorf("WorstCellBias = %v, want 0.9", got)
@@ -93,24 +89,6 @@ func TestBitBiasWorstCellBiasSymmetric(t *testing.T) {
 	if got := b.WorstCellBias(); !almostEqual(got, 0.95, 1e-12) {
 		t.Errorf("WorstCellBias = %v, want 0.95", got)
 	}
-}
-
-func TestBitBiasMerge(t *testing.T) {
-	a, b := NewBitBias(2), NewBitBias(2)
-	a.Observe(0b00, 10)
-	b.Observe(0b11, 10)
-	a.Merge(b)
-	for i := 0; i < 2; i++ {
-		if got := a.ZeroBias(i); !almostEqual(got, 0.5, 1e-12) {
-			t.Errorf("merged ZeroBias(%d) = %v, want 0.5", i, got)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("merging different widths did not panic")
-		}
-	}()
-	a.Merge(NewBitBias(3))
 }
 
 func TestBitBiasReset(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package stats provides the statistical accumulators shared by the
 // Penelope simulation modules: per-bit value-bias trackers, occupancy and
-// utilization counters, histograms and small numeric helpers.
+// port-availability counters, and small numeric helpers.
 //
 // All accumulators are event driven: callers report intervals (a value held
 // for dt cycles) rather than sampling every cycle, so tracking a structure

@@ -30,7 +30,13 @@ type crashScenario struct {
 // temp litter survives the boot scan.
 func rebootInvariants(t *testing.T, s *Store, label string) {
 	t.Helper()
-	for _, key := range s.Keys() {
+	s.mu.Lock()
+	keys := make([]string, 0, len(s.index))
+	for k := range s.index {
+		keys = append(keys, k)
+	}
+	s.mu.Unlock()
+	for _, key := range keys {
 		if _, ok := s.Get(key); !ok {
 			t.Errorf("%s: indexed key %s failed verification after reboot", label, key)
 		}
@@ -39,7 +45,7 @@ func rebootInvariants(t *testing.T, s *Store, label string) {
 		t.Errorf("%s: reboot quarantined %d entries; crash must be all-or-nothing", label, st.Quarantined)
 	}
 	for _, sub := range []string{"results", "checkpoints", "fleets"} {
-		entries, err := os.ReadDir(filepath.Join(s.Dir(), sub))
+		entries, err := os.ReadDir(filepath.Join(s.dir, sub))
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

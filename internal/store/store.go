@@ -290,9 +290,6 @@ func OpenConfig(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close stops the background scrubber, if one was started. Idempotent;
 // the store's data methods stay usable after Close.
 func (s *Store) Close() {
@@ -428,17 +425,6 @@ func (s *Store) Has(key string) bool {
 	defer s.mu.Unlock()
 	_, ok := s.index[key]
 	return ok
-}
-
-// Keys returns every indexed result key, in no particular order.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	return keys
 }
 
 // Degraded reports whether the store is currently shedding result

@@ -23,7 +23,6 @@ const (
 	OpRemove   Op = "remove"
 	OpReadDir  Op = "readdir"
 	OpReadFile Op = "readfile"
-	OpStat     Op = "stat"
 	OpSyncDir  Op = "syncdir"
 )
 
@@ -243,15 +242,6 @@ func (f *FaultFS) ReadDir(name string) ([]fs.DirEntry, error) {
 		return nil, err
 	}
 	return f.inner.ReadDir(name)
-}
-
-func (f *FaultFS) Stat(name string) (fs.FileInfo, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, err := f.begin(OpStat, name, "", 0); err != nil {
-		return nil, err
-	}
-	return f.inner.Stat(name)
 }
 
 func (f *FaultFS) SyncDir(name string) error {

@@ -36,7 +36,6 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	ReadDir(name string) ([]fs.DirEntry, error)
-	Stat(name string) (fs.FileInfo, error)
 	// SyncDir fsyncs a directory so a preceding rename or remove in it
 	// is durable. Filesystems that cannot sync directories report an
 	// error; callers decide whether that is fatal.
@@ -56,7 +55,6 @@ func (OS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name)
 func (OS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
 func (OS) Remove(name string) error                   { return os.Remove(name) }
 func (OS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
-func (OS) Stat(name string) (fs.FileInfo, error)      { return os.Stat(name) }
 
 func (OS) SyncDir(name string) error {
 	d, err := os.Open(name)

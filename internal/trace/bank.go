@@ -73,10 +73,6 @@ func NewBankFrom(length, stride int, record func(id SuiteID, idx, length int) *R
 	return b
 }
 
-// Recordings returns the bank's recordings in workload order. The slice
-// is shared; callers must not modify it.
-func (b *Bank) Recordings() []*Recording { return b.recs }
-
 // Sources returns a fresh replay cursor per recording, in workload
 // order.
 func (b *Bank) Sources() []Source {
@@ -87,19 +83,10 @@ func (b *Bank) Sources() []Source {
 	return out
 }
 
-// Bytes returns the total packed payload of the bank's recordings.
-func (b *Bank) Bytes() int {
-	n := 0
-	for _, r := range b.recs {
-		n += r.Bytes()
-	}
-	return n
-}
-
-// BankBytes returns what Bytes would report for NewBank(length, stride)
-// without recording anything, so a caller can refuse a bank it cannot
-// hold. stride must be positive; results past the int range saturate at
-// math.MaxInt.
+// BankBytes returns the total packed payload of the recordings
+// NewBank(length, stride) would make, without recording anything, so a
+// caller can refuse a bank it cannot hold. stride must be positive;
+// results past the int range saturate at math.MaxInt.
 func BankBytes(length, stride int) int {
 	perUop := (TotalTraces() + stride - 1) / stride * recordedUopBytes
 	if length > math.MaxInt/perUop {

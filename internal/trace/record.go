@@ -45,8 +45,6 @@ const (
 // folded into one flag byte). A Recording is immutable after Record
 // returns; any number of Cursors may replay it concurrently.
 type Recording struct {
-	suite  SuiteID
-	index  int
 	name   string
 	length int
 
@@ -75,16 +73,16 @@ type Recording struct {
 // Cursor over the result replays the bit-identical uop sequence.
 func Record(id SuiteID, idx, length int) *Recording {
 	t := NewTrace(id, idx, length)
-	r := newRecording(id, idx, t.Name(), length)
+	r := newRecording(t.Name(), length)
 	for u, ok := t.NextUop(); ok; u, ok = t.NextUop() {
 		r.append(u)
 	}
 	return r
 }
 
-func newRecording(id SuiteID, idx int, name string, length int) *Recording {
+func newRecording(name string, length int) *Recording {
 	return &Recording{
-		suite: id, index: idx, name: name,
+		name:   name,
 		class:  make([]uint8, 0, length),
 		dst:    make([]int8, 0, length),
 		src1:   make([]int8, 0, length),
@@ -189,15 +187,6 @@ func (r *Recording) uopAt(i int, u *Uop) {
 	u.Opcode = r.opcode[i]
 }
 
-// SuiteID returns the recorded trace's suite.
-func (r *Recording) SuiteID() SuiteID { return r.suite }
-
-// Index returns the recorded trace's index within its suite.
-func (r *Recording) Index() int { return r.index }
-
-// Name identifies the recording, e.g. "server/12".
-func (r *Recording) Name() string { return r.name }
-
 // Len returns the number of recorded uops.
 func (r *Recording) Len() int { return r.length }
 
@@ -216,7 +205,7 @@ func (r *Recording) Bytes() int { return r.length * recordedUopBytes }
 // Prefix returns the recording of the same trace at length n ≤ Len():
 // a view that shares every column with r, one slice header each, and
 // copies no uop. Generation depends on the trace's length only where it
-// stops, so the view deep-equals Record(SuiteID(), Index(), n). At
+// stops, so the view deep-equals Record of the same trace at n. At
 // n == Len() it is r itself.
 func (r *Recording) Prefix(n int) *Recording {
 	if n < 0 || n > r.length {
@@ -226,7 +215,7 @@ func (r *Recording) Prefix(n int) *Recording {
 		return r
 	}
 	return &Recording{
-		suite: r.suite, index: r.index, name: r.name, length: n,
+		name: r.name, length: n,
 		class:  r.class[:n:n],
 		dst:    r.dst[:n:n],
 		src1:   r.src1[:n:n],
@@ -265,12 +254,6 @@ func (c *Cursor) Name() string { return c.rec.name }
 
 // Len returns the recorded uop count.
 func (c *Cursor) Len() int { return c.rec.length }
-
-// Pos returns how many uops have been produced since the last Reset.
-func (c *Cursor) Pos() int { return c.pos }
-
-// Recording returns the shared immutable recording.
-func (c *Cursor) Recording() *Recording { return c.rec }
 
 // Reset rewinds the cursor to the first uop.
 func (c *Cursor) Reset() { c.pos = 0 }

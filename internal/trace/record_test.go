@@ -21,7 +21,7 @@ func TestRecordReplayEquivalence(t *testing.T) {
 			gen := NewTrace(id, 0, length)
 			cur := Record(id, 0, length).Cursor()
 			for i := 0; ; i++ {
-				gu, gok := gen.Next()
+				gu, gok := gen.NextUop()
 				ru, rok := cur.NextUop()
 				if gok != rok {
 					t.Fatalf("uop %d: generator ok=%v, replay ok=%v", i, gok, rok)
@@ -29,34 +29,14 @@ func TestRecordReplayEquivalence(t *testing.T) {
 				if !gok {
 					break
 				}
-				if *ru != gu {
-					t.Fatalf("uop %d differs:\nreplay    %+v\ngenerator %+v", i, *ru, gu)
+				if *ru != *gu {
+					t.Fatalf("uop %d differs:\nreplay    %+v\ngenerator %+v", i, *ru, *gu)
 				}
 			}
-			if cur.Pos() != length || cur.Len() != length {
-				t.Errorf("cursor pos/len = %d/%d, want %d", cur.Pos(), cur.Len(), length)
+			if cur.pos != length || cur.Len() != length {
+				t.Errorf("cursor pos/len = %d/%d, want %d", cur.pos, cur.Len(), length)
 			}
 		})
-	}
-}
-
-// TestSourceViewsMatchValues checks the generator's own NextUop view
-// against its by-value Next.
-func TestSourceViewsMatchValues(t *testing.T) {
-	a := NewTrace(Server, 4, 400)
-	b := NewTrace(Server, 4, 400)
-	for i := 0; i < 400; i++ {
-		ua, oka := a.NextUop()
-		ub, okb := b.Next()
-		if !oka || !okb {
-			t.Fatalf("stream ended early at %d", i)
-		}
-		if *ua != ub {
-			t.Fatalf("uop %d: NextUop view differs from Next value", i)
-		}
-	}
-	if _, ok := a.NextUop(); ok {
-		t.Fatal("NextUop must end after Length uops")
 	}
 }
 
@@ -70,12 +50,12 @@ func TestCursorResetMidStream(t *testing.T) {
 			t.Fatalf("stream ended early at %d", i)
 		}
 	}
-	if cur.Pos() != 250 {
-		t.Fatalf("pos = %d, want 250", cur.Pos())
+	if cur.pos != 250 {
+		t.Fatalf("pos = %d, want 250", cur.pos)
 	}
 	cur.Reset()
-	if cur.Pos() != 0 {
-		t.Fatalf("pos after Reset = %d, want 0", cur.Pos())
+	if cur.pos != 0 {
+		t.Fatalf("pos after Reset = %d, want 0", cur.pos)
 	}
 	fresh := rec.Cursor()
 	for i := 0; ; i++ {
@@ -156,7 +136,7 @@ func TestPackedFieldRoundTrip(t *testing.T) {
 			Addr: ^uint64(0), MOBid: 63},
 		{Class: ClassLoad, Dst: 0, Src1: -1, Src2: -1, Imm: 0},
 	}
-	r := newRecording(Encoder, 0, "edges/0", len(edges))
+	r := newRecording("edges/0", len(edges))
 	for i := range edges {
 		r.append(&edges[i])
 	}
@@ -193,15 +173,15 @@ func TestRecordingOverflowPanics(t *testing.T) {
 					t.Error("overflowing uop did not panic")
 				}
 			}()
-			newRecording(Encoder, 0, "overflow/0", 1).append(&u)
+			newRecording("overflow/0", 1).append(&u)
 		})
 	}
 }
 
 func TestRecordingMetadata(t *testing.T) {
 	rec := Record(Server, 12, 200)
-	if rec.Name() != "server/12" || rec.SuiteID() != Server || rec.Index() != 12 {
-		t.Errorf("metadata = %s/%v/%d", rec.Name(), rec.SuiteID(), rec.Index())
+	if rec.name != "server/12" {
+		t.Errorf("Name = %s, want server/12", rec.name)
 	}
 	if rec.Len() != 200 {
 		t.Errorf("Len = %d, want 200", rec.Len())
@@ -227,7 +207,7 @@ func TestPrefixMatchesRecord(t *testing.T) {
 			r := Record(id, idx, long)
 			for _, n := range []int{1, long, 1 + rng.Intn(long), 1 + rng.Intn(long)} {
 				if v, want := r.Prefix(n), Record(id, idx, n); !reflect.DeepEqual(v, want) {
-					t.Fatalf("%s: prefix %d of %d differs from the recording at %d", r.Name(), n, long, n)
+					t.Fatalf("%s: prefix %d of %d differs from the recording at %d", r.name, n, long, n)
 				}
 			}
 		}
@@ -241,8 +221,8 @@ func TestPrefixMatchesRecord(t *testing.T) {
 func TestPrefixSharesColumns(t *testing.T) {
 	r := Record(Kernels, 3, 800)
 	v := r.Prefix(300)
-	if v.Len() != 300 || v.Bytes() != 300*51 || v.Name() != r.Name() || v.SuiteID() != r.SuiteID() || v.Index() != r.Index() {
-		t.Fatalf("view metadata %s/%d uops/%d bytes", v.Name(), v.Len(), v.Bytes())
+	if v.Len() != 300 || v.Bytes() != 300*51 || v.name != r.name {
+		t.Fatalf("view metadata %s/%d uops/%d bytes", v.name, v.Len(), v.Bytes())
 	}
 	rv, vv := reflect.ValueOf(r).Elem(), reflect.ValueOf(v).Elem()
 	for i := 0; i < rv.NumField(); i++ {
@@ -295,15 +275,15 @@ func TestBankMatchesSampleTraces(t *testing.T) {
 	const length, stride = 200, 60
 	b := NewBank(length, stride)
 	want := SampleTraces(length, stride)
-	if len(b.Recordings()) != len(want) {
-		t.Fatalf("bank holds %d recordings, SampleTraces gives %d", len(b.Recordings()), len(want))
+	if len(b.recs) != len(want) {
+		t.Fatalf("bank holds %d recordings, SampleTraces gives %d", len(b.recs), len(want))
 	}
 	byName := make(map[string]*Recording)
-	for i, rec := range b.Recordings() {
-		if rec.Name() != want[i].Name() {
-			t.Errorf("recording %d = %s, want %s", i, rec.Name(), want[i].Name())
+	for i, rec := range b.recs {
+		if rec.name != want[i].Name() {
+			t.Errorf("recording %d = %s, want %s", i, rec.name, want[i].Name())
 		}
-		byName[rec.Name()] = rec
+		byName[rec.name] = rec
 	}
 	sub := NewBankFrom(length, stride*4, Record).Sources()
 	wantSub := SampleTraces(length, stride*4)
@@ -314,13 +294,22 @@ func TestBankMatchesSampleTraces(t *testing.T) {
 		if s.Name() != wantSub[i].Name() {
 			t.Errorf("sampled source %d = %s, want %s", i, s.Name(), wantSub[i].Name())
 		}
-		if !reflect.DeepEqual(s.(*Cursor).Recording(), byName[s.Name()]) {
+		if !reflect.DeepEqual(s.(*Cursor).rec, byName[s.Name()]) {
 			t.Errorf("sampled source %d does not replay the full bank's recording of %s", i, s.Name())
 		}
 	}
-	if b.Bytes() != len(want)*length*51 {
-		t.Errorf("bank Bytes = %d, want %d", b.Bytes(), len(want)*length*51)
+	if got := recordedBytes(b); got != len(want)*length*51 {
+		t.Errorf("bank records %d bytes, want %d", got, len(want)*length*51)
 	}
+}
+
+// recordedBytes sums the packed payload of a bank's recordings.
+func recordedBytes(b *Bank) int {
+	n := 0
+	for _, r := range b.recs {
+		n += r.Bytes()
+	}
+	return n
 }
 
 // TestBankBytesMatchesBank checks the size a caller can compute before
@@ -328,7 +317,7 @@ func TestBankMatchesSampleTraces(t *testing.T) {
 // that divide the 531-trace workload evenly and unevenly.
 func TestBankBytesMatchesBank(t *testing.T) {
 	for _, c := range []struct{ length, stride int }{{1, 1}, {300, 60}, {257, 90}, {64, 531}, {10, 1000}} {
-		if got, want := BankBytes(c.length, c.stride), NewBank(c.length, c.stride).Bytes(); got != want {
+		if got, want := BankBytes(c.length, c.stride), recordedBytes(NewBank(c.length, c.stride)); got != want {
 			t.Errorf("BankBytes(%d, %d) = %d, bank holds %d", c.length, c.stride, got, want)
 		}
 	}
@@ -355,7 +344,7 @@ func TestOperandStreamFromRecordings(t *testing.T) {
 // TestOperandStreamPanicsWithoutALU: a source set with no ALU/Mul uops
 // must panic with a bounded scan instead of spinning forever.
 func TestOperandStreamPanicsWithoutALU(t *testing.T) {
-	r := newRecording(Encoder, 0, "stores/0", 2)
+	r := newRecording("stores/0", 2)
 	r.append(&Uop{Class: ClassStore, Dst: -1, Src1: 0, Src2: 1, Addr: 64})
 	r.append(&Uop{Class: ClassBranch, Dst: -1, Src1: 2, Src2: 3, Taken: true})
 	s := NewOperandStream([]Source{r.Cursor()})

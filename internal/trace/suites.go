@@ -147,17 +147,6 @@ func SuiteByID(id SuiteID) Suite {
 	return suites[id]
 }
 
-// SuiteByName returns the suite with the given name and true, or false if
-// no suite matches.
-func SuiteByName(name string) (Suite, bool) {
-	for _, s := range suites {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Suite{}, false
-}
-
 // TotalTraces returns the workload size: 531 traces, as in Table 1.
 func TotalTraces() int {
 	n := 0
@@ -197,18 +186,6 @@ func jitter(p Profile, rng *rand.Rand) Profile {
 		p.WorkingSetLines = 16
 	}
 	return p
-}
-
-// AllTraces instantiates the full 531-trace workload with the given
-// replay length per trace.
-func AllTraces(length int) []*Trace {
-	var out []*Trace
-	for _, s := range suites {
-		for i := 0; i < s.Count; i++ {
-			out = append(out, NewTrace(s.ID, i, length))
-		}
-	}
-	return out
 }
 
 // SampleTraces returns every stride-th trace of the workload, preserving

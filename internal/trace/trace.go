@@ -250,18 +250,6 @@ func (t *Trace) Reset() {
 	t.lastAddr = t.hot[0]
 }
 
-// Next returns the next uop and true, or a zero Uop and false at end of
-// trace.
-func (t *Trace) Next() (Uop, bool) {
-	if t.pos >= t.Length {
-		return Uop{}, false
-	}
-	t.pos++
-	var u Uop
-	t.generate(&u)
-	return u, true
-}
-
 // NextUop synthesizes the next uop into an internal scratch buffer and
 // returns a view of it, satisfying Source. The view is valid until the
 // next NextUop or Reset call.
@@ -281,6 +269,3 @@ func (t *Trace) Len() int { return t.Length }
 // satisfying Source. Safe to call concurrently: it reads only the
 // immutable identity fields.
 func (t *Trace) Fork() Source { return t.Clone() }
-
-// Pos returns how many uops have been produced since the last Reset.
-func (t *Trace) Pos() int { return t.pos }
