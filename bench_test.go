@@ -561,15 +561,13 @@ func BenchmarkObsOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tr.Record("bench", "span", start, time.Microsecond, nil)
+			tr.Record("bench", "span", start, time.Microsecond)
 		}
 	})
 	b.Run("TracePhases", func(b *testing.B) {
-		tr := obs.NewTracer()
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			t := tr.Begin("bench-job", "bench", "admit")
+			t := obs.StartTrace("admit")
 			t.Phase("run")
 			t.Phase("done")
 			t.Finish()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -80,5 +81,62 @@ func TestLoadListFiles(t *testing.T) {
 	}
 	if _, err := loadSLOConfig(filepath.Join(dir, "missing.json")); !os.IsNotExist(err) {
 		t.Fatalf("missing file error = %v", err)
+	}
+}
+
+// FuzzLoadList feeds arbitrary bytes to the decoder behind
+// -slo-config and -fleet-config (loadList reads the file, parseList
+// decodes it). It must never panic, and must accept exactly the two
+// documented shapes: an object whose "<key>" (matched as encoding/json
+// matches field names) holds an array, or a bare array. An accepted
+// list is the one that shape decodes to.
+func FuzzLoadList(f *testing.F) {
+	const rule = `{"name":"r","kind":"threshold","series":"s","objective":1}`
+	for _, seed := range []string{
+		`{"rules": [` + rule + `]}`, `[` + rule + `]`, `{"rules": []}`, `{"rules": null}`,
+		`{"fleets": [{"name":"pop","interval":"150ms"}]}`, `{"Rules": [{}], "rules": [{}, {}]}`,
+		`[]`, `null`, `42`, `{"rules": [`, `{"rules": [{"objective": "x"}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkParseList[fleetops.SLORule](t, "rules", data)
+		checkParseList[fleetops.Registration](t, "fleets", data)
+	})
+}
+
+// checkParseList checks parseList[T](data, key) against the two shapes
+// of data it may accept.
+func checkParseList[T any](t *testing.T, key string, data []byte) {
+	t.Helper()
+	got, err := parseList[T](data, key)
+	var bare []T
+	bareErr := json.Unmarshal(data, &bare)
+	var top map[string]json.RawMessage
+	var wrapped []T // the last array under key, as encoding/json picks it
+	if json.Unmarshal(data, &top) == nil {
+		for k, raw := range top {
+			var list []T
+			if strings.EqualFold(k, key) && json.Unmarshal(raw, &list) == nil && list != nil {
+				wrapped = list
+			}
+		}
+	}
+	switch {
+	case err != nil:
+		if bareErr == nil {
+			t.Fatalf("refused a bare array %q: %v", data, err)
+		}
+		if wrapped != nil && len(top) == 1 {
+			t.Fatalf("refused a wrapped %q list %q: %v", key, data, err)
+		}
+	case bareErr == nil:
+		if !reflect.DeepEqual(got, bare) {
+			t.Fatalf("bare array %q read as %#v, want %#v", data, got, bare)
+		}
+	case wrapped == nil:
+		t.Fatalf("accepted %q, neither a bare array nor an object with a %q array", data, key)
+	case len(top) == 1 && !reflect.DeepEqual(got, wrapped):
+		t.Fatalf("wrapped %q read as %#v, want %#v", data, got, wrapped)
 	}
 }

@@ -96,6 +96,19 @@ Experiments: %s|all
 `, experiments.IDList())
 }
 
+// parseFlags parses a command's flags, exiting 2 on a usage error. Both
+// commands take flags only, so a word left after them is one too: an
+// experiment id without -experiment, or a flag after a stray word,
+// which the parser would otherwise never read.
+func parseFlags(fs *flag.FlagSet, args []string) {
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(fs.Output(), "unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
+		os.Exit(2)
+	}
+}
+
 // runCmd executes one experiment (or all of them) and renders the
 // result as text, or as one JSON payload per line with -json.
 func runCmd(args []string) {
@@ -114,7 +127,7 @@ func runCmd(args []string) {
 		fleetSeed  = fs.Uint64("fleet-seed", 0, "per-chip sampling seed (default 1)")
 		workers    = fs.Int("workers", 0, "lifetime engine worker count (default GOMAXPROCS; results identical for any value)")
 	)
-	fs.Parse(args)
+	parseFlags(fs, args)
 
 	opts := experiments.DefaultOptions()
 	if *length > 0 {
@@ -196,7 +209,7 @@ func serveCmd(args []string) {
 
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address, e.g. 127.0.0.1:6060 (default off; keep it loopback — the profiler is unauthenticated)")
 	)
-	fs.Parse(args)
+	parseFlags(fs, args)
 
 	logger := slog.Default().With("component", "serve")
 	fatal := func(msg string, err error) {
@@ -286,13 +299,18 @@ func loadSLOConfig(path string) ([]fleetops.SLORule, error) {
 }
 
 // loadList reads a JSON file holding {"<key>": [...]} or a bare array.
-// A wrapped list that is present, even empty, wins; anything else must
-// parse as a bare array.
 func loadList[T any](path, key string) ([]T, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return parseList[T](data, key)
+}
+
+// parseList decodes {"<key>": [...]} or a bare array. A wrapped list
+// that is present, even empty, wins; anything else must parse as a bare
+// array.
+func parseList[T any](data []byte, key string) ([]T, error) {
 	wrapped := reflect.New(reflect.StructOf([]reflect.StructField{{
 		Name: "List", Type: reflect.TypeFor[[]T](), Tag: reflect.StructTag(fmt.Sprintf("json:%q", key)),
 	}}))

@@ -45,13 +45,13 @@ func (in *Instruments) observeTick(fleet string, start time.Time, epochs, popula
 	}
 	d := time.Since(start)
 	in.TickSeconds.ObserveDuration(d)
-	attrs := map[string]string{"fleet": fleet, "epochs": strconv.Itoa(epochs)}
+	attrs := []string{"fleet", fleet, "epochs", strconv.Itoa(epochs)}
 	if err != nil {
-		attrs["error"] = err.Error()
+		attrs = append(attrs, "error", err.Error())
 	} else if secs := d.Seconds(); secs > 0 && epochs > 0 {
 		in.ChipEpochsPerSec.Set(float64(epochs) * float64(population) / secs)
 	}
-	in.Tracer.Record("fleet", "tick", start, d, attrs)
+	in.Tracer.Record("fleet", "tick", start, d, attrs...)
 }
 
 // observeDeliver records one alert delivery attempt.
@@ -61,9 +61,9 @@ func (in *Instruments) observeDeliver(alertID string, attempt int, start time.Ti
 	}
 	d := time.Since(start)
 	in.AttemptSeconds.ObserveDuration(d)
-	attrs := map[string]string{"alert": alertID, "attempt": strconv.Itoa(attempt)}
+	attrs := []string{"alert", alertID, "attempt", strconv.Itoa(attempt)}
 	if err != nil {
-		attrs["error"] = err.Error()
+		attrs = append(attrs, "error", err.Error())
 	}
-	in.Tracer.Record("alert", "deliver", start, d, attrs)
+	in.Tracer.Record("alert", "deliver", start, d, attrs...)
 }

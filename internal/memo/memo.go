@@ -24,6 +24,10 @@ type Entry[K comparable, V any] struct {
 	elem  *list.Element // recency list position; nil until resident
 }
 
+// Key returns the key the entry was acquired under. Every caller that
+// shares the entry can share this one copy of the key.
+func (e *Entry[K, V]) Key() K { return e.key }
+
 // Wait blocks until the leader completes the entry.
 func (e *Entry[K, V]) Wait() (V, error) {
 	<-e.done

@@ -5,30 +5,48 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unsafe"
 )
 
-// span is one timed segment of a trace.
+// span is one segment of a trace: a name and its start as an offset
+// from the trace start. Spans are contiguous, so a span ends where the
+// next one starts, or where the trace ends.
 type span struct {
-	name  string
-	start time.Time
-	end   time.Time // zero while the span is open
-	attrs map[string]string
+	name string
+	off  time.Duration
 }
 
-// Trace is a sequence of contiguous spans for one unit of work (a job,
-// a store operation, a fleet tick). Phase transitions close the current
-// span and open the next at the same instant, so a finished trace is
-// monotonic and gap-free by construction.
+// Trace is a sequence of contiguous spans for one unit of work (a
+// job). Phase transitions close the current span and open the next at
+// the same instant, so a finished trace is monotonic and gap-free by
+// construction. A trace holds only its phase marks: its owner names it
+// and supplies its attributes when it is rendered. Not safe for
+// concurrent use; the owner guards it with the lock that guards what
+// those attributes are read from.
 type Trace struct {
-	id        string
-	component string
-	start     time.Time
-
-	mu    sync.Mutex
+	wall  int64         // start, Unix nanoseconds
+	mono  time.Duration // start, on the monotonic clock since traceEpoch
+	end   time.Duration // offset of Finish; negative while open
 	spans []span
-	done  bool
-	end   time.Time
 }
+
+// traceEpoch anchors traces' monotonic clock readings, so a trace keeps
+// its start in two words rather than a time.Time's three.
+var traceEpoch = time.Now()
+
+// StartTrace returns a trace started now, its first span named
+// firstPhase.
+func StartTrace(firstPhase string) Trace {
+	now := time.Now()
+	// Room for two spans: a job that finds its result complete goes
+	// straight from its first phase to done.
+	spans := make([]span, 1, 2)
+	spans[0].name = firstPhase
+	return Trace{wall: now.UnixNano(), mono: now.Sub(traceEpoch), end: -1, spans: spans}
+}
+
+// elapsed is the time since the trace started.
+func (t *Trace) elapsed() time.Duration { return time.Since(traceEpoch) - t.mono }
 
 // Phase ends the current span and starts a new one named name at the
 // same timestamp. No-op after Finish.
@@ -36,52 +54,38 @@ func (t *Trace) Phase(name string) {
 	if t == nil {
 		return
 	}
-	now := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.done {
-		return
+	if t.end < 0 {
+		t.spans = append(t.spans, span{name: name, off: t.elapsed()})
 	}
-	if n := len(t.spans); n > 0 && t.spans[n-1].end.IsZero() {
-		t.spans[n-1].end = now
-	}
-	t.spans = append(t.spans, span{name: name, start: now})
 }
 
-// Attr attaches a key/value to the current (most recent) span.
-func (t *Trace) Attr(key, value string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := len(t.spans)
-	if n == 0 {
-		return
-	}
-	if t.spans[n-1].attrs == nil {
-		t.spans[n-1].attrs = make(map[string]string, 2)
-	}
-	t.spans[n-1].attrs[key] = value
-}
-
-// Finish closes the current span and marks the trace complete.
-// Idempotent.
+// Finish closes the current span and marks the trace complete, cutting
+// its spans to an exact-size slice. Idempotent.
 func (t *Trace) Finish() {
-	if t == nil {
+	if t == nil || t.end >= 0 {
 		return
 	}
-	now := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.done {
-		return
+	t.end = t.elapsed()
+	if len(t.spans) < cap(t.spans) {
+		t.spans = append([]span(nil), t.spans...)
 	}
-	if n := len(t.spans); n > 0 && t.spans[n-1].end.IsZero() {
-		t.spans[n-1].end = now
+}
+
+// Since returns the time elapsed since the latest span named name
+// started, or 0 if the trace has none.
+func (t *Trace) Since(name string) time.Duration {
+	for i := len(t.spans) - 1; i >= 0; i-- {
+		if t.spans[i].name == name {
+			return t.elapsed() - t.spans[i].off
+		}
 	}
-	t.done = true
-	t.end = now
+	return 0
+}
+
+// Bytes is the heap the trace's spans hold, beyond the Trace itself.
+// Span names are shared constants and cost nothing per trace.
+func (t *Trace) Bytes() int64 {
+	return int64(cap(t.spans)) * int64(unsafe.Sizeof(span{}))
 }
 
 // SpanSnapshot is one span rendered for the trace API: start as a
@@ -104,129 +108,84 @@ type TraceSnapshot struct {
 	Spans      []SpanSnapshot `json:"spans"`
 }
 
-// Snapshot copies the trace. Open spans (and an unfinished trace) are
-// rendered as extending to now. A nil trace snapshots as empty.
-func (t *Trace) Snapshot() TraceSnapshot {
+// Snapshot renders the trace as trace id of component, without
+// attributes. An open span (and an unfinished trace) is rendered as
+// extending to now. A nil trace snapshots as empty.
+func (t *Trace) Snapshot(id, component string) TraceSnapshot {
 	if t == nil {
 		return TraceSnapshot{}
 	}
-	now := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := TraceSnapshot{
-		ID:        t.id,
-		Component: t.component,
-		Start:     t.start,
-		Done:      t.done,
-		Spans:     make([]SpanSnapshot, 0, len(t.spans)),
-	}
 	end := t.end
-	if !t.done {
-		end = now
+	if end < 0 {
+		end = t.elapsed()
 	}
-	s.DurationNS = end.Sub(t.start).Nanoseconds()
-	for _, sp := range t.spans {
-		spEnd := sp.end
-		if spEnd.IsZero() {
-			spEnd = now
+	s := TraceSnapshot{
+		ID:         id,
+		Component:  component,
+		Start:      time.Unix(0, t.wall),
+		Done:       t.end >= 0,
+		DurationNS: end.Nanoseconds(),
+		Spans:      make([]SpanSnapshot, len(t.spans)),
+	}
+	for i, sp := range t.spans {
+		spEnd := end
+		if i+1 < len(t.spans) {
+			spEnd = t.spans[i+1].off
 		}
-		ss := SpanSnapshot{
-			Name:       sp.name,
-			StartNS:    sp.start.Sub(t.start).Nanoseconds(),
-			DurationNS: spEnd.Sub(sp.start).Nanoseconds(),
-		}
-		if len(sp.attrs) > 0 {
-			ss.Attrs = make(map[string]string, len(sp.attrs))
-			for k, v := range sp.attrs {
-				ss.Attrs[k] = v
-			}
-		}
-		s.Spans = append(s.Spans, ss)
+		s.Spans[i] = SpanSnapshot{Name: sp.name, StartNS: sp.off.Nanoseconds(), DurationNS: (spEnd - sp.off).Nanoseconds()}
 	}
 	return s
 }
 
-// Tracer records traces in one bounded ring per component (for
-// GET /v1/debug/traces). Memory is bounded regardless of traffic. It
-// keeps no index by trace ID: whoever begins a trace holds it for as
-// long as it answers for it, as the service's job map does for
-// GET /v1/jobs/{id}/trace.
-type Tracer struct {
-	ringCap int
+// record is one already-measured single-span trace in a component ring.
+type record struct {
+	seq   uint64 // renders as the trace ID "<component>-<seq>"
+	name  string
+	start time.Time
+	d     time.Duration
+	attrs []string // key/value pairs
+}
 
+// Tracer records one-shot traces in one bounded ring per component
+// (for GET /v1/debug/traces). Memory is bounded regardless of traffic.
+// It keeps no index by trace ID.
+type Tracer struct {
 	mu    sync.Mutex
-	rings map[string]*Ring[*Trace]
+	rings map[string]*Ring[record]
 	seq   uint64
 }
 
-// defaultRingCap sizes each component ring: enough history to debug a
+// TraceRingCap sizes each component ring: enough history to debug a
 // burst without letting the tracer grow past a few MB.
-const defaultRingCap = 256
+const TraceRingCap = 256
 
 // NewTracer returns a tracer with the default capacities.
 func NewTracer() *Tracer {
-	return &Tracer{
-		ringCap: defaultRingCap,
-		rings:   make(map[string]*Ring[*Trace]),
-	}
+	return &Tracer{rings: make(map[string]*Ring[record])}
 }
 
-// Begin starts a trace for id under component, opening its first span
-// named firstPhase. The trace is immediately visible in the component
-// ring.
-func (tr *Tracer) Begin(id, component, firstPhase string) *Trace {
-	if tr == nil {
-		return nil
-	}
-	now := time.Now()
-	t := &Trace{
-		id:        id,
-		component: component,
-		start:     now,
-		spans:     []span{{name: firstPhase, start: now}},
-	}
-	tr.mu.Lock()
-	tr.pushRingLocked(component, t)
-	tr.mu.Unlock()
-	return t
-}
-
-// Record adds an already-measured single-span trace to a component ring
-// — the one-shot form for store I/O, fleet ticks, alert deliveries and
-// scrub passes, where the caller has start and duration in hand.
-func (tr *Tracer) Record(component, name string, start time.Time, d time.Duration, attrs map[string]string) {
+// Record adds an already-measured single-span trace to a component
+// ring — the one-shot form for store I/O, fleet ticks, alert deliveries
+// and scrub passes, where the caller has start and duration in hand.
+// kv holds the span's attributes as key/value pairs; the ring keeps the
+// slice as given.
+func (tr *Tracer) Record(component, name string, start time.Time, d time.Duration, kv ...string) {
 	if tr == nil {
 		return
 	}
 	if d < 0 {
 		d = 0
 	}
-	end := start.Add(d)
 	tr.mu.Lock()
+	defer tr.mu.Unlock()
 	tr.seq++
-	id := component + "-" + strconv.FormatUint(tr.seq, 10)
-	t := &Trace{
-		id:        id,
-		component: component,
-		start:     start,
-		done:      true,
-		end:       end,
-		spans:     []span{{name: name, start: start, end: end, attrs: attrs}},
-	}
-	tr.pushRingLocked(component, t)
-	tr.mu.Unlock()
-}
-
-// pushRingLocked appends to a component ring, evicting the oldest entry
-// past capacity. Caller holds tr.mu.
-func (tr *Tracer) pushRingLocked(component string, t *Trace) {
 	ring := tr.rings[component]
 	if ring == nil {
-		r := NewRing[*Trace](tr.ringCap)
+		r := NewRing[record](TraceRingCap)
 		ring = &r
 		tr.rings[component] = ring
 	}
-	ring.Push(t)
+	ring.Push(record{seq: tr.seq, name: name, start: start, d: d, attrs: kv})
 }
 
 // Recent returns up to n most-recent traces for a component, newest
@@ -244,14 +203,28 @@ func (tr *Tracer) Recent(component string, n int) []TraceSnapshot {
 	if n <= 0 || n > size {
 		n = size
 	}
-	picked := make([]*Trace, n)
-	for i := 0; i < n; i++ {
+	picked := make([]record, n)
+	for i := range picked {
 		picked[i] = ring.At(size - 1 - i)
 	}
 	tr.mu.Unlock()
 	out := make([]TraceSnapshot, n)
-	for i, t := range picked {
-		out[i] = t.Snapshot()
+	for i, r := range picked {
+		sp := SpanSnapshot{Name: r.name, DurationNS: r.d.Nanoseconds()}
+		if len(r.attrs) > 1 {
+			sp.Attrs = make(map[string]string, len(r.attrs)/2)
+			for j := 0; j+1 < len(r.attrs); j += 2 {
+				sp.Attrs[r.attrs[j]] = r.attrs[j+1]
+			}
+		}
+		out[i] = TraceSnapshot{
+			ID:         component + "-" + strconv.FormatUint(r.seq, 10),
+			Component:  component,
+			Start:      r.start,
+			Done:       true,
+			DurationNS: sp.DurationNS,
+			Spans:      []SpanSnapshot{sp},
+		}
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // checkContiguous asserts the snapshot's spans are monotonic and
@@ -27,9 +28,7 @@ func checkContiguous(t *testing.T, s TraceSnapshot) {
 }
 
 func TestTracePhases(t *testing.T) {
-	tr := NewTracer()
-	tc := tr.Begin("job-1", "job", "admit")
-	tc.Attr("experiment", "fig4")
+	tc := StartTrace("admit")
 	tc.Phase("queue-wait")
 	time.Sleep(time.Millisecond)
 	tc.Phase("run")
@@ -37,7 +36,7 @@ func TestTracePhases(t *testing.T) {
 	tc.Phase("done")
 	tc.Finish()
 
-	s := tc.Snapshot()
+	s := tc.Snapshot("job-1", "job")
 	if s.ID != "job-1" || s.Component != "job" {
 		t.Fatalf("trace identity = %q/%q, want job-1/job", s.ID, s.Component)
 	}
@@ -52,34 +51,60 @@ func TestTracePhases(t *testing.T) {
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Fatalf("spans = %v, want %v", names, want)
 	}
-	if s.Spans[0].Attrs["experiment"] != "fig4" {
-		t.Fatalf("attr lost: %+v", s.Spans[0].Attrs)
-	}
 	checkContiguous(t, s)
 	// queue-wait really slept.
 	if s.Spans[1].DurationNS < int64(time.Millisecond/2) {
 		t.Fatalf("queue-wait span too short: %d", s.Spans[1].DurationNS)
 	}
+	// Marks read back as elapsed times: a later phase began less long
+	// ago by the offset between the two (read a moment apart).
+	run := tc.Since("run")
+	admit := tc.Since("admit")
+	if off := time.Duration(s.Spans[2].StartNS); admit-run < off || admit-run > off+time.Second {
+		t.Fatalf("Since(admit) %v - Since(run) %v, want about run's offset %v", admit, run, off)
+	}
+	if admit < time.Duration(s.DurationNS) {
+		t.Fatalf("Since(admit) %v is shorter than the finished trace %dns", admit, s.DurationNS)
+	}
+	if tc.Since("nope") != 0 {
+		t.Fatal("Since of a phase the trace never entered is not 0")
+	}
+}
+
+// TestTraceFinishExactSize checks that a finished trace holds its spans
+// in an exact-size slice, and that Bytes reports what it holds.
+func TestTraceFinishExactSize(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		tc := StartTrace("admit")
+		for i := 1; i < n; i++ {
+			tc.Phase(fmt.Sprint("p", i))
+		}
+		tc.Finish()
+		if len(tc.spans) != n || cap(tc.spans) != n {
+			t.Fatalf("%d spans held in len %d cap %d", n, len(tc.spans), cap(tc.spans))
+		}
+		if got, want := tc.Bytes(), int64(n)*int64(unsafe.Sizeof(span{})); got != want {
+			t.Fatalf("%d spans: Bytes = %d, want %d", n, got, want)
+		}
+	}
 }
 
 func TestTraceFinishIdempotent(t *testing.T) {
-	tr := NewTracer()
-	tc := tr.Begin("job-2", "job", "admit")
+	tc := StartTrace("admit")
 	tc.Finish()
-	end1 := tc.Snapshot()
+	end1 := tc.Snapshot("job-2", "job")
 	tc.Phase("late") // ignored after finish
 	tc.Finish()
-	end2 := tc.Snapshot()
+	end2 := tc.Snapshot("job-2", "job")
 	if len(end2.Spans) != len(end1.Spans) || end2.DurationNS != end1.DurationNS {
 		t.Fatalf("finish not idempotent: %+v vs %+v", end1, end2)
 	}
 }
 
 func TestTraceUnfinishedSnapshot(t *testing.T) {
-	tr := NewTracer()
-	tc := tr.Begin("job-3", "job", "admit")
+	tc := StartTrace("admit")
 	tc.Phase("run")
-	s := tc.Snapshot()
+	s := tc.Snapshot("job-3", "job")
 	if s.ID != "job-3" || s.Done {
 		t.Fatalf("want live trace job-3, got id=%q done=%v", s.ID, s.Done)
 	}
@@ -94,7 +119,7 @@ func TestTracerRecordAndRecent(t *testing.T) {
 	base := time.Now()
 	for i := 0; i < 5; i++ {
 		tr.Record("store", "put", base.Add(time.Duration(i)*time.Millisecond),
-			time.Millisecond, map[string]string{"n": fmt.Sprint(i)})
+			time.Millisecond, "n", fmt.Sprint(i), "parity", fmt.Sprint(i%2))
 	}
 	got := tr.Recent("store", 3)
 	if len(got) != 3 {
@@ -103,6 +128,9 @@ func TestTracerRecordAndRecent(t *testing.T) {
 	// Newest first.
 	if got[0].Spans[0].Attrs["n"] != "4" || got[2].Spans[0].Attrs["n"] != "2" {
 		t.Fatalf("order wrong: %+v", got)
+	}
+	if got[0].ID != "store-5" || got[0].Spans[0].Attrs["parity"] != "0" || len(got[0].Spans[0].Attrs) != 2 {
+		t.Fatalf("newest trace = %+v, want store-5 with n and parity", got[0])
 	}
 	for _, s := range got {
 		if !s.Done || len(s.Spans) != 1 || s.Spans[0].Name != "put" {
@@ -118,21 +146,23 @@ func TestTracerRecordAndRecent(t *testing.T) {
 
 func TestTracerRingsBounded(t *testing.T) {
 	tr := NewTracer()
-	for i := 0; i < defaultRingCap*2; i++ {
-		tr.Record("fleet", "tick", time.Now(), time.Microsecond, nil)
+	for i := 0; i < TraceRingCap*2; i++ {
+		tr.Record("fleet", "tick", time.Now(), time.Microsecond)
 	}
-	if got := len(tr.Recent("fleet", 0)); got != defaultRingCap {
-		t.Fatalf("ring size = %d, want %d", got, defaultRingCap)
+	if got := len(tr.Recent("fleet", 0)); got != TraceRingCap {
+		t.Fatalf("ring size = %d, want %d", got, TraceRingCap)
 	}
-	for i := 0; i < defaultRingCap+10; i++ {
-		tr.Begin(fmt.Sprintf("job-%d", i), "job", "admit").Finish()
+	for i := 0; i < TraceRingCap+10; i++ {
+		tr.Record("store", "put", time.Now(), time.Microsecond)
 	}
-	jobs := tr.Recent("job", 0)
-	if len(jobs) != defaultRingCap {
-		t.Fatalf("job ring size = %d, want %d", len(jobs), defaultRingCap)
+	puts := tr.Recent("store", 0)
+	if len(puts) != TraceRingCap {
+		t.Fatalf("store ring size = %d, want %d", len(puts), TraceRingCap)
 	}
-	if newest, oldest := jobs[0].ID, jobs[len(jobs)-1].ID; newest != fmt.Sprintf("job-%d", defaultRingCap+9) || oldest != "job-10" {
-		t.Fatalf("job ring holds %s..%s, want job-10..job-%d", oldest, newest, defaultRingCap+9)
+	// Trace IDs number every Record across components.
+	first := 2*TraceRingCap + 11
+	if newest, oldest := puts[0].ID, puts[len(puts)-1].ID; newest != fmt.Sprintf("store-%d", first+TraceRingCap-1) || oldest != fmt.Sprintf("store-%d", first) {
+		t.Fatalf("store ring holds %s..%s, want store-%d..store-%d", oldest, newest, first, first+TraceRingCap-1)
 	}
 }
 
@@ -144,17 +174,14 @@ func TestTracerConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				id := fmt.Sprintf("job-%d-%d", g, i)
-				tc := tr.Begin(id, "job", "admit")
+				tc := StartTrace("admit")
 				tc.Phase("run")
-				tr.Record("store", "put", time.Now(), time.Microsecond, nil)
+				tr.Record("store", "put", time.Now(), time.Microsecond, "g", fmt.Sprint(g))
 				tc.Finish()
-				if s := tc.Snapshot(); s.ID == id {
+				checkContiguous(t, tc.Snapshot("job", "job"))
+				for _, s := range tr.Recent("store", 10) {
 					checkContiguous(t, s)
-				} else {
-					t.Errorf("trace id = %q, want %q", s.ID, id)
 				}
-				tr.Recent("job", 10)
 			}
 		}(g)
 	}

@@ -8,7 +8,7 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"time"
+	"unsafe"
 
 	"penelope/internal/experiments"
 	"penelope/internal/obs"
@@ -55,17 +55,69 @@ type Job struct {
 	// CacheHit reports that the job did not trigger its own simulation:
 	// the result was already cached (in memory or on disk) or already
 	// being computed.
-	CacheHit bool   `json:"cache_hit"`
-	Error    string `json:"error,omitempty"`
+	CacheHit bool `json:"cache_hit"`
+	// source is where a job that found its result complete found it.
+	source jobSource
+	Error  string `json:"error,omitempty"`
 	// SweepID groups the jobs of one sweep submission; their completions
 	// stream as "point" events on /v1/sweeps/{id}/events.
 	SweepID string `json:"sweep_id,omitempty"`
 
-	// Unexported observability state: invisible to the JSON API and to
-	// snapshot copies' consumers. trace is set once in submit before the
-	// job is shared, so later reads need no lock; the Trace itself is
-	// internally synchronized.
-	trace       *obs.Trace
-	submittedAt time.Time // when submit registered the job
-	enqueuedAt  time.Time // when the leader entered the fair pool
+	// trace holds the job's phase marks: when it was admitted, entered
+	// the queue, ran, wrote the store and finished. Everything else the
+	// trace reports is read from the job's own fields. Guarded by s.mu,
+	// like the fields a trace's attributes come from.
+	trace obs.Trace
+}
+
+// jobSource is where a job that found its result complete found it:
+// the source attribute of its trace's admit span.
+type jobSource uint8
+
+// The job sources; a job that ran, followed a leader or failed has
+// none.
+const (
+	sourceNone  jobSource = iota
+	sourceCache           // resident in the result memo
+	sourceStore           // read through the disk store
+)
+
+var sourceNames = [...]string{sourceCache: "cache", sourceStore: "store"}
+
+// traceSnapshot renders the job's trace with the attributes its spans
+// report, all read from the job: experiment, client, key and source on
+// admit; state, error and cache_hit on done. finish sets the terminal
+// fields and opens the done span under s.mu, so a caller holding s.mu
+// sees the two agree. Caller holds s.mu.
+func (job *Job) traceSnapshot() obs.TraceSnapshot {
+	snap := job.trace.Snapshot(job.ID, "job")
+	for i := range snap.Spans {
+		sp := &snap.Spans[i]
+		switch sp.Name {
+		case "admit":
+			sp.Attrs = map[string]string{"experiment": job.Experiment, "client": job.Client, "key": job.ResultKey}
+			if job.source != sourceNone {
+				sp.Attrs["source"] = sourceNames[job.source]
+			}
+		case "done":
+			sp.Attrs = map[string]string{"state": string(job.State)}
+			if job.Error != "" {
+				sp.Attrs["error"] = job.Error
+			}
+			if job.CacheHit {
+				sp.Attrs["cache_hit"] = "true"
+			}
+		}
+	}
+	return snap
+}
+
+// charge is the heap a finished job holds while the finished-job FIFO
+// keeps it: the job with its trace, the trace's spans, and the strings
+// it may hold alone (ID, client, error). The experiment id is the
+// registry's copy, the result key the result memo entry's, and a
+// sweep's jobs share its ID. Caller holds s.mu.
+func (job *Job) charge() int64 {
+	strs := len(job.ID) + len(job.Client) + len(job.Error)
+	return int64(unsafe.Sizeof(*job)) + int64(strs) + job.trace.Bytes()
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -16,10 +17,11 @@ import (
 // This file is the server's observability surface: the per-server
 // metrics registry (Prometheus text on GET /metrics, the original JSON
 // payload on /metrics.json or Accept: application/json), the tracer
-// whose component rings back /v1/debug/traces (a job's own trace, held
-// by the job, backs /v1/jobs/{id}/trace), and the histograms the hot
-// paths feed. Every server owns its own Registry and Tracer — nothing
-// is global — so tests and multi-server processes never collide.
+// whose component rings back /v1/debug/traces (jobs hold their own
+// traces, behind /v1/jobs/{id}/trace and the "job" component), and the
+// histograms the hot paths feed. Every server owns its own Registry and
+// Tracer — nothing is global — so tests and multi-server processes
+// never collide.
 
 // httpLatencyFamily is the per-route request histogram's family name,
 // named once because the JSON payload excludes it (scrapes observe
@@ -117,6 +119,11 @@ func (s *Server) initObs() {
 	reg.GaugeFunc("penelope_cache_entries", "Completed results resident in the in-memory result memo.",
 		func() float64 { return float64(s.results.Stats().Entries) })
 	reg.GaugeFuncVec("penelope_resident_bytes", "Bytes a bounded in-memory holder charges against its budget.", "holder",
+		obs.GaugeCell{Value: "jobs", Read: func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(s.jobBytes)
+		}},
 		obs.GaugeCell{Value: "recordings", Read: func() float64 { return float64(experiments.RecordingBytes()) }},
 		obs.GaugeCell{Value: "results", Read: func() float64 { return float64(s.results.Stats().Bytes) }})
 	reg.CounterFunc("penelope_cache_hits_total", "Requests served from a completed cache entry.",
@@ -248,21 +255,36 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 // its job, so it answers exactly while /v1/jobs/{id} does.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	job, ok := s.job(id)
+	s.mu.Lock()
+	job, ok := s.jobs[id]
+	var trace obs.TraceSnapshot
+	if ok {
+		trace = job.traceSnapshot()
+	}
+	s.mu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no trace for job %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, job.trace.Snapshot())
+	writeJSON(w, http.StatusOK, trace)
 }
 
 // handleDebugTraces serves recent traces by component
 // (?component=job|store|scrub|fleet|alert&n=32); without a component it
-// lists the components that have recorded anything.
+// lists the components that have recorded anything. The "job" ring is
+// the server's most recently admitted jobs, rendered as
+// /v1/jobs/{id}/trace renders them; the tracer holds the others.
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	component := r.URL.Query().Get("component")
 	if component == "" {
-		writeJSON(w, http.StatusOK, map[string]any{"components": s.obs.tracer.Components()})
+		components := s.obs.tracer.Components()
+		s.mu.Lock()
+		if s.traced.Len() > 0 {
+			components = append(components, "job")
+		}
+		s.mu.Unlock()
+		sort.Strings(components)
+		writeJSON(w, http.StatusOK, map[string]any{"components": components})
 		return
 	}
 	n := 32
@@ -274,7 +296,18 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		n = parsed
 	}
-	traces := s.obs.tracer.Recent(component, n)
+	var traces []obs.TraceSnapshot
+	if component == "job" {
+		s.mu.Lock()
+		size := s.traced.Len()
+		traces = make([]obs.TraceSnapshot, min(n, size))
+		for i := range traces {
+			traces[i] = s.traced.At(size - 1 - i).traceSnapshot()
+		}
+		s.mu.Unlock()
+	} else {
+		traces = s.obs.tracer.Recent(component, n)
+	}
 	if traces == nil {
 		traces = []obs.TraceSnapshot{}
 	}

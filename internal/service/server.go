@@ -177,7 +177,9 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	terminal obs.Ring[string] // finished job ids, oldest first, for eviction
+	terminal obs.Ring[*Job] // finished jobs, oldest first, for eviction
+	jobBytes int64          // the terminal jobs' summed charges
+	traced   obs.Ring[*Job] // most recently admitted jobs, for the job trace ring
 	nextID   uint64
 
 	queued  int // jobs currently in StateQueued (O(1) metrics scan)
@@ -242,7 +244,8 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:   ctx,
 		cancelCtx: cancel,
 		jobs:      make(map[string]*Job),
-		terminal:  obs.NewRing[string](retainJobs),
+		terminal:  obs.NewRing[*Job](retainJobs),
+		traced:    obs.NewRing[*Job](obs.TraceRingCap),
 		clients:   make(map[string]*ClientCounters),
 		sweeps:    make(map[string]*sweepTrack),
 	}
@@ -354,7 +357,7 @@ func decodeJobRecord(name string, data []byte) (rec jobRecord, o experiments.Opt
 		err = json.Unmarshal(rec.Options, &o)
 	}
 	if err == nil {
-		o, err = canonicalRequest(rec.Experiment, o)
+		_, o, err = canonicalRequest(rec.Experiment, o)
 	}
 	return rec, o, err
 }
@@ -444,14 +447,15 @@ func (s *Server) Close() {
 // request limits, and reduces its options to the fields the driver
 // consumes (defaults for options-free drivers, fleet knobs dropped for
 // trace-only ones), so every spelling of the same simulation shares
-// one result key.
-func canonicalRequest(experiment string, o experiments.Options) (experiments.Options, error) {
+// one result key. It also returns the registry's copy of the id, which
+// every job of the experiment can share.
+func canonicalRequest(experiment string, o experiments.Options) (string, experiments.Options, error) {
 	spec, ok := experiments.Lookup(experiment)
 	if !ok {
-		return o, fmt.Errorf("unknown experiment %q (have %s)", experiment, experiments.IDList())
+		return experiment, o, fmt.Errorf("unknown experiment %q (have %s)", experiment, experiments.IDList())
 	}
 	o = spec.CanonicalOptions(o)
-	return o, o.Check()
+	return spec.ID, o, o.Check()
 }
 
 // submit registers a job for (experiment, o) and routes it through the
@@ -461,17 +465,18 @@ func canonicalRequest(experiment string, o experiments.Options) (experiments.Opt
 // submitting client. A non-empty sweepID tags the job so its
 // completion streams as a sweep point.
 func (s *Server) submit(client, experiment string, o experiments.Options, sweepID string) (*Job, error) {
-	o, err := canonicalRequest(experiment, o)
+	experiment, o, err := canonicalRequest(experiment, o)
 	if err != nil {
 		return nil, err
 	}
 	key := ResultKey(experiment, o)
 	entry, leader, ready := s.results.Acquire(key)
+	key = entry.Key()
 
 	s.mu.Lock()
 	s.nextID++
 	job := &Job{
-		ID:         fmt.Sprintf("job-%d", s.nextID),
+		ID:         "job-" + strconv.FormatUint(s.nextID, 10),
 		Experiment: experiment,
 		Options:    o,
 		Client:     client,
@@ -479,35 +484,32 @@ func (s *Server) submit(client, experiment string, o experiments.Options, sweepI
 		State:      StateQueued,
 		CacheHit:   !leader,
 		SweepID:    sweepID,
+		trace:      obs.StartTrace("admit"),
 	}
-	job.submittedAt = time.Now()
-	job.trace = s.obs.tracer.Begin(job.ID, "job", "admit")
-	job.trace.Attr("experiment", experiment)
-	job.trace.Attr("client", client)
-	job.trace.Attr("key", key)
+	if !leader && !ready {
+		job.trace.Phase("follow")
+	}
 	s.jobs[job.ID] = job
+	s.traced.Push(job)
 	s.queued++
 	s.mu.Unlock()
 
 	switch {
 	case ready:
 		// Resident: the job is done before the response is written.
-		job.trace.Attr("source", "cache")
-		s.finish(job, nil, true)
+		s.finish(job, nil, sourceCache)
 	case !leader:
 		// In-flight dedup: share the running simulation's outcome.
-		job.trace.Phase("follow")
 		go func() {
 			_, err := entry.Wait()
-			s.finish(job, err, true)
+			s.finish(job, err, sourceNone)
 		}()
 	default:
 		// Read-through: a result persisted before an eviction or by an
 		// earlier process completes the job without re-simulation.
 		if payload, ok := s.result(key); ok {
-			job.trace.Attr("source", "store")
 			s.results.Complete(entry, payload, nil)
-			s.finish(job, nil, true)
+			s.finish(job, nil, sourceStore)
 			return job, nil
 		}
 		if spec, _ := experiments.Lookup(experiment); s.store != nil && spec.Fleet {
@@ -521,12 +523,13 @@ func (s *Server) submit(client, experiment string, o experiments.Options, sweepI
 				s.logger.Warn("recording resumable job failed", "key", key, "error", err)
 			}
 		}
+		s.mu.Lock()
 		job.trace.Phase("queue-wait")
-		job.enqueuedAt = time.Now()
+		s.mu.Unlock()
 		if err := s.pool.submit(client, func() { s.runJob(job, entry) }); err != nil {
 			s.results.Complete(entry, nil, err)
 			s.obs.rejected.Inc()
-			s.finish(job, err, false)
+			s.finish(job, err, sourceNone)
 			return job, err
 		}
 	}
@@ -547,15 +550,15 @@ func (s *Server) runJob(job *Job, entry *memo.Entry[string, []byte]) {
 	job.State = StateRunning
 	s.queued--
 	s.running++
+	wait := job.trace.Since("queue-wait")
+	job.trace.Phase("run")
 	s.mu.Unlock()
 
 	// The measured wait feeds both the exported distribution and the
 	// Retry-After estimator, so backpressure hints track what leaders
 	// actually experienced.
-	wait := time.Since(job.enqueuedAt)
 	s.obs.queueWait.ObserveDuration(wait)
 	s.backoff.observeWait(wait)
-	job.trace.Phase("run")
 
 	start := time.Now()
 	payload, err := s.runOnce(job)
@@ -564,14 +567,16 @@ func (s *Server) runJob(job *Job, entry *memo.Entry[string, []byte]) {
 	s.obs.runSeconds.With(job.Experiment).ObserveDuration(elapsed)
 
 	if err == nil && s.store != nil {
+		s.mu.Lock()
 		job.trace.Phase("store-write")
+		s.mu.Unlock()
 		if perr := s.store.Put(job.ResultKey, payload); perr != nil {
 			s.logger.Warn("persisting result failed", "key", job.ResultKey, "error", perr)
 		}
 		s.removeJob(job.ResultKey)
 	}
 	s.results.Complete(entry, payload, err)
-	s.finish(job, err, false)
+	s.finish(job, err, sourceNone)
 }
 
 // runOnce executes one runner attempt under the per-job timeout and the
@@ -625,10 +630,11 @@ func (s *Server) runOnce(job *Job) ([]byte, error) {
 // finish moves a job to its terminal state and evicts the oldest
 // finished jobs beyond the retention bound. In-flight jobs are never
 // evicted: their population is bounded by the queue depth and the
-// attached waiters. Jobs belonging to a sweep stream their terminal
-// snapshot as a "point" event, and the sweep's last point closes the
-// stream with a "done" event.
-func (s *Server) finish(job *Job, err error, cacheHit bool) {
+// attached waiters. A job that found its result complete names where
+// (src); it is a cache hit. Jobs belonging to a sweep stream their
+// terminal snapshot as a "point" event, and the sweep's last point
+// closes the stream with a "done" event.
+func (s *Server) finish(job *Job, err error, src jobSource) {
 	s.mu.Lock()
 	switch job.State {
 	case StateQueued:
@@ -636,7 +642,10 @@ func (s *Server) finish(job *Job, err error, cacheHit bool) {
 	case StateRunning:
 		s.running--
 	}
-	job.CacheHit = job.CacheHit || cacheHit
+	if src != sourceNone {
+		job.source = src
+		job.CacheHit = true
+	}
 	if err != nil {
 		job.State = StateFailed
 		job.Error = err.Error()
@@ -645,19 +654,14 @@ func (s *Server) finish(job *Job, err error, cacheHit bool) {
 		job.State = StateDone
 		s.obs.done.Inc()
 	}
-	if evicted, full := s.terminal.Push(job.ID); full {
-		delete(s.jobs, evicted)
-	}
-	s.obs.jobSeconds.ObserveDuration(time.Since(job.submittedAt))
+	s.obs.jobSeconds.ObserveDuration(job.trace.Since("admit"))
 	job.trace.Phase("done")
-	job.trace.Attr("state", string(job.State))
-	if job.Error != "" {
-		job.trace.Attr("error", job.Error)
-	}
-	if job.CacheHit {
-		job.trace.Attr("cache_hit", "true")
-	}
 	job.trace.Finish()
+	s.jobBytes += job.charge()
+	if evicted, full := s.terminal.Push(job); full {
+		s.jobBytes -= evicted.charge()
+		delete(s.jobs, evicted.ID)
+	}
 	var point *Job
 	var doneTrack *sweepTrack
 	if job.SweepID != "" {
@@ -1282,7 +1286,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 								TraceLength: length, TraceStride: stride,
 								Population: pop, VariationSigma: sigma, Years: yrs,
 							}
-							if _, err := canonicalRequest(exp, o); err != nil {
+							if _, _, err := canonicalRequest(exp, o); err != nil {
 								writeError(w, http.StatusBadRequest, err)
 								return
 							}

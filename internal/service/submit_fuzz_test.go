@@ -79,7 +79,7 @@ func fuzzRunner(_ context.Context, experiment string, _ experiments.Options) (ex
 // would answer for a simulation nobody asked for.
 func checkAcceptedJob(t *testing.T, job Job) {
 	t.Helper()
-	canon, err := canonicalRequest(job.Experiment, job.Options)
+	_, canon, err := canonicalRequest(job.Experiment, job.Options)
 	if err != nil {
 		t.Fatalf("accepted options fail canonicalRequest: %v", err)
 	}

@@ -48,11 +48,11 @@ func (in *Instruments) observePut(key string, start time.Time, n int, err error)
 	d := time.Since(start)
 	in.PutSeconds.ObserveDuration(d)
 	in.PutBytes.Observe(float64(n))
-	attrs := map[string]string{"key": key, "bytes": strconv.Itoa(n)}
+	attrs := []string{"key", key, "bytes", strconv.Itoa(n)}
 	if err != nil {
-		attrs["error"] = err.Error()
+		attrs = append(attrs, "error", err.Error())
 	}
-	in.Tracer.Record("store", "put", start, d, attrs)
+	in.Tracer.Record("store", "put", start, d, attrs...)
 }
 
 // observeGet records one Get that reached disk (index hits only; pure
@@ -63,14 +63,12 @@ func (in *Instruments) observeGet(key string, start time.Time, n int, ok bool) {
 	}
 	d := time.Since(start)
 	in.GetSeconds.ObserveDuration(d)
-	attrs := map[string]string{"key": key}
-	if ok {
-		in.GetBytes.Observe(float64(n))
-		attrs["bytes"] = strconv.Itoa(n)
-	} else {
-		attrs["error"] = "verification failed"
+	if !ok {
+		in.Tracer.Record("store", "get", start, d, "key", key, "error", "verification failed")
+		return
 	}
-	in.Tracer.Record("store", "get", start, d, attrs)
+	in.GetBytes.Observe(float64(n))
+	in.Tracer.Record("store", "get", start, d, "key", key, "bytes", strconv.Itoa(n))
 }
 
 // observeScrub records one scrub pass.
@@ -80,9 +78,8 @@ func (in *Instruments) observeScrub(start time.Time, rep ScrubReport) {
 	}
 	d := time.Since(start)
 	in.ScrubSeconds.ObserveDuration(d)
-	in.Tracer.Record("scrub", "scrub", start, d, map[string]string{
-		"checked": strconv.Itoa(rep.Checked),
-		"corrupt": strconv.Itoa(rep.Corrupt),
-		"expired": strconv.Itoa(rep.Expired),
-	})
+	in.Tracer.Record("scrub", "scrub", start, d,
+		"checked", strconv.Itoa(rep.Checked),
+		"corrupt", strconv.Itoa(rep.Corrupt),
+		"expired", strconv.Itoa(rep.Expired))
 }

@@ -14,8 +14,9 @@
 #                                   loop: up to 11 allocs, 0 from 12x up
 #
 # Only BenchmarkObsOverhead's CounterInc, HistogramObserve,
-# HistogramVecResolved and NilInstruments are gated; TracerRecord and
-# TracePhases allocate a span per call by design.
+# HistogramVecResolved and NilInstruments are gated; TracePhases
+# allocates its spans by design, and TracerRecord allocates only its
+# caller's attributes once its ring is full.
 #
 # Usage: scripts/allocgate.sh (from anywhere in the checkout)
 set -euo pipefail
